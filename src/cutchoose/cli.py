@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 validation failure, 2 capacity/budget exceeded.
 With ``--json`` the machine-readable document goes to stdout; human-oriented
 progress goes to stderr.  All emitted documents are byte-stable given equal
-inputs, seeds, and flags (worker counts never change output bytes).
+inputs, seeds, and flags (``--jobs`` is accepted; work runs in one thread).
 """
 
 from __future__ import annotations
@@ -12,21 +12,23 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, serialize, transforms
 from ._version import ENGINE_VERSION
 from .engine import (CHOOSE, CUT, EMPTY, NONEMPTY, GameInstance, apply_move,
-                     initial_state, legal_moves, terminal_status,
-                     verify_winning_strategy)
+                     initial_state, legal_moves, tabulate_strategy,
+                     terminal_status, verify_winning_strategy)
 from .errors import CapacityError, CutChooseError, ValidationError
-from .solver import CACHE_ENV, solve
+from .solver import CACHE_ENV, refute, solve, strategy_for
 from .structures import format_mask
 from .transforms import TransformOutput
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CAPACITY = 2
+
+JOBS_HELP = ("accepted for compatibility: the work runs in one thread and "
+             "the output does not depend on it")
 
 
 def _read_instance(path: str) -> GameInstance:
@@ -96,13 +98,7 @@ def _sigma_for(args, inst: GameInstance, role: str):
                          greedy_picker_strategy, seeded_table_strategy)
     name = args.sigma
     if name == "solver":
-        result = solve(inst, cache_dir=_cache_dir(args))
-        if result.winner == role:
-            return result.strategy
-        from .solver import extract_strategy, _value_function, SolveStats
-        value = _value_function(inst, SolveStats(), 10_000_000)
-        value(initial_state(inst))
-        return extract_strategy(inst, role, value)
+        return strategy_for(inst, role, _cache_dir(args))[1]
     if name == "greedy":
         return greedy_picker_strategy(inst)
     if name == "copy":
@@ -178,7 +174,6 @@ def cmd_transform(args) -> int:
         raise ValidationError(f"unknown transform {name!r}")
 
     certs = transforms.certify_playouts(out, node_budget=args.budget)
-    from .engine import tabulate_strategy
     table = tabulate_strategy(out.instance, out.strategy, out.strategy.role,
                               args.budget)
     doc = {
@@ -243,14 +238,6 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _audit_one(item):
-    report = analysis.equivalence_audit(item.instance)
-    return {
-        "instance_id": item.instance_id,
-        "report": serialize.audit_report_to_jsonable(report),
-    }
-
-
 def cmd_audit(args) -> int:
     if args.instance:
         inst = _read_instance(args.instance)
@@ -261,8 +248,10 @@ def cmd_audit(args) -> int:
             print(serialize.audit_report_text(report))
         return EXIT_OK if not report.disagreements else EXIT_VALIDATION
     corpus = analysis.generate_corpus(args.seed, args.per_family)
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(_audit_one, corpus))
+    results = [{"instance_id": item.instance_id,
+                "report": serialize.audit_report_to_jsonable(
+                    analysis.equivalence_audit(item.instance))}
+               for item in corpus]
     disagreements = sum(r["report"]["disagreements"] for r in results)
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
@@ -295,26 +284,22 @@ def cmd_ablate(args) -> int:
     return EXIT_OK if report.cutter_verified else EXIT_VALIDATION
 
 
-def _corpus_worker(item):
-    from .solver import refute
-    inst = item.instance
-    out = {"instance_id": item.instance_id,
-           "game_family": inst.game_family}
-    result = solve(inst)
-    out["winner"] = result.winner
-    out["strategy_verified"] = verify_winning_strategy(
-        inst, result.strategy, result.winner).verified
-    out["loser_refuted"] = not refute(
-        inst, inst.opponent(result.winner)).has_winning_strategy
-    report = analysis.equivalence_audit(inst)
-    out["audit_disagreements"] = len(report.disagreements)
-    return out
-
-
 def cmd_corpus(args) -> int:
-    corpus = analysis.generate_corpus(args.seed, args.per_family)
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(_corpus_worker, corpus))
+    results = []
+    for item in analysis.generate_corpus(args.seed, args.per_family):
+        inst = item.instance
+        result = solve(inst)
+        results.append({
+            "instance_id": item.instance_id,
+            "game_family": inst.game_family,
+            "winner": result.winner,
+            "strategy_verified": verify_winning_strategy(
+                inst, result.strategy, result.winner).verified,
+            "loser_refuted": not refute(
+                inst, inst.opponent(result.winner)).has_winning_strategy,
+            "audit_disagreements": len(
+                analysis.equivalence_audit(inst).disagreements),
+        })
     degeneracy_ok = all(
         r["winner"] == CHOOSE for r in results
         if r["game_family"].startswith("G_")) and all(
@@ -386,36 +371,32 @@ def cmd_play(args) -> int:
     inst = _read_instance(args.instance)
     human_role = {"cut": inst.cutter, "choose": inst.picker}[args.role]
     machine_role = inst.opponent(human_role)
-    result = solve(inst, cache_dir=_cache_dir(args))
-    machine = result.strategy if result.winner == machine_role else None
-    if machine is None:
-        from .solver import extract_strategy, _value_function, SolveStats
-        value = _value_function(inst, SolveStats(), 10_000_000)
-        value(initial_state(inst))
-        from .solver import extract_strategy as _ex
-        machine = _ex(inst, machine_role, value)
+    # A positional table: it ignores the history it is handed.
+    winner, machine = strategy_for(inst, machine_role, _cache_dir(args))
 
     replay_inputs = None
     if args.replay:
         with open(args.replay, "r", encoding="utf-8") as fh:
             log_doc = json.load(fh)
+        if not isinstance(log_doc, dict) or \
+                not isinstance(log_doc.get("inputs"), list):
+            raise ValidationError("needs a list of move indices", "replay.inputs")
         if log_doc.get("instance") != serialize.instance_to_jsonable(inst):
             raise ValidationError("replay log belongs to another instance")
         if log_doc.get("human_role") != human_role:
             raise ValidationError("replay log uses the other role")
-        replay_inputs = list(log_doc["inputs"])
+        replay_inputs = log_doc["inputs"]
 
     state = initial_state(inst)
-    history: tuple = ()
     inputs: list[int] = []
     out = sys.stderr if args.json else sys.stdout
     print(f"you play {human_role}; the table plays {machine_role} "
-          f"(solved winner: {result.winner})", file=out)
+          f"(solved winner: {winner})", file=out)
     outcome = terminal_status(inst, state)
     while outcome.ongoing:
         role = state.to_move
         if role == machine_role:
-            move = machine.decide(inst, state, history)
+            move = machine.decide(inst, state, ())
             print(f"[{role}] plays {_show_move(inst, move)}", file=out)
         else:
             moves = legal_moves(inst, state)
@@ -423,20 +404,25 @@ def cmd_play(args) -> int:
                   f"{_show_move(inst, state.core)}; your moves:", file=out)
             for i, mv in enumerate(moves):
                 print(f"  {i}: {_show_move(inst, mv)}", file=out)
+            where = ""
             if replay_inputs is not None:
-                idx = replay_inputs.pop(0)
+                where = f"replay.inputs[{len(inputs)}]"
+                if len(inputs) == len(replay_inputs):
+                    raise ValidationError("the log ends before the game",
+                                          where)
+                idx = replay_inputs[len(inputs)]
             else:
                 try:
                     idx = int(input("move index> "))
                 except (EOFError, ValueError):
                     print("no input; resigning", file=out)
                     return EXIT_VALIDATION
-            if not (0 <= idx < len(moves)):
-                raise ValidationError(f"move index {idx} out of range")
+            if type(idx) is not int or not (0 <= idx < len(moves)):
+                raise ValidationError(f"move index {idx!r} out of range",
+                                      where)
             inputs.append(idx)
             move = moves[idx]
         state = apply_move(inst, state, move)
-        history = history + ((role, move),)
         outcome = terminal_status(inst, state)
     print(f"winner: {outcome.status} ({outcome.reason})", file=out)
     session = {
@@ -527,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", nargs="?")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--per-family", type=int, default=25)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     common(p)
     p.set_defaults(fn=cmd_audit)
 
@@ -547,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="generate and run the seeded corpus")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--per-family", type=int, default=25)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     common(p)
     p.set_defaults(fn=cmd_corpus)
 
@@ -567,7 +553,8 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValidationError, CutChooseError, OSError) as exc:
+    except (ValidationError, CutChooseError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

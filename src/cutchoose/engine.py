@@ -18,6 +18,11 @@ used for solving and exhaustive verification; it omits dominated cut moves
 with empty pieces.  ``apply_move`` accepts any *structurally* valid move, so
 strategies produced by transformations may play degenerate partitions such as
 ``(X, {})`` and the referee tolerates them.
+
+Strategies are walked two ways.  The tree walk (verification, playouts)
+follows every canonical opposing line with the full history, as simulation
+strategies need; the positional walk (tabulation, the solver's extraction)
+visits each reachable position once to build a positional table.
 """
 
 from __future__ import annotations
@@ -507,13 +512,18 @@ def first_move_strategy(inst: GameInstance, role: str) -> Strategy:
 
 
 def seeded_table_strategy(inst: GameInstance, role: str, seed: int) -> Strategy:
-    """Deterministic pseudo-random move selection keyed by position and seed."""
+    """Deterministic pseudo-random move selection keyed by position and seed.
+    The key folds integers only (the role by its index), so ``PYTHONHASHSEED``
+    cannot change it; Fibonacci hashing then spreads it over the moves."""
     def fn(inst_, state, history):
         moves = legal_moves(inst_, state)
         if not moves:
             raise StrategyError(f"no legal moves at position {state.key()}")
-        h = hash((seed, state.key())) & 0x7FFFFFFF
-        return moves[h % len(moves)]
+        h = seed
+        for x in (state.round, (CUT, CHOOSE, EMPTY, NONEMPTY).index(
+                state.to_move), state.core, *(state.pending or ())):
+            h = (h * 0x100000001B3 + x) % ((1 << 61) - 1)
+        return moves[(h * 0x9E3779B97F4A7C15 >> 32 & 0xFFFFFFFF) % len(moves)]
 
     return FunctionStrategy(role, fn, SIMULATION, f"seeded-{seed}")
 
@@ -583,13 +593,16 @@ class VerifyResult:
         return self.verified
 
 
-def verify_winning_strategy(inst: GameInstance, sigma: Strategy, role: str,
-                            node_budget: int = 2_000_000) -> VerifyResult:
-    """Exhaustively traverse every opposing line; verified iff ``role`` wins
-    every leaf.  The first counterexample in canonical order is returned."""
+def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
+               node_budget: int, first_loss: bool) -> tuple[list, int]:
+    """The tree walk: leaf transcripts and the nodes visited, terminal ones
+    included.  With ``first_loss`` it stops at the first leaf ``role`` loses."""
+    found: list[Transcript] = []
     nodes = 0
+    moves: list = []
+    states: list = [initial_state(inst)]
 
-    def walk(state: GameState, history: tuple, moves: list, states: list):
+    def walk(state: GameState) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
@@ -597,94 +610,89 @@ def verify_winning_strategy(inst: GameInstance, sigma: Strategy, role: str,
                                 {"nodes": nodes})
         outcome = terminal_status(inst, state)
         if not outcome.ongoing:
-            if outcome.status != role:
-                return Transcript(inst, list(moves), list(states),
-                                  outcome.status, outcome.reason)
-            return None
+            if first_loss and outcome.status == role:
+                return False
+            found.append(Transcript(inst, list(moves), list(states),
+                                    outcome.status, outcome.reason))
+            return first_loss
         mover = state.to_move
         if mover == role:
-            move = sigma.decide(inst, state, history)
+            move = sigma.decide(inst, state, tuple(moves))
             validate_move(inst, state, move)
-            nxt = apply_move(inst, state, move, check=False)
-            return walk(nxt, history + ((mover, move),),
-                        moves + [(mover, move)], states + [nxt])
-        for move in legal_moves(inst, state):
-            nxt = apply_move(inst, state, move, check=False)
-            bad = walk(nxt, history + ((mover, move),),
-                       moves + [(mover, move)], states + [nxt])
-            if bad is not None:
-                return bad
-        return None
-
-    start = initial_state(inst)
-    counter = walk(start, (), [], [start])
-    return VerifyResult(counter is None, counter, nodes)
-
-
-def tabulate_strategy(inst: GameInstance, sigma: Strategy, role: str,
-                      node_budget: int = 2_000_000) -> TableStrategy:
-    """Record a (possibly simulation-backed) strategy as a positional table
-    over every position it can reach against canonical adversary lines."""
-    table: dict[tuple, object] = {}
-    nodes = 0
-
-    def walk(state: GameState, history: tuple):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise CapacityError("tabulation exceeded the node budget",
-                                {"nodes": nodes})
-        if not terminal_status(inst, state).ongoing:
-            return
-        mover = state.to_move
-        if mover == role:
-            key = state.key()
-            if key in table:
-                move = table[key]
-            else:
-                move = sigma.decide(inst, state, history)
-                validate_move(inst, state, move)
-                table[key] = move
-            walk(apply_move(inst, state, move, check=False),
-                 history + ((mover, move),))
+            options = (move,)
         else:
-            for move in legal_moves(inst, state):
-                walk(apply_move(inst, state, move, check=False),
-                     history + ((mover, move),))
+            options = legal_moves(inst, state)
+        for move in options:
+            nxt = apply_move(inst, state, move, check=False)
+            moves.append((mover, move))
+            states.append(nxt)
+            if walk(nxt):
+                return True
+            moves.pop()
+            states.pop()
+        return False
 
-    walk(initial_state(inst), ())
-    return TableStrategy(role, table, name=f"tabulated-{sigma.name}")
+    walk(states[0])
+    return found, nodes
+
+
+def verify_winning_strategy(inst: GameInstance, sigma: Strategy, role: str,
+                            node_budget: int = 2_000_000) -> VerifyResult:
+    """Exhaustively traverse every opposing line; verified iff ``role`` wins
+    every leaf.  The first counterexample in canonical order is returned."""
+    found, nodes = _walk_tree(inst, sigma, role, node_budget, True)
+    return VerifyResult(not found, found[0] if found else None, nodes)
 
 
 def enumerate_playouts(inst: GameInstance, sigma: Strategy, role: str,
                        node_budget: int = 2_000_000) -> list[Transcript]:
     """All playouts of ``sigma`` against every canonical adversary line."""
-    out: list[Transcript] = []
-    nodes = 0
+    return _walk_tree(inst, sigma, role, node_budget, False)[0]
 
-    def walk(state, history, moves, states):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise CapacityError("playout enumeration exceeded the node budget",
-                                {"nodes": nodes})
-        outcome = terminal_status(inst, state)
-        if not outcome.ongoing:
-            out.append(Transcript(inst, list(moves), list(states),
-                                  outcome.status, outcome.reason))
+
+def tabulate_positions(inst: GameInstance, role: str,
+                       choose: Callable[[GameState, list], object],
+                       state_budget: int, name: str) -> TableStrategy:
+    """The positional walk: at ``role``'s positions record and follow
+    ``choose(state, moves)``, ``moves`` being the line of the first visit."""
+    table: dict[tuple, object] = {}
+    seen: set[tuple] = set()
+    moves: list = []
+
+    def visit(state: GameState) -> None:
+        if not terminal_status(inst, state).ongoing:
             return
+        key = state.key()
+        if key in seen:
+            return
+        seen.add(key)
+        if len(seen) > state_budget:
+            raise CapacityError("position walk exceeded the state budget",
+                                {"states_visited": len(seen)})
         mover = state.to_move
         if mover == role:
-            options = [sigma.decide(inst, state, history)]
-            for move in options:
-                validate_move(inst, state, move)
+            table[key] = choose(state, moves)
+            options = (table[key],)
         else:
             options = legal_moves(inst, state)
         for move in options:
-            nxt = apply_move(inst, state, move, check=False)
-            walk(nxt, history + ((mover, move),),
-                 moves + [(mover, move)], states + [nxt])
+            moves.append((mover, move))
+            visit(apply_move(inst, state, move, check=False))
+            moves.pop()
 
-    start = initial_state(inst)
-    walk(start, (), [], [start])
-    return out
+    visit(initial_state(inst))
+    return TableStrategy(role, table, name)
+
+
+def tabulate_strategy(inst: GameInstance, sigma: Strategy, role: str,
+                      node_budget: int = 2_000_000) -> TableStrategy:
+    """Record a (possibly simulation-backed) strategy as a positional table
+    over every position it can reach against canonical adversary lines.
+    ``node_budget`` bounds the positions visited."""
+    def choose(state: GameState, moves: list):
+        move = sigma.decide(inst, state, tuple(moves))
+        validate_move(inst, state, move)
+        return move
+
+    return tabulate_positions(inst, role, choose, node_budget,
+                              f"tabulated-{sigma.name}")

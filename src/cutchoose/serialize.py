@@ -92,19 +92,24 @@ def instance_to_jsonable(inst: GameInstance) -> dict:
 
 
 def _req(obj: dict, key: str, typ, path: str):
+    if not isinstance(obj, dict):
+        raise ValidationError("must be an object", path)
     if key not in obj:
-        raise ValidationError(f"missing field {key!r}", path)
+        raise ValidationError("missing field", f"{path}.{key}")
     val = obj[key]
-    if typ is not None and not isinstance(val, typ):
+    if typ is not None and (not isinstance(val, typ)
+                            or typ is int and isinstance(val, bool)):
         raise ValidationError(f"field {key!r} must be {typ.__name__}",
                               f"{path}.{key}")
     return val
 
 
+def _opt(obj: dict, key: str, typ, default, path: str):
+    return _req(obj, key, typ, path) if key in obj else default
+
+
 def instance_from_jsonable(obj: dict, path: str = "instance") -> GameInstance:
-    if not isinstance(obj, dict):
-        raise ValidationError("instance document must be an object", path)
-    version = obj.get("schema_version")
+    version = _req(obj, "schema_version", None, path)
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version!r}",
                               path + ".schema_version")
@@ -123,14 +128,15 @@ def instance_from_jsonable(obj: dict, path: str = "instance") -> GameInstance:
         raise ValidationError("width must be an integer or 'unbounded'",
                               gpath + ".width")
     variant = gobj.get("variant", engine.EXACT)
-    maximal = gobj.get("maximal", True)
-    cut_current = gobj.get("cut_current", True)
+    maximal = _opt(gobj, "maximal", bool, True, gpath)
+    cut_current = _opt(gobj, "cut_current", bool, True, gpath)
 
     ground = family = poset = algebra = None
     if kind == "family":
         ground = GroundSet(_req(sobj, "ground", int, spath))
         family = family_from_jsonable(_req(sobj, "family", dict, spath),
-                                      ground, bool(sobj.get("ideal", False)),
+                                      ground,
+                                      _opt(sobj, "ideal", bool, False, spath),
                                       spath + ".family")
         start = parse_mask(str(_req(gobj, "start", None, gpath)), ground.size)
     elif kind == "poset":
@@ -256,23 +262,26 @@ def _key_sort_key(key: tuple):
 
 
 def strategy_from_jsonable(inst: GameInstance, obj: dict) -> TableStrategy:
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError("unsupported strategy schema_version")
+    if _req(obj, "schema_version", None, "strategy") != SCHEMA_VERSION:
+        raise ValidationError("unsupported", "strategy.schema_version")
     role = _req(obj, "role", str, "strategy")
     entries = {}
     for i, e in enumerate(_req(obj, "entries", list, "strategy")):
-        sobj = _req(e, "state", dict, f"strategy.entries[{i}]")
+        path = f"strategy.entries[{i}]"
+        sobj = _req(e, "state", dict, path)
         pending = sobj.get("pending")
         size = (inst.ground.size if inst.ground is not None
                 else inst.algebra.atoms.size if inst.algebra is not None else 0)
         if inst.game_family in engine.MASK_GAMES or inst.algebra is not None \
                 or inst.game_family == engine.G_POSET:
-            core = parse_mask(str(sobj["core"]), max(size, inst.poset.size if inst.poset else 0))
+            core = parse_mask(str(_req(sobj, "core", None, path + ".state")),
+                              max(size, inst.poset.size if inst.poset else 0))
         else:
-            core = sobj["core"]
-        key = (sobj["round"], sobj["to_move"], core,
+            core = _req(sobj, "core", int, path + ".state")
+        key = (_req(sobj, "round", int, path + ".state"),
+               _req(sobj, "to_move", str, path + ".state"), core,
                None if pending is None else move_from_jsonable(inst, pending))
-        entries[key] = move_from_jsonable(inst, e["move"])
+        entries[key] = move_from_jsonable(inst, _req(e, "move", None, path))
     return TableStrategy(role, entries)
 
 

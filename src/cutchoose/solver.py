@@ -2,11 +2,12 @@
 
 ``solve`` computes the winner over canonical positions and, on request,
 extracts the winner's positional strategy in a second deterministic pass
-(first winning move in canonical order).  ``refute`` is the dual check: an
-independent exists/forall search for a winning strategy for a *given* role.
-``reference_winner`` is the deliberately naive oracle -- raw recursion over
-positions with no memoization and no canonicalization -- kept around so the
-main path can always be cross-checked.
+(first winning move in canonical order) over the engine's positional walk;
+``strategy_for`` gives a table for either role.  ``refute`` is the dual
+check: an independent exists/forall search for a winning strategy for a
+*given* role.  ``reference_winner`` is the deliberately naive oracle -- raw
+recursion over positions with no memoization and no canonicalization --
+kept around so the main path can always be cross-checked.
 
 Memo values are winner names only; strategies are never read out of the memo
 fill, so evaluation order (including any concurrent fill) cannot perturb the
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 from ._version import ENGINE_VERSION
 from .engine import (CHOOSE, CUT, STRICT_PREFIX, U, WEAK, GameInstance,
                      GameState, TableStrategy, apply_move, initial_state,
-                     legal_moves, terminal_status)
+                     legal_moves, tabulate_positions, terminal_status)
 from .errors import CapacityError, CutChooseError
 from .serialize import (instance_hash, strategy_from_jsonable,
                         strategy_to_jsonable)
@@ -151,36 +152,15 @@ def extract_strategy(inst: GameInstance, role: str,
     """Deterministic second pass: at the role's turn take the first move in
     canonical order that stays winning (first move overall as a best-effort
     fallback for a losing role); follow every opposing reply."""
-    table: dict[tuple, object] = {}
-    seen: set[tuple] = set()
+    def choose(state: GameState, moves: list):
+        options = legal_moves(inst, state)
+        for move in options:
+            if value(apply_move(inst, state, move, check=False)) == role:
+                return move
+        return options[0]
 
-    def visit(state: GameState) -> None:
-        if not terminal_status(inst, state).ongoing:
-            return
-        key = state.key()
-        if key in seen:
-            return
-        seen.add(key)
-        if len(seen) > state_budget:
-            raise CapacityError("extraction exceeded the state budget",
-                                {"states_visited": len(seen)})
-        moves = legal_moves(inst, state)
-        if state.to_move == role:
-            chosen = None
-            for move in moves:
-                if value(apply_move(inst, state, move, check=False)) == role:
-                    chosen = move
-                    break
-            if chosen is None:
-                chosen = moves[0]
-            table[key] = chosen
-            visit(apply_move(inst, state, chosen, check=False))
-        else:
-            for move in moves:
-                visit(apply_move(inst, state, move, check=False))
-
-    visit(initial_state(inst))
-    return TableStrategy(role, table, name=f"solver-{role}")
+    return tabulate_positions(inst, role, choose, state_budget,
+                              f"solver-{role}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +193,18 @@ def solve(inst: GameInstance, want_strategy: bool = True,
     result = SolveResult(inst, winner, strategy, stats)
     _cache_store(result, cache_dir, want_strategy)
     return result
+
+
+def strategy_for(inst: GameInstance, role: str,
+                 cache_dir: Optional[str] = None) -> tuple[str, TableStrategy]:
+    """The winner and a positional table for ``role``: ``solve``'s strategy
+    when ``role`` wins, else the best-effort extraction for the losing role
+    (first canonical move wherever no move wins)."""
+    result = solve(inst, cache_dir=cache_dir)
+    if result.winner == role:
+        return result.winner, result.strategy
+    value = _value_function(inst, SolveStats(), DEFAULT_STATE_BUDGET)
+    return result.winner, extract_strategy(inst, role, value)
 
 
 @dataclass

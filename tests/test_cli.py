@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -256,3 +258,54 @@ def test_ideal_flag_round_trips_to_ideal_type():
     assert isinstance(inst.family, Ideal)
     assert serialize.parse_instance(
         serialize.serialize_instance(inst)) == inst
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs end in exit code 1 with the field named, not a traceback
+# ---------------------------------------------------------------------------
+
+def run_cli(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        serialize.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "cutchoose.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_strategy_entry_without_core_is_rejected(tmp_path, u4):
+    strategy_path = tmp_path / "sigma.json"
+    assert main(["solve", u4, "--strategy-out", str(strategy_path)]) == 0
+    doc = json.loads(strategy_path.read_text())
+    del doc["entries"][0]["state"]["core"]
+    strategy_path.write_text(json.dumps(doc))
+    proc = run_cli("verify", u4, "--strategy", str(strategy_path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "strategy.entries[0].state.core" in proc.stderr
+
+
+@pytest.mark.parametrize("field, value", [("maximal", "no"),
+                                          ("rounds", True)])
+def test_instance_field_of_the_wrong_type_is_rejected(tmp_path, field,
+                                                      value):
+    doc = u_doc()
+    doc["game"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("solve", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"instance.game.{field}" in proc.stderr
+
+
+def test_replay_with_too_few_inputs_is_rejected(tmp_path, u4):
+    inst = serialize.parse_instance(open(u4).read())
+    log = tmp_path / "session.json"
+    log.write_text(json.dumps({
+        "instance": serialize.instance_to_jsonable(inst),
+        "human_role": "Choose", "inputs": [0]}))
+    proc = run_cli("play", u4, "--role", "choose", "--replay", str(log))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "replay.inputs[1]" in proc.stderr

@@ -7,10 +7,11 @@ from cutchoose.engine import (BM_IDEAL, BM_POSET, CHOOSE, CUT, EMPTY, EXACT,
                               core_positive, first_move_strategy,
                               fixed_point_choose_strategy,
                               greedy_picker_strategy, initial_state,
-                              legal_moves, play_out, seeded_table_strategy,
+                              enumerate_playouts, legal_moves, play_out,
+                              seeded_table_strategy, tabulate_strategy,
                               terminal_status, validate_move,
                               verify_winning_strategy)
-from cutchoose.errors import (IllegalMoveError, StrategyError,
+from cutchoose.errors import (CapacityError, IllegalMoveError, StrategyError,
                               ValidationError)
 from cutchoose.solver import reference_winner, solve
 from cutchoose.structures import (FiniteBooleanAlgebra, FinitePoset,
@@ -380,3 +381,97 @@ def test_random_playout_invariants(inst, seed):
         cores = [s.core for s in t1.states if s.pending is None]
         for a, b in zip(cores, cores[1:]):
             assert b & ~a == 0
+
+
+# ---------------------------------------------------------------------------
+# The two strategy walks
+# ---------------------------------------------------------------------------
+
+def g_ideal_instance():
+    g = GroundSet(5)
+    fam = MonotoneFamily.generated_by(g, [0b00011, 0b01100])
+    return GameInstance(game_family=G_IDEAL, start=g.full_mask, rounds=1,
+                        width=2, cut_current=False, ground=g, family=fam)
+
+
+@pytest.mark.parametrize("inst", [u_instance(5, 2), g_ideal_instance()])
+def test_tabulating_a_solver_table_reproduces_it(inst):
+    result = solve(inst)
+    table = tabulate_strategy(inst, result.strategy, result.winner)
+    assert list(table.entries.items()) == \
+        list(result.strategy.entries.items())
+
+
+def test_tabulated_history_dependent_strategy_verifies():
+    from cutchoose.transforms import (_doubled_instance,
+                                      disjointify_choose_strategy)
+    g_inst = g_ideal_instance()
+    result = solve(_doubled_instance(g_inst))
+    assert result.winner == CHOOSE
+    out = disjointify_choose_strategy(result.strategy, g_inst)
+    table = tabulate_strategy(out.instance, out.strategy, CHOOSE)
+    assert table.entries
+    assert verify_winning_strategy(out.instance, table, CHOOSE).verified
+
+
+def test_verify_counterexample_and_nodes_are_pinned():
+    # ``nodes`` and the counterexample are printed by ``verify --json``.
+    inst = u_instance(5, 2)
+    v = verify_winning_strategy(inst, first_move_strategy(inst, CUT), CUT)
+    assert not v.verified and v.nodes == 9
+    t = v.counterexample
+    assert t.moves == [(CUT, (1, 30)), (CHOOSE, 30), (CUT, (2, 28)),
+                       (CHOOSE, 28)]
+    assert [s.key() for s in t.states] == [
+        (0, CUT, 31, None), (0, CHOOSE, 31, (1, 30)), (1, CUT, 30, None),
+        (1, CHOOSE, 30, (2, 28)), (2, CUT, 28, None)]
+    assert (t.winner, t.reason) == (CHOOSE, "final intersection positive")
+
+
+def test_playouts_cover_every_adversary_line():
+    inst = u_instance(5, 2)
+    runs = enumerate_playouts(inst, first_move_strategy(inst, CUT), CUT)
+    assert len(runs) == 3
+    assert len({tuple(t.moves) for t in runs}) == 3
+    assert all(not terminal_status(inst, t.states[-1]).ongoing
+               for t in runs)
+
+
+def test_every_walk_fails_loudly_on_a_tiny_budget():
+    from cutchoose.solver import extract_strategy
+    inst = u_instance(5, 2)
+    sigma = first_move_strategy(inst, CUT)
+    with pytest.raises(CapacityError):
+        verify_winning_strategy(inst, sigma, CUT, node_budget=3)
+    with pytest.raises(CapacityError):
+        enumerate_playouts(inst, sigma, CUT, node_budget=3)
+    with pytest.raises(CapacityError):
+        tabulate_strategy(inst, sigma, CUT, node_budget=1)
+    with pytest.raises(CapacityError) as err:
+        extract_strategy(inst, CUT, lambda state: CHOOSE, state_budget=1)
+    assert err.value.stats == {"states_visited": 2}
+
+
+def test_seeded_strategy_ignores_pythonhashseed():
+    import os
+    import subprocess
+    import sys
+    script = (
+        "from cutchoose.engine import *\n"
+        "from cutchoose.structures import GroundSet, MonotoneFamily\n"
+        "g = GroundSet(6)\n"
+        "inst = GameInstance(game_family=U, start=g.full_mask, rounds=2,\n"
+        "    width=3, ground=g, family=MonotoneFamily.size_at_most(g, 1))\n"
+        "cut = seeded_table_strategy(inst, CUT, 5)\n"
+        "pick = seeded_table_strategy(inst, CHOOSE, 6)\n"
+        "print(play_out(inst, cut, pick).moves)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        analysis.__file__)))
+    outs = set()
+    for hashseed in ("0", "1", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        outs.add(proc.stdout)
+    assert len(outs) == 1

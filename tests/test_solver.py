@@ -5,10 +5,12 @@ import pytest
 
 from cutchoose import analysis
 from cutchoose.engine import (CHOOSE, CUT, EXACT, U, WEAK, GameInstance,
-                              verify_winning_strategy)
+                              initial_state, verify_winning_strategy)
 from cutchoose.errors import CapacityError
 from cutchoose.serialize import serialize_strategy
-from cutchoose.solver import (RefuteResult, refute, reference_winner, solve)
+from cutchoose.solver import (RefuteResult, SolveStats, _value_function,
+                              extract_strategy, refute, reference_winner,
+                              solve, strategy_for)
 from cutchoose.structures import GroundSet, MonotoneFamily
 
 
@@ -129,3 +131,21 @@ def test_width_three_threshold_at_the_ground_cap():
     for m in (20, 24):
         inst = u_instance(m, 3, width=3)
         assert solve(inst, want_strategy=False).winner == CUT
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_strategy_for_both_roles(m):
+    inst = u_instance(m, 2)
+    result = solve(inst)
+    loser = inst.opponent(result.winner)
+    winner, table = strategy_for(inst, result.winner)
+    assert winner == result.winner
+    assert table.entries == result.strategy.entries
+    winner, table = strategy_for(inst, loser)
+    # the losing role's table as the command line rebuilt it before
+    value = _value_function(inst, SolveStats(), 10_000_000)
+    value(initial_state(inst))
+    expected = extract_strategy(inst, loser, value)
+    assert winner == result.winner
+    assert list(table.entries.items()) == list(expected.entries.items())
+    assert table.role == loser and table.name == expected.name
