@@ -183,7 +183,8 @@ def cmd_transform(args) -> int:
         "strategy": serialize.strategy_to_jsonable(out.instance, table),
         "playouts": len(certs),
         "all_hold": all(c.holds for c in certs),
-        "certificates": [serialize.certificate_to_jsonable(c) for c in certs],
+        "certificates": [serialize.certificate_to_jsonable(c, out.aux_instance)
+                         for c in certs],
     }
     if args.strategy_out:
         with open(args.strategy_out, "w", encoding="utf-8") as fh:
@@ -224,9 +225,18 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _span(text: str, option: str) -> tuple[int, int]:
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValidationError(f"{option} must be lo:hi with integer bounds, "
+                              f"got {text!r}") from None
+
+
 def cmd_scan(args) -> int:
-    n_lo, n_hi = (int(x) for x in args.rounds.split(":"))
-    m_lo, m_hi = (int(x) for x in args.ground.split(":"))
+    n_lo, n_hi = _span(args.rounds, "--rounds")
+    m_lo, m_hi = _span(args.ground, "--ground")
     rows = analysis.threshold_scan(args.nu, range(n_lo, n_hi + 1),
                                    range(m_lo, m_hi + 1), args.variant)
     doc = serialize.threshold_table_to_jsonable(rows)

@@ -680,8 +680,14 @@ def tabulate_positions(inst: GameInstance, role: str,
             visit(apply_move(inst, state, move, check=False))
             moves.pop()
 
-    visit(initial_state(inst))
-    return TableStrategy(role, table, name)
+    try:
+        visit(initial_state(inst))
+        return TableStrategy(role, table, name)
+    finally:
+        # visit refers to itself, so only the cyclic collector would free
+        # what it holds; TableStrategy keeps a copy of the table.
+        seen.clear()
+        table.clear()
 
 
 def tabulate_strategy(inst: GameInstance, sigma: Strategy, role: str,

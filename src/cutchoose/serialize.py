@@ -292,7 +292,10 @@ def serialize_strategy(inst: GameInstance, strategy: TableStrategy) -> str:
 # Certificates, audit reports, threshold tables
 # ---------------------------------------------------------------------------
 
-def certificate_to_jsonable(cert) -> dict:
+def certificate_to_jsonable(cert, aux_instance: Optional[GameInstance] = None) -> dict:
+    """With an ``aux_instance`` the certificate's ``aux_moves`` are the
+    ``(role, move)`` pairs of a run of that auxiliary game; without one they
+    are moves, or masks, of the output game."""
     inst = cert.output_run.instance
 
     def enc(move):
@@ -308,7 +311,9 @@ def certificate_to_jsonable(cert) -> dict:
         "relation": cert.relation,
         "holds": cert.holds,
         "output_run": transcript_to_jsonable(cert.output_run),
-        "aux_moves": [enc(m) for m in cert.aux_moves],
+        "aux_moves": [enc(m) if aux_instance is None
+                      else [m[0], move_to_jsonable(aux_instance, m[1])]
+                      for m in cert.aux_moves],
         "details": {k: _plain(v) for k, v in sorted(cert.details.items())},
     }
 

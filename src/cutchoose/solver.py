@@ -62,10 +62,11 @@ class SolveResult:
 # Generic backward induction
 # ---------------------------------------------------------------------------
 
-def _value_function(inst: GameInstance, stats: SolveStats,
-                    state_budget: int) -> Callable[[GameState], str]:
-    memo: dict[tuple, str] = {}
-
+def _value_function(inst: GameInstance, stats: SolveStats, state_budget: int,
+                    memo: dict) -> Callable[[GameState], str]:
+    """The winner of a position, memoized in ``memo``.  The caller owns the
+    memo and clears it when its walk ends: the self-recursive closure would
+    otherwise keep it alive until the cyclic collector runs."""
     def value(state: GameState) -> str:
         outcome = terminal_status(inst, state)
         if not outcome.ongoing:
@@ -185,10 +186,14 @@ def solve(inst: GameInstance, want_strategy: bool = True,
         winner = _symmetric_winner(inst)
         stats.states_visited = 0
     else:
-        value = _value_function(inst, stats, state_budget)
-        winner = value(initial_state(inst))
-        if want_strategy:
-            strategy = extract_strategy(inst, winner, value, state_budget)
+        memo: dict[tuple, str] = {}
+        try:
+            value = _value_function(inst, stats, state_budget, memo)
+            winner = value(initial_state(inst))
+            if want_strategy:
+                strategy = extract_strategy(inst, winner, value, state_budget)
+        finally:
+            memo.clear()
     stats.elapsed = time.perf_counter() - t0
     result = SolveResult(inst, winner, strategy, stats)
     _cache_store(result, cache_dir, want_strategy)
@@ -203,8 +208,12 @@ def strategy_for(inst: GameInstance, role: str,
     result = solve(inst, cache_dir=cache_dir)
     if result.winner == role:
         return result.winner, result.strategy
-    value = _value_function(inst, SolveStats(), DEFAULT_STATE_BUDGET)
-    return result.winner, extract_strategy(inst, role, value)
+    memo: dict[tuple, str] = {}
+    try:
+        value = _value_function(inst, SolveStats(), DEFAULT_STATE_BUDGET, memo)
+        return result.winner, extract_strategy(inst, role, value)
+    finally:
+        memo.clear()
 
 
 @dataclass
@@ -247,13 +256,18 @@ def refute(inst: GameInstance, role: str,
         memo[key] = result
         return result
 
-    has = can_win(initial_state(inst))
-    strategy = None
-    if has:
-        strategy = extract_strategy(
-            inst, role,
-            lambda s: role if can_win(s) else inst.opponent(role),
-            state_budget)
+    try:
+        has = can_win(initial_state(inst))
+        strategy = None
+        if has:
+            strategy = extract_strategy(
+                inst, role,
+                lambda s: role if can_win(s) else inst.opponent(role),
+                state_budget)
+    finally:
+        # can_win refers to itself, so only the cyclic collector would
+        # free the memo behind it.
+        memo.clear()
     return RefuteResult(role, has, strategy, nodes)
 
 

@@ -624,93 +624,97 @@ def enumerate_disjoint_partitions(state: int, width: Optional[int],
     return out
 
 
+def _allowed_mask_walk(pieces: Sequence[int], masks: Sequence[int],
+                       small: set[int], width: Optional[int], maximal: bool,
+                       budget: int, what: str) -> list[tuple[int, ...]]:
+    """Families of pairwise compatible candidates, in preorder.
+
+    Candidate i is emitted as ``pieces[i]``.  Its compatibility row has bit j
+    set when ``masks[i] & masks[j]`` is in ``small``; bit i must be clear.  A
+    node carries ``allowed``, the AND of its pieces' rows: its children are
+    the set bits of ``allowed`` after its last piece, and it has no
+    compatible extension exactly when ``allowed == 0``.  Rows are built when
+    their candidate is first appended, since a walk that runs into the
+    budget may append few of them.
+
+    Every node is counted and checked against ``budget`` before it emits.  A
+    node emits at most one family and the root none, so this one check also
+    bounds the number emitted.
+    """
+    rows: list[Optional[int]] = [None] * len(masks)
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+    # (index of the last piece or -1 at the root, allowed before that piece,
+    # pieces before it); children are pushed in descending order so the
+    # stack pops in preorder.
+    stack: list[tuple[int, int, tuple[int, ...]]] = [
+        (-1, (1 << len(masks)) - 1, ())]
+    while stack:
+        last, allowed, family = stack.pop()
+        nodes += 1
+        _check_budget(nodes, budget, what)
+        if last >= 0:
+            row = rows[last]
+            if row is None:
+                c = masks[last]
+                row = 0
+                for j, d in enumerate(masks):
+                    if c & d in small:
+                        row |= 1 << j
+                rows[last] = row
+            allowed &= row
+            family += (pieces[last],)
+            if not (maximal and allowed):
+                out.append(family)
+        if width is not None and len(family) >= width:
+            continue
+        later = allowed >> (last + 1) << (last + 1)
+        while later:
+            i = later.bit_length() - 1
+            later ^= 1 << i
+            stack.append((i, allowed, family))
+    return out
+
+
 def enumerate_i_partitions(family: MonotoneFamily, of: int, width: Optional[int],
                            maximal: bool = True,
                            budget: int = DEFAULT_MOVE_BUDGET) -> list[tuple[int, ...]]:
     """Almost-disjoint positive families inside ``of``, canonically ordered.
 
     With the maximality filter on (the default), only families with no
-    positive extension are emitted; a family is extendable exactly when it is
-    non-maximal, so the filter doubles as the maximality check.
+    positive extension are emitted.
+
+    Family membership is read once per call into the set of members below
+    ``of``.  The candidates are the positive subsets of ``of`` in canonical
+    order; candidate i's compatibility row has bit j set when candidates i
+    and j meet in a member (a positive set never meets itself in one).  The
+    walk appends candidates in increasing index order, so each family comes
+    out with its pieces in canonical order, and its preorder lists families
+    lexicographically by their pieces' keys with every prefix first: the
+    output is already in canonical move order and needs no sort.
     """
     if of == 0:
         raise ValidationError("cannot partition the empty set")
     if width is not None and width < 1:
         raise ValidationError("width must be >= 1")
-    candidates = sorted_masks(s for s in submasks(of)
-                              if s and is_positive(family, s))
-    out: list[tuple[int, ...]] = []
-    nodes = 0
-
-    def extendable(current: tuple[int, ...]) -> bool:
-        for a in candidates:
-            if all((a & b) in family for b in current):
-                return True
-        return False
-
-    def grow(start: int, current: list[int]) -> None:
-        nonlocal nodes
-        nodes += 1
-        _check_budget(nodes, budget, "positive-family enumeration")
-        if current:
-            if maximal:
-                if not extendable(tuple(current)):
-                    out.append(tuple(current))
-                    _check_budget(len(out), budget, "positive-family enumeration")
-            else:
-                out.append(tuple(current))
-                _check_budget(len(out), budget, "positive-family enumeration")
-        if width is not None and len(current) >= width:
-            return
-        for i in range(start, len(candidates)):
-            c = candidates[i]
-            if all((c & b) in family for b in current):
-                current.append(c)
-                grow(i + 1, current)
-                current.pop()
-
-    grow(0, [])
-    out.sort(key=lambda move: tuple(mask_key(p) for p in move))
-    return out
+    small = {s for s in submasks(of) if s in family}
+    candidates = sorted_masks(s for s in submasks(of) if s and s not in small)
+    return _allowed_mask_walk(candidates, candidates, small, width, maximal,
+                              budget, "positive-family enumeration")
 
 
 def enumerate_poset_antichains(poset: FinitePoset, below: int, width: Optional[int],
                                maximal: bool = True,
                                budget: int = DEFAULT_MOVE_BUDGET) -> list[tuple[int, ...]]:
-    """Antichains of the poset below an element, maximal unless disabled."""
-    candidates = mask_elements(poset.down[below])
-    out: list[tuple[int, ...]] = []
-    nodes = 0
+    """Antichains of the poset below an element, maximal unless disabled.
 
-    def extendable(current: Sequence[int]) -> bool:
-        for q in candidates:
-            if not any(poset.compatible(q, a) for a in current):
-                return True
-        return False
-
-    def grow(start: int, current: list[int]) -> None:
-        nonlocal nodes
-        nodes += 1
-        _check_budget(nodes, budget, "antichain enumeration")
-        if current:
-            if maximal:
-                if not extendable(current):
-                    out.append(tuple(current))
-            else:
-                out.append(tuple(current))
-            _check_budget(len(out), budget, "antichain enumeration")
-        if width is not None and len(current) >= width:
-            return
-        for i in range(start, len(candidates)):
-            q = candidates[i]
-            if not any(poset.compatible(q, a) for a in current):
-                current.append(q)
-                grow(i + 1, current)
-                current.pop()
-
-    grow(0, [])
-    out.sort()
-    return out
+    Two elements may share an antichain when their down-sets are disjoint,
+    that is, when they have no common lower bound.  The elements are taken
+    in increasing order, so the output is sorted, as for i-partitions.
+    """
+    elements = mask_elements(poset.down[below])
+    return _allowed_mask_walk(elements, [poset.down[q] for q in elements], {0},
+                              width, maximal, budget, "antichain enumeration")
 
 
 def enumerate_algebra_antichains(algebra: FiniteBooleanAlgebra, below: int,
@@ -727,28 +731,8 @@ def enumerate_algebra_antichains(algebra: FiniteBooleanAlgebra, below: int,
         out.sort(key=lambda move: tuple(mask_key(p) for p in move))
         return out
     candidates = sorted_masks(s for s in submasks(below) if s)
-    out = []
-    nodes = 0
-
-    def grow(start: int, current: list[int], used: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        _check_budget(nodes, budget, "antichain enumeration")
-        if current:
-            out.append(tuple(current))
-            _check_budget(len(out), budget, "antichain enumeration")
-        if width is not None and len(current) >= width:
-            return
-        for i in range(start, len(candidates)):
-            c = candidates[i]
-            if c & used == 0:
-                current.append(c)
-                grow(i + 1, current, used | c)
-                current.pop()
-
-    grow(0, [], 0)
-    out.sort(key=lambda move: tuple(mask_key(p) for p in move))
-    return out
+    return _allowed_mask_walk(candidates, candidates, {0}, width, False,
+                              budget, "antichain enumeration")
 
 
 def enumerate_cut_moves(structure, state, mode: str, width: Optional[int],

@@ -132,6 +132,23 @@ def test_transform_subcommand(capsys):
     assert doc["all_hold"] is True and doc["playouts"] == 4
 
 
+def test_transform_json_encodes_auxiliary_runs(tmp_path, capsys):
+    doc = u_doc(rounds=1)
+    doc["structure"]["ideal"] = True
+    doc["game"].update({"family": "G_ideal", "width": "unbounded",
+                        "variant": "weak", "cut_current": False})
+    path = tmp_path / "g4.json"
+    path.write_text(json.dumps(doc))
+    assert main(["transform", "--name", "disjointify_cut", str(path),
+                 "--sigma", "solver", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["all_hold"] is True and out["playouts"] == 4
+    # the auxiliary run is a G_ideal game on the input's ground
+    assert out["certificates"][0]["aux_moves"] == [
+        ["Cut", ["{0,1}", "{0,2}", "{0,3}", "{1,2}", "{1,3}", "{2,3}"]],
+        ["Choose", "{0,1}"]]
+
+
 def test_ablate_subcommand(tmp_path, capsys):
     doc = u_doc(m=4, rounds=2, width=6)
     doc["game"]["family"] = "G_ideal"
@@ -309,3 +326,12 @@ def test_replay_with_too_few_inputs_is_rejected(tmp_path, u4):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "replay.inputs[1]" in proc.stderr
+
+
+@pytest.mark.parametrize("option, value", [("--rounds", "1"),
+                                           ("--ground", "2:x")])
+def test_scan_with_a_malformed_range_is_rejected(option, value):
+    proc = run_cli("scan", option, value)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert option in proc.stderr

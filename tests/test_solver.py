@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 
@@ -5,7 +6,8 @@ import pytest
 
 from cutchoose import analysis
 from cutchoose.engine import (CHOOSE, CUT, EXACT, U, WEAK, GameInstance,
-                              initial_state, verify_winning_strategy)
+                              initial_state, tabulate_strategy,
+                              verify_winning_strategy)
 from cutchoose.errors import CapacityError
 from cutchoose.serialize import serialize_strategy
 from cutchoose.solver import (RefuteResult, SolveStats, _value_function,
@@ -143,9 +145,36 @@ def test_strategy_for_both_roles(m):
     assert table.entries == result.strategy.entries
     winner, table = strategy_for(inst, loser)
     # the losing role's table as the command line rebuilt it before
-    value = _value_function(inst, SolveStats(), 10_000_000)
+    value = _value_function(inst, SolveStats(), 10_000_000, {})
     value(initial_state(inst))
     expected = extract_strategy(inst, loser, value)
     assert winner == result.winner
     assert list(table.entries.items()) == list(expected.entries.items())
     assert table.role == loser and table.name == expected.name
+
+
+def test_walk_memos_are_freed_on_return():
+    # The memos behind solve, refute and tabulation hang off self-recursive
+    # closures; they must be emptied when the walk ends, not left for the
+    # cyclic collector.
+    def keyed_by_positions(obj):
+        return isinstance(obj, (dict, set)) and any(
+            isinstance(k, tuple) and len(k) == 4 and isinstance(k[1], str)
+            for k in obj)
+
+    inst = u_instance(5, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        result = solve(inst)
+        refuted = refute(inst, result.winner)
+        table = tabulate_strategy(inst, result.strategy, result.winner)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if keyed_by_positions(o)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert refuted.has_winning_strategy and table.entries
+    assert leaked == []

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from cutchoose.structures import (FiniteBooleanAlgebra, FinitePoset, GroundSet,
                                   enumerate_i_partitions,
                                   enumerate_poset_antichains, format_mask,
                                   full_disjointification,
+                                  ipartition_violation,
                                   is_maximal_i_partition, is_positive,
                                   mask_elements, mask_key, mask_of, parse_mask,
                                   popcount, quotient_algebra, sorted_masks,
@@ -326,6 +329,92 @@ def test_poset_antichain_enumeration():
     assert (4,) in moves  # the top itself
     for move in moves:
         assert p.is_maximal_antichain_below(4, list(move))
+
+
+def canonical_moves(moves):
+    return sorted(moves, key=lambda move: tuple(mask_key(p) for p in move))
+
+
+@st.composite
+def families(draw):
+    m = draw(st.integers(1, 4))
+    g = GroundSet(m)
+    kind = draw(st.sampled_from(["size_at_most", "generated_by", "closed",
+                                 "explicit"]))
+    masks = draw(st.lists(st.integers(0, g.full_mask), max_size=3))
+    if kind == "size_at_most":
+        return MonotoneFamily.size_at_most(g, draw(st.integers(0, m)))
+    if kind == "generated_by":
+        return MonotoneFamily.generated_by(g, masks)
+    if kind == "closed":
+        return MonotoneFamily.explicit(
+            g, {s for mask in masks for s in submasks(mask)})
+    return MonotoneFamily.explicit(g, masks)  # not downward closed
+
+
+@given(families(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_i_partitions_match_brute_force(fam, data):
+    # every combination of positive subsets up to the width, kept when the
+    # structural check passes and, under the filter, when the brute-force
+    # maximality search finds no extension
+    of = data.draw(st.integers(1, fam.ground.full_mask))
+    width = data.draw(st.sampled_from(
+        [1, 2, 3] + ([None] if fam.ground.size <= 3 else [])))
+    maximal = data.draw(st.booleans())
+    positives = [s for s in submasks(of) if s and is_positive(fam, s)]
+    top = len(positives) if width is None else width
+    expected = []
+    for r in range(1, top + 1):
+        for combo in itertools.combinations(sorted_masks(positives), r):
+            if ipartition_violation(fam, of, combo) is None and (
+                    not maximal or is_maximal_i_partition(
+                        IPartition(of, combo, fam))[0]):
+                expected.append(combo)
+    got = enumerate_i_partitions(fam, of, width, maximal)
+    assert got == canonical_moves(expected)
+
+
+@given(st.lists(st.integers(1, 15), min_size=1, max_size=7, unique=True),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_poset_antichains_match_brute_force(labels, data):
+    p = FinitePoset.from_subsets(labels)
+    below = data.draw(st.integers(0, len(labels) - 1))
+    width = data.draw(st.sampled_from([1, 2, 3, None]))
+    maximal = data.draw(st.booleans())
+    elements = mask_elements(p.down[below])
+    top = len(elements) if width is None else width
+    expected = []
+    for r in range(1, top + 1):
+        for combo in itertools.combinations(elements, r):
+            if maximal:
+                keep = p.is_maximal_antichain_below(below, combo)
+            else:
+                keep = not any(p.compatible(a, b)
+                               for a, b in itertools.combinations(combo, 2))
+            if keep:
+                expected.append(combo)
+    got = enumerate_poset_antichains(p, below, width, maximal)
+    assert got == sorted(expected)
+
+
+def test_enumeration_budget_counts_every_node():
+    # the smallest budgets that pass, and the errors one below them
+    g = GroundSet(4)
+    fam = MonotoneFamily.size_at_most(g, 1)
+    assert len(enumerate_i_partitions(fam, g.full_mask, 3, budget=71)) == 1
+    with pytest.raises(CapacityError) as err:
+        enumerate_i_partitions(fam, g.full_mask, 3, budget=70)
+    assert str(err.value) == ("positive-family enumeration exceeded the "
+                              "move budget of 70")
+    assert err.value.stats == {"budget": 70, "reached": 71}
+    p = FinitePoset.from_subsets([0b001, 0b010, 0b100, 0b011, 0b111], 4)
+    assert len(enumerate_poset_antichains(p, 4, None, budget=11)) == 3
+    with pytest.raises(CapacityError) as err:
+        enumerate_poset_antichains(p, 4, None, budget=10)
+    assert str(err.value) == "antichain enumeration exceeded the move budget of 10"
+    assert err.value.stats == {"budget": 10, "reached": 11}
 
 
 def test_enumerate_cut_moves_dispatch():
