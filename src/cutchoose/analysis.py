@@ -21,8 +21,7 @@ from .errors import CapacityError, ValidationError
 from .solver import reference_winner, solve
 from .structures import (DEFAULT_MOVE_BUDGET, FiniteBooleanAlgebra,
                          FinitePoset, GroundSet, Ideal, MonotoneFamily,
-                         enumerate_algebra_antichains, enumerate_i_partitions,
-                         enumerate_poset_antichains, is_positive, popcount,
+                         enumerate_cut_moves, is_positive, popcount,
                          sorted_masks, submasks, validate_family)
 
 PLAIN = "plain"
@@ -36,81 +35,52 @@ NOT_APPLICABLE = "n/a"
 # Branch search over move sequences
 # ---------------------------------------------------------------------------
 
-class _IdealContext:
-    def __init__(self, family: MonotoneFamily, x: int):
-        self.family = family
-        self.x = x
+class _BranchContext:
+    """Branches through move sequences: picks meet a running core, which
+    dies when it falls into ``small``.
 
-    def initial(self):
-        return self.x
+    ``down`` maps a pick to its mask (down-sets for posets; picks are masks
+    already otherwise), ``small`` is the family, or ``{0}`` for posets and
+    algebras, where a core needs only a common lower bound.
+    """
 
-    def step(self, acc: int, pick: int) -> int:
-        return acc & pick
+    def __init__(self, x: int, down, small):
+        self.initial = x if down is None else down[x]
+        self.down = down
+        self.small = small
 
-    def prefix_ok(self, acc: int) -> bool:
-        return is_positive(self.family, acc)
+    def branch(self, seq: Sequence[tuple], variant: str) -> Optional[list]:
+        down, small, n = self.down, self.small, len(seq)
 
-    def final_ok(self, acc: int, variant: str) -> bool:
-        if variant == IDEAL_WEAK:
-            return acc != 0
-        return is_positive(self.family, acc)
+        def dfs(level: int, acc, picks: list):
+            if level == n:
+                if variant == UNIFORM or (acc != 0 if variant == IDEAL_WEAK
+                                          else acc not in small):
+                    return list(picks)
+                return None
+            for pick in seq[level]:
+                nxt = acc & (pick if down is None else down[pick])
+                # plain: cores only shrink, so prefix pruning is sound;
+                # otherwise only the proper prefixes are constrained
+                if (variant == PLAIN or level < n - 1) and nxt in small:
+                    continue
+                picks.append(pick)
+                got = dfs(level + 1, nxt, picks)
+                if got is not None:
+                    return got
+                picks.pop()
+            return None
 
-    def moves(self, width, maximal, budget):
-        return enumerate_i_partitions(self.family, self.x, width, maximal,
-                                      budget)
-
-
-class _AlgebraContext:
-    def __init__(self, algebra: FiniteBooleanAlgebra, x: int):
-        self.algebra = algebra
-        self.x = x
-
-    def initial(self):
-        return self.x
-
-    def step(self, acc: int, pick: int) -> int:
-        return acc & pick
-
-    def prefix_ok(self, acc: int) -> bool:
-        return acc != 0
-
-    def final_ok(self, acc: int, variant: str) -> bool:
-        return acc != 0
-
-    def moves(self, width, maximal, budget):
-        return enumerate_algebra_antichains(self.algebra, self.x, width,
-                                            maximal, budget)
+        return dfs(0, self.initial, [])
 
 
-class _PosetContext:
-    def __init__(self, poset: FinitePoset, x: int):
-        self.poset = poset
-        self.x = x
-
-    def initial(self):
-        return self.poset.down[self.x]
-
-    def step(self, acc: int, pick: int) -> int:
-        return acc & self.poset.down[pick]
-
-    def prefix_ok(self, acc: int) -> bool:
-        return acc != 0
-
-    def final_ok(self, acc: int, variant: str) -> bool:
-        return acc != 0
-
-    def moves(self, width, maximal, budget):
-        return enumerate_poset_antichains(self.poset, self.x, width, maximal,
-                                          budget)
-
-
-def _context(structure, x):
+def _context(structure, x) -> _BranchContext:
     if isinstance(structure, MonotoneFamily):
-        return _IdealContext(structure, x)
+        return _BranchContext(x, None, structure)
     if isinstance(structure, FiniteBooleanAlgebra):
-        return _AlgebraContext(structure, x)
+        return _BranchContext(x, None, {0})
     if isinstance(structure, FinitePoset):
-        return _PosetContext(structure, x)
+        return _BranchContext(x, structure.down, {0})
     raise ValidationError("unsupported structure for distributivity check")
 
 
@@ -121,31 +91,7 @@ def find_branch(structure, x, seq: Sequence[tuple],
     ``plain`` needs the whole pick set bounded/positive, ``uniform`` only the
     proper prefixes, ``ideal_weak`` positive prefixes plus a nonempty total.
     """
-    ctx = _context(structure, x)
-    n = len(seq)
-
-    def dfs(level: int, acc, picks: list):
-        if level == n:
-            if variant == UNIFORM or ctx.final_ok(acc, variant):
-                return list(picks)
-            return None
-        for pick in seq[level]:
-            nxt = ctx.step(acc, pick)
-            if variant == PLAIN:
-                # cores only shrink, so prefix pruning is sound
-                if not ctx.prefix_ok(nxt):
-                    continue
-            elif level < n - 1 and not ctx.prefix_ok(nxt):
-                # proper prefixes are constrained, the full pick set is not
-                continue
-            picks.append(pick)
-            got = dfs(level + 1, nxt, picks)
-            if got is not None:
-                return got
-            picks.pop()
-        return None
-
-    return dfs(0, ctx.initial(), [])
+    return _context(structure, x).branch(seq, variant)
 
 
 @dataclass
@@ -168,7 +114,7 @@ def check_distributivity(structure, x, rounds: int, width: Optional[int],
     branchless sequences exist at finite scale.
     """
     ctx = _context(structure, x)
-    moves = ctx.moves(width, maximal, budget)
+    moves = enumerate_cut_moves(structure, x, width, maximal, budget)
     checked = 0
     seq: list = []
 
@@ -179,7 +125,7 @@ def check_distributivity(structure, x, rounds: int, width: Optional[int],
             if checked > budget:
                 raise CapacityError("sequence search exceeded the budget",
                                     {"sequences_checked": checked})
-            if find_branch(structure, x, seq, variant) is None:
+            if ctx.branch(seq, variant) is None:
                 return list(seq)
             return None
         for move in moves:
@@ -409,7 +355,7 @@ def _audit_mask_instance(inst: GameInstance, rows: list, budget: int) -> None:
 
 
 def _audit_poset_instance(inst: GameInstance, rows: list, budget: int) -> None:
-    structure = inst.algebra if inst.algebra is not None else inst.poset
+    structure = inst.structure
     elements = _poset_elements(inst)
 
     g_exact = _replace(inst, game_family=G_POSET, variant=EXACT,
@@ -572,16 +518,10 @@ def _instance_fits(inst: GameInstance, budget: int) -> bool:
     space, and the sequence space the distributivity checkers will walk."""
     try:
         moves = engine.legal_moves(inst, engine.initial_state(inst))
+        checker_moves = enumerate_cut_moves(inst.structure, inst.start,
+                                            inst.width, True, budget)
         if inst.game_family in engine.MASK_GAMES:
-            checker_moves = enumerate_i_partitions(
-                inst.family, inst.start, inst.width, True, budget)
-            enumerate_i_partitions(inst.family, inst.start, None, True, budget)
-        elif inst.algebra is not None:
-            checker_moves = enumerate_algebra_antichains(
-                inst.algebra, inst.start, inst.width, True, budget)
-        else:
-            checker_moves = enumerate_poset_antichains(
-                inst.poset, inst.start, inst.width, True, budget)
+            enumerate_cut_moves(inst.family, inst.start, None, True, budget)
     except CapacityError:
         return False
     if not moves:

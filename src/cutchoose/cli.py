@@ -1,6 +1,7 @@
 """Command-line workbench: solve, verify, transform, audit, scan, play.
 
-Exit codes: 0 success, 1 validation failure, 2 capacity/budget exceeded.
+Exit codes: 0 success, 1 validation failure (usage errors included), 2
+capacity/budget exceeded.
 With ``--json`` the machine-readable document goes to stdout; human-oriented
 progress goes to stderr.  All emitted documents are byte-stable given equal
 inputs, seeds, and flags (``--jobs`` is accepted; work runs in one thread).
@@ -162,12 +163,7 @@ def cmd_transform(args) -> int:
 
         def provider(x0):
             from .engine import greedy_picker_strategy
-            from .engine import G_IDEAL, WEAK
-            g_inst = GameInstance(game_family=G_IDEAL, start=x0,
-                                  rounds=bm.rounds, width=None, variant=WEAK,
-                                  cut_current=False, ground=bm.ground,
-                                  family=bm.family)
-            return greedy_picker_strategy(g_inst)
+            return greedy_picker_strategy(transforms.weak_g_instance(bm, x0))
 
         out = transforms.choose_to_nonempty_strategy(provider, bm)
     else:
@@ -201,14 +197,8 @@ def cmd_transform(args) -> int:
 
 def cmd_check(args) -> int:
     inst = _read_instance(args.instance)
-    if inst.ground is not None:
-        structure = inst.family
-    elif inst.algebra is not None:
-        structure = inst.algebra
-    else:
-        structure = inst.poset
     result = analysis.check_distributivity(
-        structure, inst.start, inst.rounds, inst.width,
+        inst.structure, inst.start, inst.rounds, inst.width,
         args.variant, inst.maximal)
     doc = {"schema_version": serialize.SCHEMA_VERSION,
            "variant": args.variant,
@@ -372,7 +362,7 @@ def cmd_cache(args) -> int:
 def _show_move(inst: GameInstance, move) -> str:
     if isinstance(move, tuple):
         return " | ".join(_show_move(inst, p) for p in move)
-    if inst.game_family in ("U", "G_ideal", "BM_ideal") or inst.algebra is not None:
+    if serialize.moves_are_masks(inst):
         return format_mask(move)
     return str(move)
 
@@ -454,8 +444,17 @@ def cmd_play(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with 1: 2 is the exit code of a ``CapacityError``.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cutchoose",
         description="exact solving, strategy transformations, and audits for "
                     "finite cut-and-choose, poset, and Banach-Mazur games")

@@ -34,9 +34,7 @@ from .errors import (CapacityError, IllegalMoveError, StrategyError,
                      ValidationError)
 from .structures import (DEFAULT_MOVE_BUDGET, FiniteBooleanAlgebra,
                          FinitePoset, GroundSet, IPartition, MonotoneFamily,
-                         enumerate_algebra_antichains,
-                         enumerate_disjoint_partitions, enumerate_i_partitions,
-                         enumerate_poset_antichains, format_mask,
+                         enumerate_cut_moves, format_mask,
                          ipartition_violation, is_maximal_i_partition,
                          is_positive, mask_elements, mask_key, sorted_masks,
                          submasks)
@@ -138,8 +136,11 @@ class GameInstance:
         return self.picker if role == self.cutter else self.cutter
 
     @property
-    def on_algebra(self) -> bool:
-        return self.algebra is not None
+    def structure(self):
+        """The family, algebra or poset the game is played over."""
+        if self.game_family in MASK_GAMES:
+            return self.family
+        return self.algebra if self.algebra is not None else self.poset
 
 
 Move = Union[int, tuple]
@@ -265,19 +266,11 @@ def legal_moves(inst: GameInstance, state: GameState) -> list:
     fam = inst.game_family
     if state.pending is not None:
         return list(state.pending)
-    if fam == U:
-        return enumerate_disjoint_partitions(cut_target(inst, state), inst.width,
-                                             inst.move_budget)
-    if fam == G_IDEAL:
-        return enumerate_i_partitions(inst.family, cut_target(inst, state),
-                                      inst.width, inst.maximal, inst.move_budget)
-    if fam == G_POSET:
-        target = cut_target(inst, state)
-        if inst.algebra is not None:
-            return enumerate_algebra_antichains(inst.algebra, target, inst.width,
-                                                inst.maximal, inst.move_budget)
-        return enumerate_poset_antichains(inst.poset, target, inst.width,
-                                          inst.maximal, inst.move_budget)
+    if fam not in BM_GAMES:
+        # A U game's family judges the picks only: its cuts are partitions.
+        return enumerate_cut_moves(None if fam == U else inst.structure,
+                                   cut_target(inst, state), inst.width,
+                                   inst.maximal, inst.move_budget)
     if fam == BM_IDEAL:
         return sorted_masks(s for s in submasks(state.core)
                             if is_positive(inst.family, s))
@@ -446,7 +439,7 @@ class TableStrategy(Strategy):
 
     def __init__(self, role: str, entries: dict, name: str = "table"):
         super().__init__(role, POSITIONAL_TABLE, name)
-        self.entries = dict(entries)
+        self.entries = entries
 
     def decide(self, inst, state, history):
         key = state.key()
@@ -685,9 +678,8 @@ def tabulate_positions(inst: GameInstance, role: str,
         return TableStrategy(role, table, name)
     finally:
         # visit refers to itself, so only the cyclic collector would free
-        # what it holds; TableStrategy keeps a copy of the table.
-        seen.clear()
-        table.clear()
+        # what it holds; dropping the name frees ``seen`` now.
+        visit = None
 
 
 def tabulate_strategy(inst: GameInstance, sigma: Strategy, role: str,

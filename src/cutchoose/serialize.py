@@ -183,23 +183,36 @@ def instance_hash(inst: GameInstance, engine_version: str) -> str:
 # Moves, states, strategies, transcripts
 # ---------------------------------------------------------------------------
 
-def _mask_moves(inst: GameInstance) -> bool:
+def moves_are_masks(inst: GameInstance) -> bool:
+    """Moves (and pieces) are subset masks, except poset elements."""
     return inst.game_family in engine.MASK_GAMES or inst.algebra is not None
+
+
+def _cores_are_masks(inst: GameInstance) -> bool:
+    # a G_poset core on a poset is a lower-bound set, a mask of elements
+    return moves_are_masks(inst) or inst.game_family == engine.G_POSET
+
+
+def _mask_size(inst: GameInstance) -> int:
+    """The number of bits a mask of the instance may use."""
+    if inst.ground is not None:
+        return inst.ground.size
+    if inst.algebra is not None:
+        return inst.algebra.atoms.size
+    return inst.poset.size
 
 
 def move_to_jsonable(inst: GameInstance, move) -> Any:
     if isinstance(move, tuple):
         return [move_to_jsonable(inst, p) for p in move]
-    return format_mask(move) if _mask_moves(inst) else move
+    return format_mask(move) if moves_are_masks(inst) else move
 
 
 def move_from_jsonable(inst: GameInstance, obj) -> Any:
-    size = (inst.ground.size if inst.ground is not None
-            else inst.algebra.atoms.size if inst.algebra is not None else 0)
     if isinstance(obj, list):
         return tuple(move_from_jsonable(inst, p) for p in obj)
-    if _mask_moves(inst):
-        return parse_mask(str(obj), size)
+    if moves_are_masks(inst):
+        return parse_mask(str(obj), _mask_size(inst))
     if not isinstance(obj, int):
         raise ValidationError("poset move must be an element index")
     return obj
@@ -207,8 +220,7 @@ def move_from_jsonable(inst: GameInstance, obj) -> Any:
 
 def state_to_jsonable(inst: GameInstance, state: GameState) -> dict:
     core: Any = state.core
-    if inst.game_family in engine.MASK_GAMES or inst.algebra is not None \
-            or inst.game_family == engine.G_POSET:
+    if _cores_are_masks(inst):
         core = format_mask(state.core)
     return {
         "round": state.round,
@@ -270,12 +282,9 @@ def strategy_from_jsonable(inst: GameInstance, obj: dict) -> TableStrategy:
         path = f"strategy.entries[{i}]"
         sobj = _req(e, "state", dict, path)
         pending = sobj.get("pending")
-        size = (inst.ground.size if inst.ground is not None
-                else inst.algebra.atoms.size if inst.algebra is not None else 0)
-        if inst.game_family in engine.MASK_GAMES or inst.algebra is not None \
-                or inst.game_family == engine.G_POSET:
+        if _cores_are_masks(inst):
             core = parse_mask(str(_req(sobj, "core", None, path + ".state")),
-                              max(size, inst.poset.size if inst.poset else 0))
+                              _mask_size(inst))
         else:
             core = _req(sobj, "core", int, path + ".state")
         key = (_req(sobj, "round", int, path + ".state"),

@@ -5,10 +5,12 @@ means point i is in the subset).  The canonical order on masks used by every
 enumeration in the package is lexicographic on the sorted element tuple, so
 ``{0,3}`` precedes ``{1,2}``.
 
-Partition and antichain enumeration lives here too, since every game module
-consumes it: disjoint partitions (the binary/width-bounded cut moves),
-almost-disjoint positive families with a maximality filter (the generalized
-cut moves), and maximal antichains of posets and Boolean algebras.
+Cut-move enumeration lives here too, since every game module consumes it:
+disjoint partitions (the binary/width-bounded cut moves), almost-disjoint
+positive families with a maximality filter (the generalized cut moves), and
+maximal antichains of posets and Boolean algebras.  ``enumerate_cut_moves``
+is the one dispatcher: the type of the structure a game is played over picks
+the enumerator, so no caller chooses one itself.
 """
 
 from __future__ import annotations
@@ -572,11 +574,6 @@ def quotient_algebra(ground: GroundSet, ideal: MonotoneFamily) -> QuotientAlgebr
 # Move enumeration
 # ---------------------------------------------------------------------------
 
-MODE_DISJOINT = "disjoint_partition"
-MODE_IPARTITION = "i_partition"
-MODE_ANTICHAIN = "maximal_antichain"
-
-
 def _check_budget(count: int, budget: int, what: str) -> None:
     if count > budget:
         raise CapacityError(f"{what} exceeded the move budget of {budget}",
@@ -735,25 +732,24 @@ def enumerate_algebra_antichains(algebra: FiniteBooleanAlgebra, below: int,
                               budget, "antichain enumeration")
 
 
-def enumerate_cut_moves(structure, state, mode: str, width: Optional[int],
+def enumerate_cut_moves(structure, target, width: Optional[int],
                         maximal: bool = True,
                         budget: int = DEFAULT_MOVE_BUDGET) -> list[tuple[int, ...]]:
-    """Dispatch to the mode-specific enumeration; see the mode constants.
+    """The cut moves on ``target``, chosen by the type of ``structure``.
 
-    ``structure`` is a MonotoneFamily for ``i_partition`` mode, a FinitePoset
-    or FiniteBooleanAlgebra for ``maximal_antichain`` mode, and ignored for
-    ``disjoint_partition`` mode.
+    ``None`` (a bare set) gives disjoint partitions, which have no
+    maximality filter; a ``MonotoneFamily`` gives i-partitions; a
+    ``FiniteBooleanAlgebra`` or ``FinitePoset`` gives antichains.
     """
-    if mode == MODE_DISJOINT:
-        return enumerate_disjoint_partitions(state, width, budget)
-    if mode == MODE_IPARTITION:
-        if not isinstance(structure, MonotoneFamily):
-            raise ValidationError("i_partition mode needs a monotone family")
-        return enumerate_i_partitions(structure, state, width, maximal, budget)
-    if mode == MODE_ANTICHAIN:
-        if isinstance(structure, FiniteBooleanAlgebra):
-            return enumerate_algebra_antichains(structure, state, width, maximal, budget)
-        if isinstance(structure, FinitePoset):
-            return enumerate_poset_antichains(structure, state, width, maximal, budget)
-        raise ValidationError("maximal_antichain mode needs a poset or algebra")
-    raise ValidationError(f"unknown enumeration mode {mode!r}")
+    if structure is None:
+        return enumerate_disjoint_partitions(target, width, budget)
+    if isinstance(structure, MonotoneFamily):
+        return enumerate_i_partitions(structure, target, width, maximal, budget)
+    if isinstance(structure, FiniteBooleanAlgebra):
+        return enumerate_algebra_antichains(structure, target, width, maximal,
+                                            budget)
+    if isinstance(structure, FinitePoset):
+        return enumerate_poset_antichains(structure, target, width, maximal,
+                                          budget)
+    raise ValidationError("cut moves need no structure, a monotone family, "
+                          "a poset or a Boolean algebra")

@@ -31,7 +31,7 @@ from .engine import fixed_point_choose_strategy  # re-exported: same toolbox
 from .errors import (CapacityError, SigmaSearchError, TransformSoundnessError,
                      ValidationError)
 from .structures import (FiniteBooleanAlgebra, GroundSet, IPartition,
-                         MonotoneFamily, enumerate_i_partitions, format_mask,
+                         MonotoneFamily, enumerate_cut_moves, format_mask,
                          full_disjointification, is_positive, mask_elements,
                          mask_key, popcount, sorted_masks, submasks)
 
@@ -92,6 +92,13 @@ def _forced_pick(sigma: Strategy, inst: GameInstance, state: GameState,
     if len(nonempty) == 1:
         return nonempty[0]
     return sigma.decide(inst, state, history)
+
+
+def _replay(inst: GameInstance, history: Sequence) -> GameState:
+    st = initial_state(inst)
+    for _, move in history:
+        st = apply_move(inst, st, move, check=False)
+    return st
 
 
 def _check_aux_run(inst: GameInstance, run: Sequence, sigma: Strategy,
@@ -366,10 +373,7 @@ def disjointify_cut_strategy(sigma_g: Strategy,
             return (g_inst.start,)
         if state.round % 2 == 1:
             return blocks[-1]["split"]
-        st = initial_state(g_inst)
-        for _, mv in g_hist:
-            st = apply_move(g_inst, st, mv, check=False)
-        w_move = sigma_g.decide(g_inst, st, g_hist)
+        w_move = sigma_g.decide(g_inst, _replay(g_inst, g_hist), g_hist)
         return _disjointify_move(g_inst, w_move)[2]
 
     strategy = FunctionStrategy(CUT, decide, SIMULATION,
@@ -656,10 +660,8 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
             return (small_inst.start,)
         if current is not None:
             return current["factor"].levels[len(current["picks"])]
-        st = initial_state(big_inst)
-        for _, mv in big_hist:
-            st = apply_move(big_inst, st, mv, check=False)
-        w_big = sigma_big.decide(big_inst, st, big_hist)
+        w_big = sigma_big.decide(big_inst, _replay(big_inst, big_hist),
+                                 big_hist)
         return factor_antichain(algebra, big_inst.start, w_big, nu,
                                 beta).levels[0]
 
@@ -865,11 +867,13 @@ def _require_bm_ideal(inst: GameInstance, op: str) -> None:
         raise ValidationError(f"{op} needs a set Banach-Mazur game")
 
 
-def _replay(inst: GameInstance, history: Sequence) -> GameState:
-    st = initial_state(inst)
-    for _, move in history:
-        st = apply_move(inst, st, move, check=False)
-    return st
+def weak_g_instance(bm_inst: GameInstance, start: int) -> GameInstance:
+    """The weak, unbounded-width generalized game on ``start`` over the
+    family of a set Banach-Mazur game, with the same number of rounds."""
+    return GameInstance(game_family=G_IDEAL, start=start,
+                        rounds=bm_inst.rounds, width=None, variant=WEAK,
+                        cut_current=False, ground=bm_inst.ground,
+                        family=bm_inst.family)
 
 
 def witness_to_empty_strategy(seq: Sequence[tuple],
@@ -956,9 +960,7 @@ def empty_to_cut_strategy(sigma_e: Strategy,
     _require_bm_ideal(bm_inst, "empty_to_cut_strategy")
     fam = bm_inst.family
     x0 = sigma_e.decide(bm_inst, initial_state(bm_inst), ())
-    g_inst = GameInstance(game_family=G_IDEAL, start=x0,
-                          rounds=bm_inst.rounds, width=None, variant=WEAK,
-                          cut_current=False, ground=bm_inst.ground, family=fam)
+    g_inst = weak_g_instance(bm_inst, x0)
 
     def positives_desc(limit: int) -> list[int]:
         # Descending mask value: the whole set leads, so the response family
@@ -1070,9 +1072,7 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
     fam = bm_inst.family
     if not is_positive(fam, start):
         raise ValidationError("start must be I-positive")
-    g_inst = GameInstance(game_family=G_IDEAL, start=start,
-                          rounds=bm_inst.rounds, width=None, variant=WEAK,
-                          cut_current=False, ground=bm_inst.ground, family=fam)
+    g_inst = weak_g_instance(bm_inst, start)
 
     def reconstruct(history: Sequence):
         """Aux run, the survivor's current set, and the trimmed sets the
@@ -1142,17 +1142,11 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
     fam = bm_inst.family
     cache: dict = {}
 
-    def g_for(x0: int) -> GameInstance:
-        return GameInstance(game_family=G_IDEAL, start=x0,
-                            rounds=bm_inst.rounds, width=None, variant=WEAK,
-                            cut_current=False, ground=bm_inst.ground,
-                            family=fam)
-
     def all_moves(x0: int) -> list:
         key = ("moves", x0)
         if key not in cache:
-            cache[key] = enumerate_i_partitions(fam, x0, None, True,
-                                                bm_inst.move_budget)
+            cache[key] = enumerate_cut_moves(fam, x0, None, True,
+                                             bm_inst.move_budget)
         return cache[key]
 
     def response(x0: int, vec: tuple) -> int:
@@ -1161,7 +1155,7 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
         key = ("resp", x0, vec)
         if key in cache:
             return cache[key]
-        g_inst = g_for(x0)
+        g_inst = weak_g_instance(bm_inst, x0)
         sigma = provider(x0)
         st = initial_state(g_inst)
         hist: tuple = ()

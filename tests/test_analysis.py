@@ -36,6 +36,38 @@ def test_ablation_distributivity_failure_certificate():
                           an.IDEAL_WEAK) is None
 
 
+# (holds, failing_sequence, sequences_checked) at two rounds: maximal moves
+# at unbounded width, then non-maximal ones at width 2
+DISTRIBUTIVITY_PINS = {
+    "family": {an.PLAIN: [(True, None, 36), (False, [(3,), (5,)], 18)],
+               an.UNIFORM: [(True, None, 36), (True, None, 1444)],
+               an.IDEAL_WEAK: [(True, None, 36), (False, [(3,), (12,)], 38)]},
+    "algebra": {an.PLAIN: [(True, None, 25), (False, [(1,), (2,)], 10)],
+                an.UNIFORM: [(True, None, 25), (True, None, 169)],
+                an.IDEAL_WEAK: [(True, None, 25), (False, [(1,), (2,)], 10)]},
+    "poset": {an.PLAIN: [(True, None, 9), (False, [(0,), (1,)], 4)],
+              an.UNIFORM: [(True, None, 9), (True, None, 81)],
+              an.IDEAL_WEAK: [(True, None, 9), (False, [(0,), (1,)], 4)]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DISTRIBUTIVITY_PINS))
+def test_check_distributivity_pinned(kind):
+    g = GroundSet(4)
+    structure, x = {
+        "family": (MonotoneFamily.size_at_most(g, 1), g.full_mask),
+        "algebra": (FiniteBooleanAlgebra(GroundSet(3)), 0b111),
+        "poset": (FinitePoset.from_subsets(
+            [0b001, 0b010, 0b100, 0b011, 0b111], 4), 4),
+    }[kind]
+    for variant, pins in DISTRIBUTIVITY_PINS[kind].items():
+        got = [an.check_distributivity(structure, x, 2, width, variant,
+                                       maximal)
+               for width, maximal in ((None, True), (2, False))]
+        assert [(r.holds, r.failing_sequence, r.sequences_checked)
+                for r in got] == pins, variant
+
+
 def test_every_finite_poset_is_distributive():
     p = FinitePoset.from_subsets([0b001, 0b010, 0b011, 0b101, 0b111], 4)
     assert an.check_distributivity(p, 4, 2, 2).holds

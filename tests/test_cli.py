@@ -335,3 +335,17 @@ def test_scan_with_a_malformed_range_is_rejected(option, value):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert option in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [("scan", "--rounds", "-1:1"), ("solve",)])
+def test_usage_errors_exit_with_validation_code(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"usage: cutchoose {argv[0]}")
+    assert f"cutchoose {argv[0]}: error:" in proc.stderr
+
+
+def test_help_and_version_exit_zero():
+    assert run_cli("--version").returncode == 0
+    assert run_cli("scan", "--help").returncode == 0

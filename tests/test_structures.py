@@ -418,17 +418,27 @@ def test_enumeration_budget_counts_every_node():
 
 
 def test_enumerate_cut_moves_dispatch():
-    g = GroundSet(3)
+    # the type of the structure picks the enumerator
+    g = GroundSet(4)
     fam = MonotoneFamily.size_at_most(g, 1)
-    assert enumerate_cut_moves(None, 0b111, "disjoint_partition", 2) == \
-        enumerate_disjoint_partitions(0b111, 2)
-    assert enumerate_cut_moves(fam, 0b111, "i_partition", None) == \
-        enumerate_i_partitions(fam, 0b111, None)
+    poset = FinitePoset.from_subsets([0b001, 0b010, 0b100, 0b011, 0b111], 4)
     alg = FiniteBooleanAlgebra(g)
-    assert enumerate_cut_moves(alg, 0b111, "maximal_antichain", None) == \
-        enumerate_algebra_antichains(alg, 0b111, None)
-    with pytest.raises(ValidationError):
-        enumerate_cut_moves(None, 0b111, "bogus", 2)
+    for width in (2, 3, None):
+        assert enumerate_cut_moves(None, g.full_mask, width) == \
+            enumerate_disjoint_partitions(g.full_mask, width) != []
+        for maximal in (True, False):
+            assert enumerate_cut_moves(fam, g.full_mask, width, maximal) == \
+                enumerate_i_partitions(fam, g.full_mask, width, maximal) != []
+            assert enumerate_cut_moves(poset, 4, width, maximal) == \
+                enumerate_poset_antichains(poset, 4, width, maximal) != []
+            assert enumerate_cut_moves(alg, g.full_mask, width, maximal) == \
+                enumerate_algebra_antichains(alg, g.full_mask, width,
+                                             maximal) != []
+    with pytest.raises(CapacityError, match="budget of 70"):
+        enumerate_cut_moves(fam, g.full_mask, 3, budget=70)
+    for unsupported in (g, "i_partition"):
+        with pytest.raises(ValidationError):
+            enumerate_cut_moves(unsupported, g.full_mask, 2)
 
 
 def test_trivial_ideal_is_union_closed_and_proper():
