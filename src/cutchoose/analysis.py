@@ -10,7 +10,7 @@ counting law or the naive oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from . import engine
@@ -146,9 +146,7 @@ def precipitous_analog(ideal: MonotoneFamily, rounds: int,
     report = validate_family(ideal)
     if isinstance(ideal, Ideal) and not report.ok:
         raise ValidationError(f"not a proper ideal: {report.violation}")
-    full = ideal.ground.full_mask
-    for x in sorted_masks(s for s in submasks(full)
-                          if s and is_positive(ideal, s)):
+    for x in _positives_below(ideal, ideal.ground.full_mask):
         if not check_distributivity(ideal, x, rounds, None, IDEAL_WEAK,
                                     True, budget):
             return False
@@ -223,10 +221,9 @@ class AuditReport:
         return [r for r in self.rows if r.agree is False]
 
 
-def _positive_starts(family: MonotoneFamily) -> list[int]:
-    full = family.ground.full_mask
-    return sorted_masks(s for s in submasks(full)
-                        if s and is_positive(family, s))
+def _positives_below(family: MonotoneFamily, x: int) -> list[int]:
+    """The positive subsets of ``x`` in canonical order."""
+    return sorted_masks(s for s in submasks(x) if s and is_positive(family, s))
 
 
 def _poset_elements(inst: GameInstance) -> list:
@@ -237,16 +234,6 @@ def _poset_elements(inst: GameInstance) -> list:
 
 def _solve_winner(inst: GameInstance) -> str:
     return solve(inst, want_strategy=False).winner
-
-
-def _replace(inst: GameInstance, **kw) -> GameInstance:
-    base = dict(game_family=inst.game_family, start=inst.start,
-                rounds=inst.rounds, width=inst.width, variant=inst.variant,
-                maximal=inst.maximal, cut_current=inst.cut_current,
-                ground=inst.ground, family=inst.family, poset=inst.poset,
-                algebra=inst.algebra, move_budget=inst.move_budget)
-    base.update(kw)
-    return GameInstance(**base)
 
 
 def equivalence_audit(inst: GameInstance,
@@ -269,14 +256,14 @@ def _audit_mask_instance(inst: GameInstance, rows: list, budget: int) -> None:
 
     # Counting-law rows for the singleton family.
     if inst.game_family == U and singleton_family:
-        exact = _replace(inst, variant=EXACT)
+        exact = replace(inst, variant=EXACT)
         left = _solve_winner(exact) == CUT
         right = popcount(inst.start) <= inst.width ** inst.rounds
         rows.append(AuditRow("cutter_threshold_exact",
                              "cutter wins the exact partition game iff the "
                              "ground fits width**rounds",
                              left, right, "solver", "formula"))
-        weak = _replace(inst, variant=WEAK)
+        weak = replace(inst, variant=WEAK)
         rows.append(AuditRow("cutter_threshold_weak",
                              "weak-variant winner agrees with the naive "
                              "oracle",
@@ -289,8 +276,8 @@ def _audit_mask_instance(inst: GameInstance, rows: list, budget: int) -> None:
                              NOT_APPLICABLE, NOT_APPLICABLE, "-", "-"))
 
     # Generalized-game distributivity (weak form) at the instance's width.
-    g_weak = _replace(inst, game_family=G_IDEAL, variant=WEAK,
-                      maximal=True, cut_current=False)
+    g_weak = replace(inst, game_family=G_IDEAL, variant=WEAK,
+                     maximal=True, cut_current=False)
     left = _solve_winner(g_weak) == CUT
     dist = check_distributivity(family, inst.start, inst.rounds, inst.width,
                                 IDEAL_WEAK, True, budget)
@@ -300,16 +287,16 @@ def _audit_mask_instance(inst: GameInstance, rows: list, budget: int) -> None:
                          left, not dist.holds, "solver", "checker"))
 
     # Banach-Mazur bridge rows; one solve per positive start feeds both.
-    bm = _replace(inst, game_family=BM_IDEAL, variant=EXACT, width=None,
-                  start=ground.full_mask if
-                  is_positive(family, ground.full_mask) else inst.start,
-                  cut_current=True, maximal=True)
+    bm = replace(inst, game_family=BM_IDEAL, variant=EXACT, width=None,
+                 start=ground.full_mask if
+                 is_positive(family, ground.full_mask) else inst.start,
+                 cut_current=True, maximal=True)
     bm_winner = _solve_winner(bm)
     winners = [
-        _solve_winner(_replace(inst, game_family=G_IDEAL, variant=WEAK,
-                               width=None, start=x, cut_current=False,
-                               maximal=True))
-        for x in _positive_starts(family)]
+        _solve_winner(replace(inst, game_family=G_IDEAL, variant=WEAK,
+                              width=None, start=x, cut_current=False,
+                              maximal=True))
+        for x in _positives_below(family, ground.full_mask)]
     rows.append(AuditRow("bm_empty_vs_cutter",
                          "emptier wins the set game iff the cutter wins the "
                          "weak unbounded generalized game somewhere",
@@ -331,8 +318,8 @@ def _audit_mask_instance(inst: GameInstance, rows: list, budget: int) -> None:
                              bm_winner != EMPTY, "checker", "solver"))
         from .structures import quotient_algebra
         quotient = quotient_algebra(ground, family)
-        g_exact = _replace(inst, game_family=G_IDEAL, variant=EXACT,
-                           cut_current=False, maximal=True)
+        g_exact = replace(inst, game_family=G_IDEAL, variant=EXACT,
+                          cut_current=False, maximal=True)
         q_start = quotient.project(inst.start)
         q_inst = GameInstance(game_family=G_POSET, start=q_start,
                               rounds=inst.rounds, width=inst.width,
@@ -358,9 +345,9 @@ def _audit_poset_instance(inst: GameInstance, rows: list, budget: int) -> None:
     structure = inst.structure
     elements = _poset_elements(inst)
 
-    g_exact = _replace(inst, game_family=G_POSET, variant=EXACT,
-                       cut_current=False, maximal=True,
-                       width=inst.width if inst.width is not None else None)
+    g_exact = replace(inst, game_family=G_POSET, variant=EXACT,
+                      cut_current=False, maximal=True,
+                      width=inst.width if inst.width is not None else None)
     left = _solve_winner(g_exact) == CUT
     dist = check_distributivity(structure, inst.start, inst.rounds,
                                 inst.width, PLAIN, True, budget)
@@ -369,8 +356,8 @@ def _audit_poset_instance(inst: GameInstance, rows: list, budget: int) -> None:
                          "fails at this width",
                          left, not dist.holds, "solver", "checker"))
 
-    g_strict = _replace(inst, game_family=G_POSET, variant=STRICT_PREFIX,
-                        cut_current=False, maximal=True)
+    g_strict = replace(inst, game_family=G_POSET, variant=STRICT_PREFIX,
+                       cut_current=False, maximal=True)
     udist = check_distributivity(structure, inst.start, inst.rounds,
                                  inst.width, UNIFORM, True, budget)
     rows.append(AuditRow("poset_uniform_distributivity",
@@ -379,16 +366,16 @@ def _audit_poset_instance(inst: GameInstance, rows: list, budget: int) -> None:
                          _solve_winner(g_strict) == CUT, not udist.holds,
                          "solver", "checker"))
 
-    bm = _replace(inst, game_family=BM_POSET, variant=EXACT, width=None,
-                  cut_current=True, maximal=True,
-                  start=(inst.algebra.top if inst.algebra is not None
-                         else (inst.poset.top if inst.poset.top is not None
-                               else inst.start)))
+    bm = replace(inst, game_family=BM_POSET, variant=EXACT, width=None,
+                 cut_current=True, maximal=True,
+                 start=(inst.algebra.top if inst.algebra is not None
+                        else (inst.poset.top if inst.poset.top is not None
+                              else inst.start)))
     bm_winner = _solve_winner(bm)
     winners = [
-        _solve_winner(_replace(inst, game_family=G_POSET, variant=EXACT,
-                               width=None, start=x, cut_current=False,
-                               maximal=True))
+        _solve_winner(replace(inst, game_family=G_POSET, variant=EXACT,
+                              width=None, start=x, cut_current=False,
+                              maximal=True))
         for x in elements]
     rows.append(AuditRow("bm_empty_vs_cutter",
                          "emptier wins the descent game iff the cutter wins "
@@ -417,12 +404,8 @@ class AblationReport:
 
 def _disjoint_positive_pair(family: MonotoneFamily,
                             x: int) -> Optional[tuple[int, int]]:
-    positives = sorted_masks(s for s in submasks(x)
-                             if s and is_positive(family, s))
-    for a in positives:
-        rest = x & ~a
-        for b in sorted_masks(s for s in submasks(rest)
-                              if s and is_positive(family, s)):
+    for a in _positives_below(family, x):
+        for b in _positives_below(family, x & ~a):
             return a, b
     return None
 
@@ -457,7 +440,7 @@ def maximality_ablation(inst: GameInstance) -> AblationReport:
 
     sigma = FunctionStrategy(CUT, decide, "simulation", "ablation-forcing")
     verified = verify_winning_strategy(inst, sigma, CUT).verified
-    restored = _replace(inst, maximal=True)
+    restored = replace(inst, maximal=True)
     return AblationReport(inst, (a, b), verified,
                           solve(restored, want_strategy=False).winner)
 

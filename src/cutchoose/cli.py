@@ -10,6 +10,7 @@ inputs, seeds, and flags (``--jobs`` is accepted; work runs in one thread).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -153,7 +154,11 @@ def cmd_transform(args) -> int:
                                                           args.nu, args.beta)
     elif name == "empty_to_cut":
         bm = _read_instance(args.instance)
-        out = transforms.empty_to_cut_strategy(_sigma_for(args, bm, EMPTY), bm)
+        # The transform asks the emptier one stage past the round count, so
+        # its sigma comes from the game one round longer.
+        longer = dataclasses.replace(bm, rounds=bm.rounds + 1)
+        out = transforms.empty_to_cut_strategy(
+            _sigma_for(args, longer, EMPTY), bm)
     elif name == "nonempty_to_choose":
         bm = _read_instance(args.instance)
         out = transforms.nonempty_to_choose_strategy(

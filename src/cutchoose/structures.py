@@ -152,21 +152,21 @@ class MonotoneFamily:
     generators: tuple[int, ...] = ()
     members: frozenset[int] = frozenset()
 
-    @staticmethod
-    def size_at_most(ground: GroundSet, k: int) -> "MonotoneFamily":
+    @classmethod
+    def size_at_most(cls, ground: GroundSet, k: int):
         if k < 0:
             raise ValidationError("size_at_most bound must be >= 0")
-        return MonotoneFamily(ground, SIZE_AT_MOST, bound=k)
+        return cls(ground, SIZE_AT_MOST, bound=k)
 
-    @staticmethod
-    def generated_by(ground: GroundSet, masks: Iterable[int]) -> "MonotoneFamily":
+    @classmethod
+    def generated_by(cls, ground: GroundSet, masks: Iterable[int]):
         gens = tuple(sorted_masks(ground.check_mask(m, "generator") for m in masks))
-        return MonotoneFamily(ground, GENERATED_BY, generators=gens)
+        return cls(ground, GENERATED_BY, generators=gens)
 
-    @staticmethod
-    def explicit(ground: GroundSet, masks: Iterable[int]) -> "MonotoneFamily":
+    @classmethod
+    def explicit(cls, ground: GroundSet, masks: Iterable[int]):
         mem = frozenset(ground.check_mask(m, "member") for m in masks)
-        return MonotoneFamily(ground, EXPLICIT, members=mem)
+        return cls(ground, EXPLICIT, members=mem)
 
     def __contains__(self, mask: int) -> bool:
         if self.kind == SIZE_AT_MOST:
@@ -187,13 +187,6 @@ class MonotoneFamily:
             out.update(submasks(g))
         return frozenset(out)
 
-    def describe(self) -> str:
-        if self.kind == SIZE_AT_MOST:
-            return f"size_at_most {self.bound}"
-        if self.kind == GENERATED_BY:
-            return "generated_by " + ",".join(format_mask(g) for g in self.generators)
-        return "explicit " + ",".join(format_mask(m) for m in sorted_masks(self.members))
-
 
 @dataclass(frozen=True)
 class Ideal(MonotoneFamily):
@@ -201,22 +194,6 @@ class Ideal(MonotoneFamily):
 
     Finite completeness is automatic at this scale; nothing extra is stored.
     """
-
-    @staticmethod
-    def size_at_most(ground: GroundSet, k: int) -> "Ideal":
-        if k < 0:
-            raise ValidationError("size_at_most bound must be >= 0")
-        return Ideal(ground, SIZE_AT_MOST, bound=k)
-
-    @staticmethod
-    def generated_by(ground: GroundSet, masks: Iterable[int]) -> "Ideal":
-        gens = tuple(sorted_masks(ground.check_mask(m, "generator") for m in masks))
-        return Ideal(ground, GENERATED_BY, generators=gens)
-
-    @staticmethod
-    def explicit(ground: GroundSet, masks: Iterable[int]) -> "Ideal":
-        mem = frozenset(ground.check_mask(m, "member") for m in masks)
-        return Ideal(ground, EXPLICIT, members=mem)
 
     def max_member(self) -> int:
         """Union of all members; equals the largest member of a valid ideal."""
@@ -418,19 +395,6 @@ class FinitePoset:
                 raise ValidationError("top element out of range")
             if self.down[self.top] != (1 << self.size) - 1:
                 raise ValidationError("declared top is not above every element")
-
-    @staticmethod
-    def from_leq_matrix(leq: Sequence[Sequence[bool]],
-                        top: Optional[int] = None) -> "FinitePoset":
-        n = len(leq)
-        down = []
-        for i in range(n):
-            m = 0
-            for j in range(n):
-                if leq[j][i]:
-                    m |= 1 << j
-            down.append(m)
-        return FinitePoset(n, tuple(down), top)
 
     @staticmethod
     def from_subsets(masks: Sequence[int], top_index: Optional[int] = None) -> "FinitePoset":

@@ -5,10 +5,14 @@ related game by replaying an auxiliary run of the source game inside every
 playout of the target game.  Output strategies are pure functions of the
 visible history (the referee hands the full history to ``decide``, including
 the cut move currently awaiting a pick), so the auxiliary run is
-reconstructed on demand.  A ``certify`` hook re-runs the reconstruction on a
-finished transcript and checks the declared relation between the runs --
-containment or equality of cores -- raising ``TransformSoundnessError`` only
-for genuine bookkeeping violations, never for mere game losses.
+reconstructed on demand.  That run is one immutable ``_Run`` value --
+instance, position, history -- extended move by move with ``then`` and
+queried with ``ask``; ``decide`` answers from the run its reconstruction
+built, without replaying it.  A ``certify`` hook re-runs the reconstruction
+on a finished transcript, replays the run against the source strategy and
+checks the declared relation between the runs -- containment or equality of
+cores -- raising ``TransformSoundnessError`` only for genuine bookkeeping
+violations, never for mere game losses.
 
 Length bookkeeping is explicit: where an auxiliary move expands into several
 target moves, round counts double or multiply, since the ordinal absorption
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .engine import (BM_IDEAL, CHOOSE, CUT, EMPTY, EXACT, G_IDEAL, G_POSET,
                      NONEMPTY, SIMULATION, U, WEAK, FunctionStrategy,
@@ -84,41 +88,79 @@ def _union(masks) -> int:
     return u
 
 
-def _forced_pick(sigma: Strategy, inst: GameInstance, state: GameState,
-                 history: tuple):
+class _Run(NamedTuple):
+    """A run of an auxiliary game: its instance, the position reached and the
+    ``(role, move)`` history that led there.  Immutable, so a simulation can
+    branch from any run it has kept."""
+    inst: GameInstance
+    state: GameState
+    history: tuple
+
+    @classmethod
+    def start(cls, inst: GameInstance) -> "_Run":
+        return cls(inst, initial_state(inst), ())
+
+    def then(self, move) -> "_Run":
+        """The run after the player to move plays ``move`` (unchecked)."""
+        return _Run(self.inst,
+                    apply_move(self.inst, self.state, move, check=False),
+                    self.history + ((self.state.to_move, move),))
+
+    def ask(self, sigma: Strategy):
+        return sigma.decide(self.inst, self.state, self.history)
+
+
+def _forced_pick(sigma: Strategy, run: _Run):
     """Query a picker, resolving degenerate one-piece pending moves without
     consulting it (table strategies only cover enumerated moves)."""
-    nonempty = [p for p in state.pending if p]
+    nonempty = [p for p in run.state.pending if p]
     if len(nonempty) == 1:
         return nonempty[0]
-    return sigma.decide(inst, state, history)
+    return run.ask(sigma)
 
 
-def _replay(inst: GameInstance, history: Sequence) -> GameState:
-    st = initial_state(inst)
-    for _, move in history:
-        st = apply_move(inst, st, move, check=False)
-    return st
-
-
-def _check_aux_run(inst: GameInstance, run: Sequence, sigma: Strategy,
-                   sigma_role: str, details: dict) -> bool:
-    """Legality of an auxiliary run plus consistency with its strategy."""
-    st = initial_state(inst)
-    hist: tuple = ()
-    for role, move in run:
+def _replay_aux(inst: GameInstance, moves: Sequence, role: str,
+                ask: Callable[[_Run], object],
+                details: dict) -> Optional[_Run]:
+    """Replay an auxiliary run move by move: each move must be legal, and
+    ``ask`` must reproduce every move of ``role``.  The first failure goes
+    into ``details`` and gives ``None``."""
+    run = _Run.start(inst)
+    for mover, move in moves:
         try:
-            validate_move(inst, st, move)
+            validate_move(inst, run.state, move)
         except Exception as exc:
             details["illegal_aux"] = str(exc)
-            return False
-        if role == sigma_role and sigma.decide(inst, st, hist) != move:
+            return None
+        if mover == role and ask(run) != move:
             details["inconsistent_aux"] = True
-            return False
-        hist = hist + ((role, move),)
-        st = apply_move(inst, st, move, check=False)
-    details["aux_final_core"] = format_mask(st.core)
+            return None
+        run = run.then(move)
+    return run
+
+
+def _check_aux_run(inst: GameInstance, moves: Sequence, sigma: Strategy,
+                   sigma_role: str, details: dict) -> bool:
+    """Legality of an auxiliary run plus consistency with its strategy."""
+    run = _replay_aux(inst, moves, sigma_role, lambda r: r.ask(sigma), details)
+    if run is None:
+        return False
+    details["aux_final_core"] = format_mask(run.state.core)
     return True
+
+
+def _check_aux_run_forced(inst: GameInstance, moves: Sequence,
+                          sigma: Strategy, details: dict) -> bool:
+    """Like _check_aux_run but picker moves go through _forced_pick."""
+    return _replay_aux(inst, moves, inst.picker,
+                       lambda r: _forced_pick(sigma, r), details) is not None
+
+
+def _positives_desc(fam: MonotoneFamily, limit: int) -> list[int]:
+    """The positive subsets of ``limit`` in descending mask value, so the
+    whole set leads."""
+    return sorted((s for s in submasks(limit) if s and is_positive(fam, s)),
+                  reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -220,42 +262,32 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
             raise ValidationError("family does not restrict along the embedding "
                                   f"(witness {format_mask(s)})")
 
-    def pulled(move: tuple, inner_target: int) -> dict:
-        return {p: _pullback_mask(emb, p) & inner_target for p in move}
+    def pulled(run: _Run, move: tuple):
+        """Each outer piece's inner counterpart, and the distinct nonempty
+        ones in canonical order."""
+        target = run.state.core if inner.cut_current else inner.start
+        pb = {p: _pullback_mask(emb, p) & target for p in move}
+        return pb, sorted({v for v in pb.values() if v}, key=mask_key)
 
-    def reconstruct(history: Sequence):
-        """Inner history implied by the completed (cut, pick) pairs."""
-        inner_hist: tuple = ()
-        inner_state = initial_state(inner)
-        i = 0
-        while i + 1 < len(history):
-            move = history[i][1]
-            target = inner_state.core if inner.cut_current else inner.start
-            pb = pulled(move, target)
-            nonempty = sorted({v for v in pb.values() if v}, key=mask_key)
+    def reconstruct(history: Sequence) -> _Run:
+        """Inner run implied by the completed (cut, pick) pairs."""
+        run = _Run.start(inner)
+        for (_, move), (_, pick) in zip(history[0::2], history[1::2]):
+            pb, nonempty = pulled(run, move)
             if len(nonempty) >= 2:
-                inner_move = tuple(nonempty)
-                st1 = apply_move(inner, inner_state, inner_move, check=False)
-                pick = pb[history[i + 1][1]]
-                inner_state = apply_move(inner, st1, pick, check=False)
-                inner_hist = inner_hist + ((CUT, inner_move), (CHOOSE, pick))
-            i += 2
-        return inner_hist, inner_state
+                run = run.then(tuple(nonempty)).then(pb[pick])
+        return run
 
     def decide(inst_, state, history):
-        inner_hist, inner_state = reconstruct(history[:-1])
-        target = inner_state.core if inner.cut_current else inner.start
-        pb = pulled(state.pending, target)
-        nonempty = sorted({v for v in pb.values() if v}, key=mask_key)
+        run = reconstruct(history[:-1])
+        pb, nonempty = pulled(run, state.pending)
         if not nonempty:
             return sorted_pieces(inst_, state.pending)[0]
         if len(nonempty) == 1:
             for p in sorted_pieces(inst_, state.pending):
                 if pb[p] == nonempty[0]:
                     return p
-        inner_move = tuple(nonempty)
-        st1 = apply_move(inner, inner_state, inner_move, check=False)
-        pick = sigma.decide(inner, st1, inner_hist + ((CUT, inner_move),))
+        pick = run.then(tuple(nonempty)).ask(sigma)
         for p in sorted_pieces(inst_, state.pending):
             if pb[p] == pick:
                 return p
@@ -265,19 +297,19 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
                                 f"restricted-{sigma.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        inner_hist, inner_state = reconstruct(tuple(t.moves))
+        run = reconstruct(tuple(t.moves))
         details: dict = {}
-        holds = _check_aux_run(inner, inner_hist, sigma, CHOOSE, details)
+        holds = _check_aux_run(inner, run.history, sigma, CHOOSE, details)
         outer_core = t.states[-1].core
-        if _pullback_mask(emb, outer_core) != inner_state.core:
+        if _pullback_mask(emb, outer_core) != run.state.core:
             holds = False
             details["pullback_mismatch"] = (format_mask(outer_core),
-                                            format_mask(inner_state.core))
+                                            format_mask(run.state.core))
         details["outer_core"] = format_mask(outer_core)
-        details["inner_core"] = format_mask(inner_state.core)
+        details["inner_core"] = format_mask(run.state.core)
         return TransformCertificate(
             "restrict_choose", "outer core pulls back to the inner core",
-            holds, t, list(inner_hist), details)
+            holds, t, list(run.history), details)
 
     return TransformOutput("restrict_choose", outer, strategy, certify, inner)
 
@@ -340,13 +372,12 @@ def disjointify_cut_strategy(sigma_g: Strategy,
     u_inst = _doubled_instance(g_inst)
 
     def reconstruct(history: Sequence):
-        g_hist: tuple = ()
-        g_state = initial_state(g_inst)
+        run = _Run.start(g_inst)
         blocks: list[dict] = []
         alive = True
         i = 0
         while i < len(history) and alive:
-            w_move = sigma_g.decide(g_inst, g_state, g_hist)
+            w_move = run.ask(sigma_g)
             sources, refined, played, split, cover = \
                 _disjointify_move(g_inst, w_move)
             rec = {"w": w_move, "played": played, "split": split,
@@ -359,33 +390,30 @@ def disjointify_cut_strategy(sigma_g: Strategy,
                 break
             pick2 = history[i + 3][1]
             if pick2 == cover and rec["g_pick"] is not None:
-                st1 = apply_move(g_inst, g_state, w_move, check=False)
-                g_state = apply_move(g_inst, st1, rec["g_pick"], check=False)
-                g_hist = g_hist + ((CUT, w_move), (CHOOSE, rec["g_pick"]))
+                run = run.then(w_move).then(rec["g_pick"])
             else:
                 alive = False
             i += 4
-        return g_hist, blocks, alive
+        return run, blocks, alive
 
     def decide(inst_, state, history):
-        g_hist, blocks, alive = reconstruct(history)
+        run, blocks, alive = reconstruct(history)
         if not alive:
             return (g_inst.start,)
         if state.round % 2 == 1:
             return blocks[-1]["split"]
-        w_move = sigma_g.decide(g_inst, _replay(g_inst, g_hist), g_hist)
-        return _disjointify_move(g_inst, w_move)[2]
+        return _disjointify_move(g_inst, run.ask(sigma_g))[2]
 
     strategy = FunctionStrategy(CUT, decide, SIMULATION,
                                 f"disjointified-{sigma_g.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        g_hist, blocks, alive = reconstruct(tuple(t.moves))
-        details: dict = {"aux_rounds": len(g_hist) // 2, "alive": alive}
-        holds = _check_aux_run(g_inst, g_hist, sigma_g, CUT, details)
+        run, blocks, alive = reconstruct(tuple(t.moves))
+        details: dict = {"aux_rounds": len(run.history) // 2, "alive": alive}
+        holds = _check_aux_run(g_inst, run.history, sigma_g, CUT, details)
         final = t.states[-1].core
         inter = g_inst.start
-        for role, mv in g_hist:
+        for role, mv in run.history:
             if role == CHOOSE:
                 inter &= mv
         if final & ~inter:
@@ -400,7 +428,7 @@ def disjointify_cut_strategy(sigma_g: Strategy,
         return TransformCertificate(
             "disjointify_cut",
             "final partition core inside the auxiliary picks",
-            holds, t, list(g_hist), details)
+            holds, t, list(run.history), details)
 
     return TransformOutput("disjointify_cut", u_inst, strategy, certify, g_inst)
 
@@ -426,30 +454,23 @@ def disjointify_choose_strategy(sigma_u: Strategy,
         move forces its pick without touching the auxiliary run, so table
         strategies are only consulted at positions the enumerated game can
         reach."""
-        u_hist: tuple = ()
-        u_state = initial_state(u_inst)
+        run = _Run.start(u_inst)
         blocks: list[dict] = []
-
-        def feed(move):
-            nonlocal u_hist, u_state
-            u_hist = u_hist + ((u_state.to_move, move),)
-            u_state = apply_move(u_inst, u_state, move, check=False)
-
         for role, entry in history:
             if role != CUT:
                 continue
             sources, refined, played, split, cover = \
                 _disjointify_move(g_inst, entry)
             if len(played) >= 2:
-                feed(played)
-                y = _forced_pick(sigma_u, u_inst, u_state, u_hist)
-                feed(y)
+                run = run.then(played)
+                y = _forced_pick(sigma_u, run)
+                run = run.then(y)
             else:
                 y = played[0]
             if 0 not in split:
-                feed(split)
-                p2 = _forced_pick(sigma_u, u_inst, u_state, u_hist)
-                feed(p2)
+                run = run.then(split)
+                p2 = _forced_pick(sigma_u, run)
+                run = run.then(p2)
             else:
                 p2 = cover
             src = _source_of(sources, refined, y)
@@ -458,19 +479,19 @@ def disjointify_choose_strategy(sigma_u: Strategy,
                     "auxiliary pick is not a disjointification piece")
             blocks.append({"w": entry, "y": y, "p2": p2, "src": src,
                            "trim": y & cover, "cover": cover})
-        return u_hist, u_state, blocks
+        return run, blocks
 
     def decide(inst_, state, history):
-        _, _, blocks = reconstruct(history)
+        _, blocks = reconstruct(history)
         return blocks[-1]["src"]
 
     strategy = FunctionStrategy(CHOOSE, decide, SIMULATION,
                                 f"disjointified-{sigma_u.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        u_hist, u_state, blocks = reconstruct(tuple(t.moves))
+        run, blocks = reconstruct(tuple(t.moves))
         details: dict = {"blocks": len(blocks)}
-        holds = _check_aux_run_forced(u_inst, u_hist, sigma_u, details)
+        holds = _check_aux_run_forced(u_inst, run.history, sigma_u, details)
         g_core = t.states[-1].core
         trimmed = g_inst.start
         for b in blocks:
@@ -480,35 +501,16 @@ def disjointify_choose_strategy(sigma_u: Strategy,
             details["relation_violated"] = format_mask(trimmed & ~g_core)
         details["g_core"] = format_mask(g_core)
         details["trimmed_aux_core"] = format_mask(trimmed)
-        details["aux_core"] = format_mask(u_state.core)
+        details["aux_core"] = format_mask(run.state.core)
         details["degenerate_cover_picks"] = sum(
             1 for b in blocks if b["p2"] != b["cover"])
         return TransformCertificate(
             "disjointify_choose",
             "generalized core contains the trimmed auxiliary picks",
-            holds, t, list(u_hist), details)
+            holds, t, list(run.history), details)
 
     return TransformOutput("disjointify_choose", g_inst, strategy, certify,
                            u_inst)
-
-
-def _check_aux_run_forced(inst: GameInstance, run: Sequence, sigma: Strategy,
-                          details: dict) -> bool:
-    """Like _check_aux_run but picker moves go through _forced_pick."""
-    st = initial_state(inst)
-    hist: tuple = ()
-    for role, move in run:
-        try:
-            validate_move(inst, st, move)
-        except Exception as exc:
-            details["illegal_aux"] = str(exc)
-            return False
-        if role == inst.picker and _forced_pick(sigma, inst, st, hist) != move:
-            details["inconsistent_aux"] = True
-            return False
-        hist = hist + ((role, move),)
-        st = apply_move(inst, st, move, check=False)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -621,18 +623,16 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
     algebra = big_inst.algebra
 
     def reconstruct(history: Sequence):
-        big_hist: tuple = ()
-        big_state = initial_state(big_inst)
+        run = _Run.start(big_inst)
         blocks: list[dict] = []
         alive = True
-        picks: list[int] = []
         current: Optional[dict] = None
-        for idx, (role, move) in enumerate(history):
+        for role, move in history:
             if not alive:
                 break
             if role == CUT:
                 if current is None:
-                    w_big = sigma_big.decide(big_inst, big_state, big_hist)
+                    w_big = run.ask(sigma_big)
                     current = {"w": w_big,
                                "factor": factor_antichain(
                                    algebra, big_inst.start, w_big, nu, beta),
@@ -645,33 +645,28 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
                 rec = current["factor"].recover(code) if code else 0
                 current["rec"] = rec
                 if rec:
-                    st1 = apply_move(big_inst, big_state, current["w"],
-                                     check=False)
-                    big_state = apply_move(big_inst, st1, rec, check=False)
-                    big_hist = big_hist + ((CUT, current["w"]), (CHOOSE, rec))
+                    run = run.then(current["w"]).then(rec)
                 else:
                     alive = False
                 current = None
-        return big_hist, blocks, alive, current
+        return run, blocks, alive, current
 
     def decide(inst_, state, history):
-        big_hist, blocks, alive, current = reconstruct(history)
+        run, blocks, alive, current = reconstruct(history)
         if not alive:
             return (small_inst.start,)
         if current is not None:
             return current["factor"].levels[len(current["picks"])]
-        w_big = sigma_big.decide(big_inst, _replay(big_inst, big_hist),
-                                 big_hist)
-        return factor_antichain(algebra, big_inst.start, w_big, nu,
-                                beta).levels[0]
+        return factor_antichain(algebra, big_inst.start, run.ask(sigma_big),
+                                nu, beta).levels[0]
 
     strategy = FunctionStrategy(CUT, decide, SIMULATION,
                                 f"narrowed-{sigma_big.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        big_hist, blocks, alive, _ = reconstruct(tuple(t.moves))
+        run, blocks, alive, _ = reconstruct(tuple(t.moves))
         details: dict = {"blocks": len(blocks), "alive": alive}
-        holds = _check_aux_run(big_inst, big_hist, sigma_big, CUT, details)
+        holds = _check_aux_run(big_inst, run.history, sigma_big, CUT, details)
         small_core = small_inst.start
         big_core = big_inst.start
         for b in blocks:
@@ -695,7 +690,7 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
         return TransformCertificate(
             "transfer_cut_big_to_small",
             "narrow and auxiliary cores agree at block boundaries",
-            holds, t, list(big_hist), details)
+            holds, t, list(run.history), details)
 
     return TransformOutput("transfer_cut_big_to_small", small_inst, strategy,
                            certify, big_inst)
@@ -721,43 +716,39 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
     algebra = small_inst.algebra
 
     def reconstruct(history: Sequence):
-        small_hist: tuple = ()
-        small_state = initial_state(small_inst)
+        run = _Run.start(small_inst)
         blocks: list[dict] = []
         for role, entry in history:
             if role != CUT:
                 continue
             factor = factor_antichain(algebra, big_inst.start, entry, nu, beta)
             picks = []
-            for lvl in range(beta):
-                move = factor.levels[lvl]
-                small_hist = small_hist + ((CUT, move),)
-                st1 = apply_move(small_inst, small_state, move, check=False)
-                pick = sigma_small.decide(small_inst, st1, small_hist)
-                small_hist = small_hist + ((CHOOSE, pick),)
-                small_state = apply_move(small_inst, st1, pick, check=False)
+            for level in factor.levels:
+                run = run.then(level)
+                pick = run.ask(sigma_small)
+                run = run.then(pick)
                 picks.append(pick)
             code = _code_of(factor, picks)
             rec = factor.recover(code) if code else 0
             reply = rec if rec else sorted_masks(entry)[0]
             blocks.append({"w": entry, "picks": picks, "rec": rec,
                            "reply": reply})
-        return small_hist, small_state, blocks
+        return run, blocks
 
     def decide(inst_, state, history):
-        _, _, blocks = reconstruct(history)
+        _, blocks = reconstruct(history)
         return blocks[-1]["reply"]
 
     strategy = FunctionStrategy(CHOOSE, decide, SIMULATION,
                                 f"widened-{sigma_small.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        small_hist, small_state, blocks = reconstruct(tuple(t.moves))
+        run, blocks = reconstruct(tuple(t.moves))
         details: dict = {"blocks": len(blocks),
                          "dead_blocks": sum(1 for b in blocks if not b["rec"])}
-        holds = _check_aux_run(small_inst, small_hist, sigma_small, CHOOSE,
+        holds = _check_aux_run(small_inst, run.history, sigma_small, CHOOSE,
                                details)
-        small_core = small_state.core
+        small_core = run.state.core
         big_core = t.states[-1].core
         if details["dead_blocks"]:
             if small_core & ~big_core:
@@ -772,7 +763,7 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
         return TransformCertificate(
             "transfer_choose_small_to_big",
             "wide core equals narrow core at block boundaries",
-            holds, t, list(small_hist), details)
+            holds, t, list(run.history), details)
 
     return TransformOutput("transfer_choose_small_to_big", big_inst, strategy,
                            certify, small_inst)
@@ -793,9 +784,9 @@ def witness_to_cut_strategy(seq: Sequence[tuple],
         raise ValidationError("witness strategies use the cut-the-start convention")
     if len(seq) < inst.rounds:
         raise ValidationError("sequence shorter than the game")
-    probe = initial_state(inst)
+    opening = _Run.start(inst).state
     for move in seq[:inst.rounds]:
-        validate_move(inst, probe, tuple(move))
+        validate_move(inst, opening, tuple(move))
 
     def decide(inst_, state, history):
         return tuple(seq[state.round])
@@ -828,31 +819,31 @@ def cut_strategy_to_witness(sigma: Strategy, inst: GameInstance,
     if inst.game_family == G_POSET and inst.algebra is None:
         raise ValidationError("witness construction needs meets "
                               "(set or algebra structure)")
-    frontier: list[tuple] = [((), initial_state(inst))]
+    frontier = [_Run.start(inst)]
     positional = sigma.kind == "positional_table"
     seq: list[tuple] = []
     nodes = 0
     for _ in range(inst.rounds):
         pieces: set = set()
-        nxt: list[tuple] = []
+        nxt: list[_Run] = []
         nxt_seen: set = set()
-        for hist, st in frontier:
+        for run in frontier:
             nodes += 1
             if nodes > state_budget:
                 raise CapacityError("witness construction exceeded its budget",
                                     {"nodes": nodes})
-            move = sigma.decide(inst, st, hist)
-            validate_move(inst, st, move)
-            st1 = apply_move(inst, st, move, check=False)
+            move = run.ask(sigma)
+            validate_move(inst, run.state, move)
+            cut = run.then(move)
             for y in move:
-                st2 = apply_move(inst, st1, y, check=False)
-                if st2.core:
-                    pieces.add(st2.core)
-                key = st2.key()
+                picked = cut.then(y)
+                if picked.state.core:
+                    pieces.add(picked.state.core)
+                key = picked.state.key()
                 if positional and key in nxt_seen:
                     continue
                 nxt_seen.add(key)
-                nxt.append((hist + ((CUT, move), (CHOOSE, y)), st2))
+                nxt.append(picked)
         seq.append(tuple(sorted_masks(pieces)))
         frontier = nxt
     return seq
@@ -954,34 +945,29 @@ def empty_to_cut_strategy(sigma_e: Strategy,
     running core in the family, losing on the spot.
 
     The emptier must answer one stage beyond the nominal round count
-    (simulation strategies do; finite bookkeeping in place of the absorption
-    of one extra round).
+    (simulation strategies do, and a positional table must come from the
+    game one round longer; finite bookkeeping in place of the absorption of
+    one extra round).
     """
     _require_bm_ideal(bm_inst, "empty_to_cut_strategy")
     fam = bm_inst.family
-    x0 = sigma_e.decide(bm_inst, initial_state(bm_inst), ())
+    opening = _Run.start(bm_inst)
+    x0 = opening.ask(sigma_e)
     g_inst = weak_g_instance(bm_inst, x0)
 
-    def positives_desc(limit: int) -> list[int]:
-        # Descending mask value: the whole set leads, so the response family
-        # starts from the largest positive sets.
-        return sorted((s for s in submasks(limit)
-                       if s and is_positive(fam, s)), reverse=True)
-
-    def response_partition(bm_hist: tuple, x_last: int):
-        """Greedy maximal positive family from emptier responses plus its
-        canonical extension over the opening set."""
+    def response_partition(run: _Run):
+        """Greedy maximal positive family from emptier responses below the
+        current auxiliary set, plus its canonical extension over the
+        opening set."""
         responses: list[int] = []
         sources: dict[int, int] = {}
         while True:
             witness = next(
-                (a for a in positives_desc(x_last)
+                (a for a in _positives_desc(fam, run.state.core)
                  if all((a & w) in fam for w in responses)), None)
             if witness is None:
                 break
-            st = _replay(bm_inst, bm_hist)
-            st = apply_move(bm_inst, st, witness, check=False)
-            r = sigma_e.decide(bm_inst, st, bm_hist + ((NONEMPTY, witness),))
+            r = run.then(witness).ask(sigma_e)
             if r in sources:
                 raise TransformSoundnessError(
                     "emptier repeated a response across distinct dense calls")
@@ -990,7 +976,7 @@ def empty_to_cut_strategy(sigma_e: Strategy,
         extension: list[int] = []
         while True:
             witness = next(
-                (b for b in positives_desc(x0)
+                (b for b in _positives_desc(fam, x0)
                  if all((b & w) in fam for w in responses + extension)), None)
             if witness is None:
                 break
@@ -999,13 +985,12 @@ def empty_to_cut_strategy(sigma_e: Strategy,
         return move, set(responses), sources
 
     def reconstruct(history: Sequence):
-        bm_hist: tuple = ((EMPTY, x0),)
+        run = opening.then(x0)
         records: list[dict] = []
         alive = True
         i = 0
         while i < len(history) and alive:
-            x_last = bm_hist[-1][1]
-            move, resp, sources = response_partition(bm_hist, x_last)
+            move, resp, sources = response_partition(run)
             rec = {"move": move, "responses": resp, "sources": sources,
                    "pick": None, "in_responses": None}
             records.append(rec)
@@ -1015,34 +1000,34 @@ def empty_to_cut_strategy(sigma_e: Strategy,
             rec["pick"] = pick
             if pick in resp:
                 rec["in_responses"] = True
-                bm_hist = bm_hist + ((NONEMPTY, sources[pick]), (EMPTY, pick))
+                run = run.then(sources[pick]).then(pick)
             else:
                 rec["in_responses"] = False
                 alive = False
             i += 2
-        return bm_hist, records, alive
+        return run, records, alive
 
     def decide(inst_, state, history):
-        bm_hist, records, alive = reconstruct(history[:-1])
+        run, records, alive = reconstruct(history[:-1])
         if not alive:
             raise TransformSoundnessError(
                 "cutter consulted after an extension pick ended the game")
-        x_last = bm_hist[-1][1]
-        move, _, _ = response_partition(bm_hist, x_last)
-        return move
+        if records and records[-1]["pick"] is None:
+            return records[-1]["move"]
+        return response_partition(run)[0]
 
     strategy = FunctionStrategy(CUT, decide, SIMULATION,
                                 f"emptier-cut-{sigma_e.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        bm_hist, records, alive = reconstruct(tuple(t.moves))
+        run, records, alive = reconstruct(tuple(t.moves))
         details: dict = {"alive": alive,
-                         "aux_rounds": (len(bm_hist) - 1) // 2,
+                         "aux_rounds": (len(run.history) - 1) // 2,
                          "extensions_played": sum(
                              1 for r in records
                              if r["in_responses"] is False)}
-        holds = _check_aux_run(bm_inst, bm_hist, sigma_e, EMPTY, details)
-        empties = [mv for role, mv in bm_hist if role == EMPTY][1:]
+        holds = _check_aux_run(bm_inst, run.history, sigma_e, EMPTY, details)
+        empties = [mv for role, mv in run.history if role == EMPTY][1:]
         picks = [r["pick"] for r in records if r["in_responses"]]
         if picks != empties:
             holds = False
@@ -1053,7 +1038,7 @@ def empty_to_cut_strategy(sigma_e: Strategy,
         return TransformCertificate(
             "empty_to_cut",
             "picks are the emptier's moves; extension picks lose",
-            holds, t, list(bm_hist), details)
+            holds, t, list(run.history), details)
 
     return TransformOutput("empty_to_cut", g_inst, strategy, certify, bm_inst)
 
@@ -1075,27 +1060,21 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
     g_inst = weak_g_instance(bm_inst, start)
 
     def reconstruct(history: Sequence):
-        """Aux run, the survivor's current set, and the trimmed sets the
-        emptier plays; the survivor is not consulted after the final pick."""
-        bm_hist: tuple = ((EMPTY, start),)
-        y = sigma_n.decide(bm_inst, _replay(bm_inst, bm_hist), bm_hist)
-        bm_hist = bm_hist + ((NONEMPTY, y),)
+        """Aux run (its core is the survivor's current set) and the trimmed
+        sets the emptier plays; the survivor is not consulted after the final
+        pick."""
+        run = _Run.start(bm_inst).then(start)
+        run = run.then(run.ask(sigma_n))
         trimmed: list[int] = []
-        pairs = 0
-        i = 0
-        while i + 1 < len(history):
-            pick = history[i + 1][1]
-            trimmed.append(pick & y)
-            pairs += 1
-            if pairs < g_inst.rounds:
-                bm_hist = bm_hist + ((EMPTY, pick & y),)
-                y = sigma_n.decide(bm_inst, _replay(bm_inst, bm_hist), bm_hist)
-                bm_hist = bm_hist + ((NONEMPTY, y),)
-            i += 2
-        return bm_hist, y, trimmed
+        for _, pick in history[1::2]:
+            trimmed.append(pick & run.state.core)
+            if len(trimmed) < g_inst.rounds:
+                run = run.then(pick & run.state.core)
+                run = run.then(run.ask(sigma_n))
+        return run, trimmed
 
     def decide(inst_, state, history):
-        _, y, _ = reconstruct(history[:-1])
+        y = reconstruct(history[:-1])[0].state.core
         for w in sorted_pieces(inst_, state.pending):
             if is_positive(fam, w & y):
                 return w
@@ -1107,9 +1086,9 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
                                 f"survivor-pick-{sigma_n.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        bm_hist, _, trimmed = reconstruct(tuple(t.moves))
+        run, trimmed = reconstruct(tuple(t.moves))
         details: dict = {}
-        holds = _check_aux_run(bm_inst, bm_hist, sigma_n, NONEMPTY, details)
+        holds = _check_aux_run(bm_inst, run.history, sigma_n, NONEMPTY, details)
         g_core = t.states[-1].core
         inter = start
         for s in trimmed:
@@ -1122,7 +1101,7 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
         return TransformCertificate(
             "nonempty_to_choose",
             "generalized core contains the trimmed auxiliary sets",
-            holds, t, list(bm_hist), details)
+            holds, t, list(run.history), details)
 
     return TransformOutput("nonempty_to_choose", g_inst, strategy, certify,
                            bm_inst)
@@ -1155,17 +1134,13 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
         key = ("resp", x0, vec)
         if key in cache:
             return cache[key]
-        g_inst = weak_g_instance(bm_inst, x0)
         sigma = provider(x0)
-        st = initial_state(g_inst)
-        hist: tuple = ()
+        run = _Run.start(weak_g_instance(bm_inst, x0))
         pick = None
         for w in vec:
-            hist = hist + ((CUT, w),)
-            st = apply_move(g_inst, st, w, check=False)
-            pick = sigma.decide(g_inst, st, hist)
-            hist = hist + ((CHOOSE, pick),)
-            st = apply_move(g_inst, st, pick, check=False)
+            run = run.then(w)
+            pick = run.ask(sigma)
+            run = run.then(pick)
         cache[key] = pick
         return pick
 
@@ -1198,8 +1173,7 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
         x0, vec = reconstruct(history)
         x_last = history[-1][1]
         responses = response_set(x0, vec)
-        for y in sorted((s for s in submasks(x_last)
-                         if s and is_positive(fam, s)), reverse=True):
+        for y in _positives_desc(fam, x_last):
             if all(z in responses for z in submasks(y)
                    if z and is_positive(fam, z)):
                 return y

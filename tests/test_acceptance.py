@@ -7,6 +7,7 @@ certificates are discrete); time limits are asserted where stated.
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -280,9 +281,8 @@ def test_criterion_08_maximality_ablation():
         inst = item.instance
         if inst.game_family != G_IDEAL:
             continue
-        ablated = an._replace(inst, maximal=False, cut_current=False,
-                              variant=EXACT,
-                              rounds=max(2, inst.rounds))
+        ablated = replace(inst, maximal=False, cut_current=False,
+                          variant=EXACT, rounds=max(2, inst.rounds))
         try:
             rep = an.maximality_ablation(ablated)
         except ValidationError:
@@ -303,7 +303,7 @@ def test_criterion_09_convention_invariance():
         inst = item.instance
         if inst.game_family not in (U, G_IDEAL, G_POSET):
             continue
-        flipped = an._replace(inst, cut_current=not inst.cut_current)
+        flipped = replace(inst, cut_current=not inst.cut_current)
         assert solve(inst, want_strategy=False).winner == \
             solve(flipped, want_strategy=False).winner, item.instance_id
         checked += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -349,3 +350,95 @@ def test_usage_errors_exit_with_validation_code(argv):
 def test_help_and_version_exit_zero():
     assert run_cli("--version").returncode == 0
     assert run_cli("scan", "--help").returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# `transform --json` bytes, pinned on small instance files
+# ---------------------------------------------------------------------------
+
+def _family_doc(m, family, game, rounds, width, ideal=True, cut_current=False):
+    doc = u_doc(m=m, rounds=rounds, width=width)
+    doc["structure"].update({"ideal": ideal, "family": family})
+    doc["game"].update({"family": game, "cut_current": cut_current})
+    return doc
+
+
+def _algebra_doc(atoms, rounds, width):
+    return {"schema_version": 1,
+            "structure": {"kind": "algebra", "atoms": atoms},
+            "game": {"family": "G_poset",
+                     "start": "{" + ",".join(map(str, range(atoms))) + "}",
+                     "rounds": rounds, "width": width, "variant": "exact",
+                     "maximal": True, "cut_current": False}}
+
+
+SIZE_AT_MOST_1 = {"kind": "size_at_most", "bound": 1}
+TRANSFORM_INPUTS = {
+    "u4": u_doc(),
+    "g4": _family_doc(4, SIZE_AT_MOST_1, "G_ideal", 2, 2),
+    "g5": _family_doc(5, {"kind": "generated_by",
+                          "generators": ["{0,1}", "{2,3}"]},
+                      "G_ideal", 1, 2, ideal=False),
+    "a4_wide": _algebra_doc(4, 1, 4),
+    "a4_narrow": _algebra_doc(4, 2, 2),
+    "bm4_size": _family_doc(4, SIZE_AT_MOST_1, "BM_ideal", 2, "unbounded",
+                            cut_current=True),
+    "bm4": _family_doc(4, {"kind": "generated_by", "generators": ["{1}"]},
+                       "BM_ideal", 2, "unbounded", cut_current=True),
+    "bm3": _family_doc(3, {"kind": "generated_by", "generators": ["{0}"]},
+                       "BM_ideal", 3, "unbounded", cut_current=True),
+}
+
+
+def _transform_argv(tmp_path, name, key, *rest):
+    argv = ["transform", "--name", name]
+    if key is not None:
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(TRANSFORM_INPUTS[key]))
+        argv.append(str(path))
+    return argv + list(rest) + ["--json"]
+
+
+@pytest.mark.parametrize("name, key, rest, digest", [
+    ("digit_split", None, ("--m", "8", "--nu", "2", "--rounds", "3"),
+     "8f54b6b4ed647ee0230209fec93d0011d7160ddfdd7cd585048c91ccc04c27f8"),
+    ("fixed_point", "u4", ("--alpha", "1"),
+     "9bd6d27aaa90686cd38bbdf51d54ed18398a5868b3e4bbb5462d1d614beee7c1"),
+    ("disjointify_cut", "g4", ("--sigma", "solver"),
+     "c0a6089c4fbc2274ed48469d11c5ba1de8ba991d4d3af86595dedff8d71002af"),
+    ("disjointify_cut", "g5", ("--sigma", "seed:3"),
+     "355399506ce831668ed624bf8d73f13a04ba664d35ddb08033c3f363bd1a9b8a"),
+    ("disjointify_choose", "g5", ("--sigma", "solver"),
+     "7e9ba92307ca4386b7d2630bedde25e5aac165d576c1613f0d4305e494ac31c5"),
+    ("disjointify_choose", "g5", ("--sigma", "greedy"),
+     "5c4d15dbb3367d2a36cb9f7fd886aa7e6366014a21837c188d85d2a5028d017d"),
+    ("transfer_cut", "a4_wide", ("--nu", "2", "--beta", "2"),
+     "0360a7297a48963f06e24b312266bf7b0672f4775e53fc73a48406c22c45e27a"),
+    ("transfer_choose", "a4_narrow", ("--nu", "2", "--beta", "2"),
+     "38dfa789ab13541dc8bee23051412a1e835158b80805a5fa53e253dd4728adfa"),
+    ("nonempty_to_choose", "bm4", ("--sigma", "solver"),
+     "b467f106bd13f18567294c2c2b9302b51510d6a748aaa9bfb625447222e7d882"),
+    ("nonempty_to_choose", "bm4", ("--sigma", "copy"),
+     "6114752a30ea86af8d1688e6b0e02fbc5edfe050b5a6b377d70db2709a92612e"),
+    ("choose_to_nonempty", "bm4", (),
+     "fb345cb403c9a5d8f3ce5d322e642cda5302c04c8b7815e547c6f0931cbe5d99"),
+    ("empty_to_cut", "bm4", ("--sigma", "copy"),
+     "07d4df48af93e252c06a96716679247f7197657cce8e50b5d7c138ca1791ed03"),
+    ("empty_to_cut", "bm3", ("--sigma", "first"),
+     "43623a5ac370ac83f385f7dce87c37f448c2189d2c821125ad27739107a82e44"),
+])
+def test_transform_json_bytes_are_pinned(tmp_path, capsys, name, key, rest,
+                                         digest):
+    assert main(_transform_argv(tmp_path, name, key, *rest)) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["all_hold"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("key", ["bm4_size", "bm4", "bm3"])
+def test_empty_to_cut_with_the_solver_sigma(tmp_path, key):
+    argv = _transform_argv(tmp_path, "empty_to_cut", key)
+    proc = run_cli(*argv[:-1], "--sigma", "solver", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["all_hold"] is True

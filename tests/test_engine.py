@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cutchoose.engine import (BM_IDEAL, BM_POSET, CHOOSE, CUT, EMPTY, EXACT,
@@ -269,7 +271,7 @@ def test_convention_invariance_small():
         inst = item.instance
         if inst.game_family not in (U, G_IDEAL, G_POSET):
             continue
-        flipped = analysis._replace(inst, cut_current=not inst.cut_current)
+        flipped = replace(inst, cut_current=not inst.cut_current)
         assert solve(inst, want_strategy=False).winner == \
             solve(flipped, want_strategy=False).winner, item.instance_id
 

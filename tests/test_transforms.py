@@ -523,3 +523,54 @@ def test_cut_strategy_to_witness_on_algebra_game():
     assert branch is not None
     out = tr.witness_to_cut_strategy(seq, inst)
     assert not verify_winning_strategy(inst, out.strategy, CUT).verified
+
+
+# ---------------------------------------------------------------------------
+# Auxiliary-run checkers
+# ---------------------------------------------------------------------------
+
+def test_aux_run_checkers_failure_branches():
+    from cutchoose.engine import apply_move, legal_moves
+    inst = u_instance(4, 2)
+    cutter = first_move_strategy(inst, CUT)
+    picker = first_move_strategy(inst, CHOOSE)
+    start = initial_state(inst)
+    first, second = legal_moves(inst, start)[:2]
+    after_cut = apply_move(inst, start, first)
+    pick, other = legal_moves(inst, after_cut)[:2]
+    assert picker.decide(inst, after_cut, ((CUT, first),)) == pick
+    forced = tr._check_aux_run_forced
+
+    def unforced(inst_, run, sigma, details):
+        return tr._check_aux_run(inst_, run, sigma, sigma.role, details)
+
+    for check in (unforced, forced):
+        # a pick that is not one of the pending pieces is illegal
+        details: dict = {}
+        assert not check(inst, [(CUT, first), (CHOOSE, inst.start)], picker,
+                         details)
+        assert "illegal_aux" in details and "aux_final_core" not in details
+        # a pick sigma would not make is inconsistent
+        details = {}
+        assert not check(inst, [(CUT, first), (CHOOSE, other)], picker,
+                         details)
+        assert details == {"inconsistent_aux": True}
+    # the unforced checker asks sigma for its own role's moves too
+    details = {}
+    assert not tr._check_aux_run(inst, [(CUT, second)], cutter, CUT, details)
+    assert details == {"inconsistent_aux": True}
+    # a consistent run: only the unforced checker records the final core
+    run = [(CUT, first), (CHOOSE, pick)]
+    details = {}
+    assert tr._check_aux_run(inst, run, picker, CHOOSE, details)
+    assert details == {"aux_final_core": format_mask(inst.start & pick)}
+    details = {}
+    assert forced(inst, run, picker, details)
+    assert details == {}
+    # a one-piece cut forces its pick: only the forced checker skips sigma
+    degenerate = [(CUT, (inst.start, 0)), (CHOOSE, inst.start)]
+    refuses = FunctionStrategy(CHOOSE, lambda inst_, state, history: 0)
+    assert forced(inst, degenerate, refuses, {})
+    details = {}
+    assert not tr._check_aux_run(inst, degenerate, refuses, CHOOSE, details)
+    assert details == {"inconsistent_aux": True}
