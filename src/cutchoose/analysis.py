@@ -438,7 +438,7 @@ def maximality_ablation(inst: GameInstance) -> AblationReport:
             return (b,)
         return tuple(sorted_masks((a, b)))
 
-    sigma = FunctionStrategy(CUT, decide, "simulation", "ablation-forcing")
+    sigma = FunctionStrategy(CUT, decide, "ablation-forcing")
     verified = verify_winning_strategy(inst, sigma, CUT).verified
     restored = replace(inst, maximal=True)
     return AblationReport(inst, (a, b), verified,

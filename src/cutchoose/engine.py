@@ -12,6 +12,8 @@ A position is abstracted to ``(round, to_move, core, pending)``: the running
 intersection (or lower-bound set / current set) plus the cut move awaiting a
 pick.  Two histories with equal abstractions are game-equivalent; the solver
 relies on this and the test suite cross-checks it against raw history search.
+A ``GameState`` is that named tuple, so it hashes and compares as the plain
+tuple and serves as its own key in every memo, seen-set and strategy table.
 
 Legality comes in two tiers.  ``legal_moves`` is the canonical enumeration
 used for solving and exhaustive verification; it omits dominated cut moves
@@ -28,7 +30,7 @@ visits each reachable position once to build a positional table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .errors import (CapacityError, IllegalMoveError, StrategyError,
                      ValidationError)
@@ -54,7 +56,6 @@ BM_POSET = "BM_poset"
 
 GAME_FAMILIES = (U, G_IDEAL, G_POSET, BM_IDEAL, BM_POSET)
 MASK_GAMES = (U, G_IDEAL, BM_IDEAL)
-POSET_GAMES = (G_POSET, BM_POSET)
 BM_GAMES = (BM_IDEAL, BM_POSET)
 
 # Variants
@@ -85,7 +86,6 @@ class GameInstance:
     family: Optional[MonotoneFamily] = None
     poset: Optional[FinitePoset] = None
     algebra: Optional[FiniteBooleanAlgebra] = None
-    move_budget: int = DEFAULT_MOVE_BUDGET
 
     def __post_init__(self):
         if self.game_family not in GAME_FAMILIES:
@@ -146,15 +146,11 @@ class GameInstance:
 Move = Union[int, tuple]
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     round: int
     to_move: str
     core: int
     pending: Optional[tuple] = None
-
-    def key(self) -> tuple:
-        return (self.round, self.to_move, self.core, self.pending)
 
 
 def initial_state(inst: GameInstance) -> GameState:
@@ -270,7 +266,7 @@ def legal_moves(inst: GameInstance, state: GameState) -> list:
         # A U game's family judges the picks only: its cuts are partitions.
         return enumerate_cut_moves(None if fam == U else inst.structure,
                                    cut_target(inst, state), inst.width,
-                                   inst.maximal, inst.move_budget)
+                                   inst.maximal, DEFAULT_MOVE_BUDGET)
     if fam == BM_IDEAL:
         return sorted_masks(s for s in submasks(state.core)
                             if is_positive(inst.family, s))
@@ -425,9 +421,10 @@ class Strategy:
     concurrent playouts and tree branches.
     """
 
-    def __init__(self, role: str, kind: str, name: str = ""):
+    kind = SIMULATION
+
+    def __init__(self, role: str, name: str = ""):
         self.role = role
-        self.kind = kind
         self.name = name or self.__class__.__name__
 
     def decide(self, inst: GameInstance, state: GameState, history: tuple):
@@ -437,21 +434,22 @@ class Strategy:
 class TableStrategy(Strategy):
     """Positional strategy backed by an explicit state-to-move table."""
 
+    kind = POSITIONAL_TABLE
+
     def __init__(self, role: str, entries: dict, name: str = "table"):
-        super().__init__(role, POSITIONAL_TABLE, name)
+        super().__init__(role, name)
         self.entries = entries
 
     def decide(self, inst, state, history):
-        key = state.key()
-        if key not in self.entries:
-            raise StrategyError(f"{self.name}: no entry for position {key}")
-        return self.entries[key]
+        if state not in self.entries:
+            raise StrategyError(
+                f"{self.name}: no entry for position {tuple(state)}")
+        return self.entries[state]
 
 
 class FunctionStrategy(Strategy):
-    def __init__(self, role: str, fn: Callable, kind: str = SIMULATION,
-                 name: str = "fn"):
-        super().__init__(role, kind, name)
+    def __init__(self, role: str, fn: Callable, name: str = "fn"):
+        super().__init__(role, name)
         self.fn = fn
 
     def decide(self, inst, state, history):
@@ -481,7 +479,7 @@ def greedy_picker_strategy(inst: GameInstance) -> Strategy:
                 return p
         return pieces[0]
 
-    return FunctionStrategy(inst.picker, fn, SIMULATION, "greedy-positivity")
+    return FunctionStrategy(inst.picker, fn, "greedy-positivity")
 
 
 def copy_strategy(inst: GameInstance) -> Strategy:
@@ -489,7 +487,7 @@ def copy_strategy(inst: GameInstance) -> Strategy:
     def fn(inst_, state, history):
         return state.core
 
-    return FunctionStrategy(inst.picker, fn, SIMULATION, "copy")
+    return FunctionStrategy(inst.picker, fn, "copy")
 
 
 def first_move_strategy(inst: GameInstance, role: str) -> Strategy:
@@ -498,10 +496,10 @@ def first_move_strategy(inst: GameInstance, role: str) -> Strategy:
         moves = legal_moves(inst_, state)
         if not moves:
             raise StrategyError("no legal moves at position "
-                                f"{state.key()}")
+                                f"{tuple(state)}")
         return moves[0]
 
-    return FunctionStrategy(role, fn, SIMULATION, "first-move")
+    return FunctionStrategy(role, fn, "first-move")
 
 
 def seeded_table_strategy(inst: GameInstance, role: str, seed: int) -> Strategy:
@@ -511,14 +509,14 @@ def seeded_table_strategy(inst: GameInstance, role: str, seed: int) -> Strategy:
     def fn(inst_, state, history):
         moves = legal_moves(inst_, state)
         if not moves:
-            raise StrategyError(f"no legal moves at position {state.key()}")
+            raise StrategyError(f"no legal moves at position {tuple(state)}")
         h = seed
         for x in (state.round, (CUT, CHOOSE, EMPTY, NONEMPTY).index(
                 state.to_move), state.core, *(state.pending or ())):
             h = (h * 0x100000001B3 + x) % ((1 << 61) - 1)
         return moves[(h * 0x9E3779B97F4A7C15 >> 32 & 0xFFFFFFFF) % len(moves)]
 
-    return FunctionStrategy(role, fn, SIMULATION, f"seeded-{seed}")
+    return FunctionStrategy(role, fn, f"seeded-{seed}")
 
 
 def fixed_point_choose_strategy(alpha: int) -> Strategy:
@@ -533,7 +531,7 @@ def fixed_point_choose_strategy(alpha: int) -> Strategy:
                 return p
         raise StrategyError(f"fixed point {alpha} excluded by every piece")
 
-    return FunctionStrategy(CHOOSE, fn, SIMULATION, f"fixed-point-{alpha}")
+    return FunctionStrategy(CHOOSE, fn, f"fixed-point-{alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +545,6 @@ class Transcript:
     states: list
     winner: str
     reason: str
-
-    def picks(self, role: str) -> list:
-        return [m for r, m in self.moves if r == role]
 
 
 def play_out(inst: GameInstance, cut_side: Strategy,
@@ -566,7 +561,7 @@ def play_out(inst: GameInstance, cut_side: Strategy,
         try:
             move = sides[role].decide(inst, state, history)
         except StrategyError as exc:
-            raise StrategyError(f"{exc} (at position {state.key()})") from exc
+            raise StrategyError(f"{exc} (at position {tuple(state)})") from exc
         validate_move(inst, state, move)
         state = apply_move(inst, state, move, check=False)
         moves.append((role, move))
@@ -648,24 +643,23 @@ def tabulate_positions(inst: GameInstance, role: str,
                        state_budget: int, name: str) -> TableStrategy:
     """The positional walk: at ``role``'s positions record and follow
     ``choose(state, moves)``, ``moves`` being the line of the first visit."""
-    table: dict[tuple, object] = {}
-    seen: set[tuple] = set()
+    table: dict[GameState, object] = {}
+    seen: set[GameState] = set()
     moves: list = []
 
     def visit(state: GameState) -> None:
         if not terminal_status(inst, state).ongoing:
             return
-        key = state.key()
-        if key in seen:
+        if state in seen:
             return
-        seen.add(key)
+        seen.add(state)
         if len(seen) > state_budget:
             raise CapacityError("position walk exceeded the state budget",
                                 {"states_visited": len(seen)})
         mover = state.to_move
         if mover == role:
-            table[key] = choose(state, moves)
-            options = (table[key],)
+            table[state] = choose(state, moves)
+            options = (table[state],)
         else:
             options = legal_moves(inst, state)
         for move in options:

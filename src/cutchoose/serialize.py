@@ -49,11 +49,17 @@ def family_from_jsonable(obj: dict, ground: GroundSet, ideal: bool,
         return cls.size_at_most(ground, _req(obj, "bound", int, path))
     if kind == "generated_by":
         gens = _req(obj, "generators", list, path)
-        return cls.generated_by(ground, [parse_mask(g, ground.size) for g in gens])
+        return cls.generated_by(ground, _parse_masks(gens, ground.size,
+                                                     path + ".generators"))
     if kind == "explicit":
         members = _req(obj, "members", list, path)
-        return cls.explicit(ground, [parse_mask(m, ground.size) for m in members])
+        return cls.explicit(ground, _parse_masks(members, ground.size,
+                                                 path + ".members"))
     raise ValidationError(f"unknown family kind {kind!r}", path + ".kind")
+
+
+def _parse_masks(texts: list, size: int, path: str) -> list[int]:
+    return [parse_mask(t, size, f"{path}[{i}]") for i, t in enumerate(texts)]
 
 
 def instance_to_jsonable(inst: GameInstance) -> dict:
@@ -138,16 +144,19 @@ def instance_from_jsonable(obj: dict, path: str = "instance") -> GameInstance:
                                       ground,
                                       _opt(sobj, "ideal", bool, False, spath),
                                       spath + ".family")
-        start = parse_mask(str(_req(gobj, "start", None, gpath)), ground.size)
+        start = parse_mask(_req(gobj, "start", None, gpath), ground.size,
+                           gpath + ".start")
     elif kind == "poset":
         n = _req(sobj, "elements", int, spath)
-        down = tuple(parse_mask(d, n) for d in _req(sobj, "down", list, spath))
-        poset = FinitePoset(n, down, sobj.get("top"))
+        down = _parse_masks(_req(sobj, "down", list, spath), n,
+                            spath + ".down")
+        top = None if sobj.get("top") is None else _req(sobj, "top", int, spath)
+        poset = FinitePoset(n, tuple(down), top)
         start = _req(gobj, "start", int, gpath)
     elif kind == "algebra":
         algebra = FiniteBooleanAlgebra(GroundSet(_req(sobj, "atoms", int, spath)))
-        start = parse_mask(str(_req(gobj, "start", None, gpath)),
-                           algebra.atoms.size)
+        start = parse_mask(_req(gobj, "start", None, gpath),
+                           algebra.atoms.size, gpath + ".start")
     else:
         raise ValidationError(f"unknown structure kind {kind!r}", spath + ".kind")
 
@@ -208,13 +217,14 @@ def move_to_jsonable(inst: GameInstance, move) -> Any:
     return format_mask(move) if moves_are_masks(inst) else move
 
 
-def move_from_jsonable(inst: GameInstance, obj) -> Any:
+def move_from_jsonable(inst: GameInstance, obj, path: str = "") -> Any:
     if isinstance(obj, list):
-        return tuple(move_from_jsonable(inst, p) for p in obj)
+        return tuple(move_from_jsonable(inst, p, f"{path}[{i}]")
+                     for i, p in enumerate(obj))
     if moves_are_masks(inst):
-        return parse_mask(str(obj), _mask_size(inst))
+        return parse_mask(obj, _mask_size(inst), path)
     if not isinstance(obj, int):
-        raise ValidationError("poset move must be an element index")
+        raise ValidationError("poset move must be an element index", path)
     return obj
 
 
@@ -247,18 +257,12 @@ def serialize_transcript(t: Transcript) -> str:
     return dumps(transcript_to_jsonable(t))
 
 
-def _state_key_to_jsonable(inst: GameInstance, key: tuple) -> dict:
-    rnd, to_move, core, pending = key
-    state = GameState(rnd, to_move, core, pending)
-    return state_to_jsonable(inst, state)
-
-
 def strategy_to_jsonable(inst: GameInstance, strategy: TableStrategy) -> dict:
     entries = []
-    for key in sorted(strategy.entries, key=_key_sort_key):
+    for state in sorted(strategy.entries, key=_key_sort_key):
         entries.append({
-            "state": _state_key_to_jsonable(inst, key),
-            "move": move_to_jsonable(inst, strategy.entries[key]),
+            "state": state_to_jsonable(inst, state),
+            "move": move_to_jsonable(inst, strategy.entries[state]),
         })
     return {
         "schema_version": SCHEMA_VERSION,
@@ -268,8 +272,9 @@ def strategy_to_jsonable(inst: GameInstance, strategy: TableStrategy) -> dict:
     }
 
 
-def _key_sort_key(key: tuple):
-    rnd, to_move, core, pending = key
+def _key_sort_key(state: GameState):
+    # A parsed table may hold ``pending`` null and a list for the same core.
+    rnd, to_move, core, pending = state
     return (rnd, to_move, core, pending if pending is not None else ())
 
 
@@ -281,16 +286,19 @@ def strategy_from_jsonable(inst: GameInstance, obj: dict) -> TableStrategy:
     for i, e in enumerate(_req(obj, "entries", list, "strategy")):
         path = f"strategy.entries[{i}]"
         sobj = _req(e, "state", dict, path)
+        spath = path + ".state"
         pending = sobj.get("pending")
         if _cores_are_masks(inst):
-            core = parse_mask(str(_req(sobj, "core", None, path + ".state")),
-                              _mask_size(inst))
+            core = parse_mask(_req(sobj, "core", None, spath),
+                              _mask_size(inst), spath + ".core")
         else:
-            core = _req(sobj, "core", int, path + ".state")
-        key = (_req(sobj, "round", int, path + ".state"),
-               _req(sobj, "to_move", str, path + ".state"), core,
-               None if pending is None else move_from_jsonable(inst, pending))
-        entries[key] = move_from_jsonable(inst, _req(e, "move", None, path))
+            core = _req(sobj, "core", int, spath)
+        state = GameState(
+            _req(sobj, "round", int, spath), _req(sobj, "to_move", str, spath),
+            core, None if pending is None
+            else move_from_jsonable(inst, pending, spath + ".pending"))
+        entries[state] = move_from_jsonable(inst, _req(e, "move", None, path),
+                                            path + ".move")
     return TableStrategy(role, entries)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -39,12 +38,9 @@ DEFAULT_STATE_BUDGET = 10_000_000
 class SolveStats:
     states_visited: int = 0
     memo_hits: int = 0
-    elapsed: float = 0.0
     cached: bool = False
 
     def to_jsonable(self) -> dict:
-        # elapsed is intentionally omitted: serialized outputs must be
-        # byte-identical across runs.
         return {"states_visited": self.states_visited,
                 "memo_hits": self.memo_hits,
                 "cached": self.cached}
@@ -71,8 +67,7 @@ def _value_function(inst: GameInstance, stats: SolveStats, state_budget: int,
         outcome = terminal_status(inst, state)
         if not outcome.ongoing:
             return outcome.status
-        key = state.key()
-        hit = memo.get(key)
+        hit = memo.get(state)
         if hit is not None:
             stats.memo_hits += 1
             return hit
@@ -87,7 +82,7 @@ def _value_function(inst: GameInstance, stats: SolveStats, state_budget: int,
             if value(apply_move(inst, state, move, check=False)) == mover:
                 result = mover
                 break
-        memo[key] = result
+        memo[state] = result
         return result
 
     return value
@@ -179,14 +174,13 @@ def solve(inst: GameInstance, want_strategy: bool = True,
     cached = _cache_load(inst, cache_dir, want_strategy)
     if cached is not None:
         return cached
-    t0 = time.perf_counter()
     stats = SolveStats()
     strategy = None
     if _symmetric_applicable(inst) and not want_strategy:
         winner = _symmetric_winner(inst)
         stats.states_visited = 0
     else:
-        memo: dict[tuple, str] = {}
+        memo: dict[GameState, str] = {}
         try:
             value = _value_function(inst, stats, state_budget, memo)
             winner = value(initial_state(inst))
@@ -194,7 +188,6 @@ def solve(inst: GameInstance, want_strategy: bool = True,
                 strategy = extract_strategy(inst, winner, value, state_budget)
         finally:
             memo.clear()
-    stats.elapsed = time.perf_counter() - t0
     result = SolveResult(inst, winner, strategy, stats)
     _cache_store(result, cache_dir, want_strategy)
     return result
@@ -208,7 +201,7 @@ def strategy_for(inst: GameInstance, role: str,
     result = solve(inst, cache_dir=cache_dir)
     if result.winner == role:
         return result.winner, result.strategy
-    memo: dict[tuple, str] = {}
+    memo: dict[GameState, str] = {}
     try:
         value = _value_function(inst, SolveStats(), DEFAULT_STATE_BUDGET, memo)
         return result.winner, extract_strategy(inst, role, value)
@@ -232,7 +225,7 @@ def refute(inst: GameInstance, role: str,
     loser has nothing is computed by quantifier structure, not by reusing the
     minimax value.
     """
-    memo: dict[tuple, bool] = {}
+    memo: dict[GameState, bool] = {}
     nodes = 0
 
     def can_win(state: GameState) -> bool:
@@ -240,9 +233,8 @@ def refute(inst: GameInstance, role: str,
         outcome = terminal_status(inst, state)
         if not outcome.ongoing:
             return outcome.status == role
-        key = state.key()
-        if key in memo:
-            return memo[key]
+        if state in memo:
+            return memo[state]
         nodes += 1
         if nodes > state_budget:
             raise CapacityError("refutation exceeded the state budget",
@@ -253,7 +245,7 @@ def refute(inst: GameInstance, role: str,
             result = any(can_win(c) for c in children)
         else:
             result = all(can_win(c) for c in children)
-        memo[key] = result
+        memo[state] = result
         return result
 
     try:

@@ -76,14 +76,17 @@ def format_mask(mask: int) -> str:
     return "{" + ",".join(str(e) for e in mask_elements(mask)) + "}"
 
 
-def parse_mask(text: str, size: int) -> int:
-    """Parse a subset from ``{0,2,3}`` or a hex literal like ``0xb``."""
+def parse_mask(text: str, size: int, path: str = "") -> int:
+    """Parse a subset from ``{0,2,3}`` or a hex literal like ``0xb``;
+    errors name the document field ``path``."""
+    if not isinstance(text, str):
+        raise ValidationError(f"mask must be a string, got {text!r}", path)
     text = text.strip()
     if text.startswith("0x") or text.startswith("0X"):
         try:
             mask = int(text, 16)
         except ValueError:
-            raise ValidationError(f"bad hex mask literal: {text!r}")
+            raise ValidationError(f"bad hex mask literal: {text!r}", path)
     elif text.startswith("{") and text.endswith("}"):
         body = text[1:-1].strip()
         if not body:
@@ -91,14 +94,16 @@ def parse_mask(text: str, size: int) -> int:
         try:
             elems = [int(tok) for tok in body.split(",")]
         except ValueError:
-            raise ValidationError(f"bad element list: {text!r}")
+            raise ValidationError(f"bad element list: {text!r}", path)
         if any(e < 0 for e in elems):
-            raise ValidationError(f"negative element in {text!r}")
+            raise ValidationError(f"negative element in {text!r}", path)
         mask = mask_of(elems)
     else:
-        raise ValidationError(f"mask must be '{{0,2}}' or hex literal, got {text!r}")
+        raise ValidationError(
+            f"mask must be '{{0,2}}' or hex literal, got {text!r}", path)
     if mask >> size:
-        raise ValidationError(f"mask {text!r} has points outside ground of size {size}")
+        raise ValidationError(
+            f"mask {text!r} has points outside ground of size {size}", path)
     return mask
 
 
@@ -417,9 +422,6 @@ class FinitePoset:
 
     def leq(self, a: int, b: int) -> bool:
         return bool((self.down[b] >> a) & 1)
-
-    def below(self, x: int) -> int:
-        return self.down[x]
 
     def compatible(self, a: int, b: int) -> bool:
         return (self.down[a] & self.down[b]) != 0

@@ -26,16 +26,17 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .engine import (BM_IDEAL, CHOOSE, CUT, EMPTY, EXACT, G_IDEAL, G_POSET,
-                     NONEMPTY, SIMULATION, U, WEAK, FunctionStrategy,
-                     GameInstance, GameState, Strategy, Transcript,
+                     NONEMPTY, U, WEAK, FunctionStrategy, GameInstance,
+                     GameState, Strategy, TableStrategy, Transcript,
                      apply_move, core_positive, enumerate_playouts,
                      initial_state, sorted_pieces, terminal_status,
                      validate_move)
 from .engine import fixed_point_choose_strategy  # re-exported: same toolbox
 from .errors import (CapacityError, SigmaSearchError, TransformSoundnessError,
                      ValidationError)
-from .structures import (FiniteBooleanAlgebra, GroundSet, IPartition,
-                         MonotoneFamily, enumerate_cut_moves, format_mask,
+from .structures import (DEFAULT_MOVE_BUDGET, FiniteBooleanAlgebra,
+                         GroundSet, IPartition, MonotoneFamily,
+                         enumerate_cut_moves, format_mask,
                          full_disjointification, is_positive, mask_elements,
                          mask_key, popcount, sorted_masks, submasks)
 
@@ -201,8 +202,7 @@ def digit_split_cut_strategy(m: int, nu: int, n: int) -> TransformOutput:
                 return tuple(sorted(groups.values(), key=mask_key))
         return (core,)
 
-    strategy = FunctionStrategy(CUT, decide, "positional_table",
-                                f"digit-split-{nu}")
+    strategy = FunctionStrategy(CUT, decide, f"digit-split-{nu}")
 
     def certify(t: Transcript) -> TransformCertificate:
         final = t.states[-1].core
@@ -279,7 +279,7 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
         return run
 
     def decide(inst_, state, history):
-        run = reconstruct(history[:-1])
+        run = reconstruct(history)
         pb, nonempty = pulled(run, state.pending)
         if not nonempty:
             return sorted_pieces(inst_, state.pending)[0]
@@ -293,8 +293,7 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
                 return p
         raise TransformSoundnessError("inner pick has no outer counterpart")
 
-    strategy = FunctionStrategy(CHOOSE, decide, SIMULATION,
-                                f"restricted-{sigma.name}")
+    strategy = FunctionStrategy(CHOOSE, decide, f"restricted-{sigma.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
         run = reconstruct(tuple(t.moves))
@@ -404,8 +403,7 @@ def disjointify_cut_strategy(sigma_g: Strategy,
             return blocks[-1]["split"]
         return _disjointify_move(g_inst, run.ask(sigma_g))[2]
 
-    strategy = FunctionStrategy(CUT, decide, SIMULATION,
-                                f"disjointified-{sigma_g.name}")
+    strategy = FunctionStrategy(CUT, decide, f"disjointified-{sigma_g.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
         run, blocks, alive = reconstruct(tuple(t.moves))
@@ -485,7 +483,7 @@ def disjointify_choose_strategy(sigma_u: Strategy,
         _, blocks = reconstruct(history)
         return blocks[-1]["src"]
 
-    strategy = FunctionStrategy(CHOOSE, decide, SIMULATION,
+    strategy = FunctionStrategy(CHOOSE, decide,
                                 f"disjointified-{sigma_u.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
@@ -660,8 +658,7 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
         return factor_antichain(algebra, big_inst.start, run.ask(sigma_big),
                                 nu, beta).levels[0]
 
-    strategy = FunctionStrategy(CUT, decide, SIMULATION,
-                                f"narrowed-{sigma_big.name}")
+    strategy = FunctionStrategy(CUT, decide, f"narrowed-{sigma_big.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
         run, blocks, alive, _ = reconstruct(tuple(t.moves))
@@ -739,8 +736,7 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
         _, blocks = reconstruct(history)
         return blocks[-1]["reply"]
 
-    strategy = FunctionStrategy(CHOOSE, decide, SIMULATION,
-                                f"widened-{sigma_small.name}")
+    strategy = FunctionStrategy(CHOOSE, decide, f"widened-{sigma_small.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
         run, blocks = reconstruct(tuple(t.moves))
@@ -791,7 +787,7 @@ def witness_to_cut_strategy(seq: Sequence[tuple],
     def decide(inst_, state, history):
         return tuple(seq[state.round])
 
-    strategy = FunctionStrategy(CUT, decide, SIMULATION, "witness-sequence")
+    strategy = FunctionStrategy(CUT, decide, "witness-sequence")
 
     def certify(t: Transcript) -> TransformCertificate:
         played = [move for role, move in t.moves if role == CUT]
@@ -820,7 +816,7 @@ def cut_strategy_to_witness(sigma: Strategy, inst: GameInstance,
         raise ValidationError("witness construction needs meets "
                               "(set or algebra structure)")
     frontier = [_Run.start(inst)]
-    positional = sigma.kind == "positional_table"
+    positional = isinstance(sigma, TableStrategy)
     seq: list[tuple] = []
     nodes = 0
     for _ in range(inst.rounds):
@@ -839,10 +835,9 @@ def cut_strategy_to_witness(sigma: Strategy, inst: GameInstance,
                 picked = cut.then(y)
                 if picked.state.core:
                     pieces.add(picked.state.core)
-                key = picked.state.key()
-                if positional and key in nxt_seen:
+                if positional and picked.state in nxt_seen:
                     continue
-                nxt_seen.add(key)
+                nxt_seen.add(picked.state)
                 nxt.append(picked)
         seq.append(tuple(sorted_masks(pieces)))
         frontier = nxt
@@ -896,7 +891,7 @@ def witness_to_empty_strategy(seq: Sequence[tuple],
         x = walk_pick(idx, y)
         return y & x if x is not None else y
 
-    strategy = FunctionStrategy(EMPTY, decide, SIMULATION, "witness-walk")
+    strategy = FunctionStrategy(EMPTY, decide, "witness-walk")
 
     def certify(t: Transcript) -> TransformCertificate:
         picks: list[Optional[int]] = []
@@ -1008,16 +1003,13 @@ def empty_to_cut_strategy(sigma_e: Strategy,
         return run, records, alive
 
     def decide(inst_, state, history):
-        run, records, alive = reconstruct(history[:-1])
+        run, _, alive = reconstruct(history)
         if not alive:
             raise TransformSoundnessError(
                 "cutter consulted after an extension pick ended the game")
-        if records and records[-1]["pick"] is None:
-            return records[-1]["move"]
         return response_partition(run)[0]
 
-    strategy = FunctionStrategy(CUT, decide, SIMULATION,
-                                f"emptier-cut-{sigma_e.name}")
+    strategy = FunctionStrategy(CUT, decide, f"emptier-cut-{sigma_e.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
         run, records, alive = reconstruct(tuple(t.moves))
@@ -1035,6 +1027,12 @@ def empty_to_cut_strategy(sigma_e: Strategy,
         if not alive and t.winner != CUT:
             holds = False
             details["extension_pick_not_fatal"] = True
+        cuts = [mv for role, mv in t.moves if role == CUT]
+        stale = next((j for j, (r, mv) in enumerate(zip(records, cuts))
+                      if r["move"] != mv), None)
+        if stale is not None:
+            holds = False
+            details["cut_not_rebuilt"] = stale
         return TransformCertificate(
             "empty_to_cut",
             "picks are the emptier's moves; extension picks lose",
@@ -1074,7 +1072,7 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
         return run, trimmed
 
     def decide(inst_, state, history):
-        y = reconstruct(history[:-1])[0].state.core
+        y = reconstruct(history)[0].state.core
         for w in sorted_pieces(inst_, state.pending):
             if is_positive(fam, w & y):
                 return w
@@ -1082,7 +1080,7 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
             "maximal family offered no piece meeting the survivor's set "
             "positively")
 
-    strategy = FunctionStrategy(CHOOSE, decide, SIMULATION,
+    strategy = FunctionStrategy(CHOOSE, decide,
                                 f"survivor-pick-{sigma_n.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
@@ -1125,7 +1123,7 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
         key = ("moves", x0)
         if key not in cache:
             cache[key] = enumerate_cut_moves(fam, x0, None, True,
-                                             bm_inst.move_budget)
+                                             DEFAULT_MOVE_BUDGET)
         return cache[key]
 
     def response(x0: int, vec: tuple) -> int:
@@ -1181,8 +1179,7 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
             "no positive set below the opposing move has all its positive "
             "subsets among the picker's responses")
 
-    strategy = FunctionStrategy(NONEMPTY, decide, SIMULATION,
-                                "picker-survivor")
+    strategy = FunctionStrategy(NONEMPTY, decide, "picker-survivor")
 
     def certify(t: Transcript) -> TransformCertificate:
         try:

@@ -25,6 +25,13 @@ def u_doc(m=4, rounds=2, width=2, variant="exact", start=None, bound=1):
     }
 
 
+def _family_doc(m, family, game, rounds, width, ideal=True, cut_current=False):
+    doc = u_doc(m=m, rounds=rounds, width=width)
+    doc["structure"].update({"ideal": ideal, "family": family})
+    doc["game"].update({"family": game, "cut_current": cut_current})
+    return doc
+
+
 @pytest.fixture
 def u4(tmp_path):
     path = tmp_path / "u4.json"
@@ -291,13 +298,18 @@ def run_cli(*argv):
                           timeout=120)
 
 
-def test_strategy_entry_without_core_is_rejected(tmp_path, u4):
+def _verify_with_first_state_edited(tmp_path, u4, edit):
     strategy_path = tmp_path / "sigma.json"
     assert main(["solve", u4, "--strategy-out", str(strategy_path)]) == 0
     doc = json.loads(strategy_path.read_text())
-    del doc["entries"][0]["state"]["core"]
+    edit(doc["entries"][0]["state"])
     strategy_path.write_text(json.dumps(doc))
-    proc = run_cli("verify", u4, "--strategy", str(strategy_path))
+    return run_cli("verify", u4, "--strategy", str(strategy_path))
+
+
+def test_strategy_entry_without_core_is_rejected(tmp_path, u4):
+    proc = _verify_with_first_state_edited(tmp_path, u4,
+                                           lambda state: state.pop("core"))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "strategy.entries[0].state.core" in proc.stderr
@@ -315,6 +327,41 @@ def test_instance_field_of_the_wrong_type_is_rejected(tmp_path, field,
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert f"instance.game.{field}" in proc.stderr
+
+
+def _poset_doc(down=("{0}", "{0,1}"), top=1):
+    return {"schema_version": 1,
+            "structure": {"kind": "poset", "elements": 2, "down": list(down),
+                          "top": top},
+            "game": {"family": "BM_poset", "start": 1, "rounds": 1,
+                     "width": "unbounded"}}
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("structure.family.generators[0]",
+     _family_doc(5, {"kind": "generated_by", "generators": [3]},
+                 "G_ideal", 1, 2)),
+    ("structure.family.members[1]",
+     _family_doc(4, {"kind": "explicit", "members": ["{}", [0]]}, "U", 1, 2,
+                 cut_current=True)),
+    ("structure.down[0]", _poset_doc(down=(1, "{0,1}"))),
+    ("structure.top", _poset_doc(top="x")),
+])
+def test_bad_mask_in_an_instance_names_its_field(tmp_path, field, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    proc = run_cli("solve", str(bad))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"instance.{field}" in proc.stderr
+
+
+def test_strategy_entry_with_a_bad_core_mask_is_rejected(tmp_path, u4):
+    proc = _verify_with_first_state_edited(
+        tmp_path, u4, lambda state: state.update(core=[1]))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "strategy.entries[0].state.core" in proc.stderr
 
 
 def test_replay_with_too_few_inputs_is_rejected(tmp_path, u4):
@@ -356,13 +403,6 @@ def test_help_and_version_exit_zero():
 # `transform --json` bytes, pinned on small instance files
 # ---------------------------------------------------------------------------
 
-def _family_doc(m, family, game, rounds, width, ideal=True, cut_current=False):
-    doc = u_doc(m=m, rounds=rounds, width=width)
-    doc["structure"].update({"ideal": ideal, "family": family})
-    doc["game"].update({"family": game, "cut_current": cut_current})
-    return doc
-
-
 def _algebra_doc(atoms, rounds, width):
     return {"schema_version": 1,
             "structure": {"kind": "algebra", "atoms": atoms},
@@ -387,6 +427,8 @@ TRANSFORM_INPUTS = {
                        "BM_ideal", 2, "unbounded", cut_current=True),
     "bm3": _family_doc(3, {"kind": "generated_by", "generators": ["{0}"]},
                        "BM_ideal", 3, "unbounded", cut_current=True),
+    "bm4_3": _family_doc(4, {"kind": "generated_by", "generators": ["{1}"]},
+                         "BM_ideal", 3, "unbounded", cut_current=True),
 }
 
 
@@ -426,6 +468,8 @@ def _transform_argv(tmp_path, name, key, *rest):
      "07d4df48af93e252c06a96716679247f7197657cce8e50b5d7c138ca1791ed03"),
     ("empty_to_cut", "bm3", ("--sigma", "first"),
      "43623a5ac370ac83f385f7dce87c37f448c2189d2c821125ad27739107a82e44"),
+    ("empty_to_cut", "bm4_3", ("--sigma", "seed:4"),
+     "b8cc85cdb01e3f37ef728867e5513730ef85c48f3af37d813b44ba1961b8f094"),
 ])
 def test_transform_json_bytes_are_pinned(tmp_path, capsys, name, key, rest,
                                          digest):

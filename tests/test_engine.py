@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from cutchoose.engine import (BM_IDEAL, BM_POSET, CHOOSE, CUT, EMPTY, EXACT,
                               verify_winning_strategy)
 from cutchoose.errors import (CapacityError, IllegalMoveError, StrategyError,
                               ValidationError)
+from cutchoose.serialize import serialize_strategy, strategy_from_jsonable
 from cutchoose.solver import reference_winner, solve
 from cutchoose.structures import (FiniteBooleanAlgebra, FinitePoset,
                                   GroundSet, Ideal, MonotoneFamily,
@@ -302,6 +304,44 @@ def test_table_strategy_round_trips_and_misses():
         table.decide(inst, GameState(9, CUT, 0b1, None), ())
 
 
+def test_a_state_is_its_own_key():
+    state = GameState(1, CHOOSE, 0b110, (0b010, 0b100))
+    plain = (1, CHOOSE, 0b110, (0b010, 0b100))
+    assert state == plain and hash(state) == hash(plain)
+    assert GameState(0, CUT, 0b1) == (0, CUT, 0b1, None)
+
+
+def test_a_parsed_table_answers_states_reached_by_apply_move():
+    inst = u_instance(5, 2)
+    result = solve(inst)
+    parsed = strategy_from_jsonable(
+        inst, json.loads(serialize_strategy(inst, result.strategy)))
+    state, asked = initial_state(inst), 0
+    while terminal_status(inst, state).ongoing:
+        if state.to_move == result.winner:
+            move = parsed.decide(inst, state, ())
+            assert move == result.strategy.decide(inst, state, ())
+            asked += 1
+        else:
+            move = legal_moves(inst, state)[-1]
+        state = apply_move(inst, state, move)
+    assert asked == 2
+    assert verify_winning_strategy(inst, parsed, result.winner).verified
+
+
+@pytest.mark.parametrize("family", [
+    lambda g: MonotoneFamily.size_at_most(g, 1),
+    lambda g: MonotoneFamily.generated_by(g, [0b000111, 0b011100]),
+], ids=["size_at_most", "generated_by"])
+def test_strategy_documents_round_trip_byte_for_byte(family):
+    g = GroundSet(6)
+    inst = GameInstance(game_family=U, start=g.full_mask, rounds=3, width=2,
+                        ground=g, family=family(g))
+    text = serialize_strategy(inst, solve(inst).strategy)
+    assert serialize_strategy(
+        inst, strategy_from_jsonable(inst, json.loads(text))) == text
+
+
 def test_bm_poset_descent_to_least_element():
     # regression: a chain can bottom out at element index 0, which is still
     # a lower bound of everything played
@@ -424,7 +464,7 @@ def test_verify_counterexample_and_nodes_are_pinned():
     t = v.counterexample
     assert t.moves == [(CUT, (1, 30)), (CHOOSE, 30), (CUT, (2, 28)),
                        (CHOOSE, 28)]
-    assert [s.key() for s in t.states] == [
+    assert [tuple(s) for s in t.states] == [
         (0, CUT, 31, None), (0, CHOOSE, 31, (1, 30)), (1, CUT, 30, None),
         (1, CHOOSE, 30, (2, 28)), (2, CUT, 28, None)]
     assert (t.winner, t.reason) == (CHOOSE, "final intersection positive")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cutchoose import analysis, transforms as tr
@@ -9,7 +11,7 @@ from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EMPTY, G_IDEAL, G_POSET,
 from cutchoose.errors import (SigmaSearchError, TransformSoundnessError,
                               ValidationError)
 from cutchoose.solver import solve
-from cutchoose.structures import (FiniteBooleanAlgebra, GroundSet,
+from cutchoose.structures import (FiniteBooleanAlgebra, GroundSet, Ideal,
                                   MonotoneFamily, enumerate_i_partitions,
                                   format_mask, is_positive, mask_of,
                                   sorted_masks, submasks)
@@ -369,6 +371,27 @@ def test_empty_to_cut_trivial_one_round():
         FunctionStrategy(EMPTY, copy_e, name="copy"), bm1)
     move = out.strategy.decide(out.instance, initial_state(out.instance), ())
     assert move == (g.full_mask,)
+
+
+def test_empty_to_cut_certificate_rejects_a_stale_cut():
+    # A cutter that answers from the history before the latest pick replays
+    # the previous round's partition; the certificate must catch it.
+    g = GroundSet(4)
+    bm = GameInstance(game_family=BM_IDEAL, start=g.full_mask, rounds=3,
+                      width=None, ground=g,
+                      family=Ideal.generated_by(g, [0b0010]))
+    longer = replace(bm, rounds=bm.rounds + 1)
+    out = tr.empty_to_cut_strategy(seeded_table_strategy(longer, EMPTY, 4),
+                                   bm)
+    stale = FunctionStrategy(
+        CUT, lambda i, s, h: out.strategy.decide(i, s, h[:-1]), name="stale")
+    t = play_out(out.instance, stale, first_move_strategy(out.instance, CHOOSE))
+    assert t.moves[2][1] == t.moves[0][1]
+    cert = out.certify(t)
+    assert not cert.holds and cert.details["cut_not_rebuilt"] == 1
+    fresh = out.certify(play_out(out.instance, out.strategy,
+                                 first_move_strategy(out.instance, CHOOSE)))
+    assert fresh.holds and "cut_not_rebuilt" not in fresh.details
 
 
 def test_nonempty_to_choose_transports_win():
