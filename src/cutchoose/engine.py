@@ -24,7 +24,10 @@ strategies produced by transformations may play degenerate partitions such as
 Strategies are walked two ways.  The tree walk (verification, playouts)
 follows every canonical opposing line with the full history, as simulation
 strategies need; the positional walk (tabulation, the solver's extraction)
-visits each reachable position once to build a positional table.
+visits each reachable position once to build a positional table.  Verifying
+a positional table, the tree walk expands each position once too: it counts
+a subtree it has already seen won without walking it again, so it still
+reports tree nodes.
 """
 
 from __future__ import annotations
@@ -584,18 +587,33 @@ class VerifyResult:
 def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
                node_budget: int, first_loss: bool) -> tuple[list, int]:
     """The tree walk: leaf transcripts and the nodes visited, terminal ones
-    included.  With ``first_loss`` it stops at the first leaf ``role`` loses."""
+    included.  With ``first_loss`` it stops at the first leaf ``role`` loses.
+
+    Verifying a positional table, the tree below a position depends on the
+    position alone (AND-OR evaluation with transpositions): each position
+    with no pending move whose whole subtree ``role`` wins keeps that
+    subtree's node count, and a later visit adds the count without walking.
+    Only won subtrees are kept, so nodes, counterexample and first error are
+    the plain walk's; ``CapacityError.stats`` may count up to a subtree
+    more.  The memo lives for one call."""
     found: list[Transcript] = []
     nodes = 0
     moves: list = []
     states: list = [initial_state(inst)]
+    won: Optional[dict[GameState, int]] = (
+        {} if first_loss and sigma.kind == POSITIONAL_TABLE else None)
 
     def walk(state: GameState) -> bool:
         nonlocal nodes
-        nodes += 1
+        keyed = won is not None and state.pending is None
+        subtree = won.get(state, 0) if keyed else 0
+        nodes += subtree or 1
         if nodes > node_budget:
             raise CapacityError("adversary tree exceeded the node budget",
                                 {"nodes": nodes})
+        if subtree:
+            return False
+        first = nodes
         outcome = terminal_status(inst, state)
         if not outcome.ongoing:
             if first_loss and outcome.status == role:
@@ -618,10 +636,15 @@ def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
                 return True
             moves.pop()
             states.pop()
+        if keyed:
+            won[state] = nodes - first + 1
         return False
 
-    walk(states[0])
-    return found, nodes
+    try:
+        walk(states[0])
+        return found, nodes
+    finally:
+        walk = None  # see tabulate_positions: frees the memo now
 
 
 def verify_winning_strategy(inst: GameInstance, sigma: Strategy, role: str,

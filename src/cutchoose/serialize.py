@@ -17,7 +17,7 @@ from .engine import GameInstance, GameState, TableStrategy, Transcript
 from .errors import ValidationError
 from .structures import (FiniteBooleanAlgebra, FinitePoset, GroundSet,
                          Ideal, MonotoneFamily, format_mask, parse_mask,
-                         sorted_masks)
+                         sorted_masks, validate_family)
 
 SCHEMA_VERSION = 1
 
@@ -46,15 +46,25 @@ def family_from_jsonable(obj: dict, ground: GroundSet, ideal: bool,
     cls = Ideal if ideal else MonotoneFamily
     kind = _req(obj, "kind", str, path)
     if kind == "size_at_most":
-        return cls.size_at_most(ground, _req(obj, "bound", int, path))
+        return _built(path + ".bound", cls.size_at_most, ground,
+                      _req(obj, "bound", int, path))
     if kind == "generated_by":
         gens = _req(obj, "generators", list, path)
         return cls.generated_by(ground, _parse_masks(gens, ground.size,
                                                      path + ".generators"))
     if kind == "explicit":
-        members = _req(obj, "members", list, path)
-        return cls.explicit(ground, _parse_masks(members, ground.size,
-                                                 path + ".members"))
+        members = _parse_masks(_req(obj, "members", list, path), ground.size,
+                               path + ".members")
+        # The monotone-family invariants only.  Union closure and properness
+        # stay unchecked for every kind: documents mark ``size_at_most 1``
+        # families, which are not union-closed, as ideals.
+        report = validate_family(MonotoneFamily.explicit(ground, members))
+        if not report:
+            raise ValidationError(
+                f"not a monotone family: {report.violation} (witness "
+                + ", ".join(format_mask(w) for w in report.witness) + ")",
+                path + ".members")
+        return cls.explicit(ground, members)
     raise ValidationError(f"unknown family kind {kind!r}", path + ".kind")
 
 
@@ -114,6 +124,14 @@ def _opt(obj: dict, key: str, typ, default, path: str):
     return _req(obj, key, typ, path) if key in obj else default
 
 
+def _built(path: str, make, *args):
+    """``make(*args)``, its ``ValidationError`` naming the field at ``path``."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ValidationError(str(exc), path) from None
+
+
 def instance_from_jsonable(obj: dict, path: str = "instance") -> GameInstance:
     version = _req(obj, "schema_version", None, path)
     if version != SCHEMA_VERSION:
@@ -139,7 +157,8 @@ def instance_from_jsonable(obj: dict, path: str = "instance") -> GameInstance:
 
     ground = family = poset = algebra = None
     if kind == "family":
-        ground = GroundSet(_req(sobj, "ground", int, spath))
+        ground = _built(spath + ".ground", GroundSet,
+                        _req(sobj, "ground", int, spath))
         family = family_from_jsonable(_req(sobj, "family", dict, spath),
                                       ground,
                                       _opt(sobj, "ideal", bool, False, spath),
@@ -151,10 +170,13 @@ def instance_from_jsonable(obj: dict, path: str = "instance") -> GameInstance:
         down = _parse_masks(_req(sobj, "down", list, spath), n,
                             spath + ".down")
         top = None if sobj.get("top") is None else _req(sobj, "top", int, spath)
-        poset = FinitePoset(n, tuple(down), top)
+        poset = _built(spath + ".down", FinitePoset, n, tuple(down))
+        if top is not None:
+            poset = _built(spath + ".top", FinitePoset, n, poset.down, top)
         start = _req(gobj, "start", int, gpath)
     elif kind == "algebra":
-        algebra = FiniteBooleanAlgebra(GroundSet(_req(sobj, "atoms", int, spath)))
+        algebra = FiniteBooleanAlgebra(_built(spath + ".atoms", GroundSet,
+                                              _req(sobj, "atoms", int, spath)))
         start = parse_mask(_req(gobj, "start", None, gpath),
                            algebra.atoms.size, gpath + ".start")
     else:

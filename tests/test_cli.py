@@ -10,7 +10,7 @@ from cutchoose import serialize
 from cutchoose.cli import main
 from cutchoose.engine import GameInstance, U
 from cutchoose.errors import ValidationError
-from cutchoose.structures import GroundSet, MonotoneFamily
+from cutchoose.structures import GroundSet, Ideal, MonotoneFamily
 
 
 def u_doc(m=4, rounds=2, width=2, variant="exact", start=None, bound=1):
@@ -329,6 +329,15 @@ def test_instance_field_of_the_wrong_type_is_rejected(tmp_path, field,
     assert f"instance.game.{field}" in proc.stderr
 
 
+def _algebra_doc(atoms, rounds, width):
+    return {"schema_version": 1,
+            "structure": {"kind": "algebra", "atoms": atoms},
+            "game": {"family": "G_poset",
+                     "start": "{" + ",".join(map(str, range(atoms))) + "}",
+                     "rounds": rounds, "width": width, "variant": "exact",
+                     "maximal": True, "cut_current": False}}
+
+
 def _poset_doc(down=("{0}", "{0,1}"), top=1):
     return {"schema_version": 1,
             "structure": {"kind": "poset", "elements": 2, "down": list(down),
@@ -346,6 +355,19 @@ def _poset_doc(down=("{0}", "{0,1}"), top=1):
                  cut_current=True)),
     ("structure.down[0]", _poset_doc(down=(1, "{0,1}"))),
     ("structure.top", _poset_doc(top="x")),
+    ("structure.top", _poset_doc(top=5)),
+    ("structure.top", _poset_doc(top=0)),
+    ("structure.down", _poset_doc(down=("{0}",))),
+    ("structure.down", _poset_doc(down=("{0,1}", "{0,1}"), top=None)),
+    ("structure.family.members",
+     _family_doc(4, {"kind": "explicit", "members": ["{0}"]}, "U", 1, 2,
+                 cut_current=True)),
+    ("structure.family.members",
+     _family_doc(4, {"kind": "explicit", "members": ["{}", "{0,1}"]}, "U",
+                 1, 2, ideal=False, cut_current=True)),
+    ("structure.family.bound", u_doc(bound=-1)),
+    ("structure.ground", u_doc(m=0)),
+    ("structure.atoms", _algebra_doc(0, 1, 2)),
 ])
 def test_bad_mask_in_an_instance_names_its_field(tmp_path, field, doc):
     bad = tmp_path / "bad.json"
@@ -354,6 +376,14 @@ def test_bad_mask_in_an_instance_names_its_field(tmp_path, field, doc):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert f"instance.{field}" in proc.stderr
+
+
+def test_an_ideal_document_need_not_be_union_closed():
+    # the pinned transform inputs mark ``size_at_most 1`` as an ideal
+    for doc in (TRANSFORM_INPUTS["g4"], _family_doc(
+            4, {"kind": "explicit", "members": ["{}", "{0}", "{1}"]}, "U", 1,
+            2, cut_current=True)):
+        assert isinstance(serialize.instance_from_jsonable(doc).family, Ideal)
 
 
 def test_strategy_entry_with_a_bad_core_mask_is_rejected(tmp_path, u4):
@@ -402,15 +432,6 @@ def test_help_and_version_exit_zero():
 # ---------------------------------------------------------------------------
 # `transform --json` bytes, pinned on small instance files
 # ---------------------------------------------------------------------------
-
-def _algebra_doc(atoms, rounds, width):
-    return {"schema_version": 1,
-            "structure": {"kind": "algebra", "atoms": atoms},
-            "game": {"family": "G_poset",
-                     "start": "{" + ",".join(map(str, range(atoms))) + "}",
-                     "rounds": rounds, "width": width, "variant": "exact",
-                     "maximal": True, "cut_current": False}}
-
 
 SIZE_AT_MOST_1 = {"kind": "size_at_most", "bound": 1}
 TRANSFORM_INPUTS = {
@@ -477,6 +498,20 @@ def test_transform_json_bytes_are_pinned(tmp_path, capsys, name, key, rest,
     out = capsys.readouterr().out
     assert json.loads(out)["all_hold"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_json_nodes_on_a_ladder_game(tmp_path, capsys):
+    # U game, 9 points, width 2, 3 rounds, ``size_at_most 1``: the chooser
+    # wins, and its table is verified over 161,815 tree nodes
+    game = tmp_path / "u9.json"
+    game.write_text(json.dumps(u_doc(m=9, rounds=3, width=2)))
+    table = str(tmp_path / "table.json")
+    assert main(["solve", str(game), "--strategy-out", table]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(game), "--strategy", table, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["role"], doc["verified"], doc["nodes"]) == (
+        "Choose", True, 161815)
 
 
 @pytest.mark.parametrize("key", ["bm4_size", "bm4", "bm3"])

@@ -470,6 +470,127 @@ def test_verify_counterexample_and_nodes_are_pinned():
     assert (t.winner, t.reason) == (CHOOSE, "final intersection positive")
 
 
+def _walk_instances():
+    g4, g5, g6 = GroundSet(4), GroundSet(5), GroundSet(6)
+    return {
+        "U": GameInstance(
+            game_family=U, start=g6.full_mask, rounds=3, width=2, ground=g6,
+            family=MonotoneFamily.generated_by(g6, [0b000111, 0b011100])),
+        "U_cut_start": GameInstance(
+            game_family=U, start=g5.full_mask, rounds=2, width=3,
+            cut_current=False, ground=g5,
+            family=MonotoneFamily.generated_by(g5, [0b00011, 0b01100])),
+        "G_ideal": GameInstance(
+            game_family=G_IDEAL, start=g5.full_mask, rounds=3, width=2,
+            ground=g5,
+            family=MonotoneFamily.generated_by(g5, [0b00011, 0b01100])),
+        "G_poset_algebra": GameInstance(
+            game_family=G_POSET, start=0b1111, rounds=2, width=3,
+            algebra=FiniteBooleanAlgebra(g4)),
+        "G_poset_poset": GameInstance(
+            game_family=G_POSET, start=6, rounds=3, width=None,
+            cut_current=False, poset=FinitePoset.from_subsets(
+                [0b0001, 0b0010, 0b0100, 0b0011, 0b0110, 0b0111, 0b1111],
+                6)),
+        "BM_ideal": GameInstance(
+            game_family=BM_IDEAL, start=g4.full_mask, rounds=3, width=None,
+            ground=g4, family=MonotoneFamily.generated_by(g4, [0b0010])),
+        "BM_poset": GameInstance(
+            game_family=BM_POSET, start=4, rounds=3, width=None,
+            poset=FinitePoset.from_subsets(
+                [0b001, 0b010, 0b011, 0b101, 0b111], 4)),
+        "BM_poset_algebra": GameInstance(
+            game_family=BM_POSET, start=0b111, rounds=2, width=None,
+            algebra=FiniteBooleanAlgebra(GroundSet(3))),
+    }
+
+
+class CountingTable(TableStrategy):
+    def __init__(self, table):
+        super().__init__(table.role, table.entries)
+        self.calls = 0
+
+    def decide(self, inst, state, history):
+        self.calls += 1
+        return super().decide(inst, state, history)
+
+
+def test_verifying_a_table_asks_each_position_once():
+    inst = _walk_instances()["U"]
+    result = solve(inst)
+    reached = tabulate_strategy(inst, result.strategy, result.winner)
+    sigma = CountingTable(result.strategy)
+    v = verify_winning_strategy(inst, sigma, result.winner)
+    assert v.verified
+    assert sigma.calls == len(reached.entries) < v.nodes
+
+
+def _tables(inst):
+    """Seeded tables for both roles, the solver's table, and tables that
+    change one of the last positions it reaches (first moves below that),
+    so a loss can come after the walk has met positions again."""
+    winning = solve(inst).strategy
+    role = winning.role
+    for r in (inst.cutter, inst.picker):
+        for seed in range(3):
+            yield tabulate_strategy(inst, seeded_table_strategy(inst, r, seed),
+                                    r)
+    yield winning
+    first = first_move_strategy(inst, role)
+    for state in list(winning.entries)[-3:]:
+        for move in legal_moves(inst, state)[:3]:
+            if move == winning.entries[state]:
+                continue
+            changed = {**winning.entries, state: move}
+
+            def fn(inst_, s, history, changed=changed):
+                if s in changed:
+                    return changed[s]
+                return first.decide(inst_, s, history)
+
+            yield tabulate_strategy(inst, FunctionStrategy(role, fn), role)
+
+
+def _verdict(inst, sigma, role, budget=2_000_000):
+    try:
+        v = verify_winning_strategy(inst, sigma, role, node_budget=budget)
+    except (StrategyError, IllegalMoveError, CapacityError) as exc:
+        return type(exc), str(exc)
+    t = v.counterexample
+    return v.verified, v.nodes, t and (t.moves, t.states, t.winner, t.reason)
+
+
+def test_verify_pins_hold_for_a_positional_table():
+    # the pinned verdict above, reached through the memoized walk
+    inst = u_instance(5, 2)
+    first = first_move_strategy(inst, CUT)
+    verdict = _verdict(inst, tabulate_strategy(inst, first, CUT), CUT)
+    assert verdict == _verdict(inst, first, CUT) and verdict[1] == 9
+
+
+@pytest.mark.parametrize("name", sorted(_walk_instances()))
+def test_memoized_walk_matches_the_tree_walk(name):
+    inst = _walk_instances()[name]
+    for table in _tables(inst):
+        role = table.role
+        plain = FunctionStrategy(role, table.decide)
+        assert plain.kind != table.kind
+        verdict = _verdict(inst, table, role)
+        assert verdict == _verdict(inst, plain, role)
+        nodes = verdict[1]
+        for sigma in (table, plain):
+            assert _verdict(inst, sigma, role, nodes)[:2] == verdict[:2]
+            assert _verdict(inst, sigma, role, nodes - 1)[0] is CapacityError
+        # a missing entry and an illegal move: the same first error
+        entries = list(table.entries.items())
+        for broken in (dict(entries[:-1]),
+                       dict(entries[:-1] + [(entries[-1][0], -1)])):
+            bad = TableStrategy(role, broken)
+            got = _verdict(inst, bad, role)
+            assert got == _verdict(inst, FunctionStrategy(role, bad.decide),
+                                   role)
+
+
 def test_playouts_cover_every_adversary_line():
     inst = u_instance(5, 2)
     runs = enumerate_playouts(inst, first_move_strategy(inst, CUT), CUT)
