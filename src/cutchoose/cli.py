@@ -38,7 +38,14 @@ def _read_instance(path: str) -> GameInstance:
         return serialize.parse_instance(fh.read())
 
 
+def _emits(args) -> bool:
+    """Whether the command's JSON document is written anywhere."""
+    return bool(args.json or args.output)
+
+
 def _emit(doc, args) -> None:
+    if not _emits(args):
+        return
     text = serialize.dumps(doc)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -65,7 +72,9 @@ def cmd_solve(args) -> int:
         "stats": result.stats.to_jsonable(),
     }
     if result.strategy is not None:
-        doc["strategy"] = serialize.strategy_to_jsonable(inst, result.strategy)
+        if _emits(args):
+            doc["strategy"] = serialize.strategy_to_jsonable(inst,
+                                                             result.strategy)
         if args.strategy_out:
             with open(args.strategy_out, "w", encoding="utf-8") as fh:
                 fh.write(serialize.serialize_strategy(inst, result.strategy))
@@ -177,23 +186,24 @@ def cmd_transform(args) -> int:
     certs = transforms.certify_playouts(out, node_budget=args.budget)
     table = tabulate_strategy(out.instance, out.strategy, out.strategy.role,
                               args.budget)
-    doc = {
-        "schema_version": serialize.SCHEMA_VERSION,
-        "transform": out.kind,
-        "game": serialize.instance_to_jsonable(out.instance),
-        "strategy": serialize.strategy_to_jsonable(out.instance, table),
-        "playouts": len(certs),
-        "all_hold": all(c.holds for c in certs),
-        "certificates": [serialize.certificate_to_jsonable(c, out.aux_instance)
-                         for c in certs],
-    }
     if args.strategy_out:
         with open(args.strategy_out, "w", encoding="utf-8") as fh:
             fh.write(serialize.serialize_strategy(out.instance, table))
     if args.game_out:
         with open(args.game_out, "w", encoding="utf-8") as fh:
             fh.write(serialize.serialize_instance(out.instance))
-    _emit(doc, args)
+    if _emits(args):
+        _emit({
+            "schema_version": serialize.SCHEMA_VERSION,
+            "transform": out.kind,
+            "game": serialize.instance_to_jsonable(out.instance),
+            "strategy": serialize.strategy_to_jsonable(out.instance, table),
+            "playouts": len(certs),
+            "all_hold": all(c.holds for c in certs),
+            "certificates": [
+                serialize.certificate_to_jsonable(c, out.aux_instance)
+                for c in certs],
+        }, args)
     if not args.json:
         print(f"transform {out.kind}: {len(certs)} playouts, "
               f"all certificates hold: {all(c.holds for c in certs)}")

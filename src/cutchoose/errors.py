@@ -12,10 +12,11 @@ class ValidationError(CutChooseError):
     """Raised when a structure, instance, or input file violates an invariant.
 
     ``path`` locates the offending field (dotted path into the input document,
-    empty for programmatic construction).
+    empty for programmatic construction); ``message`` is the text without it.
     """
 
     def __init__(self, message: str, path: str = ""):
+        self.message = message
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
 

@@ -1,7 +1,10 @@
 """Structured-text (JSON) schemas: instance, strategy, transcript, report.
 
-All emitters build plain dicts with a fixed insertion order and serialize via
+Emitters build plain dicts with a fixed insertion order and serialize via
 ``dumps``; outputs are byte-stable across runs, which the golden tests pin.
+A strategy document, the largest, is the exception: ``serialize_strategy``
+writes its fixed shape as text, byte for byte what ``dumps`` makes of
+``strategy_to_jsonable``, and both take their content from one helper.
 Subset masks appear in text form as element lists like ``{0,2,3}``; hex
 literals are accepted on input.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from . import engine
@@ -167,6 +171,7 @@ def instance_from_jsonable(obj: dict, path: str = "instance") -> GameInstance:
                            gpath + ".start")
     elif kind == "poset":
         n = _req(sobj, "elements", int, spath)
+        _built(spath + ".elements", FinitePoset.check_size, n)
         down = _parse_masks(_req(sobj, "down", list, spath), n,
                             spath + ".down")
         top = None if sobj.get("top") is None else _req(sobj, "top", int, spath)
@@ -239,17 +244,6 @@ def move_to_jsonable(inst: GameInstance, move) -> Any:
     return format_mask(move) if moves_are_masks(inst) else move
 
 
-def move_from_jsonable(inst: GameInstance, obj, path: str = "") -> Any:
-    if isinstance(obj, list):
-        return tuple(move_from_jsonable(inst, p, f"{path}[{i}]")
-                     for i, p in enumerate(obj))
-    if moves_are_masks(inst):
-        return parse_mask(obj, _mask_size(inst), path)
-    if not isinstance(obj, int):
-        raise ValidationError("poset move must be an element index", path)
-    return obj
-
-
 def state_to_jsonable(inst: GameInstance, state: GameState) -> dict:
     core: Any = state.core
     if _cores_are_masks(inst):
@@ -279,19 +273,20 @@ def serialize_transcript(t: Transcript) -> str:
     return dumps(transcript_to_jsonable(t))
 
 
-def strategy_to_jsonable(inst: GameInstance, strategy: TableStrategy) -> dict:
-    entries = []
-    for state in sorted(strategy.entries, key=_key_sort_key):
-        entries.append({
-            "state": state_to_jsonable(inst, state),
-            "move": move_to_jsonable(inst, strategy.entries[state]),
-        })
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "role": strategy.role,
-        "kind": strategy.kind,
-        "entries": entries,
-    }
+class _Memo(dict):
+    """``memo[x]`` is ``fn(x)``, computed on the first lookup of ``x``."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+# The fields of a strategy entry's ``state``, in document order.
+_STATE_FIELDS = ("round", "to_move", "core", "pending")
 
 
 def _key_sort_key(state: GameState):
@@ -300,32 +295,145 @@ def _key_sort_key(state: GameState):
     return (rnd, to_move, core, pending if pending is not None else ())
 
 
-def strategy_from_jsonable(inst: GameInstance, obj: dict) -> TableStrategy:
-    if _req(obj, "schema_version", None, "strategy") != SCHEMA_VERSION:
-        raise ValidationError("unsupported", "strategy.schema_version")
-    role = _req(obj, "role", str, "strategy")
-    entries = {}
-    for i, e in enumerate(_req(obj, "entries", list, "strategy")):
-        path = f"strategy.entries[{i}]"
-        sobj = _req(e, "state", dict, path)
-        spath = path + ".state"
-        pending = sobj.get("pending")
-        if _cores_are_masks(inst):
-            core = parse_mask(_req(sobj, "core", None, spath),
-                              _mask_size(inst), spath + ".core")
-        else:
-            core = _req(sobj, "core", int, spath)
-        state = GameState(
-            _req(sobj, "round", int, spath), _req(sobj, "to_move", str, spath),
-            core, None if pending is None
-            else move_from_jsonable(inst, pending, spath + ".pending"))
-        entries[state] = move_from_jsonable(inst, _req(e, "move", None, path),
-                                            path + ".move")
-    return TableStrategy(role, entries)
+def _strategy_rows(inst: GameInstance, strategy: TableStrategy):
+    """The document of ``strategy``, decided in one place: its header fields
+    and its entries in document order, each entry the jsonable values of
+    ``_STATE_FIELDS`` and then of its move.  Each mask is formatted once per
+    call."""
+    texts = _Memo(format_mask)
+
+    def plain(x):
+        return x
+
+    piece = texts.__getitem__ if moves_are_masks(inst) else plain
+    core = texts.__getitem__ if _cores_are_masks(inst) else plain
+
+    def move(mv):
+        if not isinstance(mv, tuple):
+            return piece(mv)
+        return [move(p) if isinstance(p, tuple) else piece(p) for p in mv]
+
+    table = strategy.entries
+    head = {"schema_version": SCHEMA_VERSION, "role": strategy.role,
+            "kind": strategy.kind}
+
+    def rows():
+        for state in sorted(table, key=_key_sort_key):
+            rnd, to_move, at, pending = state
+            yield (rnd, to_move, core(at),
+                   None if pending is None else move(pending),
+                   move(table[state]))
+
+    return head, rows()
+
+
+def strategy_to_jsonable(inst: GameInstance, strategy: TableStrategy) -> dict:
+    head, rows = _strategy_rows(inst, strategy)
+    return {**head, "entries": [
+        {"state": dict(zip(_STATE_FIELDS, row)), "move": row[-1]}
+        for row in rows]}
+
+
+# One strategy entry as ``dumps`` lays it out: state fields at depth 4, the
+# move at depth 3.
+_ENTRY_TEXT = ('    {\n      "state": {\n'
+               + ",\n".join(f'        "{f}": %s' for f in _STATE_FIELDS)
+               + '\n      },\n      "move": %s\n    }')
 
 
 def serialize_strategy(inst: GameInstance, strategy: TableStrategy) -> str:
-    return dumps(strategy_to_jsonable(inst, strategy))
+    """``dumps(strategy_to_jsonable(inst, strategy))``, byte for byte, written
+    for the document's fixed shape instead of through the generic encoder."""
+    head, rows = _strategy_rows(inst, strategy)
+    quoted = _Memo(encode_basestring_ascii)
+
+    def text(v, depth: int) -> str:
+        # a jsonable value as ``dumps`` writes it at ``depth`` (2 spaces each)
+        if v.__class__ is str:
+            return quoted[v]
+        if v.__class__ is int:
+            return int.__repr__(v)
+        if v.__class__ is list:
+            if not v:
+                return "[]"
+            inner = "\n" + "  " * (depth + 1)
+            return ("[" + inner + ("," + inner).join(
+                [quoted[x] if x.__class__ is str else text(x, depth + 1)
+                 for x in v])
+                + "\n" + "  " * depth + "]")
+        return json.dumps(v)
+
+    entries = [_ENTRY_TEXT % (text(rnd, 4), text(to_move, 4), text(core, 4),
+                              text(pending, 4), text(move, 3))
+               for rnd, to_move, core, pending, move in rows]
+    return ("{\n" + "".join(f'  "{k}": {text(v, 1)},\n'
+                            for k, v in head.items())
+            + '  "entries": '
+            + ("[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]")
+            + "\n}\n")
+
+
+def strategy_from_jsonable(inst: GameInstance, obj: dict) -> TableStrategy:
+    """Parse a strategy document.  Every field of every entry is checked; an
+    error names its field, the path being built only when a check fails.
+    Each distinct mask text is parsed once per call."""
+    if _req(obj, "schema_version", None, "strategy") != SCHEMA_VERSION:
+        raise ValidationError("unsupported", "strategy.schema_version")
+    role = _req(obj, "role", str, "strategy")
+    size = _mask_size(inst)
+    masks = _Memo(lambda text: parse_mask(text, size))
+
+    def mask(text) -> int:
+        # a text that is not a string is not cached: ``parse_mask`` rejects it
+        return masks[text] if isinstance(text, str) else parse_mask(text, size)
+
+    def element(obj) -> int:
+        if not isinstance(obj, int):
+            raise ValidationError("poset move must be an element index")
+        return obj
+
+    piece = mask if moves_are_masks(inst) else element
+    core_masks = _cores_are_masks(inst)
+
+    def move(obj):
+        if not isinstance(obj, list):
+            return piece(obj)
+        pieces = []
+        for i, p in enumerate(obj):
+            try:
+                pieces.append(move(p))
+            except ValidationError as exc:
+                raise _under(f"[{i}]", exc) from None
+        return tuple(pieces)
+
+    def at(rel: str, parse, obj):
+        try:
+            return parse(obj)
+        except ValidationError as exc:
+            raise _under(rel, exc) from None
+
+    entries = {}
+    for i, e in enumerate(_req(obj, "entries", list, "strategy")):
+        try:
+            sobj = _req(e, "state", dict, "")
+            pending = sobj.get("pending")
+            core = _req(sobj, "core", None if core_masks else int, ".state")
+            if core_masks:
+                core = at(".state.core", mask, core)
+            state = GameState(
+                _req(sobj, "round", int, ".state"),
+                _req(sobj, "to_move", str, ".state"), core,
+                None if pending is None else at(".state.pending", move,
+                                                pending))
+            entries[state] = at(".move", move, _req(e, "move", None, ""))
+        except ValidationError as exc:
+            raise _under(f"strategy.entries[{i}]", exc) from None
+    return TableStrategy(role, entries)
+
+
+def _under(prefix: str, exc: ValidationError) -> ValidationError:
+    """``exc`` with its field path placed under ``prefix``."""
+    return ValidationError(exc.message, prefix + exc.path)
 
 # ---------------------------------------------------------------------------
 # Certificates, audit reports, threshold tables

@@ -380,8 +380,7 @@ class FinitePoset:
     top: Optional[int] = None
 
     def __post_init__(self):
-        if not (1 <= self.size <= MAX_GROUND):
-            raise ValidationError(f"poset size must be in 1..{MAX_GROUND}")
+        self.check_size(self.size)
         if len(self.down) != self.size:
             raise ValidationError("down-set table length mismatch")
         for i, d in enumerate(self.down):
@@ -400,6 +399,11 @@ class FinitePoset:
                 raise ValidationError("top element out of range")
             if self.down[self.top] != (1 << self.size) - 1:
                 raise ValidationError("declared top is not above every element")
+
+    @staticmethod
+    def check_size(size: int) -> None:
+        if not (1 <= size <= MAX_GROUND):
+            raise ValidationError(f"poset size must be in 1..{MAX_GROUND}")
 
     @staticmethod
     def from_subsets(masks: Sequence[int], top_index: Optional[int] = None) -> "FinitePoset":

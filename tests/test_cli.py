@@ -346,6 +346,14 @@ def _poset_doc(down=("{0}", "{0,1}"), top=1):
                      "width": "unbounded"}}
 
 
+def _poset_of_size(n):
+    # an antichain of ``n`` elements: the down table is as long as it says
+    doc = _poset_doc(top=None)
+    doc["structure"].update(elements=n,
+                            down=["{%d}" % i for i in range(n)])
+    return doc
+
+
 @pytest.mark.parametrize("field, doc", [
     ("structure.family.generators[0]",
      _family_doc(5, {"kind": "generated_by", "generators": [3]},
@@ -368,6 +376,8 @@ def _poset_doc(down=("{0}", "{0,1}"), top=1):
     ("structure.family.bound", u_doc(bound=-1)),
     ("structure.ground", u_doc(m=0)),
     ("structure.atoms", _algebra_doc(0, 1, 2)),
+    ("structure.elements", _poset_of_size(0)),
+    ("structure.elements", _poset_of_size(30)),
 ])
 def test_bad_mask_in_an_instance_names_its_field(tmp_path, field, doc):
     bad = tmp_path / "bad.json"
@@ -512,6 +522,63 @@ def test_verify_json_nodes_on_a_ladder_game(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert (doc["role"], doc["verified"], doc["nodes"]) == (
         "Choose", True, 161815)
+    # the benchmark's pinned digest of the same game's strategy document
+    digest = hashlib.sha256((tmp_path / "table.json").read_bytes()).hexdigest()
+    assert digest[:16] == "c00fd26ca9f35df2"
+
+
+def test_a_plain_solve_encodes_no_document(tmp_path, u4, capsys,
+                                           monkeypatch):
+    built = []
+    for name in ("dumps", "strategy_to_jsonable"):
+        def record(*args, name=name, real=getattr(serialize, name)):
+            built.append(name)
+            return real(*args)
+        monkeypatch.setattr(serialize, name, record)
+    table = tmp_path / "table.json"
+    assert main(["solve", u4, "--strategy-out", str(table)]) == 0
+    assert main(["solve", u4]) == 0
+    assert built == []
+    assert capsys.readouterr().out == (
+        "winner: Cut\nstates visited: 13  memo hits: 4\n" * 2)
+    assert main(["solve", u4, "--json"]) == 0
+    assert built == ["strategy_to_jsonable", "dumps"]
+    assert json.loads(capsys.readouterr().out)["strategy"] == json.loads(
+        table.read_text())
+
+
+# Each bad entry comes last, after entries that use the same mask texts;
+# the expected lines must not depend on what those entries left in the
+# parser's mask memo.
+@pytest.mark.parametrize("edit, line", [
+    (lambda e: e["state"].update(core="{0,99}"),
+     "strategy.entries[79].state.core: mask '{0,99}' has points outside "
+     "ground of size 5"),
+    (lambda e: e["state"].update(round=True),
+     "strategy.entries[79].state.round: field 'round' must be int"),
+    (lambda e: e.pop("move"), "strategy.entries[79].move: missing field"),
+    # a string ``pending`` is read as one mask, so the real entry is missing
+    (lambda e: e["state"].update(pending=e["state"]["pending"][0]),
+     "table: no entry for position (1, 'Choose', 30, (26, 4))"),
+    (lambda e: e["state"].update(
+        pending=[e["state"]["pending"][0], ["{1}", "{1,99}"]]),
+     "strategy.entries[79].state.pending[1][1]: mask '{1,99}' has points "
+     "outside ground of size 5"),
+], ids=["core", "round", "move", "pending_string", "pending_nested"])
+def test_a_bad_entry_behind_a_warm_cache_names_its_field(tmp_path, capsys,
+                                                        edit, line):
+    game = tmp_path / "u5.json"
+    game.write_text(json.dumps(u_doc(m=5, rounds=2)))
+    table = tmp_path / "table.json"
+    assert main(["solve", str(game), "--strategy-out", str(table)]) == 0
+    doc = json.loads(table.read_text())
+    assert len(doc["entries"]) == 80
+    assert doc["entries"][-1]["state"]["pending"] == ["{1,3,4}", "{2}"]
+    edit(doc["entries"][-1])
+    table.write_text(json.dumps(doc))
+    proc = run_cli("verify", str(game), "--strategy", str(table))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("key", ["bm4_size", "bm4", "bm3"])
