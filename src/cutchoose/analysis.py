@@ -22,7 +22,7 @@ from .solver import reference_winner, solve
 from .structures import (DEFAULT_MOVE_BUDGET, FiniteBooleanAlgebra,
                          FinitePoset, GroundSet, Ideal, MonotoneFamily,
                          enumerate_cut_moves, is_positive, popcount,
-                         sorted_masks, submasks, validate_family)
+                         positives_below, sorted_masks, validate_family)
 
 PLAIN = "plain"
 UNIFORM = "uniform"
@@ -146,7 +146,7 @@ def precipitous_analog(ideal: MonotoneFamily, rounds: int,
     report = validate_family(ideal)
     if isinstance(ideal, Ideal) and not report.ok:
         raise ValidationError(f"not a proper ideal: {report.violation}")
-    for x in _positives_below(ideal, ideal.ground.full_mask):
+    for x in positives_below(ideal, ideal.ground.full_mask):
         if not check_distributivity(ideal, x, rounds, None, IDEAL_WEAK,
                                     True, budget):
             return False
@@ -221,14 +221,9 @@ class AuditReport:
         return [r for r in self.rows if r.agree is False]
 
 
-def _positives_below(family: MonotoneFamily, x: int) -> list[int]:
-    """The positive subsets of ``x`` in canonical order."""
-    return sorted_masks(s for s in submasks(x) if s and is_positive(family, s))
-
-
 def _poset_elements(inst: GameInstance) -> list:
     if inst.algebra is not None:
-        return sorted_masks(s for s in submasks(inst.algebra.top) if s)
+        return positives_below({0}, inst.algebra.top)
     return list(range(inst.poset.size))
 
 
@@ -296,7 +291,7 @@ def _audit_mask_instance(inst: GameInstance, rows: list, budget: int) -> None:
         _solve_winner(replace(inst, game_family=G_IDEAL, variant=WEAK,
                               width=None, start=x, cut_current=False,
                               maximal=True))
-        for x in _positives_below(family, ground.full_mask)]
+        for x in positives_below(family, ground.full_mask)]
     rows.append(AuditRow("bm_empty_vs_cutter",
                          "emptier wins the set game iff the cutter wins the "
                          "weak unbounded generalized game somewhere",
@@ -404,8 +399,8 @@ class AblationReport:
 
 def _disjoint_positive_pair(family: MonotoneFamily,
                             x: int) -> Optional[tuple[int, int]]:
-    for a in _positives_below(family, x):
-        for b in _positives_below(family, x & ~a):
+    for a in positives_below(family, x):
+        for b in positives_below(family, x & ~a):
             return a, b
     return None
 

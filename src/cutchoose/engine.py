@@ -41,8 +41,8 @@ from .structures import (DEFAULT_MOVE_BUDGET, FiniteBooleanAlgebra,
                          FinitePoset, GroundSet, IPartition, MonotoneFamily,
                          enumerate_cut_moves, format_mask,
                          ipartition_violation, is_maximal_i_partition,
-                         is_positive, mask_elements, mask_key, sorted_masks,
-                         submasks)
+                         is_positive, mask_elements, mask_key,
+                         positives_below, sorted_masks)
 
 # Roles
 CUT = "Cut"
@@ -271,12 +271,11 @@ def legal_moves(inst: GameInstance, state: GameState) -> list:
                                    cut_target(inst, state), inst.width,
                                    inst.maximal, DEFAULT_MOVE_BUDGET)
     if fam == BM_IDEAL:
-        return sorted_masks(s for s in submasks(state.core)
-                            if is_positive(inst.family, s))
+        return positives_below(inst.family, state.core)
     # BM_poset
     if inst.algebra is not None:
-        return sorted_masks(s for s in submasks(state.core) if s)
-    return sorted(mask_elements(inst.poset.down[state.core]))
+        return positives_below({0}, state.core)
+    return list(mask_elements(inst.poset.down[state.core]))
 
 
 def validate_move(inst: GameInstance, state: GameState, move) -> None:

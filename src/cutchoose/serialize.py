@@ -388,7 +388,7 @@ def strategy_from_jsonable(inst: GameInstance, obj: dict) -> TableStrategy:
         return masks[text] if isinstance(text, str) else parse_mask(text, size)
 
     def element(obj) -> int:
-        if not isinstance(obj, int):
+        if not isinstance(obj, int) or isinstance(obj, bool):
             raise ValidationError("poset move must be an element index")
         return obj
 
@@ -423,8 +423,8 @@ def strategy_from_jsonable(inst: GameInstance, obj: dict) -> TableStrategy:
             state = GameState(
                 _req(sobj, "round", int, ".state"),
                 _req(sobj, "to_move", str, ".state"), core,
-                None if pending is None else at(".state.pending", move,
-                                                pending))
+                None if pending is None else at(".state.pending", move, _req(
+                    sobj, "pending", list, ".state")))
             entries[state] = at(".move", move, _req(e, "move", None, ""))
         except ValidationError as exc:
             raise _under(f"strategy.entries[{i}]", exc) from None

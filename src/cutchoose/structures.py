@@ -10,13 +10,14 @@ disjoint partitions (the binary/width-bounded cut moves), almost-disjoint
 positive families with a maximality filter (the generalized cut moves), and
 maximal antichains of posets and Boolean algebras.  ``enumerate_cut_moves``
 is the one dispatcher: the type of the structure a game is played over picks
-the enumerator, so no caller chooses one itself.
+the enumerator, so no caller chooses one itself.  Every enumerator emits its
+moves in canonical order by construction; no list of moves is sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, ValidationError
 
@@ -220,6 +221,16 @@ def is_positive(family: MonotoneFamily, mask: int) -> bool:
     return mask not in family
 
 
+def positives_below(family: Container[int], x: int) -> list[int]:
+    """The positive subsets of ``x`` in canonical order (``{0}`` as the family
+    gives every nonzero one), built from the highest point ``e`` down: 0,
+    ``e`` joined to each later subset, then the later nonzero subsets."""
+    subs = [0]
+    for e in reversed(mask_elements(x)):
+        subs = [0, *[1 << e | s for s in subs], *subs[1:]]
+    return [s for s in subs if s and s not in family]
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -328,37 +339,25 @@ def is_maximal_i_partition(w: IPartition) -> tuple[bool, Optional[int]]:
     subset of ``W.of`` (canonical order) meeting every piece in a small set.
     """
     fam = w.family
-    for a in sorted_masks(s for s in submasks(w.of) if s):
-        if a in fam:
-            continue
+    for a in positives_below(fam, w.of):
         if all((a & b) in fam for b in w.pieces):
             return False, a
     return True, None
 
 
-def full_disjointification(w: IPartition,
-                           order: Optional[Sequence[int]] = None) -> list[int]:
+def full_disjointification(w: IPartition) -> list[int]:
     """Pairwise-disjoint refinement covering ``w.of``; empty pieces permitted.
 
-    Piece 0 absorbs the part of ``w.of`` outside the union of the family;
-    every later output piece is contained in its source piece.  The default
-    enumeration is canonical order.
+    The pieces are taken in canonical order.  Piece 0 absorbs the part of
+    ``w.of`` outside the union of the family; every later output piece is
+    contained in its source piece.
     """
-    pieces = list(order) if order is not None else sorted_masks(w.pieces)
-    if sorted(pieces) != sorted(w.pieces):
-        raise ValidationError("order must be a bijective enumeration of the pieces")
-    union = 0
-    for p in pieces:
-        union |= p
     out: list[int] = []
     used = 0
-    for i, p in enumerate(pieces):
-        if i == 0:
-            piece = p | (w.of & ~union)
-        else:
-            piece = p & ~used
-        out.append(piece)
+    for p in sorted_masks(w.pieces):
+        out.append(p & ~used)
         used |= p
+    out[0] |= w.of & ~used
     return out
 
 
@@ -550,45 +549,55 @@ def _check_budget(count: int, budget: int, what: str) -> None:
                             {"budget": budget, "reached": count})
 
 
-def enumerate_disjoint_partitions(state: int, width: Optional[int],
-                                  budget: int = DEFAULT_MOVE_BUDGET) -> list[tuple[int, ...]]:
-    """All unordered partitions of ``state`` into 2..width nonempty pieces.
+def _partitions(state: int, width: Optional[int], least: int,
+                budget: int) -> list[tuple[int, ...]]:
+    """The partitions of ``state`` into ``least`` (1 or 2) to ``width``
+    blocks, in canonical order by construction; a point has only itself.
+    Moves of two or more blocks count against ``budget``.
 
-    Emitted in canonical order.  A one-element state has no proper split, so
-    the trivial single-piece partition is emitted there (and only there) to
-    keep the game playable.
-    """
-    elems = mask_elements(state)
-    if not elems:
-        raise ValidationError("cannot partition the empty set")
-    if len(elems) == 1:
+    Blocks are ordered by their least element, so the block holding the
+    least point ``low`` comes first and is compared first.  It ranges over
+    ``low | sub`` for ``sub`` in canonical order, and the points it leaves
+    are partitioned with one block fewer allowed."""
+    n = popcount(state)
+    if n == 1:
         return [(state,)]
-    cap = len(elems) if width is None else min(width, len(elems))
+    cap = n if width is None else min(width, n)
     if cap < 2:
         raise ValidationError("width must be >= 2")
-    out: list[tuple[int, ...]] = []
-    first = elems[0]
-    rest = elems[1:]
 
-    def assign(idx: int, blocks: list[int]) -> None:
-        if idx == len(rest):
-            if len(blocks) >= 2:
-                out.append(tuple(sorted(blocks, key=mask_key)))
-                _check_budget(len(out), budget, "disjoint partition enumeration")
+    def split(mask: int, least: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if cap == 1:
+            yield (mask,)
             return
-        e = rest[idx]
-        for i in range(len(blocks)):
-            blocks[i] |= 1 << e
-            assign(idx + 1, blocks)
-            blocks[i] &= ~(1 << e)
-        if len(blocks) < cap:
-            blocks.append(1 << e)
-            assign(idx + 1, blocks)
-            blocks.pop()
+        low = mask & -mask
+        rest = mask ^ low
+        for sub in (0, *positives_below({0}, rest)):
+            if sub != rest:
+                for tail in split(rest ^ sub, 1, cap - 1):
+                    yield (low | sub,) + tail
+            elif least == 1:
+                yield (mask,)
 
-    assign(0, [1 << first])
-    out.sort(key=lambda move: tuple(mask_key(p) for p in move))
+    out: list[tuple[int, ...]] = []
+    cuts = 0
+    for move in split(state, least, cap):
+        out.append(move)
+        if len(move) > 1:
+            cuts += 1
+            _check_budget(cuts, budget, "disjoint partition enumeration")
     return out
+
+
+def enumerate_disjoint_partitions(state: int, width: Optional[int],
+                                  budget: int = DEFAULT_MOVE_BUDGET) -> list[tuple[int, ...]]:
+    """All unordered partitions of ``state`` into 2..width nonempty pieces,
+    in canonical order by construction (``_partitions``).  A one-element
+    state has no proper split, so the trivial single-piece partition is
+    emitted there (and only there) to keep the game playable."""
+    if not state:
+        raise ValidationError("cannot partition the empty set")
+    return _partitions(state, width, 2, budget)
 
 
 def _allowed_mask_walk(pieces: Sequence[int], masks: Sequence[int],
@@ -665,7 +674,7 @@ def enumerate_i_partitions(family: MonotoneFamily, of: int, width: Optional[int]
     if width is not None and width < 1:
         raise ValidationError("width must be >= 1")
     small = {s for s in submasks(of) if s in family}
-    candidates = sorted_masks(s for s in submasks(of) if s and s not in small)
+    candidates = positives_below(small, of)
     return _allowed_mask_walk(candidates, candidates, small, width, maximal,
                               budget, "positive-family enumeration")
 
@@ -688,16 +697,13 @@ def enumerate_algebra_antichains(algebra: FiniteBooleanAlgebra, below: int,
                                  width: Optional[int], maximal: bool = True,
                                  budget: int = DEFAULT_MOVE_BUDGET) -> list[tuple[int, ...]]:
     """Antichains of nonzero elements below ``below``; maximal ones are
-    exactly the partitions of ``below`` into nonzero disjoint pieces."""
+    exactly the partitions of ``below`` into nonzero pieces, ``(below,)``
+    among them in its canonical place by construction (``_partitions``)."""
     if below == 0:
         raise ValidationError("no antichains below zero")
     if maximal:
-        out = [(below,)]
-        if popcount(below) >= 2:
-            out.extend(enumerate_disjoint_partitions(below, width, budget))
-        out.sort(key=lambda move: tuple(mask_key(p) for p in move))
-        return out
-    candidates = sorted_masks(s for s in submasks(below) if s)
+        return _partitions(below, width, 1, budget)
+    candidates = positives_below({0}, below)
     return _allowed_mask_walk(candidates, candidates, {0}, width, False,
                               budget, "antichain enumeration")
 

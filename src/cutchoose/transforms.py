@@ -159,9 +159,8 @@ def _check_aux_run_forced(inst: GameInstance, moves: Sequence,
 
 def _positives_desc(fam: MonotoneFamily, limit: int) -> list[int]:
     """The positive subsets of ``limit`` in descending mask value, so the
-    whole set leads."""
-    return sorted((s for s in submasks(limit) if s and is_positive(fam, s)),
-                  reverse=True)
+    whole set leads: ``submasks`` already descends."""
+    return [s for s in submasks(limit) if s and is_positive(fam, s)]
 
 
 # ---------------------------------------------------------------------------

@@ -557,9 +557,9 @@ def test_a_plain_solve_encodes_no_document(tmp_path, u4, capsys,
     (lambda e: e["state"].update(round=True),
      "strategy.entries[79].state.round: field 'round' must be int"),
     (lambda e: e.pop("move"), "strategy.entries[79].move: missing field"),
-    # a string ``pending`` is read as one mask, so the real entry is missing
+    # a string ``pending`` is refused, not read as one mask
     (lambda e: e["state"].update(pending=e["state"]["pending"][0]),
-     "table: no entry for position (1, 'Choose', 30, (26, 4))"),
+     "strategy.entries[79].state.pending: field 'pending' must be list"),
     (lambda e: e["state"].update(
         pending=[e["state"]["pending"][0], ["{1}", "{1,99}"]]),
      "strategy.entries[79].state.pending[1][1]: mask '{1,99}' has points "
@@ -579,6 +579,37 @@ def test_a_bad_entry_behind_a_warm_cache_names_its_field(tmp_path, capsys,
     proc = run_cli("verify", str(game), "--strategy", str(table))
     assert proc.returncode == 1
     assert proc.stderr == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda e: e.update(move=True), "strategy.entries[2].move"),
+    (lambda e: e["state"].update(pending=[True]),
+     "strategy.entries[2].state.pending[0]"),
+], ids=["move", "pending"])
+def test_a_boolean_poset_element_names_its_field(tmp_path, capsys, edit,
+                                                 field):
+    # Python would take a JSON ``true`` for element 1; the parser refuses it
+    game = tmp_path / "g_poset.json"
+    game.write_text(json.dumps({
+        "schema_version": 1,
+        "structure": {"kind": "poset", "elements": 3,
+                      "down": ["{0}", "{1}", "{0,1,2}"], "top": 2},
+        "game": {"family": "G_poset", "start": 2, "rounds": 2,
+                 "width": "unbounded", "variant": "exact", "maximal": True,
+                 "cut_current": True}}))
+    table = tmp_path / "table.json"
+    assert main(["solve", str(game), "--strategy-out", str(table)]) == 0
+    doc = json.loads(table.read_text())
+    assert doc["entries"][2] == {
+        "state": {"round": 1, "to_move": "Choose", "core": "{0}",
+                  "pending": [0]},
+        "move": 0}
+    edit(doc["entries"][2])
+    table.write_text(json.dumps(doc))
+    proc = run_cli("verify", str(game), "--strategy", str(table))
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"error: {field}: poset move must be an element index\n")
 
 
 @pytest.mark.parametrize("key", ["bm4_size", "bm4", "bm3"])

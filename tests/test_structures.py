@@ -135,6 +135,64 @@ def test_singleton_state_gets_trivial_partition():
 def test_partition_budget():
     with pytest.raises(CapacityError):
         enumerate_disjoint_partitions((1 << 10) - 1, None, budget=50)
+    # the smallest budgets that pass, and the errors one below them; the
+    # algebra's single-piece move does not count against its budget
+    assert len(enumerate_disjoint_partitions(0b111111, 3, budget=121)) == 121
+    with pytest.raises(CapacityError) as err:
+        enumerate_disjoint_partitions(0b111111, 3, budget=120)
+    assert str(err.value) == ("disjoint partition enumeration exceeded the "
+                              "move budget of 120")
+    assert err.value.stats == {"budget": 120, "reached": 121}
+    alg = FiniteBooleanAlgebra(GroundSet(5))
+    assert len(enumerate_algebra_antichains(alg, alg.top, None,
+                                            budget=51)) == 52
+    with pytest.raises(CapacityError) as err:
+        enumerate_algebra_antichains(alg, alg.top, None, budget=50)
+    assert str(err.value) == ("disjoint partition enumeration exceeded the "
+                              "move budget of 50")
+    assert err.value.stats == {"budget": 50, "reached": 51}
+    # a width below 2 is refused unless the element is one atom
+    assert enumerate_algebra_antichains(alg, 0b100, 1) == [(0b100,)]
+    with pytest.raises(ValidationError, match="width must be >= 2"):
+        enumerate_algebra_antichains(alg, 0b011, 1)
+
+
+def _labelled_partitions(points, least, cap):
+    """Every labelling of ``points`` with block indices (each point joins a
+    block of an earlier point or opens the next one), kept when it uses
+    least..cap blocks, each as its blocks' masks ordered by element tuple."""
+    def key(mask):
+        return tuple(p for p in points if mask >> p & 1)
+
+    out = set()
+
+    def label(i, blocks):
+        if i == len(points):
+            if least <= len(blocks) <= cap:
+                out.add(tuple(sorted(blocks, key=key)))
+            return
+        for b in range(len(blocks) + 1):
+            grown = blocks + [0] if b == len(blocks) else list(blocks)
+            grown[b] |= 1 << points[i]
+            label(i + 1, grown)
+
+    label(0, [])
+    return sorted(out, key=lambda move: tuple(key(p) for p in move))
+
+
+@given(st.sets(st.integers(0, 11), min_size=1, max_size=8),
+       st.sampled_from([2, 3, None]))
+@settings(max_examples=150, deadline=None)
+def test_partitions_match_brute_force(points, width):
+    points = sorted(points)
+    mask = mask_of(points)
+    cap = len(points) if width is None else width
+    cuts = _labelled_partitions(points, 2, cap)
+    assert enumerate_disjoint_partitions(mask, width) == (
+        cuts if len(points) > 1 else [(mask,)])
+    alg = FiniteBooleanAlgebra(GroundSet(12))
+    assert enumerate_algebra_antichains(alg, mask, width) == \
+        _labelled_partitions(points, 1, cap)
 
 
 def test_i_partition_enumeration_max4():
