@@ -43,10 +43,13 @@ def _emits(args) -> bool:
     return bool(args.json or args.output)
 
 
-def _emit(doc, args) -> None:
+def _emit(doc, args, strategy_text: str | None = None) -> None:
+    """Write ``doc``; ``strategy_text``, a strategy document, is its
+    ``strategy`` field."""
     if not _emits(args):
         return
-    text = serialize.dumps(doc)
+    text = (serialize.dumps(doc) if strategy_text is None else
+            serialize.dumps_embedding(doc, "strategy", strategy_text))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -71,14 +74,13 @@ def cmd_solve(args) -> int:
         "winner": result.winner,
         "stats": result.stats.to_jsonable(),
     }
-    if result.strategy is not None:
-        if _emits(args):
-            doc["strategy"] = serialize.strategy_to_jsonable(inst,
-                                                             result.strategy)
+    text = None
+    if result.strategy is not None and (_emits(args) or args.strategy_out):
+        text = serialize.serialize_strategy(inst, result.strategy)
         if args.strategy_out:
             with open(args.strategy_out, "w", encoding="utf-8") as fh:
-                fh.write(serialize.serialize_strategy(inst, result.strategy))
-    _emit(doc, args)
+                fh.write(text)
+    _emit(doc, args, text)
     if not args.json:
         print(f"winner: {result.winner}")
         print(f"states visited: {result.stats.states_visited}  "
@@ -186,9 +188,11 @@ def cmd_transform(args) -> int:
     certs = transforms.certify_playouts(out, node_budget=args.budget)
     table = tabulate_strategy(out.instance, out.strategy, out.strategy.role,
                               args.budget)
+    text = (serialize.serialize_strategy(out.instance, table)
+            if args.strategy_out or _emits(args) else None)
     if args.strategy_out:
         with open(args.strategy_out, "w", encoding="utf-8") as fh:
-            fh.write(serialize.serialize_strategy(out.instance, table))
+            fh.write(text)
     if args.game_out:
         with open(args.game_out, "w", encoding="utf-8") as fh:
             fh.write(serialize.serialize_instance(out.instance))
@@ -197,13 +201,13 @@ def cmd_transform(args) -> int:
             "schema_version": serialize.SCHEMA_VERSION,
             "transform": out.kind,
             "game": serialize.instance_to_jsonable(out.instance),
-            "strategy": serialize.strategy_to_jsonable(out.instance, table),
+            "strategy": None,
             "playouts": len(certs),
             "all_hold": all(c.holds for c in certs),
             "certificates": [
                 serialize.certificate_to_jsonable(c, out.aux_instance)
                 for c in certs],
-        }, args)
+        }, args, text)
     if not args.json:
         print(f"transform {out.kind}: {len(certs)} playouts, "
               f"all certificates hold: {all(c.holds for c in certs)}")

@@ -15,6 +15,11 @@ relies on this and the test suite cross-checks it against raw history search.
 A ``GameState`` is that named tuple, so it hashes and compares as the plain
 tuple and serves as its own key in every memo, seen-set and strategy table.
 
+The referee, ``terminal_status``, answers the cheapest cases first: a
+position with a pending cut, and an exact game before its last round, are
+ongoing without a test of the family, and a reason text is built only on
+the branch that returns it.
+
 Legality comes in two tiers.  ``legal_moves`` is the canonical enumeration
 used for solving and exhaustive verification; it omits dominated cut moves
 with empty pieces.  ``apply_move`` accepts any *structurally* valid move, so
@@ -215,45 +220,42 @@ class Outcome:
         return self.status == ONGOING
 
 
+_ONGOING = Outcome(ONGOING)
+
+
 def terminal_status(inst: GameInstance, state: GameState) -> Outcome:
-    fam = inst.game_family
-    if fam in BM_GAMES:
-        if state.round >= inst.rounds:
-            if core_nonempty(inst, state.core):
-                return Outcome(NONEMPTY, "final core nonempty")
-            return Outcome(EMPTY, "final core empty")
-        return Outcome(ONGOING)
-
-    after_pick = state.pending is None and state.round >= 1
-    finished = state.round >= inst.rounds and state.pending is None
-    positive = core_positive(inst, state.core)
-    if fam == G_POSET:
-        fell = "lower-bound set vanished at round " + str(state.round)
-        final_good = "choices have a common lower bound"
-        final_bad = "choices have no common lower bound"
-    else:
-        fell = "running intersection fell into the family at round " + str(state.round)
-        final_good = "final intersection positive"
-        final_bad = "final intersection in the family"
-
-    if inst.variant == WEAK:
-        if after_pick and not positive:
-            return Outcome(CUT, fell)
-        if finished:
-            return Outcome(CHOOSE, "survived every round")
-        return Outcome(ONGOING)
-    if inst.variant == STRICT_PREFIX:
-        if after_pick and state.round <= inst.rounds - 1 and not positive:
-            return Outcome(CUT, fell)
-        if finished:
-            return Outcome(CHOOSE, "every proper prefix stayed positive")
-        return Outcome(ONGOING)
-    # exact
-    if finished:
-        if positive:
-            return Outcome(CHOOSE, final_good)
-        return Outcome(CUT, final_bad)
-    return Outcome(ONGOING)
+    """The referee.  Cheapest answers first: a pending cut is never
+    terminal, and an exact game is undecided before its last round, so
+    neither asks the family.  A reason is built only where it is returned."""
+    if inst.game_family in BM_GAMES:
+        if state.round < inst.rounds:
+            return _ONGOING
+        if core_nonempty(inst, state.core):
+            return Outcome(NONEMPTY, "final core nonempty")
+        return Outcome(EMPTY, "final core empty")
+    if state.pending is not None:
+        return _ONGOING
+    variant = inst.variant
+    poset = inst.game_family == G_POSET
+    if variant == EXACT:
+        if state.round < inst.rounds:
+            return _ONGOING
+        if core_positive(inst, state.core):
+            return Outcome(CHOOSE, "choices have a common lower bound" if poset
+                           else "final intersection positive")
+        return Outcome(CUT, "choices have no common lower bound" if poset
+                       else "final intersection in the family")
+    # weak and strict prefix: every intersection after a pick must stay
+    # positive, the last one too under weak
+    if (1 <= state.round and (variant == WEAK or state.round < inst.rounds)
+            and not core_positive(inst, state.core)):
+        return Outcome(CUT, ("lower-bound set vanished" if poset else
+                             "running intersection fell into the family")
+                       + " at round " + str(state.round))
+    if state.round < inst.rounds:
+        return _ONGOING
+    return Outcome(CHOOSE, "survived every round" if variant == WEAK
+                   else "every proper prefix stayed positive")
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,16 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
+def dumps_embedding(doc: dict, key: str, text: str) -> str:
+    """``dumps(doc)`` where ``doc[key]`` is the document that ``dumps`` writes
+    as ``text``: the text goes in one level deeper instead of through the
+    encoder again.  The key keeps its place in ``doc``.  Only a top-level
+    key starts a line with two spaces, so its line is found by its text."""
+    line = f'\n  "{key}": '
+    head, _, tail = dumps({**doc, key: 0}).partition(line + "0")
+    return head + line + text.rstrip("\n").replace("\n", "\n  ") + tail
+
+
 # ---------------------------------------------------------------------------
 # Families and structures
 # ---------------------------------------------------------------------------

@@ -9,15 +9,17 @@ check: an independent exists/forall search for a winning strategy for a
 recursion over positions with no memoization and no canonicalization --
 kept around so the main path can always be cross-checked.
 
-Memo values are winner names only; strategies are never read out of the memo
-fill, so evaluation order (including any concurrent fill) cannot perturb the
-extracted strategy.
+The value fill memoizes only the positions with no pending move; pick
+positions are evaluated inline and counted as ``_value_function`` says.
+Memo values are winner names only; strategies are never read out of the
+memo fill, so evaluation order cannot perturb the extracted strategy.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -60,32 +62,88 @@ class SolveResult:
 
 def _value_function(inst: GameInstance, stats: SolveStats, state_budget: int,
                     memo: dict) -> Callable[[GameState], str]:
-    """The winner of a position, memoized in ``memo``.  The caller owns the
-    memo and clears it when its walk ends: the self-recursive closure would
-    otherwise keep it alive until the cyclic collector runs."""
-    def value(state: GameState) -> str:
-        outcome = terminal_status(inst, state)
-        if not outcome.ongoing:
-            return outcome.status
-        hit = memo.get(state)
-        if hit is not None:
-            stats.memo_hits += 1
-            return hit
+    """The winner of a position, by AND-OR evaluation with transpositions.
+
+    Only positions with no pending move go into ``memo``.  A pick position
+    has one parent, the cut position that made it, so a memo entry for it
+    would never be read during the fill: its value is the OR over its
+    pieces, evaluated inline in that parent's move loop, and it counts one
+    visit.  Asked later for a pick position's value (extraction does so
+    when the cutter wins), the function counts one memo hit and reads its
+    pieces' values from the memo without counting them; a piece the fill
+    never reached is filled then.  So ``states_visited`` and ``memo_hits``
+    are those of a fill that memoizes every position.  The caller owns the
+    memo and clears it when its walk ends: the self-recursive closures
+    would otherwise keep it alive until the cyclic collector runs."""
+    opponent = inst.opponent
+
+    def count_visit() -> None:
         stats.states_visited += 1
         if stats.states_visited > state_budget:
             raise CapacityError("state budget exceeded",
                                 {"states_visited": stats.states_visited,
                                  "memo_hits": stats.memo_hits})
+
+    def pick(state: GameState, after: Callable[[GameState], str]) -> str:
         mover = state.to_move
-        result = inst.opponent(mover)
+        for piece in state.pending:
+            if after(apply_move(inst, state, piece, check=False)) == mover:
+                return mover
+        return opponent(mover)
+
+    def settled(state: GameState) -> str:
+        # a position with no pending move
+        hit = memo.get(state)
+        if hit is not None:
+            stats.memo_hits += 1
+            return hit
+        outcome = terminal_status(inst, state)
+        if not outcome.ongoing:
+            return outcome.status
+        count_visit()
+        mover = state.to_move
+        result = opponent(mover)
         for move in legal_moves(inst, state):
-            if value(apply_move(inst, state, move, check=False)) == mover:
+            child = apply_move(inst, state, move, check=False)
+            if child.pending is None:
+                child_value = settled(child)
+            else:
+                count_visit()
+                child_value = pick(child, settled)
+            if child_value == mover:
                 result = mover
                 break
         memo[state] = result
         return result
 
+    def read(state: GameState) -> str:
+        hit = memo.get(state)
+        return hit if hit is not None else settled(state)
+
+    def value(state: GameState) -> str:
+        if state.pending is None:
+            return settled(state)
+        stats.memo_hits += 1
+        return pick(state, read)
+
     return value
+
+
+@contextmanager
+def _filled(inst: GameInstance, stats: SolveStats, state_budget: int):
+    """A value function over a memo that lives for the ``with`` block.  A
+    game deeper than Python's recursion limit allows fails with a
+    ``CapacityError`` that names its depth."""
+    memo: dict[GameState, str] = {}
+    try:
+        yield _value_function(inst, stats, state_budget, memo)
+    except RecursionError:
+        raise CapacityError(
+            f"game too deep to solve: game.rounds = {inst.rounds} exceeds "
+            "the recursion limit", {"states_visited": stats.states_visited,
+                                    "memo_hits": stats.memo_hits}) from None
+    finally:
+        memo.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +238,10 @@ def solve(inst: GameInstance, want_strategy: bool = True,
         winner = _symmetric_winner(inst)
         stats.states_visited = 0
     else:
-        memo: dict[GameState, str] = {}
-        try:
-            value = _value_function(inst, stats, state_budget, memo)
+        with _filled(inst, stats, state_budget) as value:
             winner = value(initial_state(inst))
             if want_strategy:
                 strategy = extract_strategy(inst, winner, value, state_budget)
-        finally:
-            memo.clear()
     result = SolveResult(inst, winner, strategy, stats)
     _cache_store(result, cache_dir, want_strategy)
     return result
@@ -201,12 +255,8 @@ def strategy_for(inst: GameInstance, role: str,
     result = solve(inst, cache_dir=cache_dir)
     if result.winner == role:
         return result.winner, result.strategy
-    memo: dict[GameState, str] = {}
-    try:
-        value = _value_function(inst, SolveStats(), DEFAULT_STATE_BUDGET, memo)
+    with _filled(inst, SolveStats(), DEFAULT_STATE_BUDGET) as value:
         return result.winner, extract_strategy(inst, role, value)
-    finally:
-        memo.clear()
 
 
 @dataclass

@@ -329,6 +329,17 @@ def test_instance_field_of_the_wrong_type_is_rejected(tmp_path, field,
     assert f"instance.game.{field}" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["solve", "audit"])
+def test_a_game_too_deep_to_solve_is_a_capacity_error(tmp_path, command):
+    # a singleton core is cut into itself every round until the last
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(u_doc(m=6, rounds=1000)))
+    proc = run_cli(command, str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "game.rounds = 1000" in proc.stderr
+
+
 def _algebra_doc(atoms, rounds, width):
     return {"schema_version": 1,
             "structure": {"kind": "algebra", "atoms": atoms},
@@ -542,7 +553,8 @@ def test_a_plain_solve_encodes_no_document(tmp_path, u4, capsys,
     assert capsys.readouterr().out == (
         "winner: Cut\nstates visited: 13  memo hits: 4\n" * 2)
     assert main(["solve", u4, "--json"]) == 0
-    assert built == ["strategy_to_jsonable", "dumps"]
+    # the strategy document's own text is spliced into the output
+    assert built == ["dumps"]
     assert json.loads(capsys.readouterr().out)["strategy"] == json.loads(
         table.read_text())
 

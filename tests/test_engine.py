@@ -145,6 +145,76 @@ def test_strict_prefix_is_shifted_exact():
                 assert winner == solve(exact, want_strategy=False).winner
 
 
+def _terminal_rules(inst, members, state):
+    """The terminal rules written out from the games' definitions: the
+    ``(status, reason)`` of a finished position, None while the game goes
+    on.  ``members`` is the family's member set, or None where positive
+    means nonzero."""
+    rnd, core = state.round, state.core
+    if inst.game_family in (BM_IDEAL, BM_POSET):
+        # Both players shrink the current set for ``rounds`` rounds; a poset
+        # element is never empty.
+        if rnd < inst.rounds:
+            return None
+        if core != 0 or inst.poset is not None:
+            return NONEMPTY, "final core nonempty"
+        return EMPTY, "final core empty"
+    if state.pending is not None:
+        return None  # the picker still has to choose a piece
+    positive = core != 0 if members is None else core not in members
+    poset = inst.game_family == G_POSET
+    if inst.variant == EXACT:
+        # only the intersection after the last round counts
+        if rnd < inst.rounds:
+            return None
+        if positive:
+            return CHOOSE, ("choices have a common lower bound" if poset
+                            else "final intersection positive")
+        return CUT, ("choices have no common lower bound" if poset
+                     else "final intersection in the family")
+    # weak: every intersection after a pick must be positive; strict
+    # prefix: every one before the last round
+    checked = rnd < inst.rounds or inst.variant == WEAK
+    if rnd >= 1 and checked and not positive:
+        fell = ("lower-bound set vanished" if poset
+                else "running intersection fell into the family")
+        return CUT, f"{fell} at round {rnd}"
+    if rnd < inst.rounds:
+        return None
+    return CHOOSE, ("survived every round" if inst.variant == WEAK
+                    else "every proper prefix stayed positive")
+
+
+def test_the_referee_follows_the_terminal_rules():
+    # Every position reachable by canonical moves, the rules deciding where
+    # a line ends, in corpus games of all five families (posets and
+    # algebras) under each variant.
+    checked = {}
+    for item in analysis.generate_corpus(3, per_family=8):
+        for variant in (EXACT, WEAK, STRICT_PREFIX):
+            inst = replace(item.instance, variant=variant)
+            members = (inst.family.explicit_members()
+                       if inst.family is not None else None)
+            seen = set()
+            stack = [initial_state(inst)]
+            while stack:
+                state = stack.pop()
+                if state in seen:
+                    continue
+                seen.add(state)
+                expected = _terminal_rules(inst, members, state)
+                outcome = terminal_status(inst, state)
+                got = None if outcome.ongoing else (outcome.status,
+                                                    outcome.reason)
+                assert got == expected, (item.instance_id, variant, state)
+                if expected is None:
+                    stack.extend(apply_move(inst, state, m, check=False)
+                                 for m in legal_moves(inst, state))
+            key = (inst.game_family, inst.algebra is not None, variant)
+            checked[key] = checked.get(key, 0) + len(seen)
+    assert len(checked) == 7 * 3 and sum(checked.values()) > 5000
+
+
 # ---------------------------------------------------------------------------
 # Structural move validation
 # ---------------------------------------------------------------------------

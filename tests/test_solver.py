@@ -5,15 +5,15 @@ import os
 import pytest
 
 from cutchoose import analysis
-from cutchoose.engine import (CHOOSE, CUT, EXACT, U, WEAK, GameInstance,
-                              initial_state, tabulate_strategy,
-                              verify_winning_strategy)
+from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EXACT, G_IDEAL, G_POSET,
+                              NONEMPTY, U, WEAK, GameInstance, initial_state,
+                              tabulate_strategy, verify_winning_strategy)
 from cutchoose.errors import CapacityError
 from cutchoose.serialize import serialize_strategy
 from cutchoose.solver import (RefuteResult, SolveStats, _value_function,
                               extract_strategy, refute, reference_winner,
                               solve, strategy_for)
-from cutchoose.structures import GroundSet, MonotoneFamily
+from cutchoose.structures import FinitePoset, GroundSet, MonotoneFamily
 
 
 def u_instance(m, rounds, width=2, variant=EXACT, bound=1, cut_current=True):
@@ -178,3 +178,61 @@ def test_walk_memos_are_freed_on_return():
         gc.enable()
     assert refuted.has_winning_strategy and table.entries
     assert leaked == []
+
+
+def _pinned_games():
+    g4, g5, g6 = GroundSet(4), GroundSet(5), GroundSet(6)
+    poset = FinitePoset.from_subsets(
+        [0b0001, 0b0010, 0b0100, 0b0011, 0b0110, 0b0111, 0b1111], 6)
+    return {
+        "ladder m=6 size_at_most": u_instance(6, 3),
+        "ladder m=6 generated_by": GameInstance(
+            game_family=U, start=g6.full_mask, rounds=3, width=2, ground=g6,
+            family=MonotoneFamily.generated_by(g6, [0b000111, 0b011100])),
+        "G_ideal": GameInstance(
+            game_family=G_IDEAL, start=g5.full_mask, rounds=3, width=2,
+            ground=g5,
+            family=MonotoneFamily.generated_by(g5, [0b00011, 0b01100])),
+        "G_poset": GameInstance(
+            game_family=G_POSET, start=6, rounds=3, width=None,
+            cut_current=False, poset=poset),
+        "BM_ideal": GameInstance(
+            game_family=BM_IDEAL, start=g4.full_mask, rounds=3, width=None,
+            ground=g4, family=MonotoneFamily.generated_by(g4, [0b0010])),
+    }
+
+
+# Winner, states visited and memo hits of a solve with a strategy, and the
+# memo hits when a budget of one state fewer trips; ``solve --json`` prints
+# the first two counts.
+SOLVE_STATS = {
+    "ladder m=6 size_at_most": (CUT, 124, 12, 3),
+    "ladder m=6 generated_by": (CHOOSE, 473, 594, 259),
+    "G_ideal": (CHOOSE, 102, 80, 32),
+    "G_poset": (CHOOSE, 56, 49, 20),
+    "BM_ideal": (NONEMPTY, 35, 32, 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_STATS))
+def test_solve_stats_and_budget_trip_are_pinned(name):
+    inst = _pinned_games()[name]
+    winner, visited, hits, hits_at_trip = SOLVE_STATS[name]
+    result = solve(inst)
+    assert (result.winner, result.stats.states_visited,
+            result.stats.memo_hits) == (winner, visited, hits)
+    with pytest.raises(CapacityError) as err:
+        solve(inst, state_budget=visited - 1)
+    assert err.value.stats == {"states_visited": visited,
+                               "memo_hits": hits_at_trip}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_STATS))
+def test_the_fill_memoizes_no_pick_position(name):
+    inst = _pinned_games()[name]
+    memo = {}
+    value = _value_function(inst, SolveStats(), 10_000_000, memo)
+    winner = value(initial_state(inst))
+    for role in (winner, inst.opponent(winner)):
+        extract_strategy(inst, role, value)
+    assert memo and all(state.pending is None for state in memo)
