@@ -1,4 +1,6 @@
-"""Command-line workbench: solve, verify, transform, audit, scan, play.
+"""Command-line workbench: solve, verify, transform, check, scan, audit,
+ablate, play, corpus.  Every result is computed in the run: no subcommand
+reads or writes a store of solved games.
 
 Exit codes: 0 success, 1 validation failure (usage errors included), 2
 capacity/budget exceeded.
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import analysis, serialize, transforms
@@ -21,7 +22,7 @@ from .engine import (CHOOSE, CUT, EMPTY, NONEMPTY, GameInstance, apply_move,
                      initial_state, legal_moves, tabulate_strategy,
                      terminal_status, verify_winning_strategy)
 from .errors import CapacityError, CutChooseError, ValidationError
-from .solver import CACHE_ENV, refute, solve, strategy_for
+from .solver import refute, solve, strategy_for
 from .structures import format_mask
 from .transforms import TransformOutput
 
@@ -57,18 +58,13 @@ def _emit(doc, args, strategy_text: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _cache_dir(args) -> str | None:
-    return getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
-    result = solve(inst, want_strategy=not args.no_strategy,
-                   cache_dir=_cache_dir(args))
+    result = solve(inst, want_strategy=not args.no_strategy)
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
         "winner": result.winner,
@@ -111,7 +107,7 @@ def _sigma_for(args, inst: GameInstance, role: str):
                          greedy_picker_strategy, seeded_table_strategy)
     name = args.sigma
     if name == "solver":
-        return strategy_for(inst, role, _cache_dir(args))[1]
+        return strategy_for(inst, role)[1]
     if name == "greedy":
         return greedy_picker_strategy(inst)
     if name == "copy":
@@ -346,34 +342,6 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def cmd_cache(args) -> int:
-    cache_dir = _cache_dir(args)
-    if not cache_dir:
-        print("no cache directory configured "
-              f"(flag --cache-dir or ${CACHE_ENV})", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.action == "info":
-        entries = [f for f in sorted(os.listdir(cache_dir))
-                   if f.endswith(".json")] if os.path.isdir(cache_dir) else []
-        doc = {"schema_version": serialize.SCHEMA_VERSION,
-               "cache_dir": cache_dir, "entries": len(entries)}
-        _emit(doc, args)
-        if not args.json:
-            print(f"{cache_dir}: {len(entries)} entries")
-        return EXIT_OK
-    if args.action == "clear":
-        removed = 0
-        if os.path.isdir(cache_dir):
-            for f in os.listdir(cache_dir):
-                if f.endswith(".json"):
-                    os.unlink(os.path.join(cache_dir, f))
-                    removed += 1
-        if not args.json:
-            print(f"removed {removed} entries")
-        return EXIT_OK
-    raise ValidationError(f"unknown cache action {args.action!r}")
-
-
 # ---------------------------------------------------------------------------
 # Interactive play
 # ---------------------------------------------------------------------------
@@ -391,7 +359,7 @@ def cmd_play(args) -> int:
     human_role = {"cut": inst.cutter, "choose": inst.picker}[args.role]
     machine_role = inst.opponent(human_role)
     # A positional table: it ignores the history it is handed.
-    winner, machine = strategy_for(inst, machine_role, _cache_dir(args))
+    winner, machine = strategy_for(inst, machine_role)
 
     replay_inputs = None
     if args.replay:
@@ -484,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="machine-readable JSON on stdout")
         p.add_argument("--output", help="also write the JSON document here")
-        p.add_argument("--cache-dir", help=f"memo cache (or ${CACHE_ENV})")
 
     p = sub.add_parser("solve", help="name the winner, extract the strategy")
     p.add_argument("instance")
@@ -564,11 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     common(p)
     p.set_defaults(fn=cmd_corpus)
-
-    p = sub.add_parser("cache", help="manage the on-disk memo store")
-    p.add_argument("action", choices=["info", "clear"])
-    common(p)
-    p.set_defaults(fn=cmd_cache)
 
     return parser
 

@@ -37,6 +37,7 @@ reports tree nodes.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
@@ -585,6 +586,20 @@ class VerifyResult:
         return self.verified
 
 
+@contextmanager
+def depth_limited(inst: GameInstance, task: str, stats: Callable[[], dict]):
+    """Turn a ``RecursionError`` in the block into a ``CapacityError`` that
+    names the game's depth.  The walks recurse once per position along a
+    line, so a game with more rounds than Python's recursion limit allows is
+    a capacity failure, not a crash; ``stats()`` gives the partial counts."""
+    try:
+        yield
+    except RecursionError:
+        raise CapacityError(
+            f"game too deep to {task}: game.rounds = {inst.rounds} exceeds "
+            "the recursion limit", stats()) from None
+
+
 def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
                node_budget: int, first_loss: bool) -> tuple[list, int]:
     """The tree walk: leaf transcripts and the nodes visited, terminal ones
@@ -642,7 +657,8 @@ def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
         return False
 
     try:
-        walk(states[0])
+        with depth_limited(inst, "walk", lambda: {"nodes": nodes}):
+            walk(states[0])
         return found, nodes
     finally:
         walk = None  # see tabulate_positions: frees the memo now
@@ -692,7 +708,9 @@ def tabulate_positions(inst: GameInstance, role: str,
             moves.pop()
 
     try:
-        visit(initial_state(inst))
+        with depth_limited(inst, "tabulate",
+                           lambda: {"states_visited": len(seen)}):
+            visit(initial_state(inst))
         return TableStrategy(role, table, name)
     finally:
         # visit refers to itself, so only the cyclic collector would free

@@ -11,7 +11,6 @@ literals are accepted on input.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
@@ -220,11 +219,6 @@ def serialize_instance(inst: GameInstance) -> str:
     return dumps(instance_to_jsonable(inst))
 
 
-def instance_hash(inst: GameInstance, engine_version: str) -> str:
-    payload = json.dumps(instance_to_jsonable(inst), sort_keys=True)
-    return hashlib.sha256((engine_version + "\n" + payload).encode()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Moves, states, strategies, transcripts
 # ---------------------------------------------------------------------------
@@ -277,10 +271,6 @@ def transcript_to_jsonable(t: Transcript) -> dict:
         "winner": t.winner,
         "reason": t.reason,
     }
-
-
-def serialize_transcript(t: Transcript) -> str:
-    return dumps(transcript_to_jsonable(t))
 
 
 class _Memo(dict):

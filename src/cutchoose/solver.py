@@ -9,6 +9,10 @@ check: an independent exists/forall search for a winning strategy for a
 recursion over positions with no memoization and no canonicalization --
 kept around so the main path can always be cross-checked.
 
+``solve`` is the one way to a ``SolveResult``: every call fills the values
+afresh, and nothing is stored on disk, because solving again costs no more
+than loading a stored table would.
+
 The value fill memoizes only the positions with no pending move; pick
 positions are evaluated inline and counted as ``_value_function`` says.
 Memo values are winner names only; strategies are never read out of the
@@ -17,20 +21,16 @@ memo fill, so evaluation order cannot perturb the extracted strategy.
 
 from __future__ import annotations
 
-import json
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from ._version import ENGINE_VERSION
 from .engine import (CHOOSE, CUT, STRICT_PREFIX, U, WEAK, GameInstance,
-                     GameState, TableStrategy, apply_move, initial_state,
-                     legal_moves, tabulate_positions, terminal_status)
-from .errors import CapacityError, CutChooseError
-from .serialize import (instance_hash, strategy_from_jsonable,
-                        strategy_to_jsonable)
+                     GameState, TableStrategy, apply_move, depth_limited,
+                     initial_state, legal_moves, tabulate_positions,
+                     terminal_status)
+from .errors import CapacityError
 from .structures import SIZE_AT_MOST, popcount
 
 DEFAULT_STATE_BUDGET = 10_000_000
@@ -40,12 +40,14 @@ DEFAULT_STATE_BUDGET = 10_000_000
 class SolveStats:
     states_visited: int = 0
     memo_hits: int = 0
-    cached: bool = False
+
+    def counts(self) -> dict:
+        return {"states_visited": self.states_visited,
+                "memo_hits": self.memo_hits}
 
     def to_jsonable(self) -> dict:
-        return {"states_visited": self.states_visited,
-                "memo_hits": self.memo_hits,
-                "cached": self.cached}
+        # ``cached`` stays in the document, always false, so its bytes hold
+        return {**self.counts(), "cached": False}
 
 
 @dataclass
@@ -80,9 +82,7 @@ def _value_function(inst: GameInstance, stats: SolveStats, state_budget: int,
     def count_visit() -> None:
         stats.states_visited += 1
         if stats.states_visited > state_budget:
-            raise CapacityError("state budget exceeded",
-                                {"states_visited": stats.states_visited,
-                                 "memo_hits": stats.memo_hits})
+            raise CapacityError("state budget exceeded", stats.counts())
 
     def pick(state: GameState, after: Callable[[GameState], str]) -> str:
         mover = state.to_move
@@ -136,12 +136,8 @@ def _filled(inst: GameInstance, stats: SolveStats, state_budget: int):
     ``CapacityError`` that names its depth."""
     memo: dict[GameState, str] = {}
     try:
-        yield _value_function(inst, stats, state_budget, memo)
-    except RecursionError:
-        raise CapacityError(
-            f"game too deep to solve: game.rounds = {inst.rounds} exceeds "
-            "the recursion limit", {"states_visited": stats.states_visited,
-                                    "memo_hits": stats.memo_hits}) from None
+        with depth_limited(inst, "solve", stats.counts):
+            yield _value_function(inst, stats, state_budget, memo)
     finally:
         memo.clear()
 
@@ -222,16 +218,12 @@ def extract_strategy(inst: GameInstance, role: str,
 # ---------------------------------------------------------------------------
 
 def solve(inst: GameInstance, want_strategy: bool = True,
-          state_budget: int = DEFAULT_STATE_BUDGET,
-          cache_dir: Optional[str] = None) -> SolveResult:
+          state_budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
     """Name the winner; optionally extract and return their strategy.
 
     Raises CapacityError (with partial stats) if the position space or a
     single enumeration outgrows its budget.
     """
-    cached = _cache_load(inst, cache_dir, want_strategy)
-    if cached is not None:
-        return cached
     stats = SolveStats()
     strategy = None
     if _symmetric_applicable(inst) and not want_strategy:
@@ -242,17 +234,14 @@ def solve(inst: GameInstance, want_strategy: bool = True,
             winner = value(initial_state(inst))
             if want_strategy:
                 strategy = extract_strategy(inst, winner, value, state_budget)
-    result = SolveResult(inst, winner, strategy, stats)
-    _cache_store(result, cache_dir, want_strategy)
-    return result
+    return SolveResult(inst, winner, strategy, stats)
 
 
-def strategy_for(inst: GameInstance, role: str,
-                 cache_dir: Optional[str] = None) -> tuple[str, TableStrategy]:
+def strategy_for(inst: GameInstance, role: str) -> tuple[str, TableStrategy]:
     """The winner and a positional table for ``role``: ``solve``'s strategy
     when ``role`` wins, else the best-effort extraction for the losing role
     (first canonical move wherever no move wins)."""
-    result = solve(inst, cache_dir=cache_dir)
+    result = solve(inst)
     if result.winner == role:
         return result.winner, result.strategy
     with _filled(inst, SolveStats(), DEFAULT_STATE_BUDGET) as value:
@@ -394,67 +383,3 @@ def _reference_u2(inst: GameInstance, node_budget: int) -> str:
         return False
 
     return CUT if cut_wins(inst.start, rounds) else CHOOSE
-
-
-# ---------------------------------------------------------------------------
-# On-disk memo cache
-# ---------------------------------------------------------------------------
-
-CACHE_ENV = "CUTCHOOSE_CACHE_DIR"
-
-
-def _cache_path(inst: GameInstance, cache_dir: str, want_strategy: bool) -> str:
-    tag = "full" if want_strategy else "winner"
-    return os.path.join(cache_dir,
-                        f"{instance_hash(inst, ENGINE_VERSION)}.{tag}.json")
-
-
-def _cache_load(inst: GameInstance, cache_dir: Optional[str],
-                want_strategy: bool) -> Optional[SolveResult]:
-    if not cache_dir:
-        return None
-    path = _cache_path(inst, cache_dir, want_strategy)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        digest = doc.pop("digest", None)
-        payload = json.dumps(doc, sort_keys=True)
-        import hashlib
-        if digest != hashlib.sha256(payload.encode()).hexdigest():
-            return None
-        if doc.get("engine_version") != ENGINE_VERSION:
-            return None
-        if doc.get("instance_hash") != instance_hash(inst, ENGINE_VERSION):
-            return None
-        strategy = None
-        if doc.get("strategy") is not None:
-            strategy = strategy_from_jsonable(inst, doc["strategy"])
-        stats = SolveStats(states_visited=doc["stats"]["states_visited"],
-                           memo_hits=doc["stats"]["memo_hits"], cached=True)
-        return SolveResult(inst, doc["winner"], strategy, stats)
-    except (OSError, ValueError, KeyError, CutChooseError):
-        # Corruption of any shape is a miss.
-        return None
-
-
-def _cache_store(result: SolveResult, cache_dir: Optional[str],
-                 want_strategy: bool) -> None:
-    if not cache_dir:
-        return
-    os.makedirs(cache_dir, exist_ok=True)
-    doc = {
-        "engine_version": ENGINE_VERSION,
-        "instance_hash": instance_hash(result.instance, ENGINE_VERSION),
-        "winner": result.winner,
-        "strategy": None if result.strategy is None
-        else strategy_to_jsonable(result.instance, result.strategy),
-        "stats": result.stats.to_jsonable(),
-    }
-    import hashlib
-    payload = json.dumps(doc, sort_keys=True)
-    doc["digest"] = hashlib.sha256(payload.encode()).hexdigest()
-    path = _cache_path(result.instance, cache_dir, want_strategy)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-    os.replace(tmp, path)

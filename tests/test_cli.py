@@ -32,6 +32,11 @@ def _family_doc(m, family, game, rounds, width, ideal=True, cut_current=False):
     return doc
 
 
+# the game CI solves through the installed entry point
+CI_U4 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), ".github", "ci", "u4.json")
+
+
 @pytest.fixture
 def u4(tmp_path):
     path = tmp_path / "u4.json"
@@ -86,14 +91,17 @@ def test_solve_verify_round_trip(tmp_path, u4, capsys):
     assert "winner: Cut" in out and "verified: True" in out
 
 
-def test_solve_json_deterministic(u4, capsys):
-    assert main(["solve", u4, "--json"]) == 0
+def test_solve_json_deterministic(capsys):
+    assert main(["solve", CI_U4, "--json"]) == 0
     first = capsys.readouterr().out
-    assert main(["solve", u4, "--json"]) == 0
+    assert main(["solve", CI_U4, "--json"]) == 0
     second = capsys.readouterr().out
     assert first == second
     doc = json.loads(first)
     assert doc["winner"] == "Cut"
+    # the stats block, keys in document order; ``cached`` is always false
+    assert list(doc["stats"].items()) == [
+        ("states_visited", 13), ("memo_hits", 4), ("cached", False)]
 
 
 def test_scan_subcommand(capsys):
@@ -177,19 +185,6 @@ def test_exit_codes(tmp_path):
     assert main(["solve", str(tmp_path / "missing.json")]) == 1
 
 
-def test_cache_subcommand(tmp_path, u4, capsys):
-    cache = str(tmp_path / "cache")
-    assert main(["solve", u4, "--cache-dir", cache]) == 0
-    capsys.readouterr()
-    assert main(["cache", "info", "--cache-dir", cache, "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["entries"] == 1
-    assert main(["cache", "clear", "--cache-dir", cache]) == 0
-    capsys.readouterr()
-    assert main(["cache", "info", "--cache-dir", cache, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["entries"] == 0
-
-
 def test_play_replay_round_trip(tmp_path, u4, capsys, monkeypatch):
     answers = iter(["0", "1"])
     monkeypatch.setattr("builtins.input", lambda *a: next(answers))
@@ -210,12 +205,12 @@ def test_transcript_golden_stability(u4):
     inst = serialize.parse_instance(open(u4).read())
     res = solve(inst)
     t = play_out(inst, res.strategy, greedy_picker_strategy(inst))
-    text = serialize.serialize_transcript(t)
+    text = serialize.dumps(serialize.transcript_to_jsonable(t))
     doc = json.loads(text)
     assert list(doc) == ["schema_version", "game", "moves", "states",
                          "winner", "reason"]
     t2 = play_out(inst, res.strategy, greedy_picker_strategy(inst))
-    assert serialize.serialize_transcript(t2) == text
+    assert serialize.dumps(serialize.transcript_to_jsonable(t2)) == text
 
 
 def test_certificate_golden_stability():
@@ -329,15 +324,36 @@ def test_instance_field_of_the_wrong_type_is_rejected(tmp_path, field,
     assert f"instance.game.{field}" in proc.stderr
 
 
-@pytest.mark.parametrize("command", ["solve", "audit"])
-def test_a_game_too_deep_to_solve_is_a_capacity_error(tmp_path, command):
+@pytest.mark.parametrize("argv", [
+    ("solve", "{deep}"), ("audit", "{deep}"),
+    # the playout walk of the transformed strategy, not the solver
+    ("transform", "--name", "digit_split", "--m", "6", "--nu", "2",
+     "--rounds", "1000")], ids=["solve", "audit", "transform"])
+def test_a_game_too_deep_to_solve_is_a_capacity_error(tmp_path, argv):
     # a singleton core is cut into itself every round until the last
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(u_doc(m=6, rounds=1000)))
-    proc = run_cli(command, str(path))
+    proc = run_cli(*(a.format(deep=path) for a in argv))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "game.rounds = 1000" in proc.stderr
+
+
+def test_the_removed_disk_cache_is_refused_cleanly(tmp_path, u4,
+                                                   monkeypatch):
+    # solving has one path: no flag, subcommand or variable reaches a disk
+    # cache
+    for argv in (("solve", u4, "--cache-dir", str(tmp_path / "c")),
+                 ("cache", "info")):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert "usage: cutchoose" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("CUTCHOOSE_CACHE_DIR", str(cache))
+    assert run_cli("solve", u4).returncode == 0
+    assert list(cache.iterdir()) == []
 
 
 def _algebra_doc(atoms, rounds, width):

@@ -1,6 +1,4 @@
 import gc
-import json
-import os
 
 import pytest
 
@@ -101,30 +99,6 @@ def test_monotone_transfer_small():
     out = restrict_choose_strategy(result.strategy, inner, outer,
                                    (0, 1, 2, 3, 4))
     assert verify_winning_strategy(outer, out.strategy, CHOOSE).verified
-
-
-def test_disk_cache_round_trip_and_corruption(tmp_path):
-    cache = str(tmp_path / "cache")
-    inst = u_instance(4, 2)
-    first = solve(inst, cache_dir=cache)
-    assert not first.stats.cached
-    second = solve(inst, cache_dir=cache)
-    assert second.stats.cached
-    assert second.winner == first.winner
-    assert serialize_strategy(inst, second.strategy) == \
-        serialize_strategy(inst, first.strategy)
-    # corrupt every entry: must be treated as a miss, then rewritten
-    for name in os.listdir(cache):
-        path = os.path.join(cache, name)
-        with open(path, "r+", encoding="utf-8") as fh:
-            doc = json.load(fh)
-            doc["winner"] = "Nobody"
-            fh.seek(0)
-            json.dump(doc, fh)
-            fh.truncate()
-    third = solve(inst, cache_dir=cache)
-    assert not third.stats.cached
-    assert third.winner == first.winner
 
 
 def test_width_three_threshold_at_the_ground_cap():
