@@ -16,7 +16,8 @@ from typing import Iterable, Optional, Sequence
 from . import engine
 from .engine import (BM_IDEAL, BM_POSET, CHOOSE, CUT, EMPTY, EXACT, G_IDEAL,
                      G_POSET, NONEMPTY, STRICT_PREFIX, U, WEAK,
-                     FunctionStrategy, GameInstance, verify_winning_strategy)
+                     FunctionStrategy, GameInstance, depth_limited,
+                     verify_winning_strategy)
 from .errors import CapacityError, ValidationError
 from .solver import reference_winner, solve
 from .structures import (DEFAULT_MOVE_BUDGET, FiniteBooleanAlgebra,
@@ -29,6 +30,13 @@ UNIFORM = "uniform"
 IDEAL_WEAK = "ideal_weak"
 
 NOT_APPLICABLE = "n/a"
+
+# Cap on the cut moves and on the move sequences of one distributivity check.
+SEQUENCE_BUDGET = DEFAULT_MOVE_BUDGET
+# Cap on the moves and move sequences an instance may need to join the corpus.
+CORPUS_PROBE_BUDGET = 3_000
+# ``threshold_scan`` plays against the family of sets of at most this size.
+SCAN_BOUND = 1
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +113,18 @@ class DistributivityResult:
 
 
 def check_distributivity(structure, x, rounds: int, width: Optional[int],
-                         variant: str = PLAIN, maximal: bool = True,
-                         budget: int = DEFAULT_MOVE_BUDGET) -> DistributivityResult:
+                         variant: str = PLAIN,
+                         maximal: bool = True) -> DistributivityResult:
     """Exhaustive search over length-``rounds`` move sequences; holds iff
-    every sequence admits a branch.
+    every sequence admits a branch.  Moves and sequences are each capped at
+    ``SEQUENCE_BUDGET``; more rounds than the recursion limit allows is a
+    ``CapacityError`` that names them.
 
     The ablation mode (``maximal=False``) admits non-maximal families, where
     branchless sequences exist at finite scale.
     """
     ctx = _context(structure, x)
-    moves = enumerate_cut_moves(structure, x, width, maximal, budget)
+    moves = enumerate_cut_moves(structure, x, width, maximal, SEQUENCE_BUDGET)
     checked = 0
     seq: list = []
 
@@ -122,7 +132,7 @@ def check_distributivity(structure, x, rounds: int, width: Optional[int],
         nonlocal checked
         if level == rounds:
             checked += 1
-            if checked > budget:
+            if checked > SEQUENCE_BUDGET:
                 raise CapacityError("sequence search exceeded the budget",
                                     {"sequences_checked": checked})
             if ctx.branch(seq, variant) is None:
@@ -136,19 +146,20 @@ def check_distributivity(structure, x, rounds: int, width: Optional[int],
             seq.pop()
         return None
 
-    failing = rec(0)
+    # rec and the branch search each recurse once per round
+    with depth_limited(rounds, "check distributivity",
+                       lambda: {"sequences_checked": checked}):
+        failing = rec(0)
     return DistributivityResult(failing is None, failing, checked)
 
 
-def precipitous_analog(ideal: MonotoneFamily, rounds: int,
-                       budget: int = DEFAULT_MOVE_BUDGET) -> bool:
+def precipitous_analog(ideal: MonotoneFamily, rounds: int) -> bool:
     """Weak unbounded-width distributivity over every positive starting set."""
     report = validate_family(ideal)
     if isinstance(ideal, Ideal) and not report.ok:
         raise ValidationError(f"not a proper ideal: {report.violation}")
     for x in positives_below(ideal, ideal.ground.full_mask):
-        if not check_distributivity(ideal, x, rounds, None, IDEAL_WEAK,
-                                    True, budget):
+        if not check_distributivity(ideal, x, rounds, None, IDEAL_WEAK):
             return False
     return True
 
@@ -164,16 +175,16 @@ class ThresholdRow:
 
 
 def threshold_scan(nu: int, n_range: Iterable[int], m_range: Iterable[int],
-                   variant: str = EXACT, bound: int = 1) -> list[ThresholdRow]:
+                   variant: str = EXACT) -> list[ThresholdRow]:
     """Minimal ground size where the picker wins the width-``nu`` partition
-    game with the size-at-most-``bound`` family, per round count."""
+    game with the size-at-most-``SCAN_BOUND`` family, per round count."""
     ms = sorted(m_range)
     rows = []
     for n in sorted(n_range):
         minimal = None
         for m in ms:
             ground = GroundSet(m)
-            family = MonotoneFamily.size_at_most(ground, bound)
+            family = MonotoneFamily.size_at_most(ground, SCAN_BOUND)
             if not is_positive(family, ground.full_mask):
                 continue
             inst = GameInstance(game_family=U, start=ground.full_mask,
@@ -231,20 +242,19 @@ def _solve_winner(inst: GameInstance) -> str:
     return solve(inst, want_strategy=False).winner
 
 
-def equivalence_audit(inst: GameInstance,
-                      budget: int = DEFAULT_MOVE_BUDGET) -> AuditReport:
+def equivalence_audit(inst: GameInstance) -> AuditReport:
     """Evaluate every applicable characterization row on both sides by
     independent computation, and report the agreements."""
     report = AuditReport(inst)
     rows = report.rows
     if inst.game_family in engine.MASK_GAMES:
-        _audit_mask_instance(inst, rows, budget)
+        _audit_mask_instance(inst, rows)
     else:
-        _audit_poset_instance(inst, rows, budget)
+        _audit_poset_instance(inst, rows)
     return report
 
 
-def _audit_mask_instance(inst: GameInstance, rows: list, budget: int) -> None:
+def _audit_mask_instance(inst: GameInstance, rows: list) -> None:
     family = inst.family
     ground = inst.ground
     singleton_family = family.kind == "size_at_most" and family.bound == 1
@@ -275,7 +285,7 @@ def _audit_mask_instance(inst: GameInstance, rows: list, budget: int) -> None:
                      maximal=True, cut_current=False)
     left = _solve_winner(g_weak) == CUT
     dist = check_distributivity(family, inst.start, inst.rounds, inst.width,
-                                IDEAL_WEAK, True, budget)
+                                IDEAL_WEAK)
     rows.append(AuditRow("ideal_distributivity_weak",
                          "cutter wins the weak generalized game iff the "
                          "family fails weak distributivity at this width",
@@ -309,7 +319,7 @@ def _audit_mask_instance(inst: GameInstance, rows: list, budget: int) -> None:
         rows.append(AuditRow("precipitous_analog",
                              "weak unbounded distributivity iff the emptier "
                              "does not win the set game",
-                             precipitous_analog(family, inst.rounds, budget),
+                             precipitous_analog(family, inst.rounds),
                              bm_winner != EMPTY, "checker", "solver"))
         from .structures import quotient_algebra
         quotient = quotient_algebra(ground, family)
@@ -336,7 +346,7 @@ def _audit_mask_instance(inst: GameInstance, rows: list, budget: int) -> None:
                          NOT_APPLICABLE, NOT_APPLICABLE, "-", "-"))
 
 
-def _audit_poset_instance(inst: GameInstance, rows: list, budget: int) -> None:
+def _audit_poset_instance(inst: GameInstance, rows: list) -> None:
     structure = inst.structure
     elements = _poset_elements(inst)
 
@@ -345,7 +355,7 @@ def _audit_poset_instance(inst: GameInstance, rows: list, budget: int) -> None:
                       width=inst.width if inst.width is not None else None)
     left = _solve_winner(g_exact) == CUT
     dist = check_distributivity(structure, inst.start, inst.rounds,
-                                inst.width, PLAIN, True, budget)
+                                inst.width, PLAIN)
     rows.append(AuditRow("poset_distributivity",
                          "cutter wins the antichain game iff distributivity "
                          "fails at this width",
@@ -354,7 +364,7 @@ def _audit_poset_instance(inst: GameInstance, rows: list, budget: int) -> None:
     g_strict = replace(inst, game_family=G_POSET, variant=STRICT_PREFIX,
                        cut_current=False, maximal=True)
     udist = check_distributivity(structure, inst.start, inst.rounds,
-                                 inst.width, UNIFORM, True, budget)
+                                 inst.width, UNIFORM)
     rows.append(AuditRow("poset_uniform_distributivity",
                          "cutter wins the prefix-variant game iff uniform "
                          "distributivity fails",
@@ -391,7 +401,6 @@ def _audit_poset_instance(inst: GameInstance, rows: list, budget: int) -> None:
 
 @dataclass
 class AblationReport:
-    instance: GameInstance
     pieces: tuple
     cutter_verified: bool
     restored_winner: str
@@ -436,7 +445,7 @@ def maximality_ablation(inst: GameInstance) -> AblationReport:
     sigma = FunctionStrategy(CUT, decide, "ablation-forcing")
     verified = verify_winning_strategy(inst, sigma, CUT).verified
     restored = replace(inst, maximal=True)
-    return AblationReport(inst, (a, b), verified,
+    return AblationReport((a, b), verified,
                           solve(restored, want_strategy=False).winner)
 
 
@@ -491,9 +500,11 @@ def _random_poset(rng: random.Random):
     return FinitePoset.from_subsets(labels, len(labels) - 1)
 
 
-def _instance_fits(inst: GameInstance, budget: int) -> bool:
+def _instance_fits(inst: GameInstance) -> bool:
     """Capacity probe: root move count, the audit's unbounded-width move
-    space, and the sequence space the distributivity checkers will walk."""
+    space, and the sequence space the distributivity checkers will walk,
+    each within ``CORPUS_PROBE_BUDGET``."""
+    budget = CORPUS_PROBE_BUDGET
     try:
         moves = engine.legal_moves(inst, engine.initial_state(inst))
         checker_moves = enumerate_cut_moves(inst.structure, inst.start,
@@ -511,8 +522,7 @@ def _instance_fits(inst: GameInstance, budget: int) -> bool:
     return True
 
 
-def generate_corpus(seed: int, per_family: int = 25,
-                    budget: int = 3_000) -> list[CorpusInstance]:
+def generate_corpus(seed: int, per_family: int = 25) -> list[CorpusInstance]:
     """Deterministic seeded instance corpus, ``per_family`` instances for
     each game family, capacity-probed so audits stay inside budget."""
     rng = random.Random(seed)
@@ -521,7 +531,7 @@ def generate_corpus(seed: int, per_family: int = 25,
         made = 0
         while made < per_family:
             inst = _draw_instance(rng, game_family)
-            if inst is None or not _instance_fits(inst, budget):
+            if inst is None or not _instance_fits(inst):
                 continue
             out.append(CorpusInstance(f"{game_family}-{made:03d}", inst))
             made += 1

@@ -182,10 +182,13 @@ def cmd_transform(args) -> int:
         raise ValidationError(f"unknown transform {name!r}")
 
     certs = transforms.certify_playouts(out, node_budget=args.budget)
-    table = tabulate_strategy(out.instance, out.strategy, out.strategy.role,
-                              args.budget)
-    text = (serialize.serialize_strategy(out.instance, table)
-            if args.strategy_out or _emits(args) else None)
+    # The tree walk above asked every question the positional walk asks, so
+    # the table is built only where it is written.
+    text = None
+    if args.strategy_out or _emits(args):
+        table = tabulate_strategy(out.instance, out.strategy,
+                                  out.strategy.role, args.budget)
+        text = serialize.serialize_strategy(out.instance, table)
     if args.strategy_out:
         with open(args.strategy_out, "w", encoding="utf-8") as fh:
             fh.write(text)

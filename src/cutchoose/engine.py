@@ -73,6 +73,9 @@ WEAK = "weak"
 STRICT_PREFIX = "strict_prefix"
 VARIANTS = (EXACT, WEAK, STRICT_PREFIX)
 
+# Cap on the nodes of one tree walk and the positions of one tabulation.
+DEFAULT_NODE_BUDGET = 2_000_000
+
 
 @dataclass(frozen=True)
 class GameInstance:
@@ -587,16 +590,17 @@ class VerifyResult:
 
 
 @contextmanager
-def depth_limited(inst: GameInstance, task: str, stats: Callable[[], dict]):
+def depth_limited(rounds: int, task: str, stats: Callable[[], dict]):
     """Turn a ``RecursionError`` in the block into a ``CapacityError`` that
-    names the game's depth.  The walks recurse once per position along a
-    line, so a game with more rounds than Python's recursion limit allows is
-    a capacity failure, not a crash; ``stats()`` gives the partial counts."""
+    names the game's depth, ``rounds``.  The walks recurse once per position
+    along a line, so a game with more rounds than Python's recursion limit
+    allows is a capacity failure, not a crash; ``stats()`` gives the partial
+    counts."""
     try:
         yield
     except RecursionError:
         raise CapacityError(
-            f"game too deep to {task}: game.rounds = {inst.rounds} exceeds "
+            f"game too deep to {task}: game.rounds = {rounds} exceeds "
             "the recursion limit", stats()) from None
 
 
@@ -657,7 +661,7 @@ def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
         return False
 
     try:
-        with depth_limited(inst, "walk", lambda: {"nodes": nodes}):
+        with depth_limited(inst.rounds, "walk", lambda: {"nodes": nodes}):
             walk(states[0])
         return found, nodes
     finally:
@@ -665,7 +669,8 @@ def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
 
 
 def verify_winning_strategy(inst: GameInstance, sigma: Strategy, role: str,
-                            node_budget: int = 2_000_000) -> VerifyResult:
+                            node_budget: int = DEFAULT_NODE_BUDGET
+                            ) -> VerifyResult:
     """Exhaustively traverse every opposing line; verified iff ``role`` wins
     every leaf.  The first counterexample in canonical order is returned."""
     found, nodes = _walk_tree(inst, sigma, role, node_budget, True)
@@ -673,7 +678,8 @@ def verify_winning_strategy(inst: GameInstance, sigma: Strategy, role: str,
 
 
 def enumerate_playouts(inst: GameInstance, sigma: Strategy, role: str,
-                       node_budget: int = 2_000_000) -> list[Transcript]:
+                       node_budget: int = DEFAULT_NODE_BUDGET
+                       ) -> list[Transcript]:
     """All playouts of ``sigma`` against every canonical adversary line."""
     return _walk_tree(inst, sigma, role, node_budget, False)[0]
 
@@ -708,7 +714,7 @@ def tabulate_positions(inst: GameInstance, role: str,
             moves.pop()
 
     try:
-        with depth_limited(inst, "tabulate",
+        with depth_limited(inst.rounds, "tabulate",
                            lambda: {"states_visited": len(seen)}):
             visit(initial_state(inst))
         return TableStrategy(role, table, name)
@@ -719,7 +725,8 @@ def tabulate_positions(inst: GameInstance, role: str,
 
 
 def tabulate_strategy(inst: GameInstance, sigma: Strategy, role: str,
-                      node_budget: int = 2_000_000) -> TableStrategy:
+                      node_budget: int = DEFAULT_NODE_BUDGET
+                      ) -> TableStrategy:
     """Record a (possibly simulation-backed) strategy as a positional table
     over every position it can reach against canonical adversary lines.
     ``node_budget`` bounds the positions visited."""

@@ -3,11 +3,12 @@
 ``solve`` computes the winner over canonical positions and, on request,
 extracts the winner's positional strategy in a second deterministic pass
 (first winning move in canonical order) over the engine's positional walk;
-``strategy_for`` gives a table for either role.  ``refute`` is the dual
-check: an independent exists/forall search for a winning strategy for a
-*given* role.  ``reference_winner`` is the deliberately naive oracle -- raw
-recursion over positions with no memoization and no canonicalization --
-kept around so the main path can always be cross-checked.
+``strategy_for`` gives a table for either role, from the one fill that
+names the winner.  ``refute`` is the dual check: an independent
+exists/forall search for a winning strategy for a *given* role.
+``reference_winner`` is the deliberately naive oracle -- raw recursion over
+positions with no memoization and no canonicalization -- kept around so the
+main path can always be cross-checked.
 
 ``solve`` is the one way to a ``SolveResult``: every call fills the values
 afresh, and nothing is stored on disk, because solving again costs no more
@@ -33,7 +34,10 @@ from .engine import (CHOOSE, CUT, STRICT_PREFIX, U, WEAK, GameInstance,
 from .errors import CapacityError
 from .structures import SIZE_AT_MOST, popcount
 
+# Cap on the positions one value fill, extraction or refutation visits.
 DEFAULT_STATE_BUDGET = 10_000_000
+# Cap on the nodes ``reference_winner`` visits: it memoizes nothing.
+REFERENCE_NODE_BUDGET = 50_000_000
 
 
 @dataclass
@@ -52,7 +56,6 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
-    instance: GameInstance
     winner: str
     strategy: Optional[TableStrategy]
     stats: SolveStats
@@ -136,7 +139,7 @@ def _filled(inst: GameInstance, stats: SolveStats, state_budget: int):
     ``CapacityError`` that names its depth."""
     memo: dict[GameState, str] = {}
     try:
-        with depth_limited(inst, "solve", stats.counts):
+        with depth_limited(inst.rounds, "solve", stats.counts):
             yield _value_function(inst, stats, state_budget, memo)
     finally:
         memo.clear()
@@ -234,18 +237,15 @@ def solve(inst: GameInstance, want_strategy: bool = True,
             winner = value(initial_state(inst))
             if want_strategy:
                 strategy = extract_strategy(inst, winner, value, state_budget)
-    return SolveResult(inst, winner, strategy, stats)
+    return SolveResult(winner, strategy, stats)
 
 
 def strategy_for(inst: GameInstance, role: str) -> tuple[str, TableStrategy]:
-    """The winner and a positional table for ``role``: ``solve``'s strategy
-    when ``role`` wins, else the best-effort extraction for the losing role
-    (first canonical move wherever no move wins)."""
-    result = solve(inst)
-    if result.winner == role:
-        return result.winner, result.strategy
+    """The winner and a positional table for ``role``, both from one fill:
+    ``solve``'s strategy when ``role`` wins, else the best-effort extraction
+    for the losing role (first canonical move wherever no move wins)."""
     with _filled(inst, SolveStats(), DEFAULT_STATE_BUDGET) as value:
-        return result.winner, extract_strategy(inst, role, value)
+        return value(initial_state(inst)), extract_strategy(inst, role, value)
 
 
 @dataclass
@@ -256,9 +256,9 @@ class RefuteResult:
     nodes: int
 
 
-def refute(inst: GameInstance, role: str,
-           state_budget: int = DEFAULT_STATE_BUDGET) -> RefuteResult:
-    """Exhaustive exists/forall search for a winning strategy for ``role``.
+def refute(inst: GameInstance, role: str) -> RefuteResult:
+    """Exhaustive exists/forall search for a winning strategy for ``role``,
+    within ``DEFAULT_STATE_BUDGET`` positions.
 
     Deliberately a separate code path from ``solve``: confirmation that the
     loser has nothing is computed by quantifier structure, not by reusing the
@@ -275,7 +275,7 @@ def refute(inst: GameInstance, role: str,
         if state in memo:
             return memo[state]
         nodes += 1
-        if nodes > state_budget:
+        if nodes > DEFAULT_STATE_BUDGET:
             raise CapacityError("refutation exceeded the state budget",
                                 {"nodes": nodes})
         children = (apply_move(inst, state, m, check=False)
@@ -294,7 +294,7 @@ def refute(inst: GameInstance, role: str,
             strategy = extract_strategy(
                 inst, role,
                 lambda s: role if can_win(s) else inst.opponent(role),
-                state_budget)
+                DEFAULT_STATE_BUDGET)
     finally:
         # can_win refers to itself, so only the cyclic collector would
         # free the memo behind it.
@@ -302,22 +302,22 @@ def refute(inst: GameInstance, role: str,
     return RefuteResult(role, has, strategy, nodes)
 
 
-def reference_winner(inst: GameInstance,
-                     node_budget: int = 50_000_000) -> str:
-    """Unmemoized minimax over raw positions: the independent oracle.
+def reference_winner(inst: GameInstance) -> str:
+    """Unmemoized minimax over raw positions: the independent oracle, within
+    ``REFERENCE_NODE_BUDGET`` nodes.
 
     Binary-width set games get a lean split loop; everything else walks the
     same positions through the regular move enumeration.  No memo table and
     no canonical abstraction are used on purpose.
     """
     if (inst.game_family == U and inst.width == 2 and inst.cut_current):
-        return _reference_u2(inst, node_budget)
+        return _reference_u2(inst)
     nodes = 0
 
     def val(state: GameState) -> str:
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > REFERENCE_NODE_BUDGET:
             raise CapacityError("oracle exceeded the node budget",
                                 {"nodes": nodes})
         outcome = terminal_status(inst, state)
@@ -332,7 +332,7 @@ def reference_winner(inst: GameInstance,
     return val(initial_state(inst))
 
 
-def _reference_u2(inst: GameInstance, node_budget: int) -> str:
+def _reference_u2(inst: GameInstance) -> str:
     family = inst.family
     variant = inst.variant
     rounds = inst.rounds
@@ -359,7 +359,7 @@ def _reference_u2(inst: GameInstance, node_budget: int) -> str:
     def cut_wins(core: int, remaining: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
+        if nodes > REFERENCE_NODE_BUDGET:
             raise CapacityError("oracle exceeded the node budget",
                                 {"nodes": nodes})
         low = core & -core

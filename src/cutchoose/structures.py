@@ -429,13 +429,6 @@ class FinitePoset:
     def compatible(self, a: int, b: int) -> bool:
         return (self.down[a] & self.down[b]) != 0
 
-    def lower_bounds(self, elements: Iterable[int]) -> int:
-        """Mask of all q below every listed element (full mask for empty input)."""
-        m = (1 << self.size) - 1
-        for e in elements:
-            m &= self.down[e]
-        return m
-
     def is_maximal_antichain_below(self, x: int, chain: Sequence[int]) -> bool:
         """Pairwise incompatible elements <= x, extendable by nothing <= x."""
         members = list(chain)
@@ -467,27 +460,6 @@ class FiniteBooleanAlgebra:
     @property
     def top(self) -> int:
         return self.atoms.full_mask
-
-    def sup(self, elements: Iterable[int]) -> int:
-        m = 0
-        for e in elements:
-            m |= e
-        return m
-
-    def inf(self, elements: Iterable[int]) -> int:
-        m = self.top
-        for e in elements:
-            m &= e
-        return m
-
-    def complement(self, element: int) -> int:
-        return self.top & ~element
-
-    def leq(self, a: int, b: int) -> bool:
-        return a & ~b == 0
-
-    def compatible(self, a: int, b: int) -> bool:
-        return (a & b) != 0
 
     def is_maximal_antichain_below(self, x: int, chain: Sequence[int]) -> bool:
         members = list(chain)

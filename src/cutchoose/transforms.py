@@ -25,12 +25,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .engine import (BM_IDEAL, CHOOSE, CUT, EMPTY, EXACT, G_IDEAL, G_POSET,
-                     NONEMPTY, U, WEAK, FunctionStrategy, GameInstance,
-                     GameState, Strategy, TableStrategy, Transcript,
-                     apply_move, core_positive, enumerate_playouts,
-                     initial_state, sorted_pieces, terminal_status,
-                     validate_move)
+from .engine import (BM_IDEAL, CHOOSE, CUT, DEFAULT_NODE_BUDGET, EMPTY, EXACT,
+                     G_IDEAL, G_POSET, NONEMPTY, U, WEAK, FunctionStrategy,
+                     GameInstance, GameState, Strategy, TableStrategy,
+                     Transcript, apply_move, core_positive,
+                     enumerate_playouts, initial_state, sorted_pieces,
+                     terminal_status, validate_move)
 from .engine import fixed_point_choose_strategy  # re-exported: same toolbox
 from .errors import (CapacityError, SigmaSearchError, TransformSoundnessError,
                      ValidationError)
@@ -40,6 +40,9 @@ from .structures import (DEFAULT_MOVE_BUDGET, FiniteBooleanAlgebra,
                          full_disjointification, is_positive, mask_elements,
                          mask_key, popcount, sorted_masks, submasks)
 
+
+# Cap on the strategy queries of one ``cut_strategy_to_witness`` call.
+WITNESS_BUDGET = 200_000
 
 __all__ = [
     "TransformCertificate", "TransformOutput", "certify_playouts",
@@ -70,11 +73,11 @@ class TransformOutput:
     strategy: Strategy
     certify: Callable[[Transcript], TransformCertificate]
     aux_instance: Optional[GameInstance] = None
-    details: dict = field(default_factory=dict)
 
 
 def certify_playouts(out: TransformOutput,
-                     node_budget: int = 2_000_000) -> list[TransformCertificate]:
+                     node_budget: int = DEFAULT_NODE_BUDGET
+                     ) -> list[TransformCertificate]:
     """Certificates for every playout of the output strategy against all
     canonical adversary lines."""
     runs = enumerate_playouts(out.instance, out.strategy, out.strategy.role,
@@ -378,8 +381,7 @@ def disjointify_cut_strategy(sigma_g: Strategy,
             w_move = run.ask(sigma_g)
             sources, refined, played, split, cover = \
                 _disjointify_move(g_inst, w_move)
-            rec = {"w": w_move, "played": played, "split": split,
-                   "g_pick": None}
+            rec = {"split": split, "g_pick": None}
             blocks.append(rec)
             if i + 1 >= len(history):
                 break
@@ -474,8 +476,8 @@ def disjointify_choose_strategy(sigma_u: Strategy,
             if src is None:
                 raise TransformSoundnessError(
                     "auxiliary pick is not a disjointification piece")
-            blocks.append({"w": entry, "y": y, "p2": p2, "src": src,
-                           "trim": y & cover, "cover": cover})
+            blocks.append({"p2": p2, "src": src, "trim": y & cover,
+                           "cover": cover})
         return run, blocks
 
     def decide(inst_, state, history):
@@ -517,7 +519,6 @@ def disjointify_choose_strategy(sigma_u: Strategy,
 @dataclass
 class FactorResult:
     levels: list[tuple]      # beta maximal antichains of size <= nu
-    codes: dict              # antichain element -> code tuple
     level_sup: list[dict]    # per level: digit -> sup of its code class
 
     def recover(self, code: Sequence[int]) -> int:
@@ -556,7 +557,7 @@ def factor_antichain(algebra: FiniteBooleanAlgebra, x: int, w: Sequence[int],
             sups[code[i]] = sups.get(code[i], 0) | piece
         level_sup.append(sups)
         levels.append(tuple(sorted_masks(v for v in sups.values() if v)))
-    result = FactorResult(levels, codes, level_sup)
+    result = FactorResult(levels, level_sup)
     for level in levels:
         if not algebra.is_maximal_antichain_below(x, level):
             raise TransformSoundnessError(
@@ -727,8 +728,7 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
             code = _code_of(factor, picks)
             rec = factor.recover(code) if code else 0
             reply = rec if rec else sorted_masks(entry)[0]
-            blocks.append({"w": entry, "picks": picks, "rec": rec,
-                           "reply": reply})
+            blocks.append({"rec": rec, "reply": reply})
         return run, blocks
 
     def decide(inst_, state, history):
@@ -798,9 +798,10 @@ def witness_to_cut_strategy(seq: Sequence[tuple],
     return TransformOutput("witness_to_cut", inst, strategy, certify)
 
 
-def cut_strategy_to_witness(sigma: Strategy, inst: GameInstance,
-                            state_budget: int = 200_000) -> list[tuple]:
-    """Collapse a cutter strategy into one non-adaptive move sequence.
+def cut_strategy_to_witness(sigma: Strategy,
+                            inst: GameInstance) -> list[tuple]:
+    """Collapse a cutter strategy into one non-adaptive move sequence, asking
+    the strategy at most ``WITNESS_BUDGET`` times.
 
     Level r collects the meets of every consistent pick history with the
     pieces of the strategy's response there; a surviving branch through the
@@ -824,7 +825,7 @@ def cut_strategy_to_witness(sigma: Strategy, inst: GameInstance,
         nxt_seen: set = set()
         for run in frontier:
             nodes += 1
-            if nodes > state_budget:
+            if nodes > WITNESS_BUDGET:
                 raise CapacityError("witness construction exceeded its budget",
                                     {"nodes": nodes})
             move = run.ask(sigma)
@@ -985,8 +986,7 @@ def empty_to_cut_strategy(sigma_e: Strategy,
         i = 0
         while i < len(history) and alive:
             move, resp, sources = response_partition(run)
-            rec = {"move": move, "responses": resp, "sources": sources,
-                   "pick": None, "in_responses": None}
+            rec = {"move": move, "pick": None, "in_responses": None}
             records.append(rec)
             if i + 1 >= len(history):
                 break

@@ -3,7 +3,7 @@ import pytest
 from cutchoose import analysis as an
 from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EXACT, G_IDEAL, U, WEAK,
                               GameInstance)
-from cutchoose.errors import ValidationError
+from cutchoose.errors import CapacityError, ValidationError
 from cutchoose.serialize import (audit_report_text, audit_report_to_jsonable,
                                  instance_to_jsonable)
 from cutchoose.solver import solve
@@ -17,6 +17,15 @@ def test_check_distributivity_holds_on_algebras():
         alg = FiniteBooleanAlgebra(GroundSet(atoms))
         for n in (1, 2):
             assert an.check_distributivity(alg, alg.top, n, 2).holds
+
+
+def test_check_distributivity_reads_its_budget_when_called(monkeypatch):
+    # 3 atoms, width 2: 4 moves, 3 of them counted, and 16 sequences
+    alg = FiniteBooleanAlgebra(GroundSet(3))
+    monkeypatch.setattr(an, "SEQUENCE_BUDGET", 5)
+    with pytest.raises(CapacityError, match="sequence search") as err:
+        an.check_distributivity(alg, alg.top, 2, 2)
+    assert err.value.stats == {"sequences_checked": 6}
 
 
 def test_single_sequence_trivial_branch():

@@ -328,7 +328,9 @@ def test_instance_field_of_the_wrong_type_is_rejected(tmp_path, field,
     ("solve", "{deep}"), ("audit", "{deep}"),
     # the playout walk of the transformed strategy, not the solver
     ("transform", "--name", "digit_split", "--m", "6", "--nu", "2",
-     "--rounds", "1000")], ids=["solve", "audit", "transform"])
+     "--rounds", "1000"),
+    # the sequence and branch searches of the independent checker
+    ("check", "{deep}")], ids=["solve", "audit", "transform", "check"])
 def test_a_game_too_deep_to_solve_is_a_capacity_error(tmp_path, argv):
     # a singleton core is cut into itself every round until the last
     path = tmp_path / "deep.json"

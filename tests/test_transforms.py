@@ -8,8 +8,8 @@ from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EMPTY, G_IDEAL, G_POSET,
                               GameInstance, copy_strategy, first_move_strategy,
                               greedy_picker_strategy, initial_state, play_out,
                               seeded_table_strategy, verify_winning_strategy)
-from cutchoose.errors import (SigmaSearchError, TransformSoundnessError,
-                              ValidationError)
+from cutchoose.errors import (CapacityError, SigmaSearchError,
+                              TransformSoundnessError, ValidationError)
 from cutchoose.solver import solve
 from cutchoose.structures import (FiniteBooleanAlgebra, GroundSet, Ideal,
                                   MonotoneFamily, enumerate_i_partitions,
@@ -270,6 +270,17 @@ def test_witness_with_branch_loses():
     assert branch == [g.full_mask, g.full_mask]
     out = tr.witness_to_cut_strategy(seq, inst)
     assert not verify_winning_strategy(inst, out.strategy, CUT).verified
+
+
+def test_cut_strategy_to_witness_reads_its_budget_when_called(monkeypatch):
+    g = GroundSet(4)
+    inst = GameInstance(game_family=U, start=g.full_mask, rounds=2, width=2,
+                        cut_current=False, ground=g,
+                        family=MonotoneFamily.size_at_most(g, 1))
+    monkeypatch.setattr(tr, "WITNESS_BUDGET", 1)
+    with pytest.raises(CapacityError, match="witness") as err:
+        tr.cut_strategy_to_witness(solve(inst).strategy, inst)
+    assert err.value.stats == {"nodes": 2}
 
 
 def test_cut_strategy_to_witness_round_trip():
