@@ -106,19 +106,28 @@ def _sigma_for(args, inst: GameInstance, role: str):
     from .engine import (copy_strategy, first_move_strategy,
                          greedy_picker_strategy, seeded_table_strategy)
     name = args.sigma
+    if name in ("greedy", "copy"):
+        # both play the current set, which no cut move is
+        if role == CUT:
+            raise ValidationError(f"{name} plays a set, not a cut; "
+                                  f"the transform needs a {CUT} strategy",
+                                  "--sigma")
+        return (greedy_picker_strategy if name == "greedy"
+                else copy_strategy)(inst)
     if name == "solver":
         return strategy_for(inst, role)[1]
-    if name == "greedy":
-        return greedy_picker_strategy(inst)
-    if name == "copy":
-        return copy_strategy(inst)
     if name == "first":
         return first_move_strategy(inst, role)
     if name.startswith("seed:"):
         return seeded_table_strategy(inst, role, int(name.split(":", 1)[1]))
     if name.startswith("file:"):
         with open(name.split(":", 1)[1], "r", encoding="utf-8") as fh:
-            return serialize.strategy_from_jsonable(inst, json.load(fh))
+            sigma = serialize.strategy_from_jsonable(inst, json.load(fh))
+        if sigma.role != role:
+            raise ValidationError(f"the file holds a {sigma.role} strategy; "
+                                  f"the transform needs a {role} strategy",
+                                  "--sigma")
+        return sigma
     raise ValidationError(f"unknown sigma source {name!r}")
 
 

@@ -17,14 +17,17 @@ tuple and serves as its own key in every memo, seen-set and strategy table.
 
 The referee, ``terminal_status``, answers the cheapest cases first: a
 position with a pending cut, and an exact game before its last round, are
-ongoing without a test of the family, and a reason text is built only on
-the branch that returns it.
+ongoing without a test of the family.  A verdict whose reason is fixed is
+a module constant; the one reason that names a round is built only on the
+branch that returns it.
 
 Legality comes in two tiers.  ``legal_moves`` is the canonical enumeration
 used for solving and exhaustive verification; it omits dominated cut moves
 with empty pieces.  ``apply_move`` accepts any *structurally* valid move, so
 strategies produced by transformations may play degenerate partitions such as
-``(X, {})`` and the referee tolerates them.
+``(X, {})`` and the referee tolerates them.  A game that cuts its start set
+(``cut_current`` False) offers the same cut moves at every cut position, so
+its instance enumerates them once, as ``GameInstance.start_cuts``.
 
 Strategies are walked two ways.  The tree walk (verification, playouts)
 follows every canonical opposing line with the full history, as simulation
@@ -39,7 +42,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (CapacityError, IllegalMoveError, StrategyError,
                      ValidationError)
@@ -154,6 +158,13 @@ class GameInstance:
             return self.family
         return self.algebra if self.algebra is not None else self.poset
 
+    @cached_property
+    def start_cuts(self) -> tuple:
+        """The cut moves on ``start``, enumerated on first use and kept:
+        with ``cut_current`` False every cut position cuts the start set.
+        A tuple, so no caller can change the shared list."""
+        return tuple(_cut_moves(self, self.start))
+
 
 Move = Union[int, tuple]
 
@@ -225,6 +236,15 @@ class Outcome:
 
 
 _ONGOING = Outcome(ONGOING)
+# Every verdict with a fixed reason is built once.
+_FINAL_NONEMPTY = Outcome(NONEMPTY, "final core nonempty")
+_FINAL_EMPTY = Outcome(EMPTY, "final core empty")
+_COMMON_LOWER_BOUND = Outcome(CHOOSE, "choices have a common lower bound")
+_FINAL_POSITIVE = Outcome(CHOOSE, "final intersection positive")
+_NO_LOWER_BOUND = Outcome(CUT, "choices have no common lower bound")
+_FINAL_IN_FAMILY = Outcome(CUT, "final intersection in the family")
+_SURVIVED = Outcome(CHOOSE, "survived every round")
+_PREFIXES_POSITIVE = Outcome(CHOOSE, "every proper prefix stayed positive")
 
 
 def terminal_status(inst: GameInstance, state: GameState) -> Outcome:
@@ -235,8 +255,8 @@ def terminal_status(inst: GameInstance, state: GameState) -> Outcome:
         if state.round < inst.rounds:
             return _ONGOING
         if core_nonempty(inst, state.core):
-            return Outcome(NONEMPTY, "final core nonempty")
-        return Outcome(EMPTY, "final core empty")
+            return _FINAL_NONEMPTY
+        return _FINAL_EMPTY
     if state.pending is not None:
         return _ONGOING
     variant = inst.variant
@@ -245,10 +265,8 @@ def terminal_status(inst: GameInstance, state: GameState) -> Outcome:
         if state.round < inst.rounds:
             return _ONGOING
         if core_positive(inst, state.core):
-            return Outcome(CHOOSE, "choices have a common lower bound" if poset
-                           else "final intersection positive")
-        return Outcome(CUT, "choices have no common lower bound" if poset
-                       else "final intersection in the family")
+            return _COMMON_LOWER_BOUND if poset else _FINAL_POSITIVE
+        return _NO_LOWER_BOUND if poset else _FINAL_IN_FAMILY
     # weak and strict prefix: every intersection after a pick must stay
     # positive, the last one too under weak
     if (1 <= state.round and (variant == WEAK or state.round < inst.rounds)
@@ -258,24 +276,30 @@ def terminal_status(inst: GameInstance, state: GameState) -> Outcome:
                        + " at round " + str(state.round))
     if state.round < inst.rounds:
         return _ONGOING
-    return Outcome(CHOOSE, "survived every round" if variant == WEAK
-                   else "every proper prefix stayed positive")
+    return _SURVIVED if variant == WEAK else _PREFIXES_POSITIVE
 
 
 # ---------------------------------------------------------------------------
 # Moves
 # ---------------------------------------------------------------------------
 
-def legal_moves(inst: GameInstance, state: GameState) -> list:
-    """Canonically ordered move list at a non-terminal position."""
+def _cut_moves(inst: GameInstance, target: int) -> list:
+    # A U game's family judges the picks only: its cuts are partitions.
+    return enumerate_cut_moves(
+        None if inst.game_family == U else inst.structure, target,
+        inst.width, inst.maximal, DEFAULT_MOVE_BUDGET)
+
+
+def legal_moves(inst: GameInstance, state: GameState) -> Sequence:
+    """Canonically ordered move list at a non-terminal position.  A game
+    that cuts its start set returns the instance's one ``start_cuts``."""
     fam = inst.game_family
     if state.pending is not None:
         return list(state.pending)
     if fam not in BM_GAMES:
-        # A U game's family judges the picks only: its cuts are partitions.
-        return enumerate_cut_moves(None if fam == U else inst.structure,
-                                   cut_target(inst, state), inst.width,
-                                   inst.maximal, DEFAULT_MOVE_BUDGET)
+        if not inst.cut_current:
+            return inst.start_cuts
+        return _cut_moves(inst, cut_target(inst, state))
     if fam == BM_IDEAL:
         return positives_below(inst.family, state.core)
     # BM_poset

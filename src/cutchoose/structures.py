@@ -178,7 +178,12 @@ class MonotoneFamily:
         if self.kind == SIZE_AT_MOST:
             return popcount(mask) <= self.bound
         if self.kind == GENERATED_BY:
-            return mask == 0 or any(mask & ~g == 0 for g in self.generators)
+            if mask == 0:
+                return True
+            for g in self.generators:
+                if mask & ~g == 0:
+                    return True
+            return False
         return mask in self.members or mask == 0 and 0 in self.members
 
     def explicit_members(self) -> frozenset[int]:

@@ -34,11 +34,10 @@ from .engine import (BM_IDEAL, CHOOSE, CUT, DEFAULT_NODE_BUDGET, EMPTY, EXACT,
 from .engine import fixed_point_choose_strategy  # re-exported: same toolbox
 from .errors import (CapacityError, SigmaSearchError, TransformSoundnessError,
                      ValidationError)
-from .structures import (DEFAULT_MOVE_BUDGET, FiniteBooleanAlgebra,
-                         GroundSet, IPartition, MonotoneFamily,
-                         enumerate_cut_moves, format_mask,
-                         full_disjointification, is_positive, mask_elements,
-                         mask_key, popcount, sorted_masks, submasks)
+from .structures import (FiniteBooleanAlgebra, GroundSet, IPartition,
+                         MonotoneFamily, format_mask, full_disjointification,
+                         is_positive, mask_elements, mask_key, popcount,
+                         sorted_masks, submasks)
 
 
 # Cap on the strategy queries of one ``cut_strategy_to_witness`` call.
@@ -1117,13 +1116,14 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
     _require_bm_ideal(bm_inst, "choose_to_nonempty_strategy")
     fam = bm_inst.family
     cache: dict = {}
+    games: dict[int, GameInstance] = {}
 
-    def all_moves(x0: int) -> list:
-        key = ("moves", x0)
-        if key not in cache:
-            cache[key] = enumerate_cut_moves(fam, x0, None, True,
-                                             DEFAULT_MOVE_BUDGET)
-        return cache[key]
+    def game(x0: int) -> GameInstance:
+        """The weak generalized game on ``x0``, one instance per opening set,
+        so its cut moves (``start_cuts``) are enumerated once."""
+        if x0 not in games:
+            games[x0] = weak_g_instance(bm_inst, x0)
+        return games[x0]
 
     def response(x0: int, vec: tuple) -> int:
         """The picker's answer to the cut prefix ``vec`` (earlier picks its
@@ -1132,7 +1132,7 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
         if key in cache:
             return cache[key]
         sigma = provider(x0)
-        run = _Run.start(weak_g_instance(bm_inst, x0))
+        run = _Run.start(game(x0))
         pick = None
         for w in vec:
             run = run.then(w)
@@ -1145,7 +1145,7 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
         key = ("set", x0, vec)
         if key not in cache:
             cache[key] = frozenset(response(x0, vec + (w,))
-                                   for w in all_moves(x0))
+                                   for w in game(x0).start_cuts)
         return cache[key]
 
     def reconstruct(history: Sequence):
@@ -1157,7 +1157,7 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
         for i, (role, move) in enumerate(history):
             if role != EMPTY or i == 0:
                 continue
-            found = next((w for w in all_moves(x0)
+            found = next((w for w in game(x0).start_cuts
                           if response(x0, vec + (w,)) == move), None)
             if found is None:
                 raise TransformSoundnessError(

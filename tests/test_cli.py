@@ -649,3 +649,38 @@ def test_empty_to_cut_with_the_solver_sigma(tmp_path, key):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["all_hold"] is True
+
+
+@pytest.mark.parametrize("name", ["disjointify_cut", "transfer_cut"])
+@pytest.mark.parametrize("sigma", ["greedy", "copy"])
+def test_a_set_playing_sigma_is_refused_for_the_cutter(tmp_path, name, sigma):
+    argv = _transform_argv(tmp_path, name, "g4", "--sigma", sigma,
+                           "--nu", "2", "--beta", "2")
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: --sigma: {sigma} plays a set, not a cut;"
+                           " the transform needs a Cut strategy\n")
+
+
+def test_a_strategy_file_for_the_other_role_is_refused(tmp_path):
+    argv = _transform_argv(tmp_path, "disjointify_cut", "g4")
+    table = tmp_path / "table.json"
+    # the picker wins g4, so the solver's file holds a Choose table
+    assert main(["solve", argv[-2], "--strategy-out", str(table)]) == 0
+    proc = run_cli(*argv[:-1], "--sigma", f"file:{table}")
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: --sigma: the file holds a Choose strategy;"
+                           " the transform needs a Cut strategy\n")
+
+
+def test_the_audit_of_a_long_u_game_is_pinned(tmp_path, capsys):
+    # Its weak generalized games cut the start set at every cut position;
+    # enumerated once per instance, the 12-round audit takes about a second.
+    game = tmp_path / "u6.json"
+    game.write_text(json.dumps(u_doc(m=6, rounds=12)))
+    assert main(["audit", str(game), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["disagreements"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ccfb83d089ace7305e358412cffdf240fa2a7f7d2900c223573fa5500412488e")

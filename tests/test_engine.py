@@ -20,10 +20,10 @@ from cutchoose.serialize import serialize_strategy, strategy_from_jsonable
 from cutchoose.solver import reference_winner, solve
 from cutchoose.structures import (FiniteBooleanAlgebra, FinitePoset,
                                   GroundSet, Ideal, MonotoneFamily,
-                                  format_mask, is_positive, sorted_masks,
-                                  submasks)
+                                  enumerate_cut_moves, format_mask,
+                                  is_positive, sorted_masks, submasks)
 from cutchoose.transforms import digit_split_cut_strategy
-from cutchoose import analysis
+from cutchoose import analysis, engine, solver
 
 
 def u_instance(m, rounds, width=2, variant=EXACT, bound=1, cut_current=True):
@@ -80,6 +80,89 @@ def test_legal_moves_g_ideal_includes_all_pairs():
                         width=6, ground=g, family=fam)
     moves = legal_moves(inst, initial_state(inst))
     assert tuple(sorted_masks([3, 5, 9, 6, 10, 12])) in moves
+
+
+def _cut_start_instances():
+    """Games that cut their start set at every cut position."""
+    g5 = GroundSet(5)
+    return {
+        "U": u_instance(5, 3, cut_current=False),
+        "G_ideal": GameInstance(
+            game_family=G_IDEAL, start=g5.full_mask, rounds=3, width=2,
+            cut_current=False, ground=g5,
+            family=MonotoneFamily.generated_by(g5, [0b00011, 0b01100])),
+        "G_poset_poset": GameInstance(
+            game_family=G_POSET, start=6, rounds=3, width=None,
+            cut_current=False, poset=FinitePoset.from_subsets(
+                [0b0001, 0b0010, 0b0100, 0b0011, 0b0110, 0b0111, 0b1111],
+                6)),
+        "G_poset_algebra": GameInstance(
+            game_family=G_POSET, start=0b1111, rounds=2, width=3,
+            cut_current=False, algebra=FiniteBooleanAlgebra(GroundSet(4))),
+    }
+
+
+CUT_START_GAMES = sorted(_cut_start_instances())
+
+
+def _fresh_start_cuts(inst):
+    return enumerate_cut_moves(
+        None if inst.game_family == U else inst.structure, inst.start,
+        inst.width, inst.maximal)
+
+
+@pytest.mark.parametrize("name", CUT_START_GAMES)
+def test_every_cut_position_offers_the_start_cuts(name, monkeypatch):
+    inst = _cut_start_instances()[name]
+    asked = []
+
+    def record(inst_, state):
+        moves = legal_moves(inst_, state)
+        if state.pending is None:
+            asked.append((state, moves))
+        return moves
+
+    monkeypatch.setattr(solver, "legal_moves", record)
+    solve(inst)
+    fresh = _fresh_start_cuts(inst)
+    # the cut positions of the solve hold different cores and rounds
+    assert len({(s.round, s.core) for s, _ in asked}) > 2
+    for state, moves in asked:
+        assert list(moves) == fresh, state
+
+
+@pytest.mark.parametrize("name", CUT_START_GAMES)
+def test_a_cut_the_start_game_enumerates_once(name, monkeypatch):
+    calls = []
+    real = engine.enumerate_cut_moves
+
+    def count(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(engine, "enumerate_cut_moves", count)
+    for rounds in (1, 2, 3, 4):
+        inst = replace(_cut_start_instances()[name], rounds=rounds)
+        calls.clear()
+        winner, sigma = solver.strategy_for(inst, CUT)
+        verify_winning_strategy(inst, sigma, CUT)
+        reference_winner(inst)
+        solve(inst)
+        assert calls == [inst.start], rounds
+
+
+def test_the_start_cuts_cannot_be_changed():
+    inst = _cut_start_instances()["U"]
+    moves = legal_moves(inst, initial_state(inst))
+    assert moves is inst.start_cuts
+    assert isinstance(moves, tuple)
+    with pytest.raises(TypeError):
+        moves[0] = moves[-1]
+    assert list(moves) == _fresh_start_cuts(inst)
+    # a game that cuts its current core enumerates per position, unkept
+    chain = u_instance(5, 3)
+    solve(chain)
+    assert "start_cuts" not in vars(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +296,55 @@ def test_the_referee_follows_the_terminal_rules():
             key = (inst.game_family, inst.algebra is not None, variant)
             checked[key] = checked.get(key, 0) + len(seen)
     assert len(checked) == 7 * 3 and sum(checked.values()) > 5000
+
+
+def _verdict_instance(variant, kind):
+    if kind == "poset":
+        return GameInstance(
+            game_family=G_POSET, start=4, rounds=2, width=2, variant=variant,
+            poset=FinitePoset.from_subsets(
+                [0b001, 0b010, 0b011, 0b101, 0b111], 4))
+    if kind == "bm":
+        g = GroundSet(3)
+        return GameInstance(game_family=BM_IDEAL, start=g.full_mask,
+                            rounds=2, width=None, ground=g,
+                            family=MonotoneFamily.size_at_most(g, 0))
+    return u_instance(3, 2, variant=variant)
+
+
+# (variant, structure, round, core, status, reason); a set core of one
+# point lies in the family, an empty lower-bound set has vanished
+@pytest.mark.parametrize("variant, kind, rnd, core, status, reason", [
+    (EXACT, "set", 2, 0b011, CHOOSE, "final intersection positive"),
+    (EXACT, "set", 2, 0b001, CUT, "final intersection in the family"),
+    (EXACT, "poset", 2, 0b001, CHOOSE, "choices have a common lower bound"),
+    (EXACT, "poset", 2, 0, CUT, "choices have no common lower bound"),
+    (WEAK, "set", 2, 0b011, CHOOSE, "survived every round"),
+    (WEAK, "set", 2, 0b001, CUT,
+     "running intersection fell into the family at round 2"),
+    (WEAK, "set", 1, 0b010, CUT,
+     "running intersection fell into the family at round 1"),
+    (WEAK, "poset", 2, 0b001, CHOOSE, "survived every round"),
+    (WEAK, "poset", 2, 0, CUT, "lower-bound set vanished at round 2"),
+    (STRICT_PREFIX, "set", 2, 0b011, CHOOSE,
+     "every proper prefix stayed positive"),
+    (STRICT_PREFIX, "set", 2, 0b001, CHOOSE,
+     "every proper prefix stayed positive"),
+    (STRICT_PREFIX, "set", 1, 0b001, CUT,
+     "running intersection fell into the family at round 1"),
+    (STRICT_PREFIX, "poset", 2, 0, CHOOSE,
+     "every proper prefix stayed positive"),
+    (STRICT_PREFIX, "poset", 1, 0, CUT, "lower-bound set vanished at round 1"),
+    (EXACT, "bm", 2, 0b001, NONEMPTY, "final core nonempty"),
+    (EXACT, "bm", 2, 0, EMPTY, "final core empty"),
+])
+def test_the_verdicts_read_as_pinned(variant, kind, rnd, core, status,
+                                     reason):
+    inst = _verdict_instance(variant, kind)
+    to_move = EMPTY if kind == "bm" else CUT
+    outcome = terminal_status(inst, GameState(rnd, to_move, core, None))
+    assert (outcome.status, outcome.reason) == (status, reason)
+    assert not outcome.ongoing
 
 
 # ---------------------------------------------------------------------------
