@@ -4,15 +4,20 @@ Each transformation turns a strategy for one game into a strategy for a
 related game by replaying an auxiliary run of the source game inside every
 playout of the target game.  Output strategies are pure functions of the
 visible history (the referee hands the full history to ``decide``, including
-the cut move currently awaiting a pick), so the auxiliary run is
-reconstructed on demand.  That run is one immutable ``_Run`` value --
-instance, position, history -- extended move by move with ``then`` and
-queried with ``ask``; ``decide`` answers from the run its reconstruction
-built, without replaying it.  A ``certify`` hook re-runs the reconstruction
-on a finished transcript, replays the run against the source strategy and
-checks the declared relation between the runs -- containment or equality of
-cores -- raising ``TransformSoundnessError`` only for genuine bookkeeping
-violations, never for mere game losses.
+the cut move currently awaiting a pick).  The auxiliary run is one immutable
+``_Run`` value -- instance, position, history -- extended move by move with
+``then`` and queried with ``ask``, and each transformation builds it as a
+prefix fold, ``_Fold``: a ``step`` extends the run by one entry of the
+history (or of the part of it the transformation reads, such as the picks
+alone), and every prefix's result is kept in a memo that lives as long as
+the ``TransformOutput`` does.  A walk over the output strategy's tree thus
+steps each auxiliary stage once, and ``decide`` answers from the stage its
+history reaches.  A ``certify`` hook folds a finished transcript the same
+way, then replays the auxiliary run from the start against the source
+strategy (never through the memo) and checks the declared relation between
+the runs -- containment or equality of cores -- raising
+``TransformSoundnessError`` only for genuine bookkeeping violations, never
+for mere game losses.
 
 Length bookkeeping is explicit: where an auxiliary move expands into several
 target moves, round counts double or multiply, since the ordinal absorption
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .engine import (BM_IDEAL, CHOOSE, CUT, DEFAULT_NODE_BUDGET, EMPTY, EXACT,
                      G_IDEAL, G_POSET, NONEMPTY, U, WEAK, FunctionStrategy,
@@ -91,6 +96,10 @@ def _union(masks) -> int:
     return u
 
 
+def _cut_entries(history: Sequence) -> list:
+    return [e for e in history if e[0] == CUT]
+
+
 class _Run(NamedTuple):
     """A run of an auxiliary game: its instance, the position reached and the
     ``(role, move)`` history that led there.  Immutable, so a simulation can
@@ -111,6 +120,33 @@ class _Run(NamedTuple):
 
     def ask(self, sigma: Strategy):
         return sigma.decide(self.inst, self.state, self.history)
+
+
+class _Fold:
+    """``fold(items) = step(fold(items[:-1]), items[-1])`` with ``fold(())
+    = start()``, memoized over a trie of the item sequences seen.
+
+    A call walks down the longest cached prefix and steps forward from
+    there, so it is iterative (no depth limit) and each new prefix costs
+    one ``step``.  A step that raises caches nothing.  Every longer prefix
+    steps from a cached value, so values are immutable: tuples and
+    ``_Run``s."""
+    __slots__ = ("start", "step", "root")
+
+    def __init__(self, start: Callable[[], object],
+                 step: Callable[[object, object], object]):
+        self.start, self.step, self.root = start, step, None
+
+    def __call__(self, items: Iterable):
+        if self.root is None:
+            self.root = (self.start(), {})
+        value, children = self.root
+        for item in items:
+            node = children.get(item)
+            if node is None:
+                node = children[item] = (self.step(value, item), {})
+            value, children = node
+        return value
 
 
 def _forced_pick(sigma: Strategy, run: _Run):
@@ -270,17 +306,22 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
         pb = {p: _pullback_mask(emb, p) & target for p in move}
         return pb, sorted({v for v in pb.values() if v}, key=mask_key)
 
-    def reconstruct(history: Sequence) -> _Run:
-        """Inner run implied by the completed (cut, pick) pairs."""
-        run = _Run.start(inner)
-        for (_, move), (_, pick) in zip(history[0::2], history[1::2]):
-            pb, nonempty = pulled(run, move)
-            if len(nonempty) >= 2:
-                run = run.then(tuple(nonempty)).then(pb[pick])
+    def step(run: _Run, pair) -> _Run:
+        """One completed (cut, pick) pair: a cut with two or more nonempty
+        inner pieces and its pick's counterpart extend the inner run."""
+        (_, move), (_, pick) = pair
+        pb, nonempty = pulled(run, move)
+        if len(nonempty) >= 2:
+            return run.then(tuple(nonempty)).then(pb[pick])
         return run
 
+    runs = _Fold(lambda: _Run.start(inner), step)
+
+    def inner_run(history: Sequence) -> _Run:
+        return runs(zip(history[0::2], history[1::2]))
+
     def decide(inst_, state, history):
-        run = reconstruct(history)
+        run = inner_run(history)
         pb, nonempty = pulled(run, state.pending)
         if not nonempty:
             return sorted_pieces(inst_, state.pending)[0]
@@ -297,7 +338,7 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
     strategy = FunctionStrategy(CHOOSE, decide, f"restricted-{sigma.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        run = reconstruct(tuple(t.moves))
+        run = inner_run(t.moves)
         details: dict = {}
         holds = _check_aux_run(inner, run.history, sigma, CHOOSE, details)
         outer_core = t.states[-1].core
@@ -371,42 +412,41 @@ def disjointify_cut_strategy(sigma_g: Strategy,
     _require_g_ideal(g_inst, "disjointify_cut_strategy")
     u_inst = _doubled_instance(g_inst)
 
-    def reconstruct(history: Sequence):
-        run = _Run.start(g_inst)
-        blocks: list[dict] = []
-        alive = True
-        i = 0
-        while i < len(history) and alive:
+    def step(stage, entry):
+        """One pick (the cuts are this strategy's own).  The first of a
+        block picks a piece of the disjointified move the generalized cutter
+        makes at the run, whose source is the auxiliary pick; the second
+        must take the cover, or the auxiliary run stops for good."""
+        run, alive, block = stage
+        if not alive:
+            return stage
+        pick = entry[1]
+        if block is None:
             w_move = run.ask(sigma_g)
-            sources, refined, played, split, cover = \
+            sources, refined, _, split, cover = \
                 _disjointify_move(g_inst, w_move)
-            rec = {"split": split, "g_pick": None}
-            blocks.append(rec)
-            if i + 1 >= len(history):
-                break
-            rec["g_pick"] = _source_of(sources, refined, history[i + 1][1])
-            if i + 3 >= len(history):
-                break
-            pick2 = history[i + 3][1]
-            if pick2 == cover and rec["g_pick"] is not None:
-                run = run.then(w_move).then(rec["g_pick"])
-            else:
-                alive = False
-            i += 4
-        return run, blocks, alive
+            return run, True, (w_move, split, cover,
+                               _source_of(sources, refined, pick))
+        w_move, _, cover, g_pick = block
+        if pick == cover and g_pick is not None:
+            return run.then(w_move).then(g_pick), True, None
+        return run, False, None
+
+    stages = _Fold(lambda: (_Run.start(g_inst), True, None), step)
 
     def decide(inst_, state, history):
-        run, blocks, alive = reconstruct(history)
+        run, alive, block = stages(history[1::2])
         if not alive:
             return (g_inst.start,)
         if state.round % 2 == 1:
-            return blocks[-1]["split"]
+            _, split, _, _ = block
+            return split
         return _disjointify_move(g_inst, run.ask(sigma_g))[2]
 
     strategy = FunctionStrategy(CUT, decide, f"disjointified-{sigma_g.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        run, blocks, alive = reconstruct(tuple(t.moves))
+        run, alive, _ = stages(t.moves[1::2])
         details: dict = {"aux_rounds": len(run.history) // 2, "alive": alive}
         holds = _check_aux_run(g_inst, run.history, sigma_g, CUT, details)
         final = t.states[-1].core
@@ -444,64 +484,61 @@ def disjointify_choose_strategy(sigma_u: Strategy,
     _require_g_ideal(g_inst, "disjointify_choose_strategy")
     u_inst = _doubled_instance(g_inst)
 
-    def reconstruct(history: Sequence):
-        """Runs the auxiliary partition game over every cut entry (the
-        trailing unanswered one included).
+    def step(stage, entry):
+        """One cut entry (the trailing unanswered one too): the auxiliary
+        partition game plays its disjointification and cover split.  The
+        stage keeps the blocks so far, the start trimmed by each block's
+        pick within its cover, the blocks whose cover was not picked, and
+        the source piece of the latest pick.
 
         Only real moves (two or more nonempty pieces) are fed; a one-piece
         move forces its pick without touching the auxiliary run, so table
         strategies are only consulted at positions the enumerated game can
         reach."""
-        run = _Run.start(u_inst)
-        blocks: list[dict] = []
-        for role, entry in history:
-            if role != CUT:
-                continue
-            sources, refined, played, split, cover = \
-                _disjointify_move(g_inst, entry)
-            if len(played) >= 2:
-                run = run.then(played)
-                y = _forced_pick(sigma_u, run)
-                run = run.then(y)
-            else:
-                y = played[0]
-            if 0 not in split:
-                run = run.then(split)
-                p2 = _forced_pick(sigma_u, run)
-                run = run.then(p2)
-            else:
-                p2 = cover
-            src = _source_of(sources, refined, y)
-            if src is None:
-                raise TransformSoundnessError(
-                    "auxiliary pick is not a disjointification piece")
-            blocks.append({"p2": p2, "src": src, "trim": y & cover,
-                           "cover": cover})
-        return run, blocks
+        run, blocks, trimmed, degenerate, _ = stage
+        sources, refined, played, split, cover = \
+            _disjointify_move(g_inst, entry[1])
+        if len(played) >= 2:
+            run = run.then(played)
+            y = _forced_pick(sigma_u, run)
+            run = run.then(y)
+        else:
+            y = played[0]
+        if 0 not in split:
+            run = run.then(split)
+            p2 = _forced_pick(sigma_u, run)
+            run = run.then(p2)
+        else:
+            p2 = cover
+        src = _source_of(sources, refined, y)
+        if src is None:
+            raise TransformSoundnessError(
+                "auxiliary pick is not a disjointification piece")
+        return (run, blocks + 1, trimmed & y & cover,
+                degenerate + (p2 != cover), src)
+
+    stages = _Fold(lambda: (_Run.start(u_inst), 0, g_inst.start, 0, None),
+                   step)
 
     def decide(inst_, state, history):
-        _, blocks = reconstruct(history)
-        return blocks[-1]["src"]
+        *_, src = stages(_cut_entries(history))
+        return src
 
     strategy = FunctionStrategy(CHOOSE, decide,
                                 f"disjointified-{sigma_u.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        run, blocks = reconstruct(tuple(t.moves))
-        details: dict = {"blocks": len(blocks)}
+        run, blocks, trimmed, degenerate, _ = stages(_cut_entries(t.moves))
+        details: dict = {"blocks": blocks}
         holds = _check_aux_run_forced(u_inst, run.history, sigma_u, details)
         g_core = t.states[-1].core
-        trimmed = g_inst.start
-        for b in blocks:
-            trimmed &= b["trim"]
         if trimmed & ~g_core:
             holds = False
             details["relation_violated"] = format_mask(trimmed & ~g_core)
         details["g_core"] = format_mask(g_core)
         details["trimmed_aux_core"] = format_mask(trimmed)
         details["aux_core"] = format_mask(run.state.core)
-        details["degenerate_cover_picks"] = sum(
-            1 for b in blocks if b["p2"] != b["cover"])
+        details["degenerate_cover_picks"] = degenerate
         return TransformCertificate(
             "disjointify_choose",
             "generalized core contains the trimmed auxiliary picks",
@@ -619,59 +656,56 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
     small_inst = _algebra_g_instance(big_inst, nu, big_inst.rounds * beta)
     algebra = big_inst.algebra
 
-    def reconstruct(history: Sequence):
-        run = _Run.start(big_inst)
-        blocks: list[dict] = []
-        alive = True
-        current: Optional[dict] = None
-        for role, move in history:
-            if not alive:
-                break
-            if role == CUT:
-                if current is None:
-                    w_big = run.ask(sigma_big)
-                    current = {"w": w_big,
-                               "factor": factor_antichain(
-                                   algebra, big_inst.start, w_big, nu, beta),
-                               "picks": [], "rec": None}
-                    blocks.append(current)
-                continue
-            current["picks"].append(move)
-            if len(current["picks"]) == beta:
-                code = _code_of(current["factor"], current["picks"])
-                rec = current["factor"].recover(code) if code else 0
-                current["rec"] = rec
-                if rec:
-                    run = run.then(current["w"]).then(rec)
-                else:
-                    alive = False
-                current = None
-        return run, blocks, alive, current
+    def step(stage, entry):
+        """One pick (the cuts are this strategy's own).  The first of a
+        block factors the wide move the cutter makes at the run; the last
+        recovers the auxiliary pick, or a zero infimum stops the run for
+        good.  The stage keeps the finished blocks' (picks, recovered)
+        pairs and the open block (wide move, factors, picks so far)."""
+        run, alive, done, block = stage
+        if not alive:
+            return stage
+        if block is None:
+            w_big = run.ask(sigma_big)
+            block = (w_big, factor_antichain(algebra, big_inst.start, w_big,
+                                             nu, beta), ())
+        w_big, factor, picks = block
+        picks += (entry[1],)
+        if len(picks) < beta:
+            return run, True, done, (w_big, factor, picks)
+        code = _code_of(factor, picks)
+        rec = factor.recover(code) if code else 0
+        done += ((picks, rec),)
+        if rec:
+            return run.then(w_big).then(rec), True, done, None
+        return run, False, done, None
+
+    stages = _Fold(lambda: (_Run.start(big_inst), True, (), None), step)
 
     def decide(inst_, state, history):
-        run, blocks, alive, current = reconstruct(history)
+        run, alive, _, block = stages(history[1::2])
         if not alive:
             return (small_inst.start,)
-        if current is not None:
-            return current["factor"].levels[len(current["picks"])]
+        if block is not None:
+            _, factor, picks = block
+            return factor.levels[len(picks)]
         return factor_antichain(algebra, big_inst.start, run.ask(sigma_big),
                                 nu, beta).levels[0]
 
     strategy = FunctionStrategy(CUT, decide, f"narrowed-{sigma_big.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        run, blocks, alive, _ = reconstruct(tuple(t.moves))
-        details: dict = {"blocks": len(blocks), "alive": alive}
+        run, alive, done, block = stages(t.moves[1::2])
+        details: dict = {"blocks": len(done) + (block is not None),
+                         "alive": alive}
         holds = _check_aux_run(big_inst, run.history, sigma_big, CUT, details)
         small_core = small_inst.start
         big_core = big_inst.start
-        for b in blocks:
-            if b["rec"] is None:
-                break
-            for p in b["picks"]:
+        for picks, rec in done:
+            for p in picks:
                 small_core &= p
-            if b["rec"]:
-                big_core &= b["rec"]
+            if rec:
+                big_core &= rec
                 if small_core != big_core:
                     holds = False
                     details["boundary_mismatch"] = (format_mask(small_core),
@@ -711,35 +745,35 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
                                    small_inst.rounds // beta)
     algebra = small_inst.algebra
 
-    def reconstruct(history: Sequence):
-        run = _Run.start(small_inst)
-        blocks: list[dict] = []
-        for role, entry in history:
-            if role != CUT:
-                continue
-            factor = factor_antichain(algebra, big_inst.start, entry, nu, beta)
-            picks = []
-            for level in factor.levels:
-                run = run.then(level)
-                pick = run.ask(sigma_small)
-                run = run.then(pick)
-                picks.append(pick)
-            code = _code_of(factor, picks)
-            rec = factor.recover(code) if code else 0
-            reply = rec if rec else sorted_masks(entry)[0]
-            blocks.append({"rec": rec, "reply": reply})
-        return run, blocks
+    def step(stage, entry):
+        """One wide cut (the trailing unanswered one too): the narrow picker
+        answers its beta factored levels, and the reply is the element its
+        picks recover (the first piece when they recover nothing).  The
+        stage counts the blocks and those that recovered nothing."""
+        run, blocks, dead, _ = stage
+        factor = factor_antichain(algebra, big_inst.start, entry[1], nu, beta)
+        picks = []
+        for level in factor.levels:
+            run = run.then(level)
+            pick = run.ask(sigma_small)
+            run = run.then(pick)
+            picks.append(pick)
+        code = _code_of(factor, picks)
+        rec = factor.recover(code) if code else 0
+        return (run, blocks + 1, dead + (not rec),
+                rec if rec else sorted_masks(entry[1])[0])
+
+    stages = _Fold(lambda: (_Run.start(small_inst), 0, 0, None), step)
 
     def decide(inst_, state, history):
-        _, blocks = reconstruct(history)
-        return blocks[-1]["reply"]
+        *_, reply = stages(_cut_entries(history))
+        return reply
 
     strategy = FunctionStrategy(CHOOSE, decide, f"widened-{sigma_small.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        run, blocks = reconstruct(tuple(t.moves))
-        details: dict = {"blocks": len(blocks),
-                         "dead_blocks": sum(1 for b in blocks if not b["rec"])}
+        run, blocks, dead, _ = stages(_cut_entries(t.moves))
+        details: dict = {"blocks": blocks, "dead_blocks": dead}
         holds = _check_aux_run(small_inst, run.history, sigma_small, CHOOSE,
                                details)
         small_core = run.state.core
@@ -978,30 +1012,25 @@ def empty_to_cut_strategy(sigma_e: Strategy,
         move = tuple(sorted_masks(responses + extension))
         return move, set(responses), sources
 
-    def reconstruct(history: Sequence):
-        run = opening.then(x0)
-        records: list[dict] = []
-        alive = True
-        i = 0
-        while i < len(history) and alive:
-            move, resp, sources = response_partition(run)
-            rec = {"move": move, "pick": None, "in_responses": None}
-            records.append(rec)
-            if i + 1 >= len(history):
-                break
-            pick = history[i + 1][1]
-            rec["pick"] = pick
-            if pick in resp:
-                rec["in_responses"] = True
-                run = run.then(sources[pick]).then(pick)
-            else:
-                rec["in_responses"] = False
-                alive = False
-            i += 2
-        return run, records, alive
+    def step(stage, entry):
+        """One pick (the cuts are this strategy's own) against the response
+        partition rebuilt at the run: a response advances the run through
+        its dense call, an extension pick stops it for good.  The stage
+        keeps a (partition, pick, is a response) record per pick."""
+        run, alive, records = stage
+        if not alive:
+            return stage
+        move, resp, sources = response_partition(run)
+        pick = entry[1]
+        if pick in resp:
+            return (run.then(sources[pick]).then(pick), True,
+                    records + ((move, pick, True),))
+        return run, False, records + ((move, pick, False),)
+
+    stages = _Fold(lambda: (opening.then(x0), True, ()), step)
 
     def decide(inst_, state, history):
-        run, _, alive = reconstruct(history)
+        run, alive, _ = stages(history[1::2])
         if not alive:
             raise TransformSoundnessError(
                 "cutter consulted after an extension pick ended the game")
@@ -1010,15 +1039,14 @@ def empty_to_cut_strategy(sigma_e: Strategy,
     strategy = FunctionStrategy(CUT, decide, f"emptier-cut-{sigma_e.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        run, records, alive = reconstruct(tuple(t.moves))
+        run, alive, records = stages(t.moves[1::2])
         details: dict = {"alive": alive,
                          "aux_rounds": (len(run.history) - 1) // 2,
                          "extensions_played": sum(
-                             1 for r in records
-                             if r["in_responses"] is False)}
+                             not response for _, _, response in records)}
         holds = _check_aux_run(bm_inst, run.history, sigma_e, EMPTY, details)
         empties = [mv for role, mv in run.history if role == EMPTY][1:]
-        picks = [r["pick"] for r in records if r["in_responses"]]
+        picks = [pick for _, pick, response in records if response]
         if picks != empties:
             holds = False
             details["choices_not_emptier_moves"] = True
@@ -1027,7 +1055,7 @@ def empty_to_cut_strategy(sigma_e: Strategy,
             details["extension_pick_not_fatal"] = True
         cuts = [mv for role, mv in t.moves if role == CUT]
         stale = next((j for j, (r, mv) in enumerate(zip(records, cuts))
-                      if r["move"] != mv), None)
+                      if r[0] != mv), None)
         if stale is not None:
             holds = False
             details["cut_not_rebuilt"] = stale
@@ -1055,40 +1083,41 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
         raise ValidationError("start must be I-positive")
     g_inst = weak_g_instance(bm_inst, start)
 
-    def reconstruct(history: Sequence):
-        """Aux run (its core is the survivor's current set) and the trimmed
-        sets the emptier plays; the survivor is not consulted after the final
-        pick."""
+    def opening():
         run = _Run.start(bm_inst).then(start)
-        run = run.then(run.ask(sigma_n))
-        trimmed: list[int] = []
-        for _, pick in history[1::2]:
-            trimmed.append(pick & run.state.core)
-            if len(trimmed) < g_inst.rounds:
-                run = run.then(pick & run.state.core)
-                run = run.then(run.ask(sigma_n))
-        return run, trimmed
+        return run.then(run.ask(sigma_n)), 0, start
+
+    def step(stage, entry):
+        """One pick (the cuts are this strategy's own), trimmed to the
+        survivor's current set, the aux run's core: the emptier plays it
+        and the survivor answers, except after the final pick.  The stage
+        keeps the picks so far and the start trimmed by each of them."""
+        run, picks, inter = stage
+        trimmed = entry[1] & run.state.core
+        if picks + 1 < g_inst.rounds:
+            run = run.then(trimmed)
+            run = run.then(run.ask(sigma_n))
+        return run, picks + 1, inter & trimmed
+
+    stages = _Fold(opening, step)
 
     def decide(inst_, state, history):
-        y = reconstruct(history)[0].state.core
-        for w in sorted_pieces(inst_, state.pending):
-            if is_positive(fam, w & y):
-                return w
-        raise TransformSoundnessError(
-            "maximal family offered no piece meeting the survivor's set "
-            "positively")
+        y = stages(history[1::2])[0].state.core
+        fits = [w for w in state.pending if is_positive(fam, w & y)]
+        if not fits:
+            raise TransformSoundnessError(
+                "maximal family offered no piece meeting the survivor's set "
+                "positively")
+        return min(fits, key=mask_key)
 
     strategy = FunctionStrategy(CHOOSE, decide,
                                 f"survivor-pick-{sigma_n.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        run, trimmed = reconstruct(tuple(t.moves))
+        run, _, inter = stages(t.moves[1::2])
         details: dict = {}
         holds = _check_aux_run(bm_inst, run.history, sigma_n, NONEMPTY, details)
         g_core = t.states[-1].core
-        inter = start
-        for s in trimmed:
-            inter &= s
         if inter & ~g_core:
             holds = False
             details["relation_violated"] = format_mask(inter & ~g_core)
@@ -1115,8 +1144,9 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
     """
     _require_bm_ideal(bm_inst, "choose_to_nonempty_strategy")
     fam = bm_inst.family
-    cache: dict = {}
     games: dict[int, GameInstance] = {}
+    pickers: dict[int, _Fold] = {}
+    sets: dict = {}
 
     def game(x0: int) -> GameInstance:
         """The weak generalized game on ``x0``, one instance per opening set,
@@ -1125,49 +1155,50 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
             games[x0] = weak_g_instance(bm_inst, x0)
         return games[x0]
 
+    def picker_run(x0: int, vec: tuple) -> _Run:
+        """The picker's run in ``game(x0)`` against the cut prefix ``vec``."""
+        if x0 not in pickers:
+            sigma = provider(x0)
+
+            def step(run: _Run, w) -> _Run:
+                run = run.then(w)
+                return run.then(run.ask(sigma))
+
+            pickers[x0] = _Fold(lambda: _Run.start(game(x0)), step)
+        return pickers[x0](vec)
+
     def response(x0: int, vec: tuple) -> int:
         """The picker's answer to the cut prefix ``vec`` (earlier picks its
         own)."""
-        key = ("resp", x0, vec)
-        if key in cache:
-            return cache[key]
-        sigma = provider(x0)
-        run = _Run.start(game(x0))
-        pick = None
-        for w in vec:
-            run = run.then(w)
-            pick = run.ask(sigma)
-            run = run.then(pick)
-        cache[key] = pick
-        return pick
+        return picker_run(x0, vec).history[-1][1]
 
     def response_set(x0: int, vec: tuple) -> frozenset:
-        key = ("set", x0, vec)
-        if key not in cache:
-            cache[key] = frozenset(response(x0, vec + (w,))
-                                   for w in game(x0).start_cuts)
-        return cache[key]
+        key = (x0, vec)
+        if key not in sets:
+            sets[key] = frozenset(response(x0, vec + (w,))
+                                  for w in game(x0).start_cuts)
+        return sets[key]
 
-    def reconstruct(history: Sequence):
-        """(opening set, reconstructed cut prefix)."""
-        if not history:
-            return None, ()
-        x0 = history[0][1]
-        vec: tuple = ()
-        for i, (role, move) in enumerate(history):
-            if role != EMPTY or i == 0:
-                continue
-            found = next((w for w in game(x0).start_cuts
-                          if response(x0, vec + (w,)) == move), None)
-            if found is None:
-                raise TransformSoundnessError(
-                    f"opposing move {format_mask(move)} is not a picker "
-                    "response")
-            vec = vec + (found,)
-        return x0, vec
+    def step(stage, entry):
+        """One opposing move: the first is the opening set, each later one
+        is matched to the first cut whose picker response it is.  The stage
+        is (opening set, reconstructed cut prefix)."""
+        x0, vec = stage
+        move = entry[1]
+        if x0 is None:
+            return move, ()
+        found = next((w for w in game(x0).start_cuts
+                      if response(x0, vec + (w,)) == move), None)
+        if found is None:
+            raise TransformSoundnessError(
+                f"opposing move {format_mask(move)} is not a picker "
+                "response")
+        return x0, vec + (found,)
+
+    stages = _Fold(lambda: (None, ()), step)
 
     def decide(inst_, state, history):
-        x0, vec = reconstruct(history)
+        x0, vec = stages(history[0::2])
         x_last = history[-1][1]
         responses = response_set(x0, vec)
         for y in _positives_desc(fam, x_last):
@@ -1182,7 +1213,7 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
 
     def certify(t: Transcript) -> TransformCertificate:
         try:
-            x0, vec = reconstruct(tuple(t.moves))
+            x0, vec = stages(t.moves[0::2])
         except TransformSoundnessError as exc:
             return TransformCertificate(
                 "choose_to_nonempty", "opposing moves are picker responses",
@@ -1190,13 +1221,12 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
         holds = True
         details: dict = {"stages": len(vec)}
         empties = [mv for role, mv in t.moves if role == EMPTY]
-        aux: list = []
-        for j, w in enumerate(vec):
-            pick = response(x0, vec[:j + 1])
-            aux.append((w, pick))
+        picks = [pick for _, pick in picker_run(x0, vec).history[1::2]]
+        for j, pick in enumerate(picks):
             if pick != empties[j + 1]:
                 holds = False
                 details["pick_mismatch"] = j
+        aux = list(zip(vec, picks))
         return TransformCertificate(
             "choose_to_nonempty",
             "opposing moves are exactly the picker's responses",

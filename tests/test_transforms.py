@@ -1,12 +1,15 @@
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
-from cutchoose import analysis, transforms as tr
+from cutchoose import analysis, serialize, transforms as tr
 from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EMPTY, G_IDEAL, G_POSET,
                               NONEMPTY, U, WEAK, FunctionStrategy,
-                              GameInstance, copy_strategy, first_move_strategy,
-                              greedy_picker_strategy, initial_state, play_out,
+                              GameInstance, apply_move, copy_strategy,
+                              first_move_strategy, greedy_picker_strategy,
+                              initial_state, legal_moves, play_out,
                               seeded_table_strategy, verify_winning_strategy)
 from cutchoose.errors import (CapacityError, SigmaSearchError,
                               TransformSoundnessError, ValidationError)
@@ -608,3 +611,113 @@ def test_aux_run_checkers_failure_branches():
     details = {}
     assert not tr._check_aux_run(inst, degenerate, refuses, CHOOSE, details)
     assert details == {"inconsistent_aux": True}
+
+
+# ---------------------------------------------------------------------------
+# The auxiliary runs' prefix fold
+# ---------------------------------------------------------------------------
+
+def _counting(sigma):
+    """``sigma`` and the list of histories it is asked at."""
+    calls: list = []
+
+    def fn(inst_, state, history):
+        calls.append(history)
+        return sigma.decide(inst_, state, history)
+
+    return FunctionStrategy(sigma.role, fn, sigma.name), calls
+
+
+def _prefixes(runs) -> set:
+    return {tuple(run[:k]) for run in runs for k in range(len(run) + 1)}
+
+
+def test_each_auxiliary_stage_of_nonempty_to_choose_is_computed_once():
+    # The survivor is asked once at the opening and once per distinct pick
+    # prefix short of the last round; each certificate's replay asks it once
+    # per survivor move of its auxiliary run.  Verification walks the same
+    # tree again and asks nothing new.
+    bm = bm_ideal(4, 2)
+    sigma, calls = _counting(copy_strategy(bm))
+    out = tr.nonempty_to_choose_strategy(sigma, bm, bm.start)
+    certs = assert_all_hold(out)
+    picks = _prefixes([[m for r, m in c.output_run.moves if r == CHOOSE]
+                       for c in certs])
+    stages = sum(1 for p in picks if len(p) < bm.rounds)
+    replays = sum(1 for c in certs for r, _ in c.aux_moves if r == NONEMPTY)
+    assert len(calls) == stages + replays
+    assert verify_winning_strategy(out.instance, out.strategy,
+                                   CHOOSE).verified
+    assert len(calls) == stages + replays
+
+
+def test_each_auxiliary_stage_of_disjointify_choose_is_computed_once():
+    # Each distinct prefix of generalized cuts asks the partition picker
+    # once for the disjointified move (when it has two pieces or more) and
+    # once for the cover split (when the remainder is nonempty); each
+    # certificate's replay asks it once per pick of its auxiliary run.
+    g = GroundSet(5)
+    g_inst = GameInstance(game_family=G_IDEAL, start=g.full_mask, rounds=2,
+                          width=2, cut_current=False, ground=g,
+                          family=Ideal.generated_by(g, [0b00011, 0b01100]))
+    u_inst = tr._doubled_instance(g_inst)
+    res = solve(u_inst)
+    assert res.winner == CHOOSE
+    sigma, calls = _counting(res.strategy)
+    out = tr.disjointify_choose_strategy(sigma, g_inst)
+    certs = assert_all_hold(out)
+
+    def asks(w):
+        _, _, played, split, _ = tr._disjointify_move(g_inst, w)
+        return (len(played) >= 2) + (0 not in split)
+
+    cuts = _prefixes([[m for r, m in c.output_run.moves if r == CUT]
+                      for c in certs])
+    stages = sum(asks(p[-1]) for p in cuts if p)
+    replays = sum(1 for c in certs for r, _ in c.aux_moves if r == CHOOSE)
+    assert len(calls) == stages + replays
+    assert verify_winning_strategy(g_inst, out.strategy, CHOOSE).verified
+    assert len(calls) == stages + replays
+
+
+def test_a_deep_transcript_certifies_with_a_cold_memo():
+    # 1,500 rounds, beyond the recursion limit: a fresh output folds the
+    # whole transcript forward from its empty prefix
+    bm = bm_ideal(4, 1500)
+    out = tr.nonempty_to_choose_strategy(copy_strategy(bm), bm, bm.start)
+    t = play_out(out.instance, first_move_strategy(out.instance, CUT),
+                 out.strategy)
+    assert len(t.moves) == 2 * bm.rounds
+    fresh = tr.nonempty_to_choose_strategy(copy_strategy(bm), bm, bm.start)
+    cert = fresh.certify(t)
+    assert cert.holds and len(cert.aux_moves) == 2 * bm.rounds
+
+
+def test_a_stage_that_raises_caches_nothing():
+    # a partition picker answering with the whole set picks no piece of the
+    # disjointification: the same decision raises again, asking it again
+    g_inst = g_ideal(4, 2, width=6)
+    whole, calls = _counting(
+        FunctionStrategy(CHOOSE, lambda i, s, h: s.core, name="whole"))
+    out = tr.disjointify_choose_strategy(whole, g_inst)
+    start = initial_state(g_inst)
+    w = next(w for w in legal_moves(g_inst, start)
+             if len(tr._disjointify_move(g_inst, w)[2]) >= 2)
+    after_cut = apply_move(g_inst, start, w)
+    for asked in (1, 2):
+        with pytest.raises(TransformSoundnessError):
+            out.strategy.decide(g_inst, after_cut, ((CUT, w),))
+        assert len(calls) == asked
+
+
+def test_restrict_choose_certificates_are_pinned():
+    inner, outer = u_instance(4, 2), u_instance(6, 2)
+    out = tr.restrict_choose_strategy(seeded_table_strategy(inner, CHOOSE, 1),
+                                      inner, outer, (0, 2, 3, 5))
+    certs = assert_all_hold(out)
+    doc = [serialize.certificate_to_jsonable(c, out.aux_instance)
+           for c in certs]
+    assert len(certs) == 155
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()
+                          ).hexdigest() == (
+        "ed9962596f9ba75e353f9ce0b185febe2a233803639c868a573ba4cc63305b88")
