@@ -23,7 +23,8 @@ from .solver import reference_winner, solve
 from .structures import (DEFAULT_MOVE_BUDGET, FiniteBooleanAlgebra,
                          FinitePoset, GroundSet, Ideal, MonotoneFamily,
                          enumerate_cut_moves, is_positive, popcount,
-                         positives_below, sorted_masks, validate_family)
+                         positives_below, quotient_algebra, sorted_masks,
+                         validate_family)
 
 PLAIN = "plain"
 UNIFORM = "uniform"
@@ -321,7 +322,6 @@ def _audit_mask_instance(inst: GameInstance, rows: list) -> None:
                              "does not win the set game",
                              precipitous_analog(family, inst.rounds),
                              bm_winner != EMPTY, "checker", "solver"))
-        from .structures import quotient_algebra
         quotient = quotient_algebra(ground, family)
         g_exact = replace(inst, game_family=G_IDEAL, variant=EXACT,
                           cut_current=False, maximal=True)
@@ -334,7 +334,7 @@ def _audit_mask_instance(inst: GameInstance, rows: list) -> None:
                              "generalized game on the family and on its "
                              "quotient algebra have the same winner",
                              _solve_winner(g_exact),
-                             {CHOOSE: CHOOSE, CUT: CUT}[_solve_winner(q_inst)],
+                             _solve_winner(q_inst),
                              "solver", "solver"))
     else:
         rows.append(AuditRow("precipitous_analog",
@@ -351,8 +351,7 @@ def _audit_poset_instance(inst: GameInstance, rows: list) -> None:
     elements = _poset_elements(inst)
 
     g_exact = replace(inst, game_family=G_POSET, variant=EXACT,
-                      cut_current=False, maximal=True,
-                      width=inst.width if inst.width is not None else None)
+                      cut_current=False, maximal=True)
     left = _solve_winner(g_exact) == CUT
     dist = check_distributivity(structure, inst.start, inst.rounds,
                                 inst.width, PLAIN)

@@ -30,6 +30,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CAPACITY = 2
 
+# Cap on the nodes of ``transform``'s playout walk and its tabulation.
+TRANSFORM_NODE_BUDGET = 200_000
+
 JOBS_HELP = ("accepted for compatibility: the work runs in one thread and "
              "the output does not depend on it")
 
@@ -190,13 +193,13 @@ def cmd_transform(args) -> int:
     else:
         raise ValidationError(f"unknown transform {name!r}")
 
-    certs = transforms.certify_playouts(out, node_budget=args.budget)
+    certs = transforms.certify_playouts(out, node_budget=TRANSFORM_NODE_BUDGET)
     # The tree walk above asked every question the positional walk asks, so
     # the table is built only where it is written.
     text = None
     if args.strategy_out or _emits(args):
         table = tabulate_strategy(out.instance, out.strategy,
-                                  out.strategy.role, args.budget)
+                                  out.strategy.role, TRANSFORM_NODE_BUDGET)
         text = serialize.serialize_strategy(out.instance, table)
     if args.strategy_out:
         with open(args.strategy_out, "w", encoding="utf-8") as fh:
@@ -493,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=int)
     p.add_argument("--rounds", type=int)
     p.add_argument("--alpha", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--strategy-out", help="write the tabulated strategy here")
     p.add_argument("--game-out", help="write the output game instance here")
     common(p)

@@ -638,21 +638,23 @@ def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
     with no pending move whose whole subtree ``role`` wins keeps that
     subtree's node count, and a later visit adds the count without walking.
     Only won subtrees are kept, so nodes, counterexample and first error are
-    the plain walk's; ``CapacityError.stats`` may count up to a subtree
-    more.  The memo lives for one call."""
+    the plain walk's.  ``node_budget`` bounds the positions walked, a memo
+    hit costing one, so a table's walk can finish under a budget below its
+    node count.  The memo lives for one call."""
     found: list[Transcript] = []
-    nodes = 0
+    nodes = walked = 0
     moves: list = []
     states: list = [initial_state(inst)]
     won: Optional[dict[GameState, int]] = (
         {} if first_loss and sigma.kind == POSITIONAL_TABLE else None)
 
     def walk(state: GameState) -> bool:
-        nonlocal nodes
+        nonlocal nodes, walked
         keyed = won is not None and state.pending is None
         subtree = won.get(state, 0) if keyed else 0
         nodes += subtree or 1
-        if nodes > node_budget:
+        walked += 1
+        if walked > node_budget:
             raise CapacityError("adversary tree exceeded the node budget",
                                 {"nodes": nodes})
         if subtree:

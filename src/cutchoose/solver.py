@@ -371,10 +371,6 @@ def _reference_u2(inst: GameInstance) -> str:
             sub = (sub - 1) & rest
             a = sub | low
             b = core ^ a
-            if b == 0:
-                if sub == 0:
-                    break
-                continue
             if branch_cut_wins(a, remaining - 1) and \
                     branch_cut_wins(b, remaining - 1):
                 return True

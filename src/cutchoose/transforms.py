@@ -12,12 +12,13 @@ history (or of the part of it the transformation reads, such as the picks
 alone), and every prefix's result is kept in a memo that lives as long as
 the ``TransformOutput`` does.  A walk over the output strategy's tree thus
 steps each auxiliary stage once, and ``decide`` answers from the stage its
-history reaches.  A ``certify`` hook folds a finished transcript the same
-way, then replays the auxiliary run from the start against the source
-strategy (never through the memo) and checks the declared relation between
-the runs -- containment or equality of cores -- raising
-``TransformSoundnessError`` only for genuine bookkeeping violations, never
-for mere game losses.
+history reaches; the cutters that play each auxiliary cut as a block of
+target cuts share one such fold, ``_block_cutter``.  A ``certify`` hook
+folds a finished transcript the same way, then replays the auxiliary run
+from the start against the source strategy (never through the memo) and
+checks the declared relation between the runs -- containment or equality
+of cores -- raising ``TransformSoundnessError`` only for genuine
+bookkeeping violations, never for mere game losses.
 
 Length bookkeeping is explicit: where an auxiliary move expands into several
 target moves, round counts double or multiply, since the ordinal absorption
@@ -147,6 +148,53 @@ class _Fold:
                 node = children[item] = (self.step(value, item), {})
             value, children = node
         return value
+
+
+def _block_cutter(start: Callable[[], _Run],
+                  expand: Callable[[_Run], tuple],
+                  dead_cut: Callable[[], tuple]):
+    """The stage of a history and ``decide`` for a cutter that plays each
+    auxiliary cut as a block of target cuts.
+
+    The fold reads the history with this cutter's own cuts as ``None``.
+    The ``None`` that opens a block calls ``expand(run)``, the one place
+    the source is asked: it gives the block's cuts and ``recover(picks)``,
+    the auxiliary (cut, pick) the picks stand for, or ``None`` when they
+    end the auxiliary run; the cutter then plays ``dead_cut()``.  A stage
+    is (run, alive, finished blocks as (cuts, picks, aux), open block as
+    (cuts, recover, picks) or ``None``).  ``decide`` folds one cut past its
+    history, the stage the next pick extends, and reads the next cut."""
+
+    def step(stage, item):
+        run, alive, done, block = stage
+        if not alive or (item is None and block is not None):
+            return stage
+        if item is None:
+            cuts, recover = expand(run)
+            return run, True, done, (cuts, recover, ())
+        cuts, recover, picks = block
+        picks += (item,)
+        if len(picks) < len(cuts):
+            return run, True, done, (cuts, recover, picks)
+        aux = recover(picks)
+        done += ((cuts, picks, aux),)
+        if aux is None:
+            return run, False, done, None
+        return run.then(aux[0]).then(aux[1]), True, done, None
+
+    stages = _Fold(lambda: (start(), True, (), None), step)
+
+    def fold(history: Sequence):
+        return stages(None if role == CUT else move for role, move in history)
+
+    def decide(inst_, state, history):
+        _, alive, _, block = fold((*history, (CUT, None)))
+        if not alive:
+            return dead_cut()
+        cuts, _, picks = block
+        return cuts[len(picks)]
+
+    return fold, decide
 
 
 def _forced_pick(sigma: Strategy, run: _Run):
@@ -299,46 +347,38 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
             raise ValidationError("family does not restrict along the embedding "
                                   f"(witness {format_mask(s)})")
 
-    def pulled(run: _Run, move: tuple):
-        """Each outer piece's inner counterpart, and the distinct nonempty
-        ones in canonical order."""
+    def step(stage, entry):
+        """One cut entry (the trailing unanswered one too): a cut with two
+        or more nonempty inner pieces extends the inner run by their inner
+        cut and the inner picker's answer.  The stage is (inner run, the
+        outer piece whose counterpart the inner pick is)."""
+        run, _ = stage
+        pieces = sorted_pieces(outer, entry[1])
         target = run.state.core if inner.cut_current else inner.start
-        pb = {p: _pullback_mask(emb, p) & target for p in move}
-        return pb, sorted({v for v in pb.values() if v}, key=mask_key)
-
-    def step(run: _Run, pair) -> _Run:
-        """One completed (cut, pick) pair: a cut with two or more nonempty
-        inner pieces and its pick's counterpart extend the inner run."""
-        (_, move), (_, pick) = pair
-        pb, nonempty = pulled(run, move)
+        pb = {p: _pullback_mask(emb, p) & target for p in pieces}
+        nonempty = sorted({v for v in pb.values() if v}, key=mask_key)
+        if not nonempty:
+            return run, pieces[0]
         if len(nonempty) >= 2:
-            return run.then(tuple(nonempty)).then(pb[pick])
-        return run
+            run = run.then(tuple(nonempty))
+            pick = run.ask(sigma)
+            run = run.then(pick)
+        else:
+            pick = nonempty[0]
+        for p in pieces:
+            if pb[p] == pick:
+                return run, p
+        raise TransformSoundnessError("inner pick has no outer counterpart")
 
-    runs = _Fold(lambda: _Run.start(inner), step)
-
-    def inner_run(history: Sequence) -> _Run:
-        return runs(zip(history[0::2], history[1::2]))
+    stages = _Fold(lambda: (_Run.start(inner), None), step)
 
     def decide(inst_, state, history):
-        run = inner_run(history)
-        pb, nonempty = pulled(run, state.pending)
-        if not nonempty:
-            return sorted_pieces(inst_, state.pending)[0]
-        if len(nonempty) == 1:
-            for p in sorted_pieces(inst_, state.pending):
-                if pb[p] == nonempty[0]:
-                    return p
-        pick = run.then(tuple(nonempty)).ask(sigma)
-        for p in sorted_pieces(inst_, state.pending):
-            if pb[p] == pick:
-                return p
-        raise TransformSoundnessError("inner pick has no outer counterpart")
+        return stages(_cut_entries(history))[1]
 
     strategy = FunctionStrategy(CHOOSE, decide, f"restricted-{sigma.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        run = inner_run(t.moves)
+        run, _ = stages(_cut_entries(t.moves))
         details: dict = {}
         holds = _check_aux_run(inner, run.history, sigma, CHOOSE, details)
         outer_core = t.states[-1].core
@@ -412,41 +452,29 @@ def disjointify_cut_strategy(sigma_g: Strategy,
     _require_g_ideal(g_inst, "disjointify_cut_strategy")
     u_inst = _doubled_instance(g_inst)
 
-    def step(stage, entry):
-        """One pick (the cuts are this strategy's own).  The first of a
-        block picks a piece of the disjointified move the generalized cutter
-        makes at the run, whose source is the auxiliary pick; the second
-        must take the cover, or the auxiliary run stops for good."""
-        run, alive, block = stage
-        if not alive:
-            return stage
-        pick = entry[1]
-        if block is None:
-            w_move = run.ask(sigma_g)
-            sources, refined, _, split, cover = \
-                _disjointify_move(g_inst, w_move)
-            return run, True, (w_move, split, cover,
-                               _source_of(sources, refined, pick))
-        w_move, _, cover, g_pick = block
-        if pick == cover and g_pick is not None:
-            return run.then(w_move).then(g_pick), True, None
-        return run, False, None
+    def expand(run: _Run):
+        """The generalized cutter's move at the run becomes its
+        disjointification and the cover split.  The first pick's source is
+        the auxiliary pick; the second must take the cover, or the
+        auxiliary run stops for good."""
+        w_move = run.ask(sigma_g)
+        sources, refined, played, split, cover = \
+            _disjointify_move(g_inst, w_move)
 
-    stages = _Fold(lambda: (_Run.start(g_inst), True, None), step)
+        def recover(picks):
+            g_pick = _source_of(sources, refined, picks[0])
+            if picks[1] == cover and g_pick is not None:
+                return w_move, g_pick
+            return None
 
-    def decide(inst_, state, history):
-        run, alive, block = stages(history[1::2])
-        if not alive:
-            return (g_inst.start,)
-        if state.round % 2 == 1:
-            _, split, _, _ = block
-            return split
-        return _disjointify_move(g_inst, run.ask(sigma_g))[2]
+        return (played, split), recover
 
+    stages, decide = _block_cutter(lambda: _Run.start(g_inst), expand,
+                                   lambda: (g_inst.start,))
     strategy = FunctionStrategy(CUT, decide, f"disjointified-{sigma_g.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        run, alive, _ = stages(t.moves[1::2])
+        run, alive, _, _ = stages(t.moves)
         details: dict = {"aux_rounds": len(run.history) // 2, "alive": alive}
         holds = _check_aux_run(g_inst, run.history, sigma_g, CUT, details)
         final = t.states[-1].core
@@ -656,56 +684,36 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
     small_inst = _algebra_g_instance(big_inst, nu, big_inst.rounds * beta)
     algebra = big_inst.algebra
 
-    def step(stage, entry):
-        """One pick (the cuts are this strategy's own).  The first of a
-        block factors the wide move the cutter makes at the run; the last
-        recovers the auxiliary pick, or a zero infimum stops the run for
-        good.  The stage keeps the finished blocks' (picks, recovered)
-        pairs and the open block (wide move, factors, picks so far)."""
-        run, alive, done, block = stage
-        if not alive:
-            return stage
-        if block is None:
-            w_big = run.ask(sigma_big)
-            block = (w_big, factor_antichain(algebra, big_inst.start, w_big,
-                                             nu, beta), ())
-        w_big, factor, picks = block
-        picks += (entry[1],)
-        if len(picks) < beta:
-            return run, True, done, (w_big, factor, picks)
-        code = _code_of(factor, picks)
-        rec = factor.recover(code) if code else 0
-        done += ((picks, rec),)
-        if rec:
-            return run.then(w_big).then(rec), True, done, None
-        return run, False, done, None
+    def expand(run: _Run):
+        """The wide move the cutter makes at the run, as its beta factored
+        levels.  The block's picks recover the auxiliary pick, or a zero
+        infimum stops the run for good."""
+        w_big = run.ask(sigma_big)
+        factor = factor_antichain(algebra, big_inst.start, w_big, nu, beta)
 
-    stages = _Fold(lambda: (_Run.start(big_inst), True, (), None), step)
+        def recover(picks):
+            code = _code_of(factor, picks)
+            rec = factor.recover(code) if code else 0
+            return (w_big, rec) if rec else None
 
-    def decide(inst_, state, history):
-        run, alive, _, block = stages(history[1::2])
-        if not alive:
-            return (small_inst.start,)
-        if block is not None:
-            _, factor, picks = block
-            return factor.levels[len(picks)]
-        return factor_antichain(algebra, big_inst.start, run.ask(sigma_big),
-                                nu, beta).levels[0]
+        return tuple(factor.levels), recover
 
+    stages, decide = _block_cutter(lambda: _Run.start(big_inst), expand,
+                                   lambda: (small_inst.start,))
     strategy = FunctionStrategy(CUT, decide, f"narrowed-{sigma_big.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        run, alive, done, block = stages(t.moves[1::2])
+        run, alive, done, block = stages(t.moves)
         details: dict = {"blocks": len(done) + (block is not None),
                          "alive": alive}
         holds = _check_aux_run(big_inst, run.history, sigma_big, CUT, details)
         small_core = small_inst.start
         big_core = big_inst.start
-        for picks, rec in done:
+        for _, picks, aux in done:
             for p in picks:
                 small_core &= p
-            if rec:
-                big_core &= rec
+            if aux:
+                big_core &= aux[1]
                 if small_core != big_core:
                     holds = False
                     details["boundary_mismatch"] = (format_mask(small_core),
@@ -983,10 +991,11 @@ def empty_to_cut_strategy(sigma_e: Strategy,
     x0 = opening.ask(sigma_e)
     g_inst = weak_g_instance(bm_inst, x0)
 
-    def response_partition(run: _Run):
-        """Greedy maximal positive family from emptier responses below the
-        current auxiliary set, plus its canonical extension over the
-        opening set."""
+    def expand(run: _Run):
+        """One cut: the greedy maximal positive family of emptier responses
+        below the current auxiliary set, plus its canonical extension over
+        the opening set.  A response pick advances the run through its
+        dense call, an extension pick stops it for good."""
         responses: list[int] = []
         sources: dict[int, int] = {}
         while True:
@@ -1009,44 +1018,30 @@ def empty_to_cut_strategy(sigma_e: Strategy,
             if witness is None:
                 break
             extension.append(witness)
-        move = tuple(sorted_masks(responses + extension))
-        return move, set(responses), sources
 
-    def step(stage, entry):
-        """One pick (the cuts are this strategy's own) against the response
-        partition rebuilt at the run: a response advances the run through
-        its dense call, an extension pick stops it for good.  The stage
-        keeps a (partition, pick, is a response) record per pick."""
-        run, alive, records = stage
-        if not alive:
-            return stage
-        move, resp, sources = response_partition(run)
-        pick = entry[1]
-        if pick in resp:
-            return (run.then(sources[pick]).then(pick), True,
-                    records + ((move, pick, True),))
-        return run, False, records + ((move, pick, False),)
+        def recover(picks):
+            pick = picks[0]
+            return (sources[pick], pick) if pick in sources else None
 
-    stages = _Fold(lambda: (opening.then(x0), True, ()), step)
+        return (tuple(sorted_masks(responses + extension)),), recover
 
-    def decide(inst_, state, history):
-        run, alive, _ = stages(history[1::2])
-        if not alive:
-            raise TransformSoundnessError(
-                "cutter consulted after an extension pick ended the game")
-        return response_partition(run)[0]
+    def dead_cut():
+        raise TransformSoundnessError(
+            "cutter consulted after an extension pick ended the game")
 
+    stages, decide = _block_cutter(lambda: opening.then(x0), expand,
+                                   dead_cut)
     strategy = FunctionStrategy(CUT, decide, f"emptier-cut-{sigma_e.name}")
 
     def certify(t: Transcript) -> TransformCertificate:
-        run, alive, records = stages(t.moves[1::2])
+        run, alive, done, _ = stages(t.moves)
         details: dict = {"alive": alive,
                          "aux_rounds": (len(run.history) - 1) // 2,
                          "extensions_played": sum(
-                             not response for _, _, response in records)}
+                             aux is None for _, _, aux in done)}
         holds = _check_aux_run(bm_inst, run.history, sigma_e, EMPTY, details)
         empties = [mv for role, mv in run.history if role == EMPTY][1:]
-        picks = [pick for _, pick, response in records if response]
+        picks = [aux[1] for _, _, aux in done if aux]
         if picks != empties:
             holds = False
             details["choices_not_emptier_moves"] = True
@@ -1054,8 +1049,8 @@ def empty_to_cut_strategy(sigma_e: Strategy,
             holds = False
             details["extension_pick_not_fatal"] = True
         cuts = [mv for role, mv in t.moves if role == CUT]
-        stale = next((j for j, (r, mv) in enumerate(zip(records, cuts))
-                      if r[0] != mv), None)
+        stale = next((j for j, (block, mv) in enumerate(zip(done, cuts))
+                      if block[0] != (mv,)), None)
         if stale is not None:
             holds = False
             details["cut_not_rebuilt"] = stale

@@ -463,6 +463,15 @@ def test_usage_errors_exit_with_validation_code(argv):
     assert f"cutchoose {argv[0]}: error:" in proc.stderr
 
 
+def test_transform_takes_no_budget_option():
+    # its walks are capped by the cli's TRANSFORM_NODE_BUDGET
+    proc = run_cli("transform", "--name", "digit_split", "--m", "4",
+                   "--nu", "2", "--rounds", "2", "--budget", "5")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "unrecognized arguments: --budget" in proc.stderr
+
+
 def test_help_and_version_exit_zero():
     assert run_cli("--version").returncode == 0
     assert run_cli("scan", "--help").returncode == 0

@@ -782,7 +782,18 @@ def test_memoized_walk_matches_the_tree_walk(name):
         nodes = verdict[1]
         for sigma in (table, plain):
             assert _verdict(inst, sigma, role, nodes)[:2] == verdict[:2]
-            assert _verdict(inst, sigma, role, nodes - 1)[0] is CapacityError
+        assert _verdict(inst, plain, role, nodes - 1)[0] is CapacityError
+        # The budget counts positions walked, a memo hit costing one: the
+        # table's walk fits below its node count exactly where the memo
+        # skipped a subtree, and with it a question to the table.
+        memoized, asked = CountingTable(table), CountingTable(table)
+        _verdict(inst, memoized, role)
+        _verdict(inst, FunctionStrategy(role, asked.decide), role)
+        tight = _verdict(inst, table, role, nodes - 1)
+        if memoized.calls < asked.calls:
+            assert tight == verdict
+        else:
+            assert tight[0] is CapacityError
         # a missing entry and an illegal move: the same first error
         entries = list(table.entries.items())
         for broken in (dict(entries[:-1]),
@@ -791,6 +802,15 @@ def test_memoized_walk_matches_the_tree_walk(name):
             got = _verdict(inst, bad, role)
             assert got == _verdict(inst, FunctionStrategy(role, bad.decide),
                                    role)
+
+
+def test_a_table_walk_trips_on_positions_walked_not_tree_nodes():
+    # the solver's table on the 6-point U game: 1,267 tree nodes, 637
+    # positions walked
+    inst = _walk_instances()["U"]
+    table = solve(inst).strategy
+    assert _verdict(inst, table, CHOOSE, 637)[:2] == (True, 1267)
+    assert _verdict(inst, table, CHOOSE, 636)[0] is CapacityError
 
 
 def test_playouts_cover_every_adversary_line():

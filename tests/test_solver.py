@@ -4,8 +4,9 @@ import pytest
 
 from cutchoose import analysis, solver
 from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EXACT, G_IDEAL, G_POSET,
-                              NONEMPTY, U, WEAK, GameInstance, initial_state,
-                              tabulate_strategy, verify_winning_strategy)
+                              NONEMPTY, STRICT_PREFIX, U, WEAK, GameInstance,
+                              initial_state, tabulate_strategy,
+                              verify_winning_strategy)
 from cutchoose.errors import CapacityError
 from cutchoose.serialize import serialize_strategy
 from cutchoose.solver import (RefuteResult, SolveStats, _value_function,
@@ -102,6 +103,17 @@ def test_reference_winner_matches_solver_weak():
             inst = u_instance(m, n, variant=WEAK)
             assert reference_winner(inst) == \
                 solve(inst, want_strategy=False).winner
+
+
+def test_reference_winner_matches_solver_strict_prefix():
+    # the oracle's split loop against the value fill and the winner-only
+    # path, 69 games; the bound stays below m so that the start is positive
+    for m in range(2, 10):
+        for n in (1, 2, 3):
+            for bound in range(min(3, m)):
+                inst = u_instance(m, n, variant=STRICT_PREFIX, bound=bound)
+                assert reference_winner(inst) == solve(inst).winner == \
+                    solve(inst, want_strategy=False).winner, (m, n, bound)
 
 
 def test_monotone_transfer_small():

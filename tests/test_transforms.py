@@ -8,9 +8,10 @@ from cutchoose import analysis, serialize, transforms as tr
 from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EMPTY, G_IDEAL, G_POSET,
                               NONEMPTY, U, WEAK, FunctionStrategy,
                               GameInstance, apply_move, copy_strategy,
-                              first_move_strategy, greedy_picker_strategy,
-                              initial_state, legal_moves, play_out,
-                              seeded_table_strategy, verify_winning_strategy)
+                              enumerate_playouts, first_move_strategy,
+                              greedy_picker_strategy, initial_state,
+                              legal_moves, play_out, seeded_table_strategy,
+                              verify_winning_strategy)
 from cutchoose.errors import (CapacityError, SigmaSearchError,
                               TransformSoundnessError, ValidationError)
 from cutchoose.solver import solve
@@ -678,6 +679,54 @@ def test_each_auxiliary_stage_of_disjointify_choose_is_computed_once():
     assert len(calls) == stages + replays
     assert verify_winning_strategy(g_inst, out.strategy, CHOOSE).verified
     assert len(calls) == stages + replays
+
+
+def _counted_sources():
+    """Per transform: the source, a builder of the output from it, and how
+    often and at how many distinct histories the playouts ask the source."""
+    g5 = GroundSet(5)
+    g_inst = GameInstance(game_family=G_IDEAL, start=g5.full_mask, rounds=2,
+                          width=2, cut_current=False, ground=g5,
+                          family=Ideal.generated_by(g5, [0b00011, 0b01100]))
+    g4 = GroundSet(4)
+    bm = GameInstance(game_family=BM_IDEAL, start=g4.full_mask, rounds=3,
+                      width=None, ground=g4,
+                      family=Ideal.generated_by(g4, [0b0010]))
+    alg = FiniteBooleanAlgebra(g4)
+    big = GameInstance(game_family=G_POSET, start=alg.top, rounds=1, width=4,
+                       cut_current=False, algebra=alg)
+    inner, outer = u_instance(4, 2), u_instance(6, 2)
+    return {
+        "disjointify_cut": (
+            first_move_strategy(g_inst, CUT),
+            lambda s: tr.disjointify_cut_strategy(s, g_inst), (3, 3)),
+        "empty_to_cut": (
+            seeded_table_strategy(replace(bm, rounds=4), EMPTY, 4),
+            lambda s: tr.empty_to_cut_strategy(s, bm), (7, 7)),
+        "transfer_cut": (
+            first_move_strategy(big, CUT),
+            lambda s: tr.transfer_cut_big_to_small(s, big, 2, 2), (1, 1)),
+        "restrict_choose": (
+            seeded_table_strategy(inner, CHOOSE, 1),
+            lambda s: tr.restrict_choose_strategy(s, inner, outer,
+                                                  (0, 2, 3, 5)),
+            (144, 16)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_counted_sources()))
+def test_each_stage_asks_the_source_once(name):
+    # A block cutter asks its source once, when a block opens, never again
+    # in decide.  The picker restriction answers from its fold, once per
+    # distinct prefix of outer cuts, so the verification walk over the tree
+    # the playouts covered asks nothing new.
+    source, build, asked = _counted_sources()[name]
+    sigma, calls = _counting(source)
+    out = build(sigma)
+    enumerate_playouts(out.instance, out.strategy, out.strategy.role)
+    assert (len(calls), len(set(calls))) == asked
+    verify_winning_strategy(out.instance, out.strategy, out.strategy.role)
+    assert (len(calls), len(set(calls))) == asked
 
 
 def test_a_deep_transcript_certifies_with_a_cold_memo():
