@@ -6,7 +6,12 @@ Exit codes: 0 success, 1 validation failure (usage errors included), 2
 capacity/budget exceeded.
 With ``--json`` the machine-readable document goes to stdout; human-oriented
 progress goes to stderr.  All emitted documents are byte-stable given equal
-inputs, seeds, and flags (``--jobs`` is accepted; work runs in one thread).
+inputs, seeds, and flags.  ``corpus --jobs`` is accepted only because the
+benchmark's argv passes it: the work runs in one thread.
+
+``transform``: ``digit_split`` reads ``--m``, ``--nu`` and ``--rounds``, every
+other transform an instance file, ``transfer_*`` also ``--nu`` and ``--beta``;
+a missing input, or an instance file for ``digit_split``, names its field.
 """
 
 from __future__ import annotations
@@ -19,12 +24,13 @@ import sys
 from . import analysis, serialize, transforms
 from ._version import ENGINE_VERSION
 from .engine import (CHOOSE, CUT, EMPTY, NONEMPTY, GameInstance, apply_move,
-                     initial_state, legal_moves, tabulate_strategy,
+                     copy_strategy, first_move_strategy,
+                     greedy_picker_strategy, initial_state, legal_moves,
+                     seeded_table_strategy, tabulate_strategy,
                      terminal_status, verify_winning_strategy)
 from .errors import CapacityError, CutChooseError, ValidationError
 from .solver import refute, solve, strategy_for
 from .structures import format_mask
-from .transforms import TransformOutput
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -33,32 +39,19 @@ EXIT_CAPACITY = 2
 # Cap on the nodes of ``transform``'s playout walk and its tabulation.
 TRANSFORM_NODE_BUDGET = 200_000
 
-JOBS_HELP = ("accepted for compatibility: the work runs in one thread and "
-             "the output does not depend on it")
-
 
 def _read_instance(path: str) -> GameInstance:
     with open(path, "r", encoding="utf-8") as fh:
         return serialize.parse_instance(fh.read())
 
 
-def _emits(args) -> bool:
-    """Whether the command's JSON document is written anywhere."""
-    return bool(args.json or args.output)
-
-
 def _emit(doc, args, strategy_text: str | None = None) -> None:
-    """Write ``doc``; ``strategy_text``, a strategy document, is its
-    ``strategy`` field."""
-    if not _emits(args):
-        return
-    text = (serialize.dumps(doc) if strategy_text is None else
-            serialize.dumps_embedding(doc, "strategy", strategy_text))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Write ``doc`` to stdout under ``--json``; ``strategy_text``, a
+    strategy document, is its ``strategy`` field."""
     if args.json:
-        sys.stdout.write(text)
+        sys.stdout.write(
+            serialize.dumps(doc) if strategy_text is None else
+            serialize.dumps_embedding(doc, "strategy", strategy_text))
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +67,7 @@ def cmd_solve(args) -> int:
         "stats": result.stats.to_jsonable(),
     }
     text = None
-    if result.strategy is not None and (_emits(args) or args.strategy_out):
+    if result.strategy is not None and (args.json or args.strategy_out):
         text = serialize.serialize_strategy(inst, result.strategy)
         if args.strategy_out:
             with open(args.strategy_out, "w", encoding="utf-8") as fh:
@@ -91,10 +84,9 @@ def cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
     with open(args.strategy, "r", encoding="utf-8") as fh:
         strategy = serialize.strategy_from_jsonable(inst, json.load(fh))
-    role = args.role or strategy.role
-    result = verify_winning_strategy(inst, strategy, role)
+    result = verify_winning_strategy(inst, strategy, strategy.role)
     doc = {"schema_version": serialize.SCHEMA_VERSION,
-           "role": role, "verified": result.verified,
+           "role": strategy.role, "verified": result.verified,
            "nodes": result.nodes}
     if result.counterexample is not None:
         doc["counterexample"] = serialize.transcript_to_jsonable(
@@ -106,8 +98,6 @@ def cmd_verify(args) -> int:
 
 
 def _sigma_for(args, inst: GameInstance, role: str):
-    from .engine import (copy_strategy, first_move_strategy,
-                         greedy_picker_strategy, seeded_table_strategy)
     name = args.sigma
     if name in ("greedy", "copy"):
         # both play the current set, which no cut move is
@@ -122,7 +112,12 @@ def _sigma_for(args, inst: GameInstance, role: str):
     if name == "first":
         return first_move_strategy(inst, role)
     if name.startswith("seed:"):
-        return seeded_table_strategy(inst, role, int(name.split(":", 1)[1]))
+        try:
+            seed = int(name.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(f"seed:N needs an integer N, got {name!r}",
+                                  "--sigma") from None
+        return seeded_table_strategy(inst, role, seed)
     if name.startswith("file:"):
         with open(name.split(":", 1)[1], "r", encoding="utf-8") as fh:
             sigma = serialize.strategy_from_jsonable(inst, json.load(fh))
@@ -134,13 +129,28 @@ def _sigma_for(args, inst: GameInstance, role: str):
     raise ValidationError(f"unknown sigma source {name!r}")
 
 
+# The options each transform reads beside its instance file, if any.
+TRANSFORM_OPTIONS = {"digit_split": ("m", "nu", "rounds"),
+                     "transfer_cut": ("nu", "beta"),
+                     "transfer_choose": ("nu", "beta")}
+
+
 def cmd_transform(args) -> int:
     name = args.name
-    out: TransformOutput
+    if name == "digit_split" and args.instance is not None:
+        raise ValidationError("digit_split reads no instance file",
+                              "instance")
+    if name != "digit_split" and args.instance is None:
+        raise ValidationError(f"required by {name}", "instance")
+    for option in TRANSFORM_OPTIONS.get(name, ()):
+        if getattr(args, option) is None:
+            raise ValidationError(f"required by {name}", f"--{option}")
+    inst = None if name == "digit_split" else _read_instance(args.instance)
     if name == "digit_split":
         out = transforms.digit_split_cut_strategy(args.m, args.nu, args.rounds)
     elif name == "fixed_point":
-        inst = _read_instance(args.instance)
+        if args.alpha < 0:
+            raise ValidationError("must be >= 0", "--alpha")
         sigma = transforms.fixed_point_choose_strategy(args.alpha)
 
         def certify_fp(t):
@@ -152,52 +162,39 @@ def cmd_transform(args) -> int:
 
         out = transforms.TransformOutput("fixed_point", inst, sigma,
                                          certify_fp)
-    elif name in ("disjointify_cut", "disjointify_choose"):
-        g_inst = _read_instance(args.instance)
-        if name == "disjointify_cut":
-            sigma = _sigma_for(args, g_inst, CUT)
-            out = transforms.disjointify_cut_strategy(sigma, g_inst)
-        else:
-            u_inst = transforms._doubled_instance(g_inst)
-            sigma = _sigma_for(args, u_inst, CHOOSE)
-            out = transforms.disjointify_choose_strategy(sigma, g_inst)
-    elif name in ("transfer_cut", "transfer_choose"):
-        inst = _read_instance(args.instance)
-        if name == "transfer_cut":
-            sigma = _sigma_for(args, inst, CUT)
-            out = transforms.transfer_cut_big_to_small(sigma, inst, args.nu,
-                                                       args.beta)
-        else:
-            sigma = _sigma_for(args, inst, CHOOSE)
-            out = transforms.transfer_choose_small_to_big(sigma, inst,
-                                                          args.nu, args.beta)
+    elif name == "disjointify_cut":
+        out = transforms.disjointify_cut_strategy(
+            _sigma_for(args, inst, CUT), inst)
+    elif name == "disjointify_choose":
+        u_inst = transforms._doubled_instance(inst)
+        out = transforms.disjointify_choose_strategy(
+            _sigma_for(args, u_inst, CHOOSE), inst)
+    elif name == "transfer_cut":
+        out = transforms.transfer_cut_big_to_small(
+            _sigma_for(args, inst, CUT), inst, args.nu, args.beta)
+    elif name == "transfer_choose":
+        out = transforms.transfer_choose_small_to_big(
+            _sigma_for(args, inst, CHOOSE), inst, args.nu, args.beta)
     elif name == "empty_to_cut":
-        bm = _read_instance(args.instance)
         # The transform asks the emptier one stage past the round count, so
         # its sigma comes from the game one round longer.
-        longer = dataclasses.replace(bm, rounds=bm.rounds + 1)
+        longer = dataclasses.replace(inst, rounds=inst.rounds + 1)
         out = transforms.empty_to_cut_strategy(
-            _sigma_for(args, longer, EMPTY), bm)
+            _sigma_for(args, longer, EMPTY), inst)
     elif name == "nonempty_to_choose":
-        bm = _read_instance(args.instance)
         out = transforms.nonempty_to_choose_strategy(
-            _sigma_for(args, bm, NONEMPTY), bm, bm.start)
-    elif name == "choose_to_nonempty":
-        bm = _read_instance(args.instance)
-
+            _sigma_for(args, inst, NONEMPTY), inst, inst.start)
+    else:  # choose_to_nonempty, the last of the parser's choices
         def provider(x0):
-            from .engine import greedy_picker_strategy
-            return greedy_picker_strategy(transforms.weak_g_instance(bm, x0))
+            return greedy_picker_strategy(transforms.weak_g_instance(inst, x0))
 
-        out = transforms.choose_to_nonempty_strategy(provider, bm)
-    else:
-        raise ValidationError(f"unknown transform {name!r}")
+        out = transforms.choose_to_nonempty_strategy(provider, inst)
 
     certs = transforms.certify_playouts(out, node_budget=TRANSFORM_NODE_BUDGET)
     # The tree walk above asked every question the positional walk asks, so
     # the table is built only where it is written.
     text = None
-    if args.strategy_out or _emits(args):
+    if args.strategy_out or args.json:
         table = tabulate_strategy(out.instance, out.strategy,
                                   out.strategy.role, TRANSFORM_NODE_BUDGET)
         text = serialize.serialize_strategy(out.instance, table)
@@ -207,7 +204,7 @@ def cmd_transform(args) -> int:
     if args.game_out:
         with open(args.game_out, "w", encoding="utf-8") as fh:
             fh.write(serialize.serialize_instance(out.instance))
-    if _emits(args):
+    if args.json:
         _emit({
             "schema_version": serialize.SCHEMA_VERSION,
             "transform": out.kind,
@@ -466,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="machine-readable JSON on stdout")
-        p.add_argument("--output", help="also write the JSON document here")
 
     p = sub.add_parser("solve", help="name the winner, extract the strategy")
     p.add_argument("instance")
@@ -478,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a strategy file exhaustively")
     p.add_argument("instance")
     p.add_argument("--strategy", required=True)
-    p.add_argument("--role", choices=[CUT, CHOOSE, EMPTY, NONEMPTY])
     common(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -522,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", nargs="?")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--per-family", type=int, default=25)
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     common(p)
     p.set_defaults(fn=cmd_audit)
 
@@ -542,7 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="generate and run the seeded corpus")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--per-family", type=int, default=25)
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for the benchmark's argv; the work runs in "
+                        "one thread and the output does not depend on it")
     common(p)
     p.set_defaults(fn=cmd_corpus)
 

@@ -65,7 +65,7 @@ class SolveResult:
 # Generic backward induction
 # ---------------------------------------------------------------------------
 
-def _value_function(inst: GameInstance, stats: SolveStats, state_budget: int,
+def _value_function(inst: GameInstance, stats: SolveStats,
                     memo: dict) -> Callable[[GameState], str]:
     """The winner of a position, by AND-OR evaluation with transpositions.
 
@@ -81,6 +81,7 @@ def _value_function(inst: GameInstance, stats: SolveStats, state_budget: int,
     memo and clears it when its walk ends: the self-recursive closures
     would otherwise keep it alive until the cyclic collector runs."""
     opponent = inst.opponent
+    state_budget = DEFAULT_STATE_BUDGET
 
     def count_visit() -> None:
         stats.states_visited += 1
@@ -133,14 +134,14 @@ def _value_function(inst: GameInstance, stats: SolveStats, state_budget: int,
 
 
 @contextmanager
-def _filled(inst: GameInstance, stats: SolveStats, state_budget: int):
+def _filled(inst: GameInstance, stats: SolveStats):
     """A value function over a memo that lives for the ``with`` block.  A
     game deeper than Python's recursion limit allows fails with a
     ``CapacityError`` that names its depth."""
     memo: dict[GameState, str] = {}
     try:
         with depth_limited(inst.rounds, "solve", stats.counts):
-            yield _value_function(inst, stats, state_budget, memo)
+            yield _value_function(inst, stats, memo)
     finally:
         memo.clear()
 
@@ -200,8 +201,7 @@ def _symmetric_winner(inst: GameInstance) -> str:
 # ---------------------------------------------------------------------------
 
 def extract_strategy(inst: GameInstance, role: str,
-                     value: Callable[[GameState], str],
-                     state_budget: int = DEFAULT_STATE_BUDGET) -> TableStrategy:
+                     value: Callable[[GameState], str]) -> TableStrategy:
     """Deterministic second pass: at the role's turn take the first move in
     canonical order that stays winning (first move overall as a best-effort
     fallback for a losing role); follow every opposing reply."""
@@ -212,7 +212,7 @@ def extract_strategy(inst: GameInstance, role: str,
                 return move
         return options[0]
 
-    return tabulate_positions(inst, role, choose, state_budget,
+    return tabulate_positions(inst, role, choose, DEFAULT_STATE_BUDGET,
                               f"solver-{role}")
 
 
@@ -220,12 +220,11 @@ def extract_strategy(inst: GameInstance, role: str,
 # Solve / refute / oracle
 # ---------------------------------------------------------------------------
 
-def solve(inst: GameInstance, want_strategy: bool = True,
-          state_budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
+def solve(inst: GameInstance, want_strategy: bool = True) -> SolveResult:
     """Name the winner; optionally extract and return their strategy.
 
-    Raises CapacityError (with partial stats) if the position space or a
-    single enumeration outgrows its budget.
+    Raises CapacityError (with partial stats) if the position space
+    outgrows ``DEFAULT_STATE_BUDGET`` or a single enumeration its budget.
     """
     stats = SolveStats()
     strategy = None
@@ -233,10 +232,10 @@ def solve(inst: GameInstance, want_strategy: bool = True,
         winner = _symmetric_winner(inst)
         stats.states_visited = 0
     else:
-        with _filled(inst, stats, state_budget) as value:
+        with _filled(inst, stats) as value:
             winner = value(initial_state(inst))
             if want_strategy:
-                strategy = extract_strategy(inst, winner, value, state_budget)
+                strategy = extract_strategy(inst, winner, value)
     return SolveResult(winner, strategy, stats)
 
 
@@ -244,7 +243,7 @@ def strategy_for(inst: GameInstance, role: str) -> tuple[str, TableStrategy]:
     """The winner and a positional table for ``role``, both from one fill:
     ``solve``'s strategy when ``role`` wins, else the best-effort extraction
     for the losing role (first canonical move wherever no move wins)."""
-    with _filled(inst, SolveStats(), DEFAULT_STATE_BUDGET) as value:
+    with _filled(inst, SolveStats()) as value:
         return value(initial_state(inst)), extract_strategy(inst, role, value)
 
 
@@ -293,8 +292,7 @@ def refute(inst: GameInstance, role: str) -> RefuteResult:
         if has:
             strategy = extract_strategy(
                 inst, role,
-                lambda s: role if can_win(s) else inst.opponent(role),
-                DEFAULT_STATE_BUDGET)
+                lambda s: role if can_win(s) else inst.opponent(role))
     finally:
         # can_win refers to itself, so only the cyclic collector would
         # free the memo behind it.

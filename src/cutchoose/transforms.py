@@ -644,11 +644,14 @@ def factor_antichain(algebra: FiniteBooleanAlgebra, x: int, w: Sequence[int],
     return result
 
 
-def _require_algebra_g(inst: GameInstance, op: str) -> None:
+def _require_algebra_g(inst: GameInstance, op: str, nu: int,
+                       beta: int) -> None:
     if inst.game_family != G_POSET or inst.algebra is None:
         raise ValidationError(f"{op} needs an antichain game on an algebra")
     if inst.cut_current:
         raise ValidationError(f"{op} uses antichains below the start")
+    if nu < 2 or beta < 1:
+        raise ValidationError(f"{op} needs nu >= 2 and beta >= 1")
 
 
 def _algebra_g_instance(base: GameInstance, width: Optional[int],
@@ -678,7 +681,7 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
     zero infimum already dooms the picker; the cutter fills the remaining
     rounds with the trivial antichain.
     """
-    _require_algebra_g(big_inst, "transfer_cut_big_to_small")
+    _require_algebra_g(big_inst, "transfer_cut_big_to_small", nu, beta)
     if big_inst.width != nu ** beta:
         raise ValidationError("wide instance must have width nu**beta")
     small_inst = _algebra_g_instance(big_inst, nu, big_inst.rounds * beta)
@@ -744,7 +747,7 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
     block infimum is nonzero and every recovered reply legal; the cores agree
     at block boundaries.
     """
-    _require_algebra_g(small_inst, "transfer_choose_small_to_big")
+    _require_algebra_g(small_inst, "transfer_choose_small_to_big", nu, beta)
     if small_inst.width != nu:
         raise ValidationError("narrow instance must have width nu")
     if small_inst.rounds % beta:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from cutchoose import serialize
 from cutchoose.cli import main
@@ -131,13 +132,12 @@ def test_audit_single_instance(u4, capsys):
     assert doc["disagreements"] == 0
 
 
-def test_audit_corpus_reproducible_across_jobs(capsys):
+def test_audit_corpus_reproducible_across_runs(capsys):
     args = ["audit", "--seed", "9", "--per-family", "2", "--json"]
-    assert main(args + ["--jobs", "1"]) == 0
+    assert main(args) == 0
     one = capsys.readouterr().out
-    assert main(args + ["--jobs", "3"]) == 0
-    three = capsys.readouterr().out
-    assert one == three
+    assert main(args) == 0
+    assert capsys.readouterr().out == one
     assert json.loads(one)["disagreements"] == 0
 
 
@@ -356,6 +356,35 @@ def test_the_removed_disk_cache_is_refused_cleanly(tmp_path, u4,
     monkeypatch.setenv("CUTCHOOSE_CACHE_DIR", str(cache))
     assert run_cli("solve", u4).returncode == 0
     assert list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, removed", [
+    (("solve", "{u4}", "--output", "{out}"), "--output {out}"),
+    (("play", "{u4}", "--output", "{out}"), "--output {out}"),
+    (("verify", "{u4}", "--strategy", "{out}", "--role", "Choose"),
+     "--role Choose"),
+    # ``2`` fills the optional instance slot
+    (("audit", "--jobs", "2"), "--jobs"),
+    # accepted only because the benchmark's argv passes it
+    (("corpus", "--seed", "31", "--per-family", "2", "--jobs", "2",
+      "--json"), None),
+], ids=["solve_output", "play_output", "verify_role", "audit_jobs",
+        "corpus_jobs"])
+def test_the_removed_options_are_refused_cleanly(tmp_path, u4, argv,
+                                                 removed):
+    # ``--json > file`` writes what ``--output`` did; a table verifies only
+    # as its own role; the audit runs in one thread
+    out = tmp_path / "x.json"
+    proc = run_cli(*(a.format(u4=u4, out=out) for a in argv))
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    if removed is None:
+        assert proc.returncode == 0
+        return
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: cutchoose")
+    assert proc.stderr.endswith("cutchoose: error: unrecognized arguments: "
+                                f"{removed.format(out=out)}\n")
 
 
 def _algebra_doc(atoms, rounds, width):
@@ -693,3 +722,67 @@ def test_the_audit_of_a_long_u_game_is_pinned(tmp_path, capsys):
     assert json.loads(out)["disagreements"] == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ccfb83d089ace7305e358412cffdf240fa2a7f7d2900c223573fa5500412488e")
+
+
+@pytest.mark.parametrize("key, rest, line", [
+    (None, ("--name", "fixed_point"),
+     "error: instance: required by fixed_point\n"),
+    (None, ("--name", "empty_to_cut", "--sigma", "copy"),
+     "error: instance: required by empty_to_cut\n"),
+    ("u4", ("--name", "digit_split", "--m", "4", "--nu", "2", "--rounds", "2"),
+     "error: instance: digit_split reads no instance file\n"),
+    (None, ("--name", "digit_split", "--m", "4", "--rounds", "2"),
+     "error: --nu: required by digit_split\n"),
+    (None, ("--name", "digit_split", "--nu", "2", "--rounds", "2"),
+     "error: --m: required by digit_split\n"),
+    ("a4_wide", ("--name", "transfer_cut", "--nu", "2"),
+     "error: --beta: required by transfer_cut\n"),
+    ("a4_narrow", ("--name", "transfer_choose", "--beta", "2"),
+     "error: --nu: required by transfer_choose\n"),
+    # values that would divide by zero or shift by a negative count
+    ("a4_wide", ("--name", "transfer_cut", "--nu", "0", "--beta", "-1"),
+     "error: transfer_cut_big_to_small needs nu >= 2 and beta >= 1\n"),
+    ("a4_narrow", ("--name", "transfer_choose", "--nu", "2", "--beta", "0"),
+     "error: transfer_choose_small_to_big needs nu >= 2 and beta >= 1\n"),
+    ("u4", ("--name", "fixed_point", "--alpha", "-1"),
+     "error: --alpha: must be >= 0\n"),
+    ("g4", ("--name", "disjointify_cut", "--sigma", "seed:x"),
+     "error: --sigma: seed:N needs an integer N, got 'seed:x'\n"),
+])
+def test_a_bad_transform_input_is_one_error_line(tmp_path, capsys, key,
+                                                  rest, line):
+    argv = _transform_argv(tmp_path, rest[1], key, *rest[2:])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line)
+
+
+@pytest.fixture(scope="module")
+def transform_input_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("transform_inputs")
+    for key, doc in TRANSFORM_INPUTS.items():
+        (root / f"{key}.json").write_text(json.dumps(doc))
+    return {key: str(root / f"{key}.json") for key in TRANSFORM_INPUTS}
+
+
+TRANSFORM_NAMES = ["digit_split", "fixed_point", "disjointify_cut",
+                   "disjointify_choose", "transfer_cut", "transfer_choose",
+                   "empty_to_cut", "nonempty_to_choose", "choose_to_nonempty"]
+
+
+@given(name=st.sampled_from(TRANSFORM_NAMES),
+       key=st.sampled_from([None, *sorted(TRANSFORM_INPUTS)]),
+       values=st.tuples(*[st.none() | st.integers(-1, 4)] * 4))
+@settings(max_examples=60, deadline=None)
+@seed(17)
+def test_every_transform_argv_exits_cleanly(transform_input_paths, name, key,
+                                            values):
+    # a missing, unread or out-of-range input is an exit code, never an
+    # exception
+    argv = ["transform", "--name", name]
+    if key is not None:
+        argv.append(transform_input_paths[key])
+    for option, value in zip(("--m", "--nu", "--beta", "--rounds"), values):
+        if value is not None:
+            argv += [option, str(value)]
+    assert main(argv) in (0, 1, 2)

@@ -822,8 +822,7 @@ def test_playouts_cover_every_adversary_line():
                for t in runs)
 
 
-def test_every_walk_fails_loudly_on_a_tiny_budget():
-    from cutchoose.solver import extract_strategy
+def test_every_walk_fails_loudly_on_a_tiny_budget(monkeypatch):
     inst = u_instance(5, 2)
     sigma = first_move_strategy(inst, CUT)
     with pytest.raises(CapacityError):
@@ -832,8 +831,9 @@ def test_every_walk_fails_loudly_on_a_tiny_budget():
         enumerate_playouts(inst, sigma, CUT, node_budget=3)
     with pytest.raises(CapacityError):
         tabulate_strategy(inst, sigma, CUT, node_budget=1)
+    monkeypatch.setattr(solver, "DEFAULT_STATE_BUDGET", 1)
     with pytest.raises(CapacityError) as err:
-        extract_strategy(inst, CUT, lambda state: CHOOSE, state_budget=1)
+        solver.extract_strategy(inst, CUT, lambda state: CHOOSE)
     assert err.value.stats == {"states_visited": 2}
 
 

@@ -90,10 +90,11 @@ def test_solve_deterministic_serialization():
     assert a == b
 
 
-def test_capacity_error_carries_stats():
+def test_capacity_error_carries_stats(monkeypatch):
     inst = u_instance(6, 3)
+    monkeypatch.setattr(solver, "DEFAULT_STATE_BUDGET", 5)
     with pytest.raises(CapacityError) as err:
-        solve(inst, want_strategy=True, state_budget=5)
+        solve(inst, want_strategy=True)
     assert "states_visited" in err.value.stats
 
 
@@ -145,7 +146,7 @@ def test_strategy_for_both_roles(m):
     assert table.entries == result.strategy.entries
     winner, table = strategy_for(inst, loser)
     # the losing role's table as the command line rebuilt it before
-    value = _value_function(inst, SolveStats(), 10_000_000, {})
+    value = _value_function(inst, SolveStats(), {})
     value(initial_state(inst))
     expected = extract_strategy(inst, loser, value)
     assert winner == result.winner
@@ -215,14 +216,15 @@ SOLVE_STATS = {
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_STATS))
-def test_solve_stats_and_budget_trip_are_pinned(name):
+def test_solve_stats_and_budget_trip_are_pinned(name, monkeypatch):
     inst = _pinned_games()[name]
     winner, visited, hits, hits_at_trip = SOLVE_STATS[name]
     result = solve(inst)
     assert (result.winner, result.stats.states_visited,
             result.stats.memo_hits) == (winner, visited, hits)
+    monkeypatch.setattr(solver, "DEFAULT_STATE_BUDGET", visited - 1)
     with pytest.raises(CapacityError) as err:
-        solve(inst, state_budget=visited - 1)
+        solve(inst)
     assert err.value.stats == {"states_visited": visited,
                                "memo_hits": hits_at_trip}
 
@@ -231,7 +233,7 @@ def test_solve_stats_and_budget_trip_are_pinned(name):
 def test_the_fill_memoizes_no_pick_position(name):
     inst = _pinned_games()[name]
     memo = {}
-    value = _value_function(inst, SolveStats(), 10_000_000, memo)
+    value = _value_function(inst, SolveStats(), memo)
     winner = value(initial_state(inst))
     for role in (winner, inst.opponent(winner)):
         extract_strategy(inst, role, value)
