@@ -10,8 +10,10 @@ inputs, seeds, and flags.  ``corpus --jobs`` is accepted only because the
 benchmark's argv passes it: the work runs in one thread.
 
 ``transform``: ``digit_split`` reads ``--m``, ``--nu`` and ``--rounds``, every
-other transform an instance file, ``transfer_*`` also ``--nu`` and ``--beta``;
-a missing input, or an instance file for ``digit_split``, names its field.
+other transform an instance file, ``transfer_*`` also ``--nu`` and ``--beta``
+(``TRANSFORM_OPTIONS``); a missing input, an option the transform never reads,
+or an instance file for ``digit_split`` names its field.  So does a count
+below its least value or an empty ``lo:hi`` range.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ TRANSFORM_NODE_BUDGET = 200_000
 def _read_instance(path: str) -> GameInstance:
     with open(path, "r", encoding="utf-8") as fh:
         return serialize.parse_instance(fh.read())
+
+
+def _at_least(value: int, least: int, option: str) -> int:
+    """``value``, refused in a line naming ``option`` when below ``least``."""
+    if value < least:
+        raise ValidationError(f"must be >= {least}", option)
+    return value
 
 
 def _emit(doc, args, strategy_text: str | None = None) -> None:
@@ -98,7 +107,7 @@ def cmd_verify(args) -> int:
 
 
 def _sigma_for(args, inst: GameInstance, role: str):
-    name = args.sigma
+    name = "solver" if args.sigma is None else args.sigma
     if name in ("greedy", "copy"):
         # both play the current set, which no cut move is
         if role == CUT:
@@ -129,10 +138,17 @@ def _sigma_for(args, inst: GameInstance, role: str):
     raise ValidationError(f"unknown sigma source {name!r}")
 
 
-# The options each transform reads beside its instance file, if any.
+# The options each transform reads beside its instance file, if any: all
+# are required but ``sigma`` (default solver) and ``alpha`` (default 0).
 TRANSFORM_OPTIONS = {"digit_split": ("m", "nu", "rounds"),
-                     "transfer_cut": ("nu", "beta"),
-                     "transfer_choose": ("nu", "beta")}
+                     "fixed_point": ("alpha",),
+                     "disjointify_cut": ("sigma",),
+                     "disjointify_choose": ("sigma",),
+                     "transfer_cut": ("sigma", "nu", "beta"),
+                     "transfer_choose": ("sigma", "nu", "beta"),
+                     "empty_to_cut": ("sigma",),
+                     "nonempty_to_choose": ("sigma",),
+                     "choose_to_nonempty": ()}
 
 
 def cmd_transform(args) -> int:
@@ -142,23 +158,27 @@ def cmd_transform(args) -> int:
                               "instance")
     if name != "digit_split" and args.instance is None:
         raise ValidationError(f"required by {name}", "instance")
-    for option in TRANSFORM_OPTIONS.get(name, ()):
-        if getattr(args, option) is None:
+    read = TRANSFORM_OPTIONS[name]
+    for option in ("sigma", "m", "nu", "beta", "rounds", "alpha"):
+        given = getattr(args, option) is not None
+        if given and option not in read:
+            raise ValidationError(f"not read by {name}", f"--{option}")
+        if not given and option in read and option not in ("sigma", "alpha"):
             raise ValidationError(f"required by {name}", f"--{option}")
     inst = None if name == "digit_split" else _read_instance(args.instance)
     if name == "digit_split":
         out = transforms.digit_split_cut_strategy(args.m, args.nu, args.rounds)
     elif name == "fixed_point":
-        if args.alpha < 0:
-            raise ValidationError("must be >= 0", "--alpha")
-        sigma = transforms.fixed_point_choose_strategy(args.alpha)
+        alpha = 0 if args.alpha is None else _at_least(args.alpha, 0,
+                                                       "--alpha")
+        sigma = transforms.fixed_point_choose_strategy(alpha)
 
         def certify_fp(t):
             picks = [m for r, m in t.moves if r == inst.picker]
-            holds = all((p >> args.alpha) & 1 for p in picks)
+            holds = all((p >> alpha) & 1 for p in picks)
             return transforms.TransformCertificate(
                 "fixed_point", "every pick contains the fixed point",
-                holds, t, [], {"alpha": args.alpha})
+                holds, t, [], {"alpha": alpha})
 
         out = transforms.TransformOutput("fixed_point", inst, sigma,
                                          certify_fp)
@@ -242,20 +262,22 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _span(text: str, option: str) -> tuple[int, int]:
+def _span(text: str, option: str) -> range:
     lo, _, hi = text.partition(":")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
-        raise ValidationError(f"{option} must be lo:hi with integer bounds, "
-                              f"got {text!r}") from None
+        raise ValidationError("must be lo:hi with integer bounds, "
+                              f"got {text!r}", option) from None
+    if lo > hi:
+        raise ValidationError(f"the range {text!r} is empty", option)
+    return range(lo, hi + 1)
 
 
 def cmd_scan(args) -> int:
-    n_lo, n_hi = _span(args.rounds, "--rounds")
-    m_lo, m_hi = _span(args.ground, "--ground")
-    rows = analysis.threshold_scan(args.nu, range(n_lo, n_hi + 1),
-                                   range(m_lo, m_hi + 1), args.variant)
+    rows = analysis.threshold_scan(
+        _at_least(args.nu, 2, "--nu"), _span(args.rounds, "--rounds"),
+        _span(args.ground, "--ground"), args.variant)
     doc = serialize.threshold_table_to_jsonable(rows)
     _emit(doc, args)
     if not args.json:
@@ -274,7 +296,8 @@ def cmd_audit(args) -> int:
         if not args.json:
             print(serialize.audit_report_text(report))
         return EXIT_OK if not report.disagreements else EXIT_VALIDATION
-    corpus = analysis.generate_corpus(args.seed, args.per_family)
+    corpus = analysis.generate_corpus(
+        args.seed, _at_least(args.per_family, 1, "--per-family"))
     results = [{"instance_id": item.instance_id,
                 "report": serialize.audit_report_to_jsonable(
                     analysis.equivalence_audit(item.instance))}
@@ -313,7 +336,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_corpus(args) -> int:
     results = []
-    for item in analysis.generate_corpus(args.seed, args.per_family):
+    for item in analysis.generate_corpus(
+            args.seed, _at_least(args.per_family, 1, "--per-family")):
         inst = item.instance
         result = solve(inst)
         results.append({
@@ -478,19 +502,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("transform", help="apply a named strategy transform")
-    p.add_argument("--name", required=True,
-                   choices=["digit_split", "fixed_point", "disjointify_cut",
-                            "disjointify_choose", "transfer_cut",
-                            "transfer_choose", "empty_to_cut",
-                            "nonempty_to_choose", "choose_to_nonempty"])
+    p.add_argument("--name", required=True, choices=list(TRANSFORM_OPTIONS))
     p.add_argument("instance", nargs="?")
-    p.add_argument("--sigma", default="solver",
-                   help="solver|greedy|copy|first|seed:N|file:PATH")
+    p.add_argument("--sigma",
+                   help="solver (the default)|greedy|copy|first|seed:N|"
+                        "file:PATH")
     p.add_argument("--m", type=int)
     p.add_argument("--nu", type=int)
     p.add_argument("--beta", type=int)
     p.add_argument("--rounds", type=int)
-    p.add_argument("--alpha", type=int, default=0)
+    p.add_argument("--alpha", type=int, help="default 0")
     p.add_argument("--strategy-out", help="write the tabulated strategy here")
     p.add_argument("--game-out", help="write the output game instance here")
     common(p)

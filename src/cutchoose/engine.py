@@ -25,9 +25,11 @@ Legality comes in two tiers.  ``legal_moves`` is the canonical enumeration
 used for solving and exhaustive verification; it omits dominated cut moves
 with empty pieces.  ``apply_move`` accepts any *structurally* valid move, so
 strategies produced by transformations may play degenerate partitions such as
-``(X, {})`` and the referee tolerates them.  A game that cuts its start set
-(``cut_current`` False) offers the same cut moves at every cut position, so
-its instance enumerates them once, as ``GameInstance.start_cuts``.
+``(X, {})`` and the referee tolerates them.  A cut's two tiers live side by
+side in ``structures``: ``enumerate_cut_moves`` and ``cut_violation``.  A
+game that cuts its start set (``cut_current`` False) offers the same cut
+moves at every cut position, so its instance enumerates them once, as
+``GameInstance.start_cuts``.
 
 Strategies are walked two ways.  The tree walk (verification, playouts)
 follows every canonical opposing line with the full history, as simulation
@@ -48,11 +50,9 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 from .errors import (CapacityError, IllegalMoveError, StrategyError,
                      ValidationError)
 from .structures import (DEFAULT_MOVE_BUDGET, FiniteBooleanAlgebra,
-                         FinitePoset, GroundSet, IPartition, MonotoneFamily,
-                         enumerate_cut_moves, format_mask,
-                         ipartition_violation, is_maximal_i_partition,
-                         is_positive, mask_elements, mask_key,
-                         positives_below, sorted_masks)
+                         FinitePoset, GroundSet, MonotoneFamily, cut_violation,
+                         enumerate_cut_moves, is_positive, mask_elements,
+                         mask_key, positives_below)
 
 # Roles
 CUT = "Cut"
@@ -346,77 +346,11 @@ def validate_move(inst: GameInstance, state: GameState, move) -> None:
                                    "pick-from-pending")
         return
 
-    if not isinstance(move, tuple) or not move:
-        raise IllegalMoveError("cut move must be a nonempty tuple of pieces",
-                               "cut-shape")
-    target = cut_target(inst, state)
-    if fam == U:
-        union = 0
-        for p in move:
-            if not isinstance(p, int):
-                raise IllegalMoveError("pieces must be subset masks", "cut-shape")
-            if p & ~target:
-                raise IllegalMoveError("piece leaves the set being cut",
-                                       "piece-inside-target")
-            if p & union:
-                raise IllegalMoveError("pieces must be pairwise disjoint",
-                                       "pieces-disjoint")
-            union |= p
-        if union != target:
-            raise IllegalMoveError("pieces must cover the set being cut",
-                                   "pieces-cover")
-        nonempty = sum(1 for p in move if p)
-        if inst.width is not None and nonempty > inst.width:
-            raise IllegalMoveError(f"more than {inst.width} nonempty pieces",
-                                   "width")
-        return
-    if fam == G_IDEAL:
-        if inst.width is not None and len(move) > inst.width:
-            raise IllegalMoveError(f"more than {inst.width} pieces", "width")
-        err = ipartition_violation(inst.family, target, move)
-        if err:
-            raise IllegalMoveError(err, "i-partition")
-        if inst.maximal:
-            ok, witness = is_maximal_i_partition(
-                IPartition(target, tuple(sorted_masks(move)), inst.family))
-            if not ok:
-                raise IllegalMoveError(
-                    f"family is not maximal; witness {format_mask(witness)}",
-                    "maximality")
-        return
-    # G_poset
-    if inst.width is not None and len(move) > inst.width:
-        raise IllegalMoveError(f"more than {inst.width} elements", "width")
-    if inst.algebra is not None:
-        union = 0
-        for p in move:
-            if not isinstance(p, int) or p == 0:
-                raise IllegalMoveError("antichain elements must be nonzero",
-                                       "antichain-nonzero")
-            if p & ~target:
-                raise IllegalMoveError("element not below the target",
-                                       "antichain-below")
-            if p & union:
-                raise IllegalMoveError("elements must be pairwise incompatible",
-                                       "antichain")
-            union |= p
-        if inst.maximal and union != target:
-            raise IllegalMoveError("antichain is not maximal below the target",
-                                   "maximality")
-    else:
-        for p in move:
-            if not (0 <= p < inst.poset.size) or not inst.poset.leq(p, target):
-                raise IllegalMoveError("element not below the target",
-                                       "antichain-below")
-        seen = list(move)
-        for i, a in enumerate(seen):
-            for b in seen[i + 1:]:
-                if a == b or inst.poset.compatible(a, b):
-                    raise IllegalMoveError("elements must be pairwise incompatible",
-                                           "antichain")
-        if inst.maximal and not inst.poset.is_maximal_antichain_below(target, seen):
-            raise IllegalMoveError("antichain is not maximal below the target",
-                                   "maximality")
+    err = cut_violation(None if fam == U else inst.structure,
+                        cut_target(inst, state), move, inst.width,
+                        inst.maximal)
+    if err:
+        raise IllegalMoveError(*err)
 
 
 def apply_move(inst: GameInstance, state: GameState, move,

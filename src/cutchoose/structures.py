@@ -5,12 +5,13 @@ means point i is in the subset).  The canonical order on masks used by every
 enumeration in the package is lexicographic on the sorted element tuple, so
 ``{0,3}`` precedes ``{1,2}``.
 
-Cut-move enumeration lives here too, since every game module consumes it:
-disjoint partitions (the binary/width-bounded cut moves), almost-disjoint
-positive families with a maximality filter (the generalized cut moves), and
-maximal antichains of posets and Boolean algebras.  ``enumerate_cut_moves``
-is the one dispatcher: the type of the structure a game is played over picks
-the enumerator, so no caller chooses one itself.  Every enumerator emits its
+Cut moves are enumerated and checked here too, since every game module
+consumes them: disjoint partitions (the binary/width-bounded cut moves),
+almost-disjoint positive families with a maximality filter (the generalized
+cut moves), and maximal antichains of posets and Boolean algebras.  The type
+of the structure a game is played over picks the rules, so no caller chooses
+them itself: ``enumerate_cut_moves`` lists the cuts, and ``cut_violation``
+is the one place a cut's legality is decided.  Every enumerator emits its
 moves in canonical order by construction; no list of moves is sorted.
 """
 
@@ -337,17 +338,18 @@ def ipartition_violation(family: MonotoneFamily, of: int,
     return None
 
 
-def is_maximal_i_partition(w: IPartition) -> tuple[bool, Optional[int]]:
-    """Maximality by brute force: search for a positive witness A inside W.of.
+def _positive_extension(family: MonotoneFamily, of: int,
+                        pieces: Iterable[int]) -> Optional[int]:
+    """The first positive subset of ``of`` (canonical order) meeting every
+    piece in a small set, by brute force; None when the pieces are maximal."""
+    return next((a for a in positives_below(family, of)
+                 if all((a & b) in family for b in pieces)), None)
 
-    Returns ``(True, None)`` or ``(False, A)`` where A is the first positive
-    subset of ``W.of`` (canonical order) meeting every piece in a small set.
-    """
-    fam = w.family
-    for a in positives_below(fam, w.of):
-        if all((a & b) in fam for b in w.pieces):
-            return False, a
-    return True, None
+
+def is_maximal_i_partition(w: IPartition) -> tuple[bool, Optional[int]]:
+    """``(False, A)``, A the first positive extension, or ``(True, None)``."""
+    a = _positive_extension(w.family, w.of, w.pieces)
+    return a is None, a
 
 
 def full_disjointification(w: IPartition) -> list[int]:
@@ -436,20 +438,7 @@ class FinitePoset:
 
     def is_maximal_antichain_below(self, x: int, chain: Sequence[int]) -> bool:
         """Pairwise incompatible elements <= x, extendable by nothing <= x."""
-        members = list(chain)
-        if not members:
-            return False
-        for a in members:
-            if not self.leq(a, x):
-                return False
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if a == b or self.compatible(a, b):
-                    return False
-        for q in mask_elements(self.down[x]):
-            if not any(self.compatible(q, a) for a in members):
-                return False
-        return True
+        return cut_violation(self, x, tuple(chain), None, True) is None
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +456,8 @@ class FiniteBooleanAlgebra:
         return self.atoms.full_mask
 
     def is_maximal_antichain_below(self, x: int, chain: Sequence[int]) -> bool:
-        members = list(chain)
-        if not members:
-            return False
-        union = 0
-        for a in members:
-            if a == 0 or a & ~x:
-                return False
-            if a & union:
-                return False
-            union |= a
-        return union == x
+        """Pairwise disjoint nonzero elements whose join is x."""
+        return cut_violation(self, x, tuple(chain), None, True) is None
 
 
 @dataclass(frozen=True)
@@ -706,3 +686,67 @@ def enumerate_cut_moves(structure, target, width: Optional[int],
                                           budget)
     raise ValidationError("cut moves need no structure, a monotone family, "
                           "a poset or a Boolean algebra")
+
+
+def cut_violation(structure, target: int, move, width: Optional[int],
+                  maximal: bool = True) -> Optional[tuple[str, str]]:
+    """The first rule ``move`` breaks as a cut of ``target``, as ``(message,
+    rule)``, or None if it breaks none.  The one place a cut's legality is
+    decided: ``structure`` picks the rules as in ``enumerate_cut_moves``.
+
+    It passes more than ``enumerate_cut_moves`` emits only for a bare set:
+    there every partition of ``target`` into at most ``width`` nonempty
+    pieces passes, empty pieces beside them and ``(target,)`` among them."""
+    if not isinstance(move, tuple) or not move:
+        return "cut move must be a nonempty tuple of pieces", "cut-shape"
+    if structure is None:
+        union = 0
+        for p in move:
+            if not isinstance(p, int):
+                return "pieces must be subset masks", "cut-shape"
+            if p & ~target:
+                return "piece leaves the set being cut", "piece-inside-target"
+            if p & union:
+                return "pieces must be pairwise disjoint", "pieces-disjoint"
+            union |= p
+        if union != target:
+            return "pieces must cover the set being cut", "pieces-cover"
+        if width is not None and sum(1 for p in move if p) > width:
+            return f"more than {width} nonempty pieces", "width"
+        return None
+    if isinstance(structure, MonotoneFamily):
+        if width is not None and len(move) > width:
+            return f"more than {width} pieces", "width"
+        err = ipartition_violation(structure, target, move)
+        if err:
+            return err, "i-partition"
+        a = _positive_extension(structure, target, move) if maximal else None
+        if a is not None:
+            return (f"family is not maximal; witness {format_mask(a)}",
+                    "maximality")
+        return None
+    if width is not None and len(move) > width:
+        return f"more than {width} elements", "width"
+    below = ("element not below the target", "antichain-below")
+    algebra = isinstance(structure, FiniteBooleanAlgebra)
+    if not algebra and any(not 0 <= p < structure.size
+                           or not structure.leq(p, target) for p in move):
+        return below
+    union = 0  # the join of the elements, or of a poset's down-sets
+    for p in move:
+        if algebra:
+            if not isinstance(p, int) or p == 0:
+                return ("antichain elements must be nonzero",
+                        "antichain-nonzero")
+            if p & ~target:
+                return below
+        else:  # poset elements are compatible when their down-sets meet
+            p = structure.down[p]
+        if p & union:
+            return "elements must be pairwise incompatible", "antichain"
+        union |= p
+    if maximal and not (union == target if algebra else all(
+            structure.down[q] & union
+            for q in mask_elements(structure.down[target]))):
+        return "antichain is not maximal below the target", "maximality"
+    return None

@@ -475,12 +475,23 @@ def test_replay_with_too_few_inputs_is_rejected(tmp_path, u4):
 
 
 @pytest.mark.parametrize("option, value", [("--rounds", "1"),
-                                           ("--ground", "2:x")])
+                                           ("--ground", "2:x"),
+                                           ("--ground", "3:2"),
+                                           ("--rounds", "2:1"),
+                                           ("--nu", "1")])
 def test_scan_with_a_malformed_range_is_rejected(option, value):
     proc = run_cli("scan", option, value)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert option in proc.stderr
+    assert f"error: {option}: " in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["audit", "corpus"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_a_corpus_of_no_instances_is_refused(capsys, command, count):
+    # it would pass its checks vacuously
+    assert main([command, "--per-family", count]) == 1
+    assert capsys.readouterr().err == "error: --per-family: must be >= 1\n"
 
 
 @pytest.mark.parametrize("argv", [("scan", "--rounds", "-1:1"), ("solve",)])
@@ -692,8 +703,9 @@ def test_empty_to_cut_with_the_solver_sigma(tmp_path, key):
 @pytest.mark.parametrize("name", ["disjointify_cut", "transfer_cut"])
 @pytest.mark.parametrize("sigma", ["greedy", "copy"])
 def test_a_set_playing_sigma_is_refused_for_the_cutter(tmp_path, name, sigma):
-    argv = _transform_argv(tmp_path, name, "g4", "--sigma", sigma,
-                           "--nu", "2", "--beta", "2")
+    # each transform is given only the options it reads
+    widths = ("--nu", "2", "--beta", "2") if name == "transfer_cut" else ()
+    argv = _transform_argv(tmp_path, name, "g4", "--sigma", sigma, *widths)
     proc = run_cli(*argv)
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -748,6 +760,23 @@ def test_the_audit_of_a_long_u_game_is_pinned(tmp_path, capsys):
      "error: --alpha: must be >= 0\n"),
     ("g4", ("--name", "disjointify_cut", "--sigma", "seed:x"),
      "error: --sigma: seed:N needs an integer N, got 'seed:x'\n"),
+    # an option the transform never reads
+    ("u4", ("--name", "fixed_point", "--sigma", "seed:x", "--m", "9"),
+     "error: --sigma: not read by fixed_point\n"),
+    ("u4", ("--name", "fixed_point", "--m", "9"),
+     "error: --m: not read by fixed_point\n"),
+    (None, ("--name", "digit_split", "--m", "4", "--nu", "2", "--rounds",
+            "2", "--sigma", "first"),
+     "error: --sigma: not read by digit_split\n"),
+    ("bm4", ("--name", "choose_to_nonempty", "--sigma", "solver"),
+     "error: --sigma: not read by choose_to_nonempty\n"),
+    ("g4", ("--name", "disjointify_cut", "--alpha", "0"),
+     "error: --alpha: not read by disjointify_cut\n"),
+    ("g4", ("--name", "disjointify_cut", "--nu", "2", "--beta", "2"),
+     "error: --nu: not read by disjointify_cut\n"),
+    ("a4_wide", ("--name", "transfer_cut", "--nu", "2", "--beta", "2",
+                 "--rounds", "3"),
+     "error: --rounds: not read by transfer_cut\n"),
 ])
 def test_a_bad_transform_input_is_one_error_line(tmp_path, capsys, key,
                                                   rest, line):

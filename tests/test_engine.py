@@ -375,6 +375,108 @@ def test_validate_move_rules():
     validate_move(loose, initial_state(loose), (0b0011, 0b1100))
 
 
+def _cut_rule_cases():
+    """One illegal cut per rule on each kind of structure, with the position
+    it is played at: the start, or a round-1 cut of a smaller core."""
+    u = u_instance(3, 2)
+    g = GroundSet(4)
+    gi = GameInstance(game_family=G_IDEAL, start=g.full_mask, rounds=2,
+                      width=3, ground=g,
+                      family=MonotoneFamily.size_at_most(g, 1))
+    alg = FiniteBooleanAlgebra(GroundSet(3))
+    ga = GameInstance(game_family=G_POSET, start=alg.top, rounds=2, width=2,
+                      algebra=alg)
+    p = FinitePoset.from_subsets([0b001, 0b010, 0b100, 0b011, 0b111], 4)
+    gp = GameInstance(game_family=G_POSET, start=4, rounds=2, width=None,
+                      poset=p)
+    gp2 = replace(gp, width=2)
+    low = GameState(1, CUT, 0b0111, None)
+    return [
+        (u, initial_state(u), 0b111),
+        (u, initial_state(u), ()),
+        (u, initial_state(u), (0b111, "x")),
+        (u, initial_state(u), (0b1000, 0b111)),
+        (u, initial_state(u), (0b011, 0b110)),
+        (u, initial_state(u), (0b001, 0b010)),
+        (u, initial_state(u), (0b001, 0b010, 0b100)),
+        (gi, initial_state(gi), (0b0011, 0b0101, 0b1001, 0b0110)),
+        (gi, initial_state(gi), (0b0011, 0b0011)),
+        (gi, low, (0b0011, 0b1100)),
+        (gi, initial_state(gi), (0b0001, 0b1110)),
+        (gi, initial_state(gi), (0b0011, 0b0111)),
+        (gi, initial_state(gi), (0b0011, 0b1100)),
+        (gi, low, (0b0011,)),
+        (ga, initial_state(ga), (0b001, 0b010, 0b100)),
+        (ga, initial_state(ga), (0, 0b111)),
+        (ga, initial_state(ga), (0b1000,)),
+        (ga, initial_state(ga), (0b011, 0b110)),
+        (ga, initial_state(ga), (0b001, 0b010)),
+        (gp, initial_state(gp), (5,)),
+        (gp, GameState(1, CUT, p.down[3], None), (2,)),
+        (gp, initial_state(gp), (0, 0)),
+        (gp, initial_state(gp), (0, 3)),
+        (gp, initial_state(gp), (0,)),
+        (gp2, initial_state(gp2), (0, 1, 2)),
+    ]
+
+
+# (message, rule) for each of _cut_rule_cases, in order.
+CUT_RULE_PINS = [
+    ("cut move must be a nonempty tuple of pieces [rule: cut-shape]",
+     "cut-shape"),
+    ("cut move must be a nonempty tuple of pieces [rule: cut-shape]",
+     "cut-shape"),
+    ("pieces must be subset masks [rule: cut-shape]", "cut-shape"),
+    ("piece leaves the set being cut [rule: piece-inside-target]",
+     "piece-inside-target"),
+    ("pieces must be pairwise disjoint [rule: pieces-disjoint]",
+     "pieces-disjoint"),
+    ("pieces must cover the set being cut [rule: pieces-cover]",
+     "pieces-cover"),
+    ("more than 2 nonempty pieces [rule: width]", "width"),
+    ("more than 3 pieces [rule: width]", "width"),
+    ("duplicate pieces [rule: i-partition]", "i-partition"),
+    ("piece {2,3} not contained in {0,1,2} [rule: i-partition]",
+     "i-partition"),
+    ("piece {0} is not positive [rule: i-partition]", "i-partition"),
+    ("pieces {0,1} and {0,1,2} have a positive intersection "
+     "[rule: i-partition]", "i-partition"),
+    ("family is not maximal; witness {0,2} [rule: maximality]",
+     "maximality"),
+    ("family is not maximal; witness {0,2} [rule: maximality]",
+     "maximality"),
+    ("more than 2 elements [rule: width]", "width"),
+    ("antichain elements must be nonzero [rule: antichain-nonzero]",
+     "antichain-nonzero"),
+    ("element not below the target [rule: antichain-below]",
+     "antichain-below"),
+    ("elements must be pairwise incompatible [rule: antichain]",
+     "antichain"),
+    ("antichain is not maximal below the target [rule: maximality]",
+     "maximality"),
+    ("element not below the target [rule: antichain-below]",
+     "antichain-below"),
+    ("element not below the target [rule: antichain-below]",
+     "antichain-below"),
+    ("elements must be pairwise incompatible [rule: antichain]",
+     "antichain"),
+    ("elements must be pairwise incompatible [rule: antichain]",
+     "antichain"),
+    ("antichain is not maximal below the target [rule: maximality]",
+     "maximality"),
+    ("more than 2 elements [rule: width]", "width"),
+]
+
+
+def test_every_cut_rule_reads_as_pinned():
+    got = []
+    for inst, state, move in _cut_rule_cases():
+        with pytest.raises(IllegalMoveError) as err:
+            validate_move(inst, state, move)
+        got.append((str(err.value), err.value.rule))
+    assert got == CUT_RULE_PINS
+
+
 def test_choose_may_pick_family_member():
     # losing by the win condition, not by legality
     inst = u_instance(3, 1)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cutchoose.errors import CapacityError, ValidationError
 from cutchoose.structures import (FiniteBooleanAlgebra, FinitePoset, GroundSet,
                                   Ideal, IPartition, MonotoneFamily,
+                                  cut_violation,
                                   enumerate_algebra_antichains,
                                   enumerate_cut_moves,
                                   enumerate_disjoint_partitions,
@@ -443,6 +444,49 @@ def test_poset_antichains_match_brute_force(labels, data):
                 expected.append(combo)
     got = enumerate_poset_antichains(p, below, width, maximal)
     assert got == sorted(expected)
+
+
+@st.composite
+def cut_games(draw):
+    """A structure of each type ``enumerate_cut_moves`` dispatches on, a
+    target, and candidate pieces in canonical order: every poset element,
+    or every subset of the ground (the empty one only for a bare set)."""
+    kind = draw(st.sampled_from(["set", "family", "algebra", "poset"]))
+    if kind == "poset":
+        labels = draw(st.lists(st.integers(1, 15), min_size=1, max_size=6,
+                               unique=True))
+        return (FinitePoset.from_subsets(labels),
+                draw(st.integers(0, len(labels) - 1)), range(len(labels)))
+    if kind == "family":
+        structure = draw(families())
+        ground = structure.ground
+    else:
+        ground = GroundSet(draw(st.integers(1, 4)))
+        structure = FiniteBooleanAlgebra(ground) if kind == "algebra" else None
+    target = draw(st.integers(1, ground.full_mask))
+    return structure, target, sorted_masks(
+        s for s in submasks(ground.full_mask) if s or structure is None)
+
+
+@given(cut_games(), st.sampled_from([2, 3, None]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_cut_violation_passes_exactly_the_enumerated_moves(game, width,
+                                                           maximal):
+    # the checker and the enumerator decide the same cuts; a bare set's
+    # checker also passes (target,) and empty pieces beside a partition
+    structure, target, candidates = game
+    moves = set(enumerate_cut_moves(structure, target, width, maximal))
+    for move in moves:
+        assert cut_violation(structure, target, move, width, maximal) is None
+    if structure is None:
+        moves.add((target,))
+    for r in range(1, (width or 3) + 2):
+        for combo in itertools.combinations(candidates, r):
+            passes = cut_violation(structure, target, combo, width,
+                                   maximal) is None
+            if structure is None:
+                combo = tuple(p for p in combo if p)
+            assert passes == (combo in moves), combo
 
 
 def test_enumeration_budget_counts_every_node():
