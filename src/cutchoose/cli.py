@@ -9,11 +9,13 @@ progress goes to stderr.  All emitted documents are byte-stable given equal
 inputs, seeds, and flags.  ``corpus --jobs`` is accepted only because the
 benchmark's argv passes it: the work runs in one thread.
 
-``transform``: ``digit_split`` reads ``--m``, ``--nu`` and ``--rounds``, every
-other transform an instance file, ``transfer_*`` also ``--nu`` and ``--beta``
-(``TRANSFORM_OPTIONS``); a missing input, an option the transform never reads,
-or an instance file for ``digit_split`` names its field.  So does a count
-below its least value or an empty ``lo:hi`` range.
+``transform``: one table, ``TRANSFORMS``, gives each transform the inputs it
+reads and how its output is built: ``digit_split`` reads ``--m``, ``--nu`` and
+``--rounds``, every other transform an instance file, ``transfer_*`` also
+``--nu`` and ``--beta``.  A missing input, an option the transform never
+reads, or an instance file for ``digit_split`` names its field.  So does a
+count below its least value, a ``lo:hi`` range that is empty or leaves its
+domain, and ``audit --seed`` or ``--per-family`` beside an instance file.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .engine import (CHOOSE, CUT, EMPTY, NONEMPTY, GameInstance, apply_move,
                      terminal_status, verify_winning_strategy)
 from .errors import CapacityError, CutChooseError, ValidationError
 from .solver import refute, solve, strategy_for
-from .structures import format_mask
+from .structures import MAX_GROUND, format_mask
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -138,78 +140,57 @@ def _sigma_for(args, inst: GameInstance, role: str):
     raise ValidationError(f"unknown sigma source {name!r}")
 
 
-# The options each transform reads beside its instance file, if any: all
-# are required but ``sigma`` (default solver) and ``alpha`` (default 0).
-TRANSFORM_OPTIONS = {"digit_split": ("m", "nu", "rounds"),
-                     "fixed_point": ("alpha",),
-                     "disjointify_cut": ("sigma",),
-                     "disjointify_choose": ("sigma",),
-                     "transfer_cut": ("sigma", "nu", "beta"),
-                     "transfer_choose": ("sigma", "nu", "beta"),
-                     "empty_to_cut": ("sigma",),
-                     "nonempty_to_choose": ("sigma",),
-                     "choose_to_nonempty": ()}
+# Each transform: the inputs it reads (``instance`` for the file, the
+# others options, all required but ``sigma``, default solver, and
+# ``alpha``, default 0) and its output built from the arguments and the
+# instance.  ``empty_to_cut`` asks the emptier one stage past the round
+# count, so its sigma comes from the game one round longer.
+TRANSFORMS = {
+    "digit_split": (("m", "nu", "rounds"), lambda a, inst: (
+        transforms.digit_split_cut_strategy(a.m, a.nu, a.rounds))),
+    "fixed_point": (("instance", "alpha"), lambda a, inst: (
+        transforms.fixed_point_choose(inst, _at_least(
+            0 if a.alpha is None else a.alpha, 0, "--alpha")))),
+    "disjointify_cut": (("instance", "sigma"), lambda a, inst: (
+        transforms.disjointify_cut_strategy(_sigma_for(a, inst, CUT), inst))),
+    "disjointify_choose": (("instance", "sigma"), lambda a, inst: (
+        transforms.disjointify_choose_strategy(_sigma_for(
+            a, transforms._doubled_instance(inst), CHOOSE), inst))),
+    "transfer_cut": (("instance", "sigma", "nu", "beta"), lambda a, inst: (
+        transforms.transfer_cut_big_to_small(
+            _sigma_for(a, inst, CUT), inst, a.nu, a.beta))),
+    "transfer_choose": (("instance", "sigma", "nu", "beta"), lambda a, inst: (
+        transforms.transfer_choose_small_to_big(
+            _sigma_for(a, inst, CHOOSE), inst, a.nu, a.beta))),
+    "empty_to_cut": (("instance", "sigma"), lambda a, inst: (
+        transforms.empty_to_cut_strategy(_sigma_for(
+            a, dataclasses.replace(inst, rounds=inst.rounds + 1), EMPTY),
+            inst))),
+    "nonempty_to_choose": (("instance", "sigma"), lambda a, inst: (
+        transforms.nonempty_to_choose_strategy(
+            _sigma_for(a, inst, NONEMPTY), inst, inst.start))),
+    "choose_to_nonempty": (("instance",), lambda a, inst: (
+        transforms.choose_to_nonempty_strategy(lambda x0: (
+            greedy_picker_strategy(transforms.weak_g_instance(inst, x0))),
+            inst))),
+}
 
 
 def cmd_transform(args) -> int:
     name = args.name
-    if name == "digit_split" and args.instance is not None:
-        raise ValidationError("digit_split reads no instance file",
-                              "instance")
-    if name != "digit_split" and args.instance is None:
+    reads, build = TRANSFORMS[name]
+    if args.instance is not None and "instance" not in reads:
+        raise ValidationError(f"{name} reads no instance file", "instance")
+    if args.instance is None and "instance" in reads:
         raise ValidationError(f"required by {name}", "instance")
-    read = TRANSFORM_OPTIONS[name]
     for option in ("sigma", "m", "nu", "beta", "rounds", "alpha"):
         given = getattr(args, option) is not None
-        if given and option not in read:
+        if given and option not in reads:
             raise ValidationError(f"not read by {name}", f"--{option}")
-        if not given and option in read and option not in ("sigma", "alpha"):
+        if not given and option in reads and option not in ("sigma", "alpha"):
             raise ValidationError(f"required by {name}", f"--{option}")
-    inst = None if name == "digit_split" else _read_instance(args.instance)
-    if name == "digit_split":
-        out = transforms.digit_split_cut_strategy(args.m, args.nu, args.rounds)
-    elif name == "fixed_point":
-        alpha = 0 if args.alpha is None else _at_least(args.alpha, 0,
-                                                       "--alpha")
-        sigma = transforms.fixed_point_choose_strategy(alpha)
-
-        def certify_fp(t):
-            picks = [m for r, m in t.moves if r == inst.picker]
-            holds = all((p >> alpha) & 1 for p in picks)
-            return transforms.TransformCertificate(
-                "fixed_point", "every pick contains the fixed point",
-                holds, t, [], {"alpha": alpha})
-
-        out = transforms.TransformOutput("fixed_point", inst, sigma,
-                                         certify_fp)
-    elif name == "disjointify_cut":
-        out = transforms.disjointify_cut_strategy(
-            _sigma_for(args, inst, CUT), inst)
-    elif name == "disjointify_choose":
-        u_inst = transforms._doubled_instance(inst)
-        out = transforms.disjointify_choose_strategy(
-            _sigma_for(args, u_inst, CHOOSE), inst)
-    elif name == "transfer_cut":
-        out = transforms.transfer_cut_big_to_small(
-            _sigma_for(args, inst, CUT), inst, args.nu, args.beta)
-    elif name == "transfer_choose":
-        out = transforms.transfer_choose_small_to_big(
-            _sigma_for(args, inst, CHOOSE), inst, args.nu, args.beta)
-    elif name == "empty_to_cut":
-        # The transform asks the emptier one stage past the round count, so
-        # its sigma comes from the game one round longer.
-        longer = dataclasses.replace(inst, rounds=inst.rounds + 1)
-        out = transforms.empty_to_cut_strategy(
-            _sigma_for(args, longer, EMPTY), inst)
-    elif name == "nonempty_to_choose":
-        out = transforms.nonempty_to_choose_strategy(
-            _sigma_for(args, inst, NONEMPTY), inst, inst.start)
-    else:  # choose_to_nonempty, the last of the parser's choices
-        def provider(x0):
-            return greedy_picker_strategy(transforms.weak_g_instance(inst, x0))
-
-        out = transforms.choose_to_nonempty_strategy(provider, inst)
-
+    out = build(args, _read_instance(args.instance)
+                if "instance" in reads else None)
     certs = transforms.certify_playouts(out, node_budget=TRANSFORM_NODE_BUDGET)
     # The tree walk above asked every question the positional walk asks, so
     # the table is built only where it is written.
@@ -262,7 +243,9 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _span(text: str, option: str) -> range:
+def _span(text: str, option: str, least: int, most: int | None = None
+          ) -> range:
+    """The ``lo:hi`` range ``text``, within ``least..most``."""
     lo, _, hi = text.partition(":")
     try:
         lo, hi = int(lo), int(hi)
@@ -271,13 +254,15 @@ def _span(text: str, option: str) -> range:
                               f"got {text!r}", option) from None
     if lo > hi:
         raise ValidationError(f"the range {text!r} is empty", option)
-    return range(lo, hi + 1)
+    if most is not None and hi > most:
+        raise ValidationError(f"must be <= {most}", option)
+    return range(_at_least(lo, least, option), hi + 1)
 
 
 def cmd_scan(args) -> int:
     rows = analysis.threshold_scan(
-        _at_least(args.nu, 2, "--nu"), _span(args.rounds, "--rounds"),
-        _span(args.ground, "--ground"), args.variant)
+        _at_least(args.nu, 2, "--nu"), _span(args.rounds, "--rounds", 1),
+        _span(args.ground, "--ground", 1, MAX_GROUND), args.variant)
     doc = serialize.threshold_table_to_jsonable(rows)
     _emit(doc, args)
     if not args.json:
@@ -289,6 +274,11 @@ def cmd_scan(args) -> int:
 
 def cmd_audit(args) -> int:
     if args.instance:
+        for option, value in (("--seed", args.seed),
+                              ("--per-family", args.per_family)):
+            if value is not None:
+                raise ValidationError("not read with an instance file",
+                                      option)
         inst = _read_instance(args.instance)
         report = analysis.equivalence_audit(inst)
         doc = serialize.audit_report_to_jsonable(report)
@@ -296,8 +286,10 @@ def cmd_audit(args) -> int:
         if not args.json:
             print(serialize.audit_report_text(report))
         return EXIT_OK if not report.disagreements else EXIT_VALIDATION
-    corpus = analysis.generate_corpus(
-        args.seed, _at_least(args.per_family, 1, "--per-family"))
+    seed = 2024 if args.seed is None else args.seed
+    corpus = analysis.generate_corpus(seed, _at_least(
+        25 if args.per_family is None else args.per_family, 1,
+        "--per-family"))
     results = [{"instance_id": item.instance_id,
                 "report": serialize.audit_report_to_jsonable(
                     analysis.equivalence_audit(item.instance))}
@@ -305,7 +297,7 @@ def cmd_audit(args) -> int:
     disagreements = sum(r["report"]["disagreements"] for r in results)
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
-        "seed": args.seed,
+        "seed": seed,
         "instances": len(results),
         "disagreements": disagreements,
         "reports": results,
@@ -313,7 +305,7 @@ def cmd_audit(args) -> int:
     _emit(doc, args)
     if not args.json:
         print(f"audited {len(results)} instances "
-              f"(seed {args.seed}): {disagreements} disagreements")
+              f"(seed {seed}): {disagreements} disagreements")
     return EXIT_OK if disagreements == 0 else EXIT_VALIDATION
 
 
@@ -423,8 +415,8 @@ def cmd_play(args) -> int:
             print(f"[{role}] plays {_show_move(inst, move)}", file=out)
         else:
             moves = legal_moves(inst, state)
-            print(f"round {state.round}, core "
-                  f"{_show_move(inst, state.core)}; your moves:", file=out)
+            core = serialize.state_to_jsonable(inst, state)["core"]
+            print(f"round {state.round}, core {core}; your moves:", file=out)
             for i, mv in enumerate(moves):
                 print(f"  {i}: {_show_move(inst, mv)}", file=out)
             where = ""
@@ -502,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("transform", help="apply a named strategy transform")
-    p.add_argument("--name", required=True, choices=list(TRANSFORM_OPTIONS))
+    p.add_argument("--name", required=True, choices=list(TRANSFORMS))
     p.add_argument("instance", nargs="?")
     p.add_argument("--sigma",
                    help="solver (the default)|greedy|copy|first|seed:N|"
@@ -536,8 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="two-sided characterization audit")
     p.add_argument("instance", nargs="?")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--per-family", type=int, default=25)
+    p.add_argument("--seed", type=int,
+                   help="default 2024; only without an instance file")
+    p.add_argument("--per-family", type=int,
+                   help="default 25; only without an instance file")
     common(p)
     p.set_defaults(fn=cmd_audit)
 

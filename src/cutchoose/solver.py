@@ -229,8 +229,8 @@ def solve(inst: GameInstance, want_strategy: bool = True) -> SolveResult:
     stats = SolveStats()
     strategy = None
     if _symmetric_applicable(inst) and not want_strategy:
-        winner = _symmetric_winner(inst)
-        stats.states_visited = 0
+        with depth_limited(inst.rounds, "solve", stats.counts):
+            winner = _symmetric_winner(inst)
     else:
         with _filled(inst, stats) as value:
             winner = value(initial_state(inst))
@@ -287,12 +287,13 @@ def refute(inst: GameInstance, role: str) -> RefuteResult:
         return result
 
     try:
-        has = can_win(initial_state(inst))
-        strategy = None
-        if has:
-            strategy = extract_strategy(
-                inst, role,
-                lambda s: role if can_win(s) else inst.opponent(role))
+        with depth_limited(inst.rounds, "refute", lambda: {"nodes": nodes}):
+            has = can_win(initial_state(inst))
+            strategy = None
+            if has:
+                strategy = extract_strategy(
+                    inst, role,
+                    lambda s: role if can_win(s) else inst.opponent(role))
     finally:
         # can_win refers to itself, so only the cyclic collector would
         # free the memo behind it.
@@ -327,7 +328,8 @@ def reference_winner(inst: GameInstance) -> str:
                 return mover
         return inst.opponent(mover)
 
-    return val(initial_state(inst))
+    with depth_limited(inst.rounds, "solve", lambda: {"nodes": nodes}):
+        return val(initial_state(inst))
 
 
 def _reference_u2(inst: GameInstance) -> str:
@@ -376,4 +378,5 @@ def _reference_u2(inst: GameInstance) -> str:
                 break
         return False
 
-    return CUT if cut_wins(inst.start, rounds) else CHOOSE
+    with depth_limited(rounds, "solve", lambda: {"nodes": nodes}):
+        return CUT if cut_wins(inst.start, rounds) else CHOOSE

@@ -12,10 +12,16 @@ history (or of the part of it the transformation reads, such as the picks
 alone), and every prefix's result is kept in a memo that lives as long as
 the ``TransformOutput`` does.  A walk over the output strategy's tree thus
 steps each auxiliary stage once, and ``decide`` answers from the stage its
-history reaches; the cutters that play each auxiliary cut as a block of
-target cuts share one such fold, ``_block_cutter``.  A ``certify`` hook
-folds a finished transcript the same way, then replays the auxiliary run
-from the start against the source strategy (never through the memo) and
+history reaches.
+
+The source is asked in one of two shapes.  A source that cuts is simulated
+by ``_block_cutter``, which plays each auxiliary cut as a block of target
+cuts and asks the source when a block opens.  A source that picks is
+simulated by ``_replies``, the run of its own game in which it answers each
+cut of a sequence, memoized per cut prefix, so it is asked once per history
+of its own game however many target histories lead there.  A ``certify``
+hook folds a finished transcript the same way, then replays the auxiliary
+run from the start against the source strategy (never through a memo) and
 checks the declared relation between the runs -- containment or equality
 of cores -- raising ``TransformSoundnessError`` only for genuine
 bookkeeping violations, never for mere game losses.
@@ -51,7 +57,8 @@ WITNESS_BUDGET = 200_000
 
 __all__ = [
     "TransformCertificate", "TransformOutput", "certify_playouts",
-    "digit_split_cut_strategy", "fixed_point_choose_strategy",
+    "digit_split_cut_strategy", "fixed_point_choose",
+    "fixed_point_choose_strategy",
     "restrict_choose_strategy", "disjointify_cut_strategy",
     "disjointify_choose_strategy", "factor_antichain", "FactorResult",
     "transfer_cut_big_to_small", "transfer_choose_small_to_big",
@@ -197,13 +204,24 @@ def _block_cutter(start: Callable[[], _Run],
     return fold, decide
 
 
-def _forced_pick(sigma: Strategy, run: _Run):
-    """Query a picker, resolving degenerate one-piece pending moves without
-    consulting it (table strategies only cover enumerated moves)."""
-    nonempty = [p for p in run.state.pending if p]
-    if len(nonempty) == 1:
-        return nonempty[0]
-    return run.ask(sigma)
+def _replies(game: GameInstance, sigma: Strategy):
+    """The reply fold of a picker, the counterpart of ``_block_cutter``:
+    ``reply(run, cut)`` is ``run`` (a run of ``game`` in which ``sigma``
+    picks) extended by ``cut`` and ``sigma``'s answer, and the answer.
+    Runs are memoized per cut prefix, so ``sigma`` is asked once per
+    history of ``game``."""
+
+    def step(run: _Run, cut) -> _Run:
+        run = run.then(cut)
+        return run.then(run.ask(sigma))
+
+    runs = _Fold(lambda: _Run.start(game), step)
+
+    def reply(run: _Run, cut) -> tuple:
+        run = runs([move for _, move in run.history[0::2]] + [cut])
+        return run, run.history[-1][1]
+
+    return reply
 
 
 def _replay_aux(inst: GameInstance, moves: Sequence, role: str,
@@ -234,13 +252,6 @@ def _check_aux_run(inst: GameInstance, moves: Sequence, sigma: Strategy,
         return False
     details["aux_final_core"] = format_mask(run.state.core)
     return True
-
-
-def _check_aux_run_forced(inst: GameInstance, moves: Sequence,
-                          sigma: Strategy, details: dict) -> bool:
-    """Like _check_aux_run but picker moves go through _forced_pick."""
-    return _replay_aux(inst, moves, inst.picker,
-                       lambda r: _forced_pick(sigma, r), details) is not None
 
 
 def _positives_desc(fam: MonotoneFamily, limit: int) -> list[int]:
@@ -299,6 +310,25 @@ def digit_split_cut_strategy(m: int, nu: int, n: int) -> TransformOutput:
 
 
 # ---------------------------------------------------------------------------
+# The fixed-point picker
+# ---------------------------------------------------------------------------
+
+def fixed_point_choose(inst: GameInstance, alpha: int) -> TransformOutput:
+    """``fixed_point_choose_strategy(alpha)`` on ``inst``; its certificate
+    checks that every pick contains the point ``alpha``."""
+
+    def certify(t: Transcript) -> TransformCertificate:
+        holds = all((move >> alpha) & 1 for role, move in t.moves
+                    if role == inst.picker)
+        return TransformCertificate(
+            "fixed_point", "every pick contains the fixed point", holds, t,
+            [], {"alpha": alpha})
+
+    return TransformOutput("fixed_point", inst,
+                           fixed_point_choose_strategy(alpha), certify)
+
+
+# ---------------------------------------------------------------------------
 # Restriction along an embedding
 # ---------------------------------------------------------------------------
 
@@ -347,6 +377,8 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
             raise ValidationError("family does not restrict along the embedding "
                                   f"(witness {format_mask(s)})")
 
+    reply = _replies(inner, sigma)
+
     def step(stage, entry):
         """One cut entry (the trailing unanswered one too): a cut with two
         or more nonempty inner pieces extends the inner run by their inner
@@ -360,9 +392,7 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
         if not nonempty:
             return run, pieces[0]
         if len(nonempty) >= 2:
-            run = run.then(tuple(nonempty))
-            pick = run.ask(sigma)
-            run = run.then(pick)
+            run, pick = reply(run, tuple(nonempty))
         else:
             pick = nonempty[0]
         for p in pieces:
@@ -512,6 +542,8 @@ def disjointify_choose_strategy(sigma_u: Strategy,
     _require_g_ideal(g_inst, "disjointify_choose_strategy")
     u_inst = _doubled_instance(g_inst)
 
+    reply = _replies(u_inst, sigma_u)
+
     def step(stage, entry):
         """One cut entry (the trailing unanswered one too): the auxiliary
         partition game plays its disjointification and cover split.  The
@@ -526,18 +558,11 @@ def disjointify_choose_strategy(sigma_u: Strategy,
         run, blocks, trimmed, degenerate, _ = stage
         sources, refined, played, split, cover = \
             _disjointify_move(g_inst, entry[1])
+        y, p2 = played[0], cover
         if len(played) >= 2:
-            run = run.then(played)
-            y = _forced_pick(sigma_u, run)
-            run = run.then(y)
-        else:
-            y = played[0]
+            run, y = reply(run, played)
         if 0 not in split:
-            run = run.then(split)
-            p2 = _forced_pick(sigma_u, run)
-            run = run.then(p2)
-        else:
-            p2 = cover
+            run, p2 = reply(run, split)
         src = _source_of(sources, refined, y)
         if src is None:
             raise TransformSoundnessError(
@@ -558,7 +583,8 @@ def disjointify_choose_strategy(sigma_u: Strategy,
     def certify(t: Transcript) -> TransformCertificate:
         run, blocks, trimmed, degenerate, _ = stages(_cut_entries(t.moves))
         details: dict = {"blocks": blocks}
-        holds = _check_aux_run_forced(u_inst, run.history, sigma_u, details)
+        holds = _replay_aux(u_inst, run.history, CHOOSE,
+                            lambda r: r.ask(sigma_u), details) is not None
         g_core = t.states[-1].core
         if trimmed & ~g_core:
             holds = False
@@ -755,6 +781,7 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
     big_inst = _algebra_g_instance(small_inst, nu ** beta,
                                    small_inst.rounds // beta)
     algebra = small_inst.algebra
+    reply = _replies(small_inst, sigma_small)
 
     def step(stage, entry):
         """One wide cut (the trailing unanswered one too): the narrow picker
@@ -765,9 +792,7 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
         factor = factor_antichain(algebra, big_inst.start, entry[1], nu, beta)
         picks = []
         for level in factor.levels:
-            run = run.then(level)
-            pick = run.ask(sigma_small)
-            run = run.then(pick)
+            run, pick = reply(run, level)
             picks.append(pick)
         code = _code_of(factor, picks)
         rec = factor.recover(code) if code else 0
@@ -1142,64 +1167,35 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
     """
     _require_bm_ideal(bm_inst, "choose_to_nonempty_strategy")
     fam = bm_inst.family
-    games: dict[int, GameInstance] = {}
-    pickers: dict[int, _Fold] = {}
-    sets: dict = {}
-
-    def game(x0: int) -> GameInstance:
-        """The weak generalized game on ``x0``, one instance per opening set,
-        so its cut moves (``start_cuts``) are enumerated once."""
-        if x0 not in games:
-            games[x0] = weak_g_instance(bm_inst, x0)
-        return games[x0]
-
-    def picker_run(x0: int, vec: tuple) -> _Run:
-        """The picker's run in ``game(x0)`` against the cut prefix ``vec``."""
-        if x0 not in pickers:
-            sigma = provider(x0)
-
-            def step(run: _Run, w) -> _Run:
-                run = run.then(w)
-                return run.then(run.ask(sigma))
-
-            pickers[x0] = _Fold(lambda: _Run.start(game(x0)), step)
-        return pickers[x0](vec)
-
-    def response(x0: int, vec: tuple) -> int:
-        """The picker's answer to the cut prefix ``vec`` (earlier picks its
-        own)."""
-        return picker_run(x0, vec).history[-1][1]
-
-    def response_set(x0: int, vec: tuple) -> frozenset:
-        key = (x0, vec)
-        if key not in sets:
-            sets[key] = frozenset(response(x0, vec + (w,))
-                                  for w in game(x0).start_cuts)
-        return sets[key]
 
     def step(stage, entry):
-        """One opposing move: the first is the opening set, each later one
-        is matched to the first cut whose picker response it is.  The stage
-        is (opening set, reconstructed cut prefix)."""
-        x0, vec = stage
+        """One opposing move.  The first is the opening set and starts the
+        picker's run in the weak generalized game on it; each later one
+        must be a picker answer at the stage's run, and moves to the run it
+        maps to.  The stage is (reply, run, each answer to one more cut at
+        the run -> the run its first cut in canonical order extends to)."""
         move = entry[1]
-        if x0 is None:
-            return move, ()
-        found = next((w for w in game(x0).start_cuts
-                      if response(x0, vec + (w,)) == move), None)
-        if found is None:
-            raise TransformSoundnessError(
-                f"opposing move {format_mask(move)} is not a picker "
-                "response")
-        return x0, vec + (found,)
+        if stage is None:
+            run = _Run.start(weak_g_instance(bm_inst, move))
+            reply = _replies(run.inst, provider(move))
+        else:
+            reply, run, first = stage
+            run = first.get(move)
+            if run is None:
+                raise TransformSoundnessError(
+                    f"opposing move {format_mask(move)} is not a picker "
+                    "response")
+        first = {}
+        for w in run.inst.start_cuts:
+            nxt, pick = reply(run, w)
+            first.setdefault(pick, nxt)
+        return reply, run, first
 
-    stages = _Fold(lambda: (None, ()), step)
+    stages = _Fold(lambda: None, step)
 
     def decide(inst_, state, history):
-        x0, vec = stages(history[0::2])
-        x_last = history[-1][1]
-        responses = response_set(x0, vec)
-        for y in _positives_desc(fam, x_last):
+        responses = stages(history[0::2])[2]
+        for y in _positives_desc(fam, history[-1][1]):
             if all(z in responses for z in submasks(y)
                    if z and is_positive(fam, z)):
                 return y
@@ -1211,23 +1207,23 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
 
     def certify(t: Transcript) -> TransformCertificate:
         try:
-            x0, vec = stages(t.moves[0::2])
+            _, run, _ = stages(t.moves[0::2])
         except TransformSoundnessError as exc:
             return TransformCertificate(
                 "choose_to_nonempty", "opposing moves are picker responses",
                 False, t, [], {"error": str(exc)})
         holds = True
-        details: dict = {"stages": len(vec)}
+        details: dict = {"stages": len(run.history) // 2}
         empties = [mv for role, mv in t.moves if role == EMPTY]
-        picks = [pick for _, pick in picker_run(x0, vec).history[1::2]]
+        cuts = [cut for _, cut in run.history[0::2]]
+        picks = [pick for _, pick in run.history[1::2]]
         for j, pick in enumerate(picks):
             if pick != empties[j + 1]:
                 holds = False
                 details["pick_mismatch"] = j
-        aux = list(zip(vec, picks))
         return TransformCertificate(
             "choose_to_nonempty",
             "opposing moves are exactly the picker's responses",
-            holds, t, aux, details)
+            holds, t, list(zip(cuts, picks)), details)
 
     return TransformOutput("choose_to_nonempty", bm_inst, strategy, certify)

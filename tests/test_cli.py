@@ -341,6 +341,19 @@ def test_a_game_too_deep_to_solve_is_a_capacity_error(tmp_path, argv):
     assert "game.rounds = 1000" in proc.stderr
 
 
+def test_a_deep_winner_only_solve_is_a_capacity_error(tmp_path):
+    # the size shortcut recurses once per round when a one-point core
+    # cannot split
+    doc = u_doc(m=1, rounds=5000, start="{0}", bound=0)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("solve", str(path), "--no-strategy")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("capacity: game too deep to solve: game.rounds = "
+                           "5000 exceeds the recursion limit\n")
+
+
 def test_the_removed_disk_cache_is_refused_cleanly(tmp_path, u4,
                                                    monkeypatch):
     # solving has one path: no flag, subcommand or variable reaches a disk
@@ -478,7 +491,10 @@ def test_replay_with_too_few_inputs_is_rejected(tmp_path, u4):
                                            ("--ground", "2:x"),
                                            ("--ground", "3:2"),
                                            ("--rounds", "2:1"),
-                                           ("--nu", "1")])
+                                           ("--nu", "1"),
+                                           ("--ground", "0:3"),
+                                           ("--ground", "25:25"),
+                                           ("--rounds", "0:1")])
 def test_scan_with_a_malformed_range_is_rejected(option, value):
     proc = run_cli("scan", option, value)
     assert proc.returncode == 1
@@ -492,6 +508,39 @@ def test_a_corpus_of_no_instances_is_refused(capsys, command, count):
     # it would pass its checks vacuously
     assert main([command, "--per-family", count]) == 1
     assert capsys.readouterr().err == "error: --per-family: must be >= 1\n"
+
+
+@pytest.mark.parametrize("options", [("--per-family", "-1", "--seed", "7"),
+                                     ("--seed", "2024"),
+                                     ("--per-family", "25")])
+def test_audit_refuses_the_corpus_options_with_an_instance_file(u4, capsys,
+                                                               options):
+    assert main(["audit", u4, *options]) == 1
+    captured = capsys.readouterr()
+    option = "--seed" if "--seed" in options else "--per-family"
+    assert (captured.out, captured.err) == (
+        "", f"error: {option}: not read with an instance file\n")
+
+
+def test_play_prints_a_poset_core_as_the_documents_do(tmp_path, capsys):
+    # a G_poset core on a poset is a down-set mask
+    game = tmp_path / "poset.json"
+    game.write_text(json.dumps({
+        "schema_version": 1,
+        "structure": {"kind": "poset", "elements": 4,
+                      "down": ["{0}", "{1}", "{0,1,2}", "{0,1,2,3}"],
+                      "top": 3},
+        "game": {"family": "G_poset", "start": 3, "rounds": 1, "width": 2,
+                 "variant": "exact", "maximal": True,
+                 "cut_current": False}}))
+    inst = serialize.parse_instance(game.read_text())
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps({
+        "instance": serialize.instance_to_jsonable(inst),
+        "human_role": "Choose", "inputs": [0]}))
+    assert main(["play", str(game), "--replay", str(log)]) == 0
+    assert "round 0, core {0,1,2,3}; your moves:" in (
+        capsys.readouterr().out.splitlines())
 
 
 @pytest.mark.parametrize("argv", [("scan", "--rounds", "-1:1"), ("solve",)])

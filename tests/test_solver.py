@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 
 import pytest
 
@@ -63,6 +64,24 @@ def test_refute_and_the_oracle_read_their_budgets_when_called(monkeypatch):
         with pytest.raises(CapacityError, match="oracle") as err:
             reference_winner(u_instance(5, 2, width=width))
         assert err.value.stats == {"nodes": 6}
+
+
+@pytest.mark.parametrize("search, task", [
+    (lambda inst: solve(inst, want_strategy=False), "solve"),
+    (lambda inst: refute(inst, CUT), "refute"),
+    (reference_winner, "solve"),
+    (lambda inst: reference_winner(replace(inst, width=3)), "solve"),
+], ids=["solve_winner_only", "refute", "reference_split_loop",
+        "reference_generic"])
+def test_a_search_too_deep_names_the_game_depth(search, task):
+    # a one-point core under ``size_at_most 0`` is cut into itself every
+    # round, one recursion level per round; the winner-only solve takes the
+    # size shortcut
+    inst = u_instance(2, 3000, bound=0)
+    with pytest.raises(CapacityError) as err:
+        search(inst)
+    assert str(err.value) == (f"game too deep to {task}: game.rounds = 3000 "
+                              "exceeds the recursion limit")
 
 
 def test_refute_examples():

@@ -577,40 +577,31 @@ def test_aux_run_checkers_failure_branches():
     after_cut = apply_move(inst, start, first)
     pick, other = legal_moves(inst, after_cut)[:2]
     assert picker.decide(inst, after_cut, ((CUT, first),)) == pick
-    forced = tr._check_aux_run_forced
-
-    def unforced(inst_, run, sigma, details):
-        return tr._check_aux_run(inst_, run, sigma, sigma.role, details)
-
-    for check in (unforced, forced):
-        # a pick that is not one of the pending pieces is illegal
-        details: dict = {}
-        assert not check(inst, [(CUT, first), (CHOOSE, inst.start)], picker,
-                         details)
-        assert "illegal_aux" in details and "aux_final_core" not in details
-        # a pick sigma would not make is inconsistent
-        details = {}
-        assert not check(inst, [(CUT, first), (CHOOSE, other)], picker,
-                         details)
-        assert details == {"inconsistent_aux": True}
-    # the unforced checker asks sigma for its own role's moves too
+    check = tr._check_aux_run
+    # a pick that is not one of the pending pieces is illegal
+    details: dict = {}
+    assert not check(inst, [(CUT, first), (CHOOSE, inst.start)], picker,
+                     CHOOSE, details)
+    assert "illegal_aux" in details and "aux_final_core" not in details
+    # a pick sigma would not make is inconsistent
     details = {}
-    assert not tr._check_aux_run(inst, [(CUT, second)], cutter, CUT, details)
+    assert not check(inst, [(CUT, first), (CHOOSE, other)], picker, CHOOSE,
+                     details)
     assert details == {"inconsistent_aux": True}
-    # a consistent run: only the unforced checker records the final core
-    run = [(CUT, first), (CHOOSE, pick)]
+    # the checker asks sigma for its own role's moves too
     details = {}
-    assert tr._check_aux_run(inst, run, picker, CHOOSE, details)
+    assert not check(inst, [(CUT, second)], cutter, CUT, details)
+    assert details == {"inconsistent_aux": True}
+    # a consistent run records the final core
+    details = {}
+    assert check(inst, [(CUT, first), (CHOOSE, pick)], picker, CHOOSE,
+                 details)
     assert details == {"aux_final_core": format_mask(inst.start & pick)}
-    details = {}
-    assert forced(inst, run, picker, details)
-    assert details == {}
-    # a one-piece cut forces its pick: only the forced checker skips sigma
+    # a one-piece cut does not force its pick: sigma is asked
     degenerate = [(CUT, (inst.start, 0)), (CHOOSE, inst.start)]
     refuses = FunctionStrategy(CHOOSE, lambda inst_, state, history: 0)
-    assert forced(inst, degenerate, refuses, {})
     details = {}
-    assert not tr._check_aux_run(inst, degenerate, refuses, CHOOSE, details)
+    assert not check(inst, degenerate, refuses, CHOOSE, details)
     assert details == {"inconsistent_aux": True}
 
 
@@ -618,9 +609,10 @@ def test_aux_run_checkers_failure_branches():
 # The auxiliary runs' prefix fold
 # ---------------------------------------------------------------------------
 
-def _counting(sigma):
-    """``sigma`` and the list of histories it is asked at."""
-    calls: list = []
+def _counting(sigma, calls=None):
+    """``sigma`` and the list (``calls``, or a new one) of histories it is
+    asked at."""
+    calls = [] if calls is None else calls
 
     def fn(inst_, state, history):
         calls.append(history)
@@ -653,9 +645,9 @@ def test_each_auxiliary_stage_of_nonempty_to_choose_is_computed_once():
 
 
 def test_each_auxiliary_stage_of_disjointify_choose_is_computed_once():
-    # Each distinct prefix of generalized cuts asks the partition picker
-    # once for the disjointified move (when it has two pieces or more) and
-    # once for the cover split (when the remainder is nonempty); each
+    # The partition picker is asked once per distinct prefix of auxiliary
+    # cuts, however many generalized cut prefixes feed it (a one-piece
+    # disjointification or an empty remainder feeds nothing); each
     # certificate's replay asks it once per pick of its auxiliary run.
     g = GroundSet(5)
     g_inst = GameInstance(game_family=G_IDEAL, start=g.full_mask, rounds=2,
@@ -667,14 +659,9 @@ def test_each_auxiliary_stage_of_disjointify_choose_is_computed_once():
     sigma, calls = _counting(res.strategy)
     out = tr.disjointify_choose_strategy(sigma, g_inst)
     certs = assert_all_hold(out)
-
-    def asks(w):
-        _, _, played, split, _ = tr._disjointify_move(g_inst, w)
-        return (len(played) >= 2) + (0 not in split)
-
-    cuts = _prefixes([[m for r, m in c.output_run.moves if r == CUT]
+    cuts = _prefixes([[m for r, m in c.aux_moves if r == CUT]
                       for c in certs])
-    stages = sum(asks(p[-1]) for p in cuts if p)
+    stages = sum(1 for p in cuts if p)
     replays = sum(1 for c in certs for r, _ in c.aux_moves if r == CHOOSE)
     assert len(calls) == stages + replays
     assert verify_winning_strategy(g_inst, out.strategy, CHOOSE).verified
@@ -682,8 +669,8 @@ def test_each_auxiliary_stage_of_disjointify_choose_is_computed_once():
 
 
 def _counted_sources():
-    """Per transform: the source, a builder of the output from it, and how
-    often and at how many distinct histories the playouts ask the source."""
+    """Per transform: a builder of the output from a wrapper of its sources,
+    and how often and at how many distinct histories the playouts ask them."""
     g5 = GroundSet(5)
     g_inst = GameInstance(game_family=G_IDEAL, start=g5.full_mask, rounds=2,
                           width=2, cut_current=False, ground=g5,
@@ -695,34 +682,49 @@ def _counted_sources():
     alg = FiniteBooleanAlgebra(g4)
     big = GameInstance(game_family=G_POSET, start=alg.top, rounds=1, width=4,
                        cut_current=False, algebra=alg)
+    small = GameInstance(game_family=G_POSET, start=alg.top, rounds=2,
+                         width=2, cut_current=False, algebra=alg)
     inner, outer = u_instance(4, 2), u_instance(6, 2)
+    bm2 = bm_ideal(4, 2)
     return {
         "disjointify_cut": (
-            first_move_strategy(g_inst, CUT),
-            lambda s: tr.disjointify_cut_strategy(s, g_inst), (3, 3)),
+            lambda count: tr.disjointify_cut_strategy(
+                count(first_move_strategy(g_inst, CUT)), g_inst), (3, 3)),
         "empty_to_cut": (
-            seeded_table_strategy(replace(bm, rounds=4), EMPTY, 4),
-            lambda s: tr.empty_to_cut_strategy(s, bm), (7, 7)),
+            lambda count: tr.empty_to_cut_strategy(
+                count(seeded_table_strategy(replace(bm, rounds=4), EMPTY, 4)),
+                bm), (7, 7)),
         "transfer_cut": (
-            first_move_strategy(big, CUT),
-            lambda s: tr.transfer_cut_big_to_small(s, big, 2, 2), (1, 1)),
+            lambda count: tr.transfer_cut_big_to_small(
+                count(first_move_strategy(big, CUT)), big, 2, 2), (1, 1)),
         "restrict_choose": (
-            seeded_table_strategy(inner, CHOOSE, 1),
-            lambda s: tr.restrict_choose_strategy(s, inner, outer,
-                                                  (0, 2, 3, 5)),
-            (144, 16)),
+            lambda count: tr.restrict_choose_strategy(
+                count(seeded_table_strategy(inner, CHOOSE, 1)), inner, outer,
+                (0, 2, 3, 5)), (16, 16)),
+        "disjointify_choose": (
+            lambda count: tr.disjointify_choose_strategy(
+                count(solve(tr._doubled_instance(g_inst)).strategy), g_inst),
+            (30, 30)),
+        "transfer_choose": (
+            lambda count: tr.transfer_choose_small_to_big(
+                count(solve(small).strategy), small, 2, 2), (19, 19)),
+        "choose_to_nonempty": (
+            lambda count: tr.choose_to_nonempty_strategy(
+                lambda x0: count(greedy_picker_strategy(
+                    tr.weak_g_instance(bm2, x0))), bm2), (40, 40)),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_counted_sources()))
 def test_each_stage_asks_the_source_once(name):
     # A block cutter asks its source once, when a block opens, never again
-    # in decide.  The picker restriction answers from its fold, once per
-    # distinct prefix of outer cuts, so the verification walk over the tree
-    # the playouts covered asks nothing new.
-    source, build, asked = _counted_sources()[name]
-    sigma, calls = _counting(source)
-    out = build(sigma)
+    # in decide.  A picker source answers through its reply fold, once per
+    # history of its own game however many target histories lead there, so
+    # the verification walk over the tree the playouts covered asks nothing
+    # new.
+    build, asked = _counted_sources()[name]
+    calls: list = []
+    out = build(lambda source: _counting(source, calls)[0])
     enumerate_playouts(out.instance, out.strategy, out.strategy.role)
     assert (len(calls), len(set(calls))) == asked
     verify_winning_strategy(out.instance, out.strategy, out.strategy.role)
@@ -744,7 +746,8 @@ def test_a_deep_transcript_certifies_with_a_cold_memo():
 
 def test_a_stage_that_raises_caches_nothing():
     # a partition picker answering with the whole set picks no piece of the
-    # disjointification: the same decision raises again, asking it again
+    # disjointification: the same decision raises again, while the reply
+    # fold keeps the picker's answer and asks it once
     g_inst = g_ideal(4, 2, width=6)
     whole, calls = _counting(
         FunctionStrategy(CHOOSE, lambda i, s, h: s.core, name="whole"))
@@ -753,10 +756,10 @@ def test_a_stage_that_raises_caches_nothing():
     w = next(w for w in legal_moves(g_inst, start)
              if len(tr._disjointify_move(g_inst, w)[2]) >= 2)
     after_cut = apply_move(g_inst, start, w)
-    for asked in (1, 2):
+    for _ in range(2):
         with pytest.raises(TransformSoundnessError):
             out.strategy.decide(g_inst, after_cut, ((CUT, w),))
-        assert len(calls) == asked
+        assert len(calls) == 1
 
 
 def test_restrict_choose_certificates_are_pinned():
