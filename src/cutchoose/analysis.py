@@ -49,8 +49,9 @@ class _BranchContext:
     dies when it falls into ``small``.
 
     ``down`` maps a pick to its mask (down-sets for posets; picks are masks
-    already otherwise), ``small`` is the family, or ``{0}`` for posets and
-    algebras, where a core needs only a common lower bound.
+    already otherwise), ``small`` is the family (an algebra is its trivial
+    ideal), or ``{0}`` for posets, where a core needs only a common lower
+    bound.
     """
 
     def __init__(self, x: int, down, small):
@@ -86,8 +87,6 @@ class _BranchContext:
 def _context(structure, x) -> _BranchContext:
     if isinstance(structure, MonotoneFamily):
         return _BranchContext(x, None, structure)
-    if isinstance(structure, FiniteBooleanAlgebra):
-        return _BranchContext(x, None, {0})
     if isinstance(structure, FinitePoset):
         return _BranchContext(x, structure.down, {0})
     raise ValidationError("unsupported structure for distributivity check")
@@ -233,12 +232,6 @@ class AuditReport:
         return [r for r in self.rows if r.agree is False]
 
 
-def _poset_elements(inst: GameInstance) -> list:
-    if inst.algebra is not None:
-        return positives_below({0}, inst.algebra.top)
-    return list(range(inst.poset.size))
-
-
 def _solve_winner(inst: GameInstance) -> str:
     return solve(inst, want_strategy=False).winner
 
@@ -348,7 +341,9 @@ def _audit_mask_instance(inst: GameInstance, rows: list) -> None:
 
 def _audit_poset_instance(inst: GameInstance, rows: list) -> None:
     structure = inst.structure
-    elements = _poset_elements(inst)
+    poset = inst.poset
+    elements = (range(poset.size) if poset is not None
+                else positives_below(inst.family, inst.ground.full_mask))
 
     g_exact = replace(inst, game_family=G_POSET, variant=EXACT,
                       cut_current=False, maximal=True)
@@ -372,9 +367,9 @@ def _audit_poset_instance(inst: GameInstance, rows: list) -> None:
 
     bm = replace(inst, game_family=BM_POSET, variant=EXACT, width=None,
                  cut_current=True, maximal=True,
-                 start=(inst.algebra.top if inst.algebra is not None
-                        else (inst.poset.top if inst.poset.top is not None
-                              else inst.start)))
+                 start=(inst.ground.full_mask if poset is None
+                        else poset.top if poset.top is not None
+                        else inst.start))
     bm_winner = _solve_winner(bm)
     winners = [
         _solve_winner(replace(inst, game_family=G_POSET, variant=EXACT,
@@ -576,12 +571,9 @@ def _draw_instance(rng: random.Random, game_family: str):
                                 rounds=rng.randint(1, 3), width=None,
                                 ground=ground, family=family)
         structure = _random_poset(rng)
-        if isinstance(structure, FiniteBooleanAlgebra):
-            start = structure.top
-            kw = {"algebra": structure}
-        else:
-            start = structure.top
-            kw = {"poset": structure}
+        start = structure.top
+        kw = {"algebra" if isinstance(structure, FiniteBooleanAlgebra)
+              else "poset": structure}
         if game_family == G_POSET:
             return GameInstance(
                 game_family=G_POSET, start=start, rounds=rng.randint(1, 2),

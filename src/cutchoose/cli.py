@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from . import analysis, serialize, transforms
@@ -44,9 +43,21 @@ EXIT_CAPACITY = 2
 TRANSFORM_NODE_BUDGET = 200_000
 
 
+def _read_json(path: str, option: str = ""):
+    """The JSON document in the file at ``path``, read for ``option`` (none
+    for the instance file).  Text that is not UTF-8 is refused naming the
+    input, malformed JSON naming ``option`` and the line and column."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"not UTF-8 text ({exc.reason} at byte "
+                              f"{exc.start})", option or "instance") from None
+    return serialize.parse_json(text, option)
+
+
 def _read_instance(path: str) -> GameInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return serialize.parse_instance(fh.read())
+    return serialize.instance_from_jsonable(_read_json(path))
 
 
 def _at_least(value: int, least: int, option: str) -> int:
@@ -93,8 +104,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
-    with open(args.strategy, "r", encoding="utf-8") as fh:
-        strategy = serialize.strategy_from_jsonable(inst, json.load(fh))
+    strategy = serialize.strategy_from_jsonable(
+        inst, _read_json(args.strategy, "--strategy"))
     result = verify_winning_strategy(inst, strategy, strategy.role)
     doc = {"schema_version": serialize.SCHEMA_VERSION,
            "role": strategy.role, "verified": result.verified,
@@ -130,8 +141,8 @@ def _sigma_for(args, inst: GameInstance, role: str):
                                   "--sigma") from None
         return seeded_table_strategy(inst, role, seed)
     if name.startswith("file:"):
-        with open(name.split(":", 1)[1], "r", encoding="utf-8") as fh:
-            sigma = serialize.strategy_from_jsonable(inst, json.load(fh))
+        sigma = serialize.strategy_from_jsonable(
+            inst, _read_json(name.split(":", 1)[1], "--sigma"))
         if sigma.role != role:
             raise ValidationError(f"the file holds a {sigma.role} strategy; "
                                   f"the transform needs a {role} strategy",
@@ -391,8 +402,7 @@ def cmd_play(args) -> int:
 
     replay_inputs = None
     if args.replay:
-        with open(args.replay, "r", encoding="utf-8") as fh:
-            log_doc = json.load(fh)
+        log_doc = _read_json(args.replay, "--replay")
         if not isinstance(log_doc, dict) or \
                 not isinstance(log_doc.get("inputs"), list):
             raise ValidationError("needs a list of move indices", "replay.inputs")
@@ -568,8 +578,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValidationError, CutChooseError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValidationError, CutChooseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

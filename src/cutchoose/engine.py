@@ -6,7 +6,11 @@ Five game families share one engine:
 * ``G_ideal``   -- the cut moves are maximal almost-disjoint positive families;
 * ``G_poset``   -- the cut moves are maximal antichains of a poset or algebra;
 * ``BM_ideal``  -- both players shrink a positive set, weak inclusion;
-* ``BM_poset``  -- both players descend in a poset.
+* ``BM_poset``  -- both players descend in a poset or algebra.
+
+An algebra is the trivial ideal on its atoms (``GameInstance`` fills
+``ground`` and ``family`` from it), so an element is a mask exactly when
+``inst.poset is None``; only its cut rules in ``structures`` are its own.
 
 A position is abstracted to ``(round, to_move, core, pending)``: the running
 intersection (or lower-bound set / current set) plus the cut move awaiting a
@@ -104,6 +108,10 @@ class GameInstance:
     algebra: Optional[FiniteBooleanAlgebra] = None
 
     def __post_init__(self):
+        if self.algebra is not None and self.game_family not in MASK_GAMES:
+            # an algebra plays as its trivial ideal on its atoms
+            object.__setattr__(self, "ground", self.algebra.atoms)
+            object.__setattr__(self, "family", self.algebra)
         if self.game_family not in GAME_FAMILIES:
             raise ValidationError(f"unknown game family {self.game_family!r}")
         if self.variant not in VARIANTS:
@@ -125,7 +133,7 @@ class GameInstance:
                 if not (0 <= self.start < self.poset.size):
                     raise ValidationError("start element out of range")
             else:
-                self.algebra.atoms.check_mask(self.start, "start")
+                self.ground.check_mask(self.start, "start")
                 if self.start == 0:
                     raise ValidationError("start must be a nonzero element")
         if self.game_family in BM_GAMES:
@@ -153,10 +161,8 @@ class GameInstance:
 
     @property
     def structure(self):
-        """The family, algebra or poset the game is played over."""
-        if self.game_family in MASK_GAMES:
-            return self.family
-        return self.algebra if self.algebra is not None else self.poset
+        """The family (an algebra is one) or poset the game is played over."""
+        return self.family if self.poset is None else self.poset
 
     @cached_property
     def start_cuts(self) -> tuple:
@@ -177,7 +183,7 @@ class GameState(NamedTuple):
 
 
 def initial_state(inst: GameInstance) -> GameState:
-    if inst.game_family == G_POSET and inst.algebra is None:
+    if inst.game_family == G_POSET and inst.poset is not None:
         core = inst.poset.down[inst.start]
     else:
         core = inst.start
@@ -186,17 +192,15 @@ def initial_state(inst: GameInstance) -> GameState:
 
 def core_positive(inst: GameInstance, core: int) -> bool:
     """The picker-side survival condition on the running core."""
-    if inst.game_family in (U, G_IDEAL, BM_IDEAL):
+    if inst.poset is None:
         return is_positive(inst.family, core)
     return core != 0
 
 
 def core_nonempty(inst: GameInstance, core: int) -> bool:
-    if inst.game_family == BM_POSET and inst.algebra is None:
-        # The core is a poset element and is itself a lower bound of the
-        # descending chain, whatever its index.
-        return True
-    return core != 0
+    """The Banach-Mazur survival condition.  A poset core is an element and
+    is itself a lower bound of the descending chain, whatever its index."""
+    return inst.poset is not None or core != 0
 
 
 def _poset_core_max(inst: GameInstance, core: int) -> int:
@@ -211,9 +215,7 @@ def cut_target(inst: GameInstance, state: GameState) -> int:
     """The set (or poset element) the next cut move must partition."""
     if not inst.cut_current:
         return inst.start
-    if inst.game_family in (U, G_IDEAL):
-        return state.core
-    if inst.algebra is not None:
+    if inst.poset is None:
         return state.core
     return _poset_core_max(inst, state.core)
 
@@ -300,11 +302,8 @@ def legal_moves(inst: GameInstance, state: GameState) -> Sequence:
         if not inst.cut_current:
             return inst.start_cuts
         return _cut_moves(inst, cut_target(inst, state))
-    if fam == BM_IDEAL:
+    if inst.poset is None:
         return positives_below(inst.family, state.core)
-    # BM_poset
-    if inst.algebra is not None:
-        return positives_below({0}, state.core)
     return list(mask_elements(inst.poset.down[state.core]))
 
 
@@ -315,7 +314,7 @@ def validate_move(inst: GameInstance, state: GameState, move) -> None:
     """
     fam = inst.game_family
     if fam in BM_GAMES:
-        if fam == BM_IDEAL:
+        if inst.poset is None:
             if not isinstance(move, int):
                 raise IllegalMoveError("move must be a subset mask", "bm-move-shape")
             if move & ~state.core:
@@ -324,20 +323,12 @@ def validate_move(inst: GameInstance, state: GameState, move) -> None:
             if not is_positive(inst.family, move):
                 raise IllegalMoveError("move must be I-positive", "bm-positive")
         else:
-            if inst.algebra is not None:
-                if not isinstance(move, int) or move == 0:
-                    raise IllegalMoveError("move must be a nonzero element",
-                                           "bm-nonzero")
-                if move & ~state.core:
-                    raise IllegalMoveError("move must lie below the current element",
-                                           "bm-decreasing")
-            else:
-                if not isinstance(move, int) or not (0 <= move < inst.poset.size):
-                    raise IllegalMoveError("move must be a poset element",
-                                           "bm-element")
-                if not inst.poset.leq(move, state.core):
-                    raise IllegalMoveError("move must lie below the current element",
-                                           "bm-decreasing")
+            if not isinstance(move, int) or not (0 <= move < inst.poset.size):
+                raise IllegalMoveError("move must be a poset element",
+                                       "bm-element")
+            if not inst.poset.leq(move, state.core):
+                raise IllegalMoveError("move must lie below the current element",
+                                       "bm-decreasing")
         return
 
     if state.pending is not None:
@@ -364,7 +355,7 @@ def apply_move(inst: GameInstance, state: GameState, move,
         return GameState(state.round + 1, EMPTY, move, None)
     if state.pending is None:
         return GameState(state.round, CHOOSE, state.core, tuple(move))
-    if fam == G_POSET and inst.algebra is None:
+    if inst.poset is not None:
         core = state.core & inst.poset.down[move]
     else:
         core = state.core & move
@@ -423,7 +414,7 @@ class FunctionStrategy(Strategy):
 
 
 def sorted_pieces(inst: GameInstance, pieces: Iterable) -> list:
-    if inst.game_family == G_POSET and inst.algebra is None:
+    if inst.poset is not None:
         return sorted(pieces)
     return sorted(pieces, key=mask_key)
 

@@ -103,7 +103,7 @@ def instance_to_jsonable(inst: GameInstance) -> dict:
         }
         start = inst.start
     else:
-        structure = {"kind": "algebra", "atoms": inst.algebra.atoms.size}
+        structure = {"kind": "algebra", "atoms": inst.ground.size}
         start = format_mask(inst.start)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -205,14 +205,21 @@ def instance_from_jsonable(obj: dict, path: str = "instance") -> GameInstance:
         raise ValidationError(str(exc), gpath)
 
 
+def parse_json(text: str, source: str = "") -> Any:
+    """``json.loads(text)``; malformed text raises a ``ValidationError``
+    whose path is its line and column, after ``source`` when one is named."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = f"line {exc.lineno} column {exc.colno}"
+        raise ValidationError(f"malformed JSON: {exc.msg}",
+                              f"{source}: {where}" if source else where
+                              ) from None
+
+
 def parse_instance(text: str) -> GameInstance:
     """Parse an instance document; diagnostics carry line or field positions."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON: {exc.msg}",
-                              f"line {exc.lineno} column {exc.colno}")
-    return instance_from_jsonable(obj)
+    return instance_from_jsonable(parse_json(text))
 
 
 def serialize_instance(inst: GameInstance) -> str:
@@ -225,7 +232,7 @@ def serialize_instance(inst: GameInstance) -> str:
 
 def moves_are_masks(inst: GameInstance) -> bool:
     """Moves (and pieces) are subset masks, except poset elements."""
-    return inst.game_family in engine.MASK_GAMES or inst.algebra is not None
+    return inst.poset is None
 
 
 def _cores_are_masks(inst: GameInstance) -> bool:
@@ -235,11 +242,7 @@ def _cores_are_masks(inst: GameInstance) -> bool:
 
 def _mask_size(inst: GameInstance) -> int:
     """The number of bits a mask of the instance may use."""
-    if inst.ground is not None:
-        return inst.ground.size
-    if inst.algebra is not None:
-        return inst.algebra.atoms.size
-    return inst.poset.size
+    return inst.ground.size if inst.poset is None else inst.poset.size
 
 
 def move_to_jsonable(inst: GameInstance, move) -> Any:

@@ -13,11 +13,14 @@ of the structure a game is played over picks the rules, so no caller chooses
 them itself: ``enumerate_cut_moves`` lists the cuts, and ``cut_violation``
 is the one place a cut's legality is decided.  Every enumerator emits its
 moves in canonical order by construction; no list of moves is sorted.
+
+A Boolean algebra is the trivial ideal on its atoms, a ``MonotoneFamily``
+like any other everywhere but here: its cut rules keep their closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, ValidationError
@@ -446,14 +449,24 @@ class FinitePoset:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FiniteBooleanAlgebra:
-    """The powerset algebra over a set of atoms; elements are atom masks."""
+class FiniteBooleanAlgebra(Ideal):
+    """The powerset algebra over a set of atoms, elements being atom masks.
+    It is the quotient by the trivial ideal, so it is that ideal,
+    ``size_at_most 0`` on the atoms, and its games play as games on a family.
+    Only its cut rules stay its own, in closed form (maximal antichains are
+    partitions, maximality is a join): the family's generic rules walk every
+    subset of the atoms to reach the same moves."""
 
-    atoms: GroundSet
+    kind: str = field(default=SIZE_AT_MOST, init=False)
+    bound: int = field(default=0, init=False)
+
+    @property
+    def atoms(self) -> GroundSet:
+        return self.ground
 
     @property
     def top(self) -> int:
-        return self.atoms.full_mask
+        return self.ground.full_mask
 
     def is_maximal_antichain_below(self, x: int, chain: Sequence[int]) -> bool:
         """Pairwise disjoint nonzero elements whose join is x."""
@@ -655,14 +668,13 @@ def enumerate_algebra_antichains(algebra: FiniteBooleanAlgebra, below: int,
                                  budget: int = DEFAULT_MOVE_BUDGET) -> list[tuple[int, ...]]:
     """Antichains of nonzero elements below ``below``; maximal ones are
     exactly the partitions of ``below`` into nonzero pieces, ``(below,)``
-    among them in its canonical place by construction (``_partitions``)."""
+    among them in its canonical place by construction (``_partitions``).
+    The others are the algebra's i-partitions as a trivial ideal."""
     if below == 0:
         raise ValidationError("no antichains below zero")
     if maximal:
         return _partitions(below, width, 1, budget)
-    candidates = positives_below({0}, below)
-    return _allowed_mask_walk(candidates, candidates, {0}, width, False,
-                              budget, "antichain enumeration")
+    return enumerate_i_partitions(algebra, below, width, False, budget)
 
 
 def enumerate_cut_moves(structure, target, width: Optional[int],
@@ -671,16 +683,16 @@ def enumerate_cut_moves(structure, target, width: Optional[int],
     """The cut moves on ``target``, chosen by the type of ``structure``.
 
     ``None`` (a bare set) gives disjoint partitions, which have no
-    maximality filter; a ``MonotoneFamily`` gives i-partitions; a
-    ``FiniteBooleanAlgebra`` or ``FinitePoset`` gives antichains.
+    maximality filter; a ``FiniteBooleanAlgebra`` or ``FinitePoset`` gives
+    antichains, any other ``MonotoneFamily`` i-partitions.
     """
     if structure is None:
         return enumerate_disjoint_partitions(target, width, budget)
-    if isinstance(structure, MonotoneFamily):
-        return enumerate_i_partitions(structure, target, width, maximal, budget)
     if isinstance(structure, FiniteBooleanAlgebra):
         return enumerate_algebra_antichains(structure, target, width, maximal,
                                             budget)
+    if isinstance(structure, MonotoneFamily):
+        return enumerate_i_partitions(structure, target, width, maximal, budget)
     if isinstance(structure, FinitePoset):
         return enumerate_poset_antichains(structure, target, width, maximal,
                                           budget)
@@ -714,7 +726,8 @@ def cut_violation(structure, target: int, move, width: Optional[int],
         if width is not None and sum(1 for p in move if p) > width:
             return f"more than {width} nonempty pieces", "width"
         return None
-    if isinstance(structure, MonotoneFamily):
+    algebra = isinstance(structure, FiniteBooleanAlgebra)
+    if not algebra and isinstance(structure, MonotoneFamily):
         if width is not None and len(move) > width:
             return f"more than {width} pieces", "width"
         err = ipartition_violation(structure, target, move)
@@ -728,7 +741,6 @@ def cut_violation(structure, target: int, move, width: Optional[int],
     if width is not None and len(move) > width:
         return f"more than {width} elements", "width"
     below = ("element not below the target", "antichain-below")
-    algebra = isinstance(structure, FiniteBooleanAlgebra)
     if not algebra and any(not 0 <= p < structure.size
                            or not structure.leq(p, target) for p in move):
         return below

@@ -315,7 +315,18 @@ def digit_split_cut_strategy(m: int, nu: int, n: int) -> TransformOutput:
 
 def fixed_point_choose(inst: GameInstance, alpha: int) -> TransformOutput:
     """``fixed_point_choose_strategy(alpha)`` on ``inst``; its certificate
-    checks that every pick contains the point ``alpha``."""
+    checks that every pick contains the point ``alpha``.  The game must have
+    a Choose role whose picks are masks, and ``alpha`` must lie in the start
+    set; an error on ``alpha`` names the ``--alpha`` option."""
+    if inst.picker != CHOOSE:
+        raise ValidationError("fixed_point needs a Choose role; "
+                              f"a {inst.game_family} game has none")
+    if inst.poset is not None:
+        raise ValidationError("fixed_point needs picks that are sets; "
+                              "a poset game's picks are elements")
+    if not (inst.start >> alpha) & 1:
+        raise ValidationError(f"point {alpha} is not in the start set "
+                              f"{format_mask(inst.start)}", "--alpha")
 
     def certify(t: Transcript) -> TransformCertificate:
         holds = all((move >> alpha) & 1 for role, move in t.moves
@@ -881,7 +892,7 @@ def cut_strategy_to_witness(sigma: Strategy,
         raise ValidationError("witness construction uses the cut-the-start convention")
     if inst.variant != EXACT:
         raise ValidationError("witness construction is defined for the exact variant")
-    if inst.game_family == G_POSET and inst.algebra is None:
+    if inst.poset is not None:
         raise ValidationError("witness construction needs meets "
                               "(set or algebra structure)")
     frontier = [_Run.start(inst)]

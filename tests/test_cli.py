@@ -475,6 +475,30 @@ def test_strategy_entry_with_a_bad_core_mask_is_rejected(tmp_path, u4):
     assert "strategy.entries[0].state.core" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("solve", "{bad}"),
+     "error: line 1 column 1: malformed JSON: Expecting value\n"),
+    (("verify", "{u4}", "--strategy", "{bad}"),
+     "error: --strategy: line 1 column 1: malformed JSON: Expecting value\n"),
+    (("transform", "--name", "disjointify_cut", "{g4}", "--sigma",
+      "file:{bad}"),
+     "error: --sigma: line 1 column 1: malformed JSON: Expecting value\n"),
+    (("play", "{u4}", "--replay", "{bad}"),
+     "error: --replay: line 1 column 1: malformed JSON: Expecting value\n"),
+    (("verify", "{u4}", "--strategy", "{bad}"),
+     "error: --strategy: not UTF-8 text (invalid start byte at byte 1)\n"),
+], ids=["instance", "strategy", "sigma", "replay", "strategy_not_utf8"])
+def test_a_file_that_is_not_json_names_its_option(tmp_path, capsys, u4, argv,
+                                                  line):
+    # one error line and exit 1; an exception would escape ``main``
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"[\xff]" if "UTF-8" in line else b"")
+    g4 = tmp_path / "g4.json"
+    g4.write_text(json.dumps(TRANSFORM_INPUTS["g4"]))
+    assert main([a.format(bad=bad, u4=u4, g4=g4) for a in argv]) == 1
+    assert capsys.readouterr().err == line
+
+
 def test_replay_with_too_few_inputs_is_rejected(tmp_path, u4):
     inst = serialize.parse_instance(open(u4).read())
     log = tmp_path / "session.json"
@@ -590,11 +614,23 @@ TRANSFORM_INPUTS = {
 }
 
 
+# A poset game, read only where a transform refuses it.
+REFUSED_INPUTS = {
+    "p3": {"schema_version": 1,
+           "structure": {"kind": "poset", "elements": 3,
+                         "down": ["{0}", "{1}", "{0,1,2}"], "top": 2},
+           "game": {"family": "G_poset", "start": 2, "rounds": 2,
+                    "width": "unbounded", "variant": "exact",
+                    "maximal": True, "cut_current": True}},
+}
+
+
 def _transform_argv(tmp_path, name, key, *rest):
     argv = ["transform", "--name", name]
     if key is not None:
         path = tmp_path / f"{key}.json"
-        path.write_text(json.dumps(TRANSFORM_INPUTS[key]))
+        path.write_text(json.dumps({**TRANSFORM_INPUTS,
+                                    **REFUSED_INPUTS}[key]))
         argv.append(str(path))
     return argv + list(rest) + ["--json"]
 
@@ -826,6 +862,14 @@ def test_the_audit_of_a_long_u_game_is_pinned(tmp_path, capsys):
     ("a4_wide", ("--name", "transfer_cut", "--nu", "2", "--beta", "2",
                  "--rounds", "3"),
      "error: --rounds: not read by transfer_cut\n"),
+    # fixed_point needs a Choose role picking sets that can hold the point
+    ("bm4", ("--name", "fixed_point"),
+     "error: fixed_point needs a Choose role; a BM_ideal game has none\n"),
+    ("p3", ("--name", "fixed_point"),
+     "error: fixed_point needs picks that are sets; a poset game's picks "
+     "are elements\n"),
+    ("u4", ("--name", "fixed_point", "--alpha", "10"),
+     "error: --alpha: point 10 is not in the start set {0,1,2,3}\n"),
 ])
 def test_a_bad_transform_input_is_one_error_line(tmp_path, capsys, key,
                                                   rest, line):

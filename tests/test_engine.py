@@ -962,3 +962,55 @@ def test_seeded_strategy_ignores_pythonhashseed():
                               check=True)
         outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+@st.composite
+def algebra_games(draw):
+    """An algebra game of 1-4 atoms and its twin over the trivial ideal."""
+    atoms = GroundSet(draw(st.integers(1, 4)))
+    bm = draw(st.booleans())
+    common = dict(start=draw(st.integers(1, atoms.full_mask)),
+                  rounds=draw(st.integers(1, 3)),
+                  width=None if bm else draw(st.sampled_from([2, 3, None])),
+                  variant=draw(st.sampled_from([EXACT, WEAK, STRICT_PREFIX])),
+                  maximal=draw(st.booleans()),
+                  cut_current=draw(st.booleans()))
+    algebra = GameInstance(game_family=BM_POSET if bm else G_POSET,
+                           algebra=FiniteBooleanAlgebra(atoms), **common)
+    ideal = GameInstance(game_family=BM_IDEAL if bm else G_IDEAL,
+                         ground=atoms, family=Ideal.size_at_most(atoms, 0),
+                         **common)
+    return algebra, ideal
+
+
+@given(algebra_games())
+@settings(max_examples=200, deadline=None)
+def test_an_algebra_game_plays_as_its_trivial_ideal(games):
+    # the closed-form cut rules of an algebra give the family's moves: same
+    # winner, same tables entry for entry, same moves at every position
+    algebra, ideal = games
+    got, want = solve(algebra), solve(ideal)
+    assert got.winner == want.winner
+    loser = algebra.opponent(got.winner)
+    for got, want in ((got.strategy, want.strategy),
+                      (solver.strategy_for(algebra, loser)[1],
+                       solver.strategy_for(ideal, loser)[1])):
+        assert list(got.entries.items()) == list(want.entries.items())
+        for state in got.entries:
+            assert legal_moves(algebra, state) == legal_moves(ideal, state)
+
+
+def test_an_illegal_bm_move_on_an_algebra_reads_as_on_its_ideal():
+    g = GroundSet(3)
+    inst = GameInstance(game_family=BM_POSET, start=0b011, rounds=2,
+                        width=None, algebra=FiniteBooleanAlgebra(g))
+    state = initial_state(inst)
+    got = []
+    for move in (0, (0b001,), 0b100):
+        with pytest.raises(IllegalMoveError) as err:
+            validate_move(inst, state, move)
+        got.append(str(err.value))
+    assert got == ["move must be I-positive [rule: bm-positive]",
+                   "move must be a subset mask [rule: bm-move-shape]",
+                   "move must be a subset of the current set "
+                   "[rule: bm-decreasing]"]

@@ -531,6 +531,33 @@ def test_enumerate_cut_moves_dispatch():
             enumerate_cut_moves(unsupported, g.full_mask, 2)
 
 
+def test_an_algebra_is_its_trivial_ideal_with_closed_form_cuts(monkeypatch):
+    from cutchoose import structures
+
+    g = GroundSet(4)
+    alg = FiniteBooleanAlgebra(g)
+    assert isinstance(alg, Ideal) and validate_family(alg).ok
+    assert (alg.atoms, alg.top) == (g, 0b1111)
+    assert alg.explicit_members() == Ideal.size_at_most(g, 0).explicit_members()
+    # the non-maximal antichains are the trivial ideal's i-partitions
+    with pytest.raises(CapacityError, match="^positive-family enumeration"):
+        enumerate_algebra_antichains(alg, alg.top, 2, False, budget=5)
+
+    # the maximal ones, and maximality, keep their closed forms: the generic
+    # rules would walk every subset of the atoms
+    def generic(*args):
+        raise AssertionError("an algebra reached the family's generic rules")
+
+    monkeypatch.setattr(structures, "_allowed_mask_walk", generic)
+    monkeypatch.setattr(structures, "_positive_extension", generic)
+    big = FiniteBooleanAlgebra(GroundSet(16))
+    assert big.is_maximal_antichain_below(big.top,
+                                          [1 << i for i in range(16)])
+    assert not big.is_maximal_antichain_below(big.top, [0b11])
+    assert len(enumerate_algebra_antichains(big, (1 << 10) - 1, 2)) == 512
+    assert len(enumerate_cut_moves(big, 0b111, None)) == 5
+
+
 def test_trivial_ideal_is_union_closed_and_proper():
     g = GroundSet(3)
     assert validate_family(Ideal.size_at_most(g, 0)).ok
