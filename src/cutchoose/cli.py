@@ -14,8 +14,11 @@ reads and how its output is built: ``digit_split`` reads ``--m``, ``--nu`` and
 ``--rounds``, every other transform an instance file, ``transfer_*`` also
 ``--nu`` and ``--beta``.  A missing input, an option the transform never
 reads, or an instance file for ``digit_split`` names its field.  So does a
-count below its least value, a ``lo:hi`` range that is empty or leaves its
-domain, and ``audit --seed`` or ``--per-family`` beside an instance file.
+count outside its range (``digit_split``'s ``--m``, ``--nu`` and
+``--rounds`` included), a ``lo:hi`` range that is empty or leaves its
+domain, ``audit --seed`` or ``--per-family`` beside an instance file,
+``solve --strategy-out`` beside ``--no-strategy``, and a strategy file
+whose role the game does not have (``strategy.role``).
 """
 
 from __future__ import annotations
@@ -60,10 +63,25 @@ def _read_instance(path: str) -> GameInstance:
     return serialize.instance_from_jsonable(_read_json(path))
 
 
-def _at_least(value: int, least: int, option: str) -> int:
-    """``value``, refused in a line naming ``option`` when below ``least``."""
+def _read_strategy(inst: GameInstance, path: str, option: str):
+    """The strategy document in the file at ``path``, read for ``option``;
+    its role must be one of the game's."""
+    sigma = serialize.strategy_from_jsonable(inst, _read_json(path, option))
+    if sigma.role not in (inst.cutter, inst.picker):
+        raise ValidationError(f"{sigma.role!r} is not a role of a "
+                              f"{inst.game_family} game ({inst.cutter} or "
+                              f"{inst.picker})", "strategy.role")
+    return sigma
+
+
+def _at_least(value: int, least: int, option: str,
+              most: int | None = None) -> int:
+    """``value``, refused in a line naming ``option`` when below ``least``
+    or above ``most``."""
     if value < least:
         raise ValidationError(f"must be >= {least}", option)
+    if most is not None and value > most:
+        raise ValidationError(f"must be <= {most}", option)
     return value
 
 
@@ -81,6 +99,9 @@ def _emit(doc, args, strategy_text: str | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
+    if args.no_strategy and args.strategy_out:
+        raise ValidationError("not written with --no-strategy",
+                              "--strategy-out")
     inst = _read_instance(args.instance)
     result = solve(inst, want_strategy=not args.no_strategy)
     doc = {
@@ -104,8 +125,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
-    strategy = serialize.strategy_from_jsonable(
-        inst, _read_json(args.strategy, "--strategy"))
+    strategy = _read_strategy(inst, args.strategy, "--strategy")
     result = verify_winning_strategy(inst, strategy, strategy.role)
     doc = {"schema_version": serialize.SCHEMA_VERSION,
            "role": strategy.role, "verified": result.verified,
@@ -141,8 +161,7 @@ def _sigma_for(args, inst: GameInstance, role: str):
                                   "--sigma") from None
         return seeded_table_strategy(inst, role, seed)
     if name.startswith("file:"):
-        sigma = serialize.strategy_from_jsonable(
-            inst, _read_json(name.split(":", 1)[1], "--sigma"))
+        sigma = _read_strategy(inst, name.split(":", 1)[1], "--sigma")
         if sigma.role != role:
             raise ValidationError(f"the file holds a {sigma.role} strategy; "
                                   f"the transform needs a {role} strategy",
@@ -158,7 +177,9 @@ def _sigma_for(args, inst: GameInstance, role: str):
 # count, so its sigma comes from the game one round longer.
 TRANSFORMS = {
     "digit_split": (("m", "nu", "rounds"), lambda a, inst: (
-        transforms.digit_split_cut_strategy(a.m, a.nu, a.rounds))),
+        transforms.digit_split_cut_strategy(
+            _at_least(a.m, 1, "--m", MAX_GROUND), _at_least(a.nu, 2, "--nu"),
+            _at_least(a.rounds, 1, "--rounds")))),
     "fixed_point": (("instance", "alpha"), lambda a, inst: (
         transforms.fixed_point_choose(inst, _at_least(
             0 if a.alpha is None else a.alpha, 0, "--alpha")))),
@@ -244,9 +265,8 @@ def cmd_check(args) -> int:
            "holds": result.holds,
            "sequences_checked": result.sequences_checked}
     if result.failing_sequence is not None:
-        doc["failing_sequence"] = [
-            serialize.move_to_jsonable(inst, tuple(m))
-            for m in result.failing_sequence]
+        doc["failing_sequence"] = serialize.move_to_jsonable(
+            inst, result.failing_sequence)
     _emit(doc, args)
     if not args.json:
         print(f"distributivity ({args.variant}): "
@@ -265,8 +285,7 @@ def _span(text: str, option: str, least: int, most: int | None = None
                               f"got {text!r}", option) from None
     if lo > hi:
         raise ValidationError(f"the range {text!r} is empty", option)
-    if most is not None and hi > most:
-        raise ValidationError(f"must be <= {most}", option)
+    hi = _at_least(hi, least, option, most)
     return range(_at_least(lo, least, option), hi + 1)
 
 

@@ -246,9 +246,12 @@ def _mask_size(inst: GameInstance) -> int:
 
 
 def move_to_jsonable(inst: GameInstance, move) -> Any:
-    if isinstance(move, tuple):
+    """A move, a sequence of moves, or ``None`` (kept as it is)."""
+    if isinstance(move, (tuple, list)):
         return [move_to_jsonable(inst, p) for p in move]
-    return format_mask(move) if moves_are_masks(inst) else move
+    if move is None or not moves_are_masks(inst):
+        return move
+    return format_mask(move)
 
 
 def state_to_jsonable(inst: GameInstance, state: GameState) -> dict:
@@ -446,22 +449,14 @@ def certificate_to_jsonable(cert, aux_instance: Optional[GameInstance] = None) -
     """With an ``aux_instance`` the certificate's ``aux_moves`` are the
     ``(role, move)`` pairs of a run of that auxiliary game; without one they
     are moves, or masks, of the output game."""
-    inst = cert.output_run.instance
-
-    def enc(move):
-        if move is None:
-            return None
-        if isinstance(move, (tuple, list)):
-            return [enc(p) for p in move]
-        return move_to_jsonable(inst, move)
-
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": cert.kind,
         "relation": cert.relation,
         "holds": cert.holds,
         "output_run": transcript_to_jsonable(cert.output_run),
-        "aux_moves": [enc(m) if aux_instance is None
+        "aux_moves": [move_to_jsonable(cert.output_run.instance, m)
+                      if aux_instance is None
                       else [m[0], move_to_jsonable(aux_instance, m[1])]
                       for m in cert.aux_moves],
         "details": {k: _plain(v) for k, v in sorted(cert.details.items())},

@@ -19,12 +19,15 @@ by ``_block_cutter``, which plays each auxiliary cut as a block of target
 cuts and asks the source when a block opens.  A source that picks is
 simulated by ``_replies``, the run of its own game in which it answers each
 cut of a sequence, memoized per cut prefix, so it is asked once per history
-of its own game however many target histories lead there.  A ``certify``
-hook folds a finished transcript the same way, then replays the auxiliary
-run from the start against the source strategy (never through a memo) and
-checks the declared relation between the runs -- containment or equality
-of cores -- raising ``TransformSoundnessError`` only for genuine
-bookkeeping violations, never for mere game losses.
+of its own game however many target histories lead there.  Each
+``TransformOutput`` declares its kind and the one relation between the
+output run and the auxiliary run that its certificates check (containment
+or equality of cores), and ``certify`` builds every certificate from the
+verdict of its ``check`` hook.  The hook folds a finished transcript the
+same way, replays the auxiliary run from the start against the source
+strategy (never through a memo) and gives whether the relation holds, the
+auxiliary moves and details; it raises ``TransformSoundnessError`` only for
+genuine bookkeeping violations, never for mere game losses.
 
 Length bookkeeping is explicit: where an auxiliary move expands into several
 target moves, round counts double or multiply, since the ordinal absorption
@@ -80,11 +83,19 @@ class TransformCertificate:
 
 @dataclass
 class TransformOutput:
+    """A transformed strategy and the one relation its certificates check;
+    ``check`` gives a transcript's (holds, auxiliary moves, details)."""
     kind: str
+    relation: str
     instance: GameInstance
     strategy: Strategy
-    certify: Callable[[Transcript], TransformCertificate]
+    check: Callable[[Transcript], tuple[bool, Sequence, dict]]
     aux_instance: Optional[GameInstance] = None
+
+    def certify(self, t: Transcript) -> TransformCertificate:
+        holds, aux_moves, details = self.check(t)
+        return TransformCertificate(self.kind, self.relation, holds, t,
+                                    list(aux_moves), details)
 
 
 def certify_playouts(out: TransformOutput,
@@ -224,11 +235,10 @@ def _replies(game: GameInstance, sigma: Strategy):
     return reply
 
 
-def _replay_aux(inst: GameInstance, moves: Sequence, role: str,
-                ask: Callable[[_Run], object],
-                details: dict) -> Optional[_Run]:
+def _replay_aux(inst: GameInstance, moves: Sequence, sigma: Strategy,
+                role: str, details: dict) -> Optional[_Run]:
     """Replay an auxiliary run move by move: each move must be legal, and
-    ``ask`` must reproduce every move of ``role``.  The first failure goes
+    ``sigma`` must reproduce every move of ``role``.  The first failure goes
     into ``details`` and gives ``None``."""
     run = _Run.start(inst)
     for mover, move in moves:
@@ -237,7 +247,7 @@ def _replay_aux(inst: GameInstance, moves: Sequence, role: str,
         except Exception as exc:
             details["illegal_aux"] = str(exc)
             return None
-        if mover == role and ask(run) != move:
+        if mover == role and run.ask(sigma) != move:
             details["inconsistent_aux"] = True
             return None
         run = run.then(move)
@@ -247,7 +257,7 @@ def _replay_aux(inst: GameInstance, moves: Sequence, role: str,
 def _check_aux_run(inst: GameInstance, moves: Sequence, sigma: Strategy,
                    sigma_role: str, details: dict) -> bool:
     """Legality of an auxiliary run plus consistency with its strategy."""
-    run = _replay_aux(inst, moves, sigma_role, lambda r: r.ask(sigma), details)
+    run = _replay_aux(inst, moves, sigma, sigma_role, details)
     if run is None:
         return False
     details["aux_final_core"] = format_mask(run.state.core)
@@ -300,13 +310,12 @@ def digit_split_cut_strategy(m: int, nu: int, n: int) -> TransformOutput:
 
     strategy = FunctionStrategy(CUT, decide, f"digit-split-{nu}")
 
-    def certify(t: Transcript) -> TransformCertificate:
+    def check(t: Transcript):
         final = t.states[-1].core
-        holds = popcount(final) <= 1
-        return TransformCertificate("digit_split", "final core has at most one point",
-                                    holds, t, [], {"final": format_mask(final)})
+        return popcount(final) <= 1, [], {"final": format_mask(final)}
 
-    return TransformOutput("digit_split", inst, strategy, certify)
+    return TransformOutput("digit_split", "final core has at most one point",
+                           inst, strategy, check)
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +337,13 @@ def fixed_point_choose(inst: GameInstance, alpha: int) -> TransformOutput:
         raise ValidationError(f"point {alpha} is not in the start set "
                               f"{format_mask(inst.start)}", "--alpha")
 
-    def certify(t: Transcript) -> TransformCertificate:
-        holds = all((move >> alpha) & 1 for role, move in t.moves
-                    if role == inst.picker)
-        return TransformCertificate(
-            "fixed_point", "every pick contains the fixed point", holds, t,
-            [], {"alpha": alpha})
+    def check(t: Transcript):
+        return all((move >> alpha) & 1 for role, move in t.moves
+                   if role == inst.picker), [], {"alpha": alpha}
 
-    return TransformOutput("fixed_point", inst,
-                           fixed_point_choose_strategy(alpha), certify)
+    return TransformOutput("fixed_point",
+                           "every pick contains the fixed point", inst,
+                           fixed_point_choose_strategy(alpha), check)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +425,7 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
 
     strategy = FunctionStrategy(CHOOSE, decide, f"restricted-{sigma.name}")
 
-    def certify(t: Transcript) -> TransformCertificate:
+    def check(t: Transcript):
         run, _ = stages(_cut_entries(t.moves))
         details: dict = {}
         holds = _check_aux_run(inner, run.history, sigma, CHOOSE, details)
@@ -429,11 +436,11 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
                                             format_mask(run.state.core))
         details["outer_core"] = format_mask(outer_core)
         details["inner_core"] = format_mask(run.state.core)
-        return TransformCertificate(
-            "restrict_choose", "outer core pulls back to the inner core",
-            holds, t, list(run.history), details)
+        return holds, run.history, details
 
-    return TransformOutput("restrict_choose", outer, strategy, certify, inner)
+    return TransformOutput("restrict_choose",
+                           "outer core pulls back to the inner core", outer,
+                           strategy, check, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +521,7 @@ def disjointify_cut_strategy(sigma_g: Strategy,
                                    lambda: (g_inst.start,))
     strategy = FunctionStrategy(CUT, decide, f"disjointified-{sigma_g.name}")
 
-    def certify(t: Transcript) -> TransformCertificate:
+    def check(t: Transcript):
         run, alive, _, _ = stages(t.moves)
         details: dict = {"aux_rounds": len(run.history) // 2, "alive": alive}
         holds = _check_aux_run(g_inst, run.history, sigma_g, CUT, details)
@@ -532,12 +539,11 @@ def disjointify_cut_strategy(sigma_g: Strategy,
             details["dead_but_positive"] = format_mask(final)
         details["u_core"] = format_mask(final)
         details["aux_pick_core"] = format_mask(inter)
-        return TransformCertificate(
-            "disjointify_cut",
-            "final partition core inside the auxiliary picks",
-            holds, t, list(run.history), details)
+        return holds, run.history, details
 
-    return TransformOutput("disjointify_cut", u_inst, strategy, certify, g_inst)
+    return TransformOutput("disjointify_cut",
+                           "final partition core inside the auxiliary picks",
+                           u_inst, strategy, check, g_inst)
 
 
 def disjointify_choose_strategy(sigma_u: Strategy,
@@ -591,11 +597,11 @@ def disjointify_choose_strategy(sigma_u: Strategy,
     strategy = FunctionStrategy(CHOOSE, decide,
                                 f"disjointified-{sigma_u.name}")
 
-    def certify(t: Transcript) -> TransformCertificate:
+    def check(t: Transcript):
         run, blocks, trimmed, degenerate, _ = stages(_cut_entries(t.moves))
         details: dict = {"blocks": blocks}
-        holds = _replay_aux(u_inst, run.history, CHOOSE,
-                            lambda r: r.ask(sigma_u), details) is not None
+        holds = _replay_aux(u_inst, run.history, sigma_u, CHOOSE,
+                            details) is not None
         g_core = t.states[-1].core
         if trimmed & ~g_core:
             holds = False
@@ -604,13 +610,12 @@ def disjointify_choose_strategy(sigma_u: Strategy,
         details["trimmed_aux_core"] = format_mask(trimmed)
         details["aux_core"] = format_mask(run.state.core)
         details["degenerate_cover_picks"] = degenerate
-        return TransformCertificate(
-            "disjointify_choose",
-            "generalized core contains the trimmed auxiliary picks",
-            holds, t, list(run.history), details)
+        return holds, run.history, details
 
-    return TransformOutput("disjointify_choose", g_inst, strategy, certify,
-                           u_inst)
+    return TransformOutput(
+        "disjointify_choose",
+        "generalized core contains the trimmed auxiliary picks", g_inst,
+        strategy, check, u_inst)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +747,7 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
                                    lambda: (small_inst.start,))
     strategy = FunctionStrategy(CUT, decide, f"narrowed-{sigma_big.name}")
 
-    def certify(t: Transcript) -> TransformCertificate:
+    def check(t: Transcript):
         run, alive, done, block = stages(t.moves)
         details: dict = {"blocks": len(done) + (block is not None),
                          "alive": alive}
@@ -765,13 +770,12 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
                 break
         details["small_core"] = format_mask(small_core)
         details["big_core"] = format_mask(big_core)
-        return TransformCertificate(
-            "transfer_cut_big_to_small",
-            "narrow and auxiliary cores agree at block boundaries",
-            holds, t, list(run.history), details)
+        return holds, run.history, details
 
-    return TransformOutput("transfer_cut_big_to_small", small_inst, strategy,
-                           certify, big_inst)
+    return TransformOutput(
+        "transfer_cut_big_to_small",
+        "narrow and auxiliary cores agree at block boundaries", small_inst,
+        strategy, check, big_inst)
 
 
 def transfer_choose_small_to_big(sigma_small: Strategy,
@@ -818,7 +822,7 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
 
     strategy = FunctionStrategy(CHOOSE, decide, f"widened-{sigma_small.name}")
 
-    def certify(t: Transcript) -> TransformCertificate:
+    def check(t: Transcript):
         run, blocks, dead, _ = stages(_cut_entries(t.moves))
         details: dict = {"blocks": blocks, "dead_blocks": dead}
         holds = _check_aux_run(small_inst, run.history, sigma_small, CHOOSE,
@@ -835,13 +839,12 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
                                             format_mask(big_core))
         details["small_core"] = format_mask(small_core)
         details["big_core"] = format_mask(big_core)
-        return TransformCertificate(
-            "transfer_choose_small_to_big",
-            "wide core equals narrow core at block boundaries",
-            holds, t, list(run.history), details)
+        return holds, run.history, details
 
-    return TransformOutput("transfer_choose_small_to_big", big_inst, strategy,
-                           certify, small_inst)
+    return TransformOutput(
+        "transfer_choose_small_to_big",
+        "wide core equals narrow core at block boundaries", big_inst,
+        strategy, check, small_inst)
 
 
 # ---------------------------------------------------------------------------
@@ -868,14 +871,13 @@ def witness_to_cut_strategy(seq: Sequence[tuple],
 
     strategy = FunctionStrategy(CUT, decide, "witness-sequence")
 
-    def certify(t: Transcript) -> TransformCertificate:
+    def check(t: Transcript):
         played = [move for role, move in t.moves if role == CUT]
-        holds = played == [tuple(seq[i]) for i in range(len(played))]
-        return TransformCertificate("witness_to_cut",
-                                    "moves follow the sequence", holds, t,
-                                    played, {})
+        return played == [tuple(seq[i]) for i in range(len(played))], \
+            played, {}
 
-    return TransformOutput("witness_to_cut", inst, strategy, certify)
+    return TransformOutput("witness_to_cut", "moves follow the sequence", inst,
+                           strategy, check)
 
 
 def cut_strategy_to_witness(sigma: Strategy,
@@ -973,7 +975,7 @@ def witness_to_empty_strategy(seq: Sequence[tuple],
 
     strategy = FunctionStrategy(EMPTY, decide, "witness-walk")
 
-    def certify(t: Transcript) -> TransformCertificate:
+    def check(t: Transcript):
         picks: list[Optional[int]] = []
         detach = None
         idx = 0
@@ -1000,11 +1002,11 @@ def witness_to_empty_strategy(seq: Sequence[tuple],
             details["core_escape"] = format_mask(final & ~inter)
         details["walk_core"] = format_mask(inter)
         details["final"] = format_mask(final)
-        return TransformCertificate(
-            "witness_to_empty", "final core inside the realized walk",
-            holds, t, picks, details)
+        return holds, picks, details
 
-    return TransformOutput("witness_to_empty", bm_inst, strategy, certify)
+    return TransformOutput("witness_to_empty",
+                           "final core inside the realized walk", bm_inst,
+                           strategy, check)
 
 
 def empty_to_cut_strategy(sigma_e: Strategy,
@@ -1072,7 +1074,7 @@ def empty_to_cut_strategy(sigma_e: Strategy,
                                    dead_cut)
     strategy = FunctionStrategy(CUT, decide, f"emptier-cut-{sigma_e.name}")
 
-    def certify(t: Transcript) -> TransformCertificate:
+    def check(t: Transcript):
         run, alive, done, _ = stages(t.moves)
         details: dict = {"alive": alive,
                          "aux_rounds": (len(run.history) - 1) // 2,
@@ -1093,12 +1095,11 @@ def empty_to_cut_strategy(sigma_e: Strategy,
         if stale is not None:
             holds = False
             details["cut_not_rebuilt"] = stale
-        return TransformCertificate(
-            "empty_to_cut",
-            "picks are the emptier's moves; extension picks lose",
-            holds, t, list(run.history), details)
+        return holds, run.history, details
 
-    return TransformOutput("empty_to_cut", g_inst, strategy, certify, bm_inst)
+    return TransformOutput(
+        "empty_to_cut", "picks are the emptier's moves; extension picks lose",
+        g_inst, strategy, check, bm_inst)
 
 
 def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
@@ -1147,7 +1148,7 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
     strategy = FunctionStrategy(CHOOSE, decide,
                                 f"survivor-pick-{sigma_n.name}")
 
-    def certify(t: Transcript) -> TransformCertificate:
+    def check(t: Transcript):
         run, _, inter = stages(t.moves[1::2])
         details: dict = {}
         holds = _check_aux_run(bm_inst, run.history, sigma_n, NONEMPTY, details)
@@ -1157,13 +1158,12 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
             details["relation_violated"] = format_mask(inter & ~g_core)
         details["g_core"] = format_mask(g_core)
         details["trimmed_core"] = format_mask(inter)
-        return TransformCertificate(
-            "nonempty_to_choose",
-            "generalized core contains the trimmed auxiliary sets",
-            holds, t, list(run.history), details)
+        return holds, run.history, details
 
-    return TransformOutput("nonempty_to_choose", g_inst, strategy, certify,
-                           bm_inst)
+    return TransformOutput(
+        "nonempty_to_choose",
+        "generalized core contains the trimmed auxiliary sets", g_inst,
+        strategy, check, bm_inst)
 
 
 def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
@@ -1216,13 +1216,11 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
 
     strategy = FunctionStrategy(NONEMPTY, decide, "picker-survivor")
 
-    def certify(t: Transcript) -> TransformCertificate:
+    def check(t: Transcript):
         try:
             _, run, _ = stages(t.moves[0::2])
         except TransformSoundnessError as exc:
-            return TransformCertificate(
-                "choose_to_nonempty", "opposing moves are picker responses",
-                False, t, [], {"error": str(exc)})
+            return False, [], {"error": str(exc)}
         holds = True
         details: dict = {"stages": len(run.history) // 2}
         empties = [mv for role, mv in t.moves if role == EMPTY]
@@ -1232,9 +1230,8 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
             if pick != empties[j + 1]:
                 holds = False
                 details["pick_mismatch"] = j
-        return TransformCertificate(
-            "choose_to_nonempty",
-            "opposing moves are exactly the picker's responses",
-            holds, t, list(zip(cuts, picks)), details)
+        return holds, zip(cuts, picks), details
 
-    return TransformOutput("choose_to_nonempty", bm_inst, strategy, certify)
+    return TransformOutput("choose_to_nonempty",
+                           "opposing moves are exactly the picker's responses",
+                           bm_inst, strategy, check)

@@ -809,6 +809,46 @@ def test_a_strategy_file_for_the_other_role_is_refused(tmp_path):
                            " the transform needs a Cut strategy\n")
 
 
+def test_solve_refuses_a_strategy_out_it_would_not_write(tmp_path, u4,
+                                                          capsys):
+    out = tmp_path / "sigma.json"
+    assert main(["solve", u4, "--no-strategy", "--strategy-out",
+                 str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: --strategy-out: not written with --no-strategy\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, role, name, line", [
+    ("u4", "Bogus", None,
+     "'Bogus' is not a role of a U game (Cut or Choose)"),
+    ("u4", "Empty", None,
+     "'Empty' is not a role of a U game (Cut or Choose)"),
+    ("g4", "Nonempty", "disjointify_cut",
+     "'Nonempty' is not a role of a G_ideal game (Cut or Choose)"),
+    ("bm4", "Choose", "nonempty_to_choose",
+     "'Choose' is not a role of a BM_ideal game (Empty or Nonempty)"),
+])
+def test_a_strategy_file_for_no_role_of_the_game_is_refused(
+        tmp_path, capsys, key, role, name, line):
+    # the solver's table for the game, relabelled
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(TRANSFORM_INPUTS[key]))
+    table = tmp_path / "table.json"
+    assert main(["solve", str(game), "--strategy-out", str(table)]) == 0
+    doc = json.loads(table.read_text())
+    table.write_text(json.dumps({**doc, "role": role}))
+    capsys.readouterr()
+    argv = (["verify", str(game), "--strategy", str(table)] if name is None
+            else ["transform", "--name", name, str(game), "--sigma",
+                  f"file:{table}"])
+    assert main(argv + ["--json"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: strategy.role: "
+                                                f"{line}\n")
+
+
 def test_the_audit_of_a_long_u_game_is_pinned(tmp_path, capsys):
     # Its weak generalized games cut the start set at every cut position;
     # enumerated once per instance, the 12-round audit takes about a second.
@@ -870,6 +910,15 @@ def test_the_audit_of_a_long_u_game_is_pinned(tmp_path, capsys):
      "are elements\n"),
     ("u4", ("--name", "fixed_point", "--alpha", "10"),
      "error: --alpha: point 10 is not in the start set {0,1,2,3}\n"),
+    # digit_split's counts, each named
+    (None, ("--name", "digit_split", "--m", "30", "--nu", "2", "--rounds",
+            "5"), "error: --m: must be <= 24\n"),
+    (None, ("--name", "digit_split", "--m", "0", "--nu", "2", "--rounds",
+            "5"), "error: --m: must be >= 1\n"),
+    (None, ("--name", "digit_split", "--m", "4", "--nu", "1", "--rounds",
+            "5"), "error: --nu: must be >= 2\n"),
+    (None, ("--name", "digit_split", "--m", "4", "--nu", "2", "--rounds",
+            "0"), "error: --rounds: must be >= 1\n"),
 ])
 def test_a_bad_transform_input_is_one_error_line(tmp_path, capsys, key,
                                                   rest, line):

@@ -773,3 +773,88 @@ def test_restrict_choose_certificates_are_pinned():
     assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()
                           ).hexdigest() == (
         "ed9962596f9ba75e353f9ce0b185febe2a233803639c868a573ba4cc63305b88")
+
+
+# Each transform's kind and the one relation its certificates check.
+RELATIONS = {
+    "digit_split": "final core has at most one point",
+    "fixed_point": "every pick contains the fixed point",
+    "restrict_choose": "outer core pulls back to the inner core",
+    "disjointify_cut": "final partition core inside the auxiliary picks",
+    "disjointify_choose":
+        "generalized core contains the trimmed auxiliary picks",
+    "transfer_cut_big_to_small":
+        "narrow and auxiliary cores agree at block boundaries",
+    "transfer_choose_small_to_big":
+        "wide core equals narrow core at block boundaries",
+    "witness_to_cut": "moves follow the sequence",
+    "witness_to_empty": "final core inside the realized walk",
+    "empty_to_cut": "picks are the emptier's moves; extension picks lose",
+    "nonempty_to_choose":
+        "generalized core contains the trimmed auxiliary sets",
+    "choose_to_nonempty": "opposing moves are exactly the picker's responses",
+}
+
+
+def _copy_emptier():
+    return FunctionStrategy(EMPTY, lambda i, s, h: s.core, name="copy")
+
+
+def _one_output_of_each_transform():
+    g_inst = g_ideal(4, 1, width=2)
+    bm = bm_ideal(4, 2)
+    alg = FiniteBooleanAlgebra(GroundSet(4))
+    big = GameInstance(game_family=G_POSET, start=alg.top, rounds=1, width=4,
+                       cut_current=False, algebra=alg)
+    small = GameInstance(game_family=G_POSET, start=alg.top, rounds=2,
+                         width=2, cut_current=False, algebra=alg)
+    inner, outer = u_instance(3, 1), u_instance(4, 1)
+    witness = GameInstance(game_family=U, start=0b1111, rounds=2, width=2,
+                           cut_current=False, ground=GroundSet(4),
+                           family=bm.family)
+    return [
+        tr.digit_split_cut_strategy(4, 2, 2),
+        tr.fixed_point_choose(u_instance(4, 2), 1),
+        tr.restrict_choose_strategy(first_move_strategy(inner, CHOOSE),
+                                    inner, outer, (0, 1, 3)),
+        tr.disjointify_cut_strategy(first_move_strategy(g_inst, CUT), g_inst),
+        tr.disjointify_choose_strategy(greedy_picker_strategy(
+            tr._doubled_instance(g_inst)), g_inst),
+        tr.transfer_cut_big_to_small(first_move_strategy(big, CUT), big, 2,
+                                     2),
+        tr.transfer_choose_small_to_big(first_move_strategy(small, CHOOSE),
+                                        small, 2, 2),
+        tr.witness_to_cut_strategy([(0b0011, 0b1100), (0b0101, 0b1010)],
+                                   witness),
+        tr.witness_to_empty_strategy([(0b0011,)], bm),
+        tr.empty_to_cut_strategy(_copy_emptier(), bm),
+        tr.nonempty_to_choose_strategy(copy_strategy(bm), bm, bm.start),
+        tr.choose_to_nonempty_strategy(lambda x0: greedy_picker_strategy(
+            tr.weak_g_instance(bm, x0)), bm),
+    ]
+
+
+def test_every_certificate_carries_its_transforms_kind_and_relation():
+    seen = set()
+    for out in _one_output_of_each_transform():
+        certs = tr.certify_playouts(out)
+        assert certs, out.kind
+        assert {(c.kind, c.relation) for c in certs} == {
+            (out.kind, RELATIONS[out.kind])}
+        seen.add(out.kind)
+    assert seen == set(RELATIONS)
+
+
+def test_a_foreign_opposing_move_fails_under_the_one_relation():
+    # an opening set no picker answered: the survivor's fold refuses the
+    # next opposing move, and the certificate reads the transform's relation
+    bm = bm_ideal(4, 2)
+    out = tr.choose_to_nonempty_strategy(lambda x0: greedy_picker_strategy(
+        tr.weak_g_instance(bm, x0)), bm)
+    t = play_out(bm, _copy_emptier(), out.strategy)
+    moves = list(t.moves)
+    moves[2] = (EMPTY, 0b0001)
+    cert = out.certify(replace(t, moves=moves))
+    assert (cert.kind, cert.relation, cert.holds, cert.aux_moves) == (
+        "choose_to_nonempty", RELATIONS["choose_to_nonempty"], False, [])
+    assert "is not a picker response" in cert.details["error"]
