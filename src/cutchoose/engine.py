@@ -373,9 +373,10 @@ SIMULATION = "simulation"
 class Strategy:
     """A deterministic decision procedure for one role.
 
-    ``decide`` receives the abstract position and the full move history; it
-    must be a pure function of them, so one strategy object can serve many
-    concurrent playouts and tree branches.
+    ``decide`` receives the abstract position and the full move history, a
+    sequence of ``(role, move)`` entries; it must be a pure function of
+    them, so one strategy object can serve many concurrent playouts and
+    tree branches.
     """
 
     kind = SIMULATION
@@ -384,7 +385,8 @@ class Strategy:
         self.role = role
         self.name = name or self.__class__.__name__
 
-    def decide(self, inst: GameInstance, state: GameState, history: tuple):
+    def decide(self, inst: GameInstance, state: GameState,
+               history: Sequence):
         raise NotImplementedError
 
 

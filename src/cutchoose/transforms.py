@@ -5,14 +5,14 @@ related game by replaying an auxiliary run of the source game inside every
 playout of the target game.  Output strategies are pure functions of the
 visible history (the referee hands the full history to ``decide``, including
 the cut move currently awaiting a pick).  The auxiliary run is one immutable
-``_Run`` value -- instance, position, history -- extended move by move with
-``then`` and queried with ``ask``, and each transformation builds it as a
-prefix fold, ``_Fold``: a ``step`` extends the run by one entry of the
-history (or of the part of it the transformation reads, such as the picks
-alone), and every prefix's result is kept in a memo that lives as long as
-the ``TransformOutput`` does.  A walk over the output strategy's tree thus
-steps each auxiliary stage once, and ``decide`` answers from the stage its
-history reaches.
+``_Run`` value -- instance, position, and the run one move shorter, so runs
+share their history -- extended move by move with ``then`` and queried with
+``ask``, and each transformation builds it as a prefix fold, ``_Fold``: a
+``step`` extends the run by one entry of the history (or of the part of it
+the transformation reads, such as the picks alone), and every prefix's
+result is kept in a memo that lives as long as the ``TransformOutput``
+does.  A walk over the output strategy's tree thus steps each auxiliary
+stage once, and ``decide`` answers from the stage its history reaches.
 
 The source is asked in one of two shapes.  A source that cuts is simulated
 by ``_block_cutter``, which plays each auxiliary cut as a block of target
@@ -24,10 +24,13 @@ of its own game however many target histories lead there.  Each
 output run and the auxiliary run that its certificates check (containment
 or equality of cores), and ``certify`` builds every certificate from the
 verdict of its ``check`` hook.  The hook folds a finished transcript the
-same way, replays the auxiliary run from the start against the source
-strategy (never through a memo) and gives whether the relation holds, the
-auxiliary moves and details; it raises ``TransformSoundnessError`` only for
-genuine bookkeeping violations, never for mere game losses.
+same way, replays the auxiliary run against the source strategy and gives
+whether the relation holds, the auxiliary moves and details; it raises
+``TransformSoundnessError`` only for genuine bookkeeping violations, never
+for mere game losses.  The replay is the checker's own, never the stage
+fold: ``out.certify(t)`` replays from move 0, and ``certify_playouts``
+replays each auxiliary prefix once for its call, through one ``_Memos``
+that gives every certificate the same bytes.
 
 Length bookkeeping is explicit: where an auxiliary move expands into several
 target moves, round counts double or multiply, since the ordinal absorption
@@ -36,6 +39,7 @@ identities have no finite counterpart.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -84,16 +88,23 @@ class TransformCertificate:
 @dataclass
 class TransformOutput:
     """A transformed strategy and the one relation its certificates check;
-    ``check`` gives a transcript's (holds, auxiliary moves, details)."""
+    ``check(t, memos)`` gives a transcript's (holds, auxiliary moves,
+    details), replaying and formatting through ``memos``."""
     kind: str
     relation: str
     instance: GameInstance
     strategy: Strategy
-    check: Callable[[Transcript], tuple[bool, Sequence, dict]]
+    check: Callable[[Transcript, "_Memos"], tuple[bool, Sequence, dict]]
     aux_instance: Optional[GameInstance] = None
 
     def certify(self, t: Transcript) -> TransformCertificate:
-        holds, aux_moves, details = self.check(t)
+        """The certificate of one transcript, its auxiliary run replayed
+        from move 0."""
+        return self._certify(t, _Memos())
+
+    def _certify(self, t: Transcript, memos: "_Memos"
+                 ) -> TransformCertificate:
+        holds, aux_moves, details = self.check(t, memos)
         return TransformCertificate(self.kind, self.relation, holds, t,
                                     list(aux_moves), details)
 
@@ -102,10 +113,13 @@ def certify_playouts(out: TransformOutput,
                      node_budget: int = DEFAULT_NODE_BUDGET
                      ) -> list[TransformCertificate]:
     """Certificates for every playout of the output strategy against all
-    canonical adversary lines."""
+    canonical adversary lines.  They share one ``_Memos`` for the call, so
+    each auxiliary prefix is replayed once and each mask formatted once;
+    every certificate is the one ``out.certify`` gives."""
     runs = enumerate_playouts(out.instance, out.strategy, out.strategy.role,
                               node_budget)
-    return [out.certify(t) for t in runs]
+    memos = _Memos()
+    return [out._certify(t, memos) for t in runs]
 
 
 def _union(masks) -> int:
@@ -120,25 +134,71 @@ def _cut_entries(history: Sequence) -> list:
 
 
 class _Run(NamedTuple):
-    """A run of an auxiliary game: its instance, the position reached and the
-    ``(role, move)`` history that led there.  Immutable, so a simulation can
-    branch from any run it has kept."""
+    """A run of an auxiliary game: its instance, the position reached, the
+    run one move shorter (``None`` at the start) and the ``(role, move)``
+    entry that extended it.  Immutable, so a simulation can branch from any
+    run it has kept, and every run shares its prefix with the runs it was
+    extended from: a fold that keeps a run per prefix holds O(depth), not a
+    history per prefix."""
     inst: GameInstance
     state: GameState
-    history: tuple
+    before: Optional[_Run] = None
+    entry: Optional[tuple] = None
 
     @classmethod
     def start(cls, inst: GameInstance) -> "_Run":
-        return cls(inst, initial_state(inst), ())
+        return cls(inst, initial_state(inst))
 
     def then(self, move) -> "_Run":
         """The run after the player to move plays ``move`` (unchecked)."""
         return _Run(self.inst,
                     apply_move(self.inst, self.state, move, check=False),
-                    self.history + ((self.state.to_move, move),))
+                    self, (self.state.to_move, move))
+
+    @property
+    def history(self) -> tuple:
+        """The ``(role, move)`` entries from the start, built on each read
+        by a loop: a deep run exceeds the recursion limit."""
+        entries = []
+        run = self
+        while run.before is not None:
+            entries.append(run.entry)
+            run = run.before
+        entries.reverse()
+        return tuple(entries)
 
     def ask(self, sigma: Strategy):
-        return sigma.decide(self.inst, self.state, self.history)
+        return sigma.decide(self.inst, self.state, _History(self))
+
+
+class _History(Sequence):
+    """A run's history as the sequence ``decide`` reads, built on its first
+    read, so a source that reads only the position (a table, the copy
+    strategy) costs nothing per move.  Equal to, and hashed as, the tuple."""
+    __slots__ = ("run", "entries")
+
+    def __init__(self, run: _Run):
+        self.run, self.entries = run, None
+
+    def _tuple(self) -> tuple:
+        if self.entries is None:
+            self.entries = self.run.history
+        return self.entries
+
+    def __len__(self):
+        return len(self._tuple())
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other):
+        return self._tuple() == other
+
+    def __hash__(self):
+        return hash(self._tuple())
 
 
 class _Fold:
@@ -149,7 +209,8 @@ class _Fold:
     there, so it is iterative (no depth limit) and each new prefix costs
     one ``step``.  A step that raises caches nothing.  Every longer prefix
     steps from a cached value, so values are immutable: tuples and
-    ``_Run``s."""
+    ``_Run``s.  A ``_Run`` shares its prefix with the run it stepped from,
+    so a trie of runs holds O(1) per node."""
     __slots__ = ("start", "step", "root")
 
     def __init__(self, start: Callable[[], object],
@@ -179,9 +240,12 @@ def _block_cutter(start: Callable[[], _Run],
     the source is asked: it gives the block's cuts and ``recover(picks)``,
     the auxiliary (cut, pick) the picks stand for, or ``None`` when they
     end the auxiliary run; the cutter then plays ``dead_cut()``.  A stage
-    is (run, alive, finished blocks as (cuts, picks, aux), open block as
-    (cuts, recover, picks) or ``None``).  ``decide`` folds one cut past its
-    history, the stage the next pick extends, and reads the next cut."""
+    is (run, alive, finished blocks, open block as (cuts, recover, picks)
+    or ``None``); it keeps its finished blocks as a chain ((cuts, picks,
+    aux), earlier blocks or ``None``), so it adds O(1) to the stage it
+    extends, and ``fold`` lists them in order.  ``decide`` steps one cut
+    past its history, to the stage the next pick extends, and reads the
+    next cut."""
 
     def step(stage, item):
         run, alive, done, block = stage
@@ -195,18 +259,26 @@ def _block_cutter(start: Callable[[], _Run],
         if len(picks) < len(cuts):
             return run, True, done, (cuts, recover, picks)
         aux = recover(picks)
-        done += ((cuts, picks, aux),)
+        done = ((cuts, picks, aux), done)
         if aux is None:
             return run, False, done, None
         return run.then(aux[0]).then(aux[1]), True, done, None
 
-    stages = _Fold(lambda: (start(), True, (), None), step)
+    stages = _Fold(lambda: (start(), True, None, None), step)
 
-    def fold(history: Sequence):
+    def stage(history: Sequence):
         return stages(None if role == CUT else move for role, move in history)
 
+    def fold(history: Sequence):
+        run, alive, done, block = stage(history)
+        blocks = []
+        while done is not None:
+            last, done = done
+            blocks.append(last)
+        return run, alive, blocks[::-1], block
+
     def decide(inst_, state, history):
-        _, alive, _, block = fold((*history, (CUT, None)))
+        _, alive, _, block = stage((*history, (CUT, None)))
         if not alive:
             return dead_cut()
         cuts, _, picks = block
@@ -230,37 +302,69 @@ def _replies(game: GameInstance, sigma: Strategy):
 
     def reply(run: _Run, cut) -> tuple:
         run = runs([move for _, move in run.history[0::2]] + [cut])
-        return run, run.history[-1][1]
+        return run, run.entry[1]
 
     return reply
 
 
-def _replay_aux(inst: GameInstance, moves: Sequence, sigma: Strategy,
-                role: str, details: dict) -> Optional[_Run]:
-    """Replay an auxiliary run move by move: each move must be legal, and
-    ``sigma`` must reproduce every move of ``role``.  The first failure goes
-    into ``details`` and gives ``None``."""
-    run = _Run.start(inst)
-    for mover, move in moves:
+class _ReplayFailure(Exception):
+    """The first failure of an auxiliary replay; its arguments are the
+    ``details`` key and value it records."""
+
+
+class _Memos:
+    """What the certificates of one call share, dropped with it:
+    ``certify`` makes one per certificate, ``certify_playouts`` one per
+    call.  ``mask(m)`` is ``format_mask(m)``, formatted once.
+
+    ``replay(inst, moves, sigma, role, details)`` replays an auxiliary run
+    move by move: each move must be legal, and ``sigma`` must reproduce
+    every move of ``role``.  The first failure goes into ``details`` and
+    gives ``None``.  Runs are kept in one ``_Fold`` over the moves per
+    (instance, source, role), so each prefix is replayed once; a step that
+    fails caches nothing, so every replay through it fails there again with
+    the same entry.  This memo is the checker's own: the strategy's stage
+    fold is never consulted, so a certificate stays a second computation."""
+
+    def __init__(self):
+        self.mask = functools.cache(format_mask)
+        self.replays: dict = {}
+
+    def replay(self, inst: GameInstance, moves: Sequence, sigma: Strategy,
+               role: str, details: dict) -> Optional[_Run]:
+        key = (id(inst), id(sigma), role)
+        if key not in self.replays:
+            def step(run: _Run, entry) -> _Run:
+                mover, move = entry
+                try:
+                    validate_move(inst, run.state, move)
+                except Exception as exc:
+                    raise _ReplayFailure("illegal_aux", str(exc)) from None
+                if mover == role and run.ask(sigma) != move:
+                    raise _ReplayFailure("inconsistent_aux", True)
+                return run.then(move)
+
+            # the key's objects are kept, so their ids stay theirs
+            self.replays[key] = (inst, sigma,
+                                 _Fold(lambda: _Run.start(inst), step))
         try:
-            validate_move(inst, run.state, move)
-        except Exception as exc:
-            details["illegal_aux"] = str(exc)
+            return self.replays[key][2](moves)
+        except _ReplayFailure as failure:
+            name, value = failure.args
+            details[name] = value
             return None
-        if mover == role and run.ask(sigma) != move:
-            details["inconsistent_aux"] = True
-            return None
-        run = run.then(move)
-    return run
 
 
 def _check_aux_run(inst: GameInstance, moves: Sequence, sigma: Strategy,
-                   sigma_role: str, details: dict) -> bool:
-    """Legality of an auxiliary run plus consistency with its strategy."""
-    run = _replay_aux(inst, moves, sigma, sigma_role, details)
+                   sigma_role: str, details: dict,
+                   memos: Optional[_Memos] = None) -> bool:
+    """Legality of an auxiliary run plus consistency with its strategy,
+    replayed through ``memos`` (from move 0 without)."""
+    memos = memos or _Memos()
+    run = memos.replay(inst, moves, sigma, sigma_role, details)
     if run is None:
         return False
-    details["aux_final_core"] = format_mask(run.state.core)
+    details["aux_final_core"] = memos.mask(run.state.core)
     return True
 
 
@@ -310,9 +414,9 @@ def digit_split_cut_strategy(m: int, nu: int, n: int) -> TransformOutput:
 
     strategy = FunctionStrategy(CUT, decide, f"digit-split-{nu}")
 
-    def check(t: Transcript):
+    def check(t: Transcript, memos: _Memos):
         final = t.states[-1].core
-        return popcount(final) <= 1, [], {"final": format_mask(final)}
+        return popcount(final) <= 1, [], {"final": memos.mask(final)}
 
     return TransformOutput("digit_split", "final core has at most one point",
                            inst, strategy, check)
@@ -337,7 +441,7 @@ def fixed_point_choose(inst: GameInstance, alpha: int) -> TransformOutput:
         raise ValidationError(f"point {alpha} is not in the start set "
                               f"{format_mask(inst.start)}", "--alpha")
 
-    def check(t: Transcript):
+    def check(t: Transcript, memos: _Memos):
         return all((move >> alpha) & 1 for role, move in t.moves
                    if role == inst.picker), [], {"alpha": alpha}
 
@@ -425,18 +529,19 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
 
     strategy = FunctionStrategy(CHOOSE, decide, f"restricted-{sigma.name}")
 
-    def check(t: Transcript):
+    def check(t: Transcript, memos: _Memos):
         run, _ = stages(_cut_entries(t.moves))
+        history = run.history
         details: dict = {}
-        holds = _check_aux_run(inner, run.history, sigma, CHOOSE, details)
+        holds = _check_aux_run(inner, history, sigma, CHOOSE, details, memos)
         outer_core = t.states[-1].core
         if _pullback_mask(emb, outer_core) != run.state.core:
             holds = False
-            details["pullback_mismatch"] = (format_mask(outer_core),
-                                            format_mask(run.state.core))
-        details["outer_core"] = format_mask(outer_core)
-        details["inner_core"] = format_mask(run.state.core)
-        return holds, run.history, details
+            details["pullback_mismatch"] = (memos.mask(outer_core),
+                                            memos.mask(run.state.core))
+        details["outer_core"] = memos.mask(outer_core)
+        details["inner_core"] = memos.mask(run.state.core)
+        return holds, history, details
 
     return TransformOutput("restrict_choose",
                            "outer core pulls back to the inner core", outer,
@@ -521,25 +626,26 @@ def disjointify_cut_strategy(sigma_g: Strategy,
                                    lambda: (g_inst.start,))
     strategy = FunctionStrategy(CUT, decide, f"disjointified-{sigma_g.name}")
 
-    def check(t: Transcript):
+    def check(t: Transcript, memos: _Memos):
         run, alive, _, _ = stages(t.moves)
-        details: dict = {"aux_rounds": len(run.history) // 2, "alive": alive}
-        holds = _check_aux_run(g_inst, run.history, sigma_g, CUT, details)
+        history = run.history
+        details: dict = {"aux_rounds": len(history) // 2, "alive": alive}
+        holds = _check_aux_run(g_inst, history, sigma_g, CUT, details, memos)
         final = t.states[-1].core
         inter = g_inst.start
-        for role, mv in run.history:
+        for role, mv in history:
             if role == CHOOSE:
                 inter &= mv
         if final & ~inter:
             holds = False
-            details["core_escape"] = format_mask(final & ~inter)
+            details["core_escape"] = memos.mask(final & ~inter)
         if not alive and core_positive(u_inst, final) and \
                 not terminal_status(u_inst, t.states[-1]).ongoing:
             holds = False
-            details["dead_but_positive"] = format_mask(final)
-        details["u_core"] = format_mask(final)
-        details["aux_pick_core"] = format_mask(inter)
-        return holds, run.history, details
+            details["dead_but_positive"] = memos.mask(final)
+        details["u_core"] = memos.mask(final)
+        details["aux_pick_core"] = memos.mask(inter)
+        return holds, history, details
 
     return TransformOutput("disjointify_cut",
                            "final partition core inside the auxiliary picks",
@@ -597,20 +703,21 @@ def disjointify_choose_strategy(sigma_u: Strategy,
     strategy = FunctionStrategy(CHOOSE, decide,
                                 f"disjointified-{sigma_u.name}")
 
-    def check(t: Transcript):
+    def check(t: Transcript, memos: _Memos):
         run, blocks, trimmed, degenerate, _ = stages(_cut_entries(t.moves))
+        history = run.history
         details: dict = {"blocks": blocks}
-        holds = _replay_aux(u_inst, run.history, sigma_u, CHOOSE,
-                            details) is not None
+        holds = memos.replay(u_inst, history, sigma_u, CHOOSE,
+                             details) is not None
         g_core = t.states[-1].core
         if trimmed & ~g_core:
             holds = False
-            details["relation_violated"] = format_mask(trimmed & ~g_core)
-        details["g_core"] = format_mask(g_core)
-        details["trimmed_aux_core"] = format_mask(trimmed)
-        details["aux_core"] = format_mask(run.state.core)
+            details["relation_violated"] = memos.mask(trimmed & ~g_core)
+        details["g_core"] = memos.mask(g_core)
+        details["trimmed_aux_core"] = memos.mask(trimmed)
+        details["aux_core"] = memos.mask(run.state.core)
         details["degenerate_cover_picks"] = degenerate
-        return holds, run.history, details
+        return holds, history, details
 
     return TransformOutput(
         "disjointify_choose",
@@ -747,11 +854,13 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
                                    lambda: (small_inst.start,))
     strategy = FunctionStrategy(CUT, decide, f"narrowed-{sigma_big.name}")
 
-    def check(t: Transcript):
+    def check(t: Transcript, memos: _Memos):
         run, alive, done, block = stages(t.moves)
+        history = run.history
         details: dict = {"blocks": len(done) + (block is not None),
                          "alive": alive}
-        holds = _check_aux_run(big_inst, run.history, sigma_big, CUT, details)
+        holds = _check_aux_run(big_inst, history, sigma_big, CUT,
+                               details, memos)
         small_core = small_inst.start
         big_core = big_inst.start
         for _, picks, aux in done:
@@ -761,16 +870,16 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
                 big_core &= aux[1]
                 if small_core != big_core:
                     holds = False
-                    details["boundary_mismatch"] = (format_mask(small_core),
-                                                    format_mask(big_core))
+                    details["boundary_mismatch"] = (memos.mask(small_core),
+                                                    memos.mask(big_core))
             else:
                 if small_core != 0:
                     holds = False
-                    details["dead_block_nonzero"] = format_mask(small_core)
+                    details["dead_block_nonzero"] = memos.mask(small_core)
                 break
-        details["small_core"] = format_mask(small_core)
-        details["big_core"] = format_mask(big_core)
-        return holds, run.history, details
+        details["small_core"] = memos.mask(small_core)
+        details["big_core"] = memos.mask(big_core)
+        return holds, history, details
 
     return TransformOutput(
         "transfer_cut_big_to_small",
@@ -822,11 +931,12 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
 
     strategy = FunctionStrategy(CHOOSE, decide, f"widened-{sigma_small.name}")
 
-    def check(t: Transcript):
+    def check(t: Transcript, memos: _Memos):
         run, blocks, dead, _ = stages(_cut_entries(t.moves))
+        history = run.history
         details: dict = {"blocks": blocks, "dead_blocks": dead}
-        holds = _check_aux_run(small_inst, run.history, sigma_small, CHOOSE,
-                               details)
+        holds = _check_aux_run(small_inst, history, sigma_small, CHOOSE,
+                               details, memos)
         small_core = run.state.core
         big_core = t.states[-1].core
         if details["dead_blocks"]:
@@ -835,11 +945,11 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
                 details["relation_violated"] = True
         elif small_core != big_core:
             holds = False
-            details["boundary_mismatch"] = (format_mask(small_core),
-                                            format_mask(big_core))
-        details["small_core"] = format_mask(small_core)
-        details["big_core"] = format_mask(big_core)
-        return holds, run.history, details
+            details["boundary_mismatch"] = (memos.mask(small_core),
+                                            memos.mask(big_core))
+        details["small_core"] = memos.mask(small_core)
+        details["big_core"] = memos.mask(big_core)
+        return holds, history, details
 
     return TransformOutput(
         "transfer_choose_small_to_big",
@@ -871,7 +981,7 @@ def witness_to_cut_strategy(seq: Sequence[tuple],
 
     strategy = FunctionStrategy(CUT, decide, "witness-sequence")
 
-    def check(t: Transcript):
+    def check(t: Transcript, memos: _Memos):
         played = [move for role, move in t.moves if role == CUT]
         return played == [tuple(seq[i]) for i in range(len(played))], \
             played, {}
@@ -975,7 +1085,7 @@ def witness_to_empty_strategy(seq: Sequence[tuple],
 
     strategy = FunctionStrategy(EMPTY, decide, "witness-walk")
 
-    def check(t: Transcript):
+    def check(t: Transcript, memos: _Memos):
         picks: list[Optional[int]] = []
         detach = None
         idx = 0
@@ -989,7 +1099,7 @@ def witness_to_empty_strategy(seq: Sequence[tuple],
             idx += 1
         holds = True
         details: dict = {"detach_stage": detach,
-                         "walk": [None if p is None else format_mask(p)
+                         "walk": [None if p is None else memos.mask(p)
                                   for p in picks]}
         final = t.states[-1].core
         inter = bm_inst.start
@@ -999,9 +1109,9 @@ def witness_to_empty_strategy(seq: Sequence[tuple],
             inter &= p
         if detach is None and final & ~inter:
             holds = False
-            details["core_escape"] = format_mask(final & ~inter)
-        details["walk_core"] = format_mask(inter)
-        details["final"] = format_mask(final)
+            details["core_escape"] = memos.mask(final & ~inter)
+        details["walk_core"] = memos.mask(inter)
+        details["final"] = memos.mask(final)
         return holds, picks, details
 
     return TransformOutput("witness_to_empty",
@@ -1074,14 +1184,16 @@ def empty_to_cut_strategy(sigma_e: Strategy,
                                    dead_cut)
     strategy = FunctionStrategy(CUT, decide, f"emptier-cut-{sigma_e.name}")
 
-    def check(t: Transcript):
+    def check(t: Transcript, memos: _Memos):
         run, alive, done, _ = stages(t.moves)
+        history = run.history
         details: dict = {"alive": alive,
-                         "aux_rounds": (len(run.history) - 1) // 2,
+                         "aux_rounds": (len(history) - 1) // 2,
                          "extensions_played": sum(
                              aux is None for _, _, aux in done)}
-        holds = _check_aux_run(bm_inst, run.history, sigma_e, EMPTY, details)
-        empties = [mv for role, mv in run.history if role == EMPTY][1:]
+        holds = _check_aux_run(bm_inst, history, sigma_e, EMPTY,
+                               details, memos)
+        empties = [mv for role, mv in history if role == EMPTY][1:]
         picks = [aux[1] for _, _, aux in done if aux]
         if picks != empties:
             holds = False
@@ -1095,7 +1207,7 @@ def empty_to_cut_strategy(sigma_e: Strategy,
         if stale is not None:
             holds = False
             details["cut_not_rebuilt"] = stale
-        return holds, run.history, details
+        return holds, history, details
 
     return TransformOutput(
         "empty_to_cut", "picks are the emptier's moves; extension picks lose",
@@ -1148,17 +1260,19 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
     strategy = FunctionStrategy(CHOOSE, decide,
                                 f"survivor-pick-{sigma_n.name}")
 
-    def check(t: Transcript):
+    def check(t: Transcript, memos: _Memos):
         run, _, inter = stages(t.moves[1::2])
+        history = run.history
         details: dict = {}
-        holds = _check_aux_run(bm_inst, run.history, sigma_n, NONEMPTY, details)
+        holds = _check_aux_run(bm_inst, history, sigma_n, NONEMPTY,
+                               details, memos)
         g_core = t.states[-1].core
         if inter & ~g_core:
             holds = False
-            details["relation_violated"] = format_mask(inter & ~g_core)
-        details["g_core"] = format_mask(g_core)
-        details["trimmed_core"] = format_mask(inter)
-        return holds, run.history, details
+            details["relation_violated"] = memos.mask(inter & ~g_core)
+        details["g_core"] = memos.mask(g_core)
+        details["trimmed_core"] = memos.mask(inter)
+        return holds, history, details
 
     return TransformOutput(
         "nonempty_to_choose",
@@ -1216,16 +1330,17 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
 
     strategy = FunctionStrategy(NONEMPTY, decide, "picker-survivor")
 
-    def check(t: Transcript):
+    def check(t: Transcript, memos: _Memos):
         try:
             _, run, _ = stages(t.moves[0::2])
         except TransformSoundnessError as exc:
             return False, [], {"error": str(exc)}
+        history = run.history
         holds = True
-        details: dict = {"stages": len(run.history) // 2}
+        details: dict = {"stages": len(history) // 2}
         empties = [mv for role, mv in t.moves if role == EMPTY]
-        cuts = [cut for _, cut in run.history[0::2]]
-        picks = [pick for _, pick in run.history[1::2]]
+        cuts = [cut for _, cut in history[0::2]]
+        picks = [pick for _, pick in history[1::2]]
         for j, pick in enumerate(picks):
             if pick != empties[j + 1]:
                 holds = False

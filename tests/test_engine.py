@@ -677,7 +677,7 @@ def test_poset_game_chain_convention():
     assert solve(inst, want_strategy=False).winner == CHOOSE
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 
 @st.composite
@@ -709,6 +709,7 @@ def small_instances(draw):
 
 @given(small_instances(), st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
+@seed(301)
 def test_random_playout_invariants(inst, seed):
     # every canonical move is structurally valid; playouts are deterministic;
     # the winner is one of the instance's two roles
@@ -985,6 +986,7 @@ def algebra_games(draw):
 
 @given(algebra_games())
 @settings(max_examples=200, deadline=None)
+@seed(302)
 def test_an_algebra_game_plays_as_its_trivial_ideal(games):
     # the closed-form cut rules of an algebra give the family's moves: same
     # winner, same tables entry for entry, same moves at every position

@@ -4,7 +4,7 @@ and the parser against the table it came from."""
 import functools
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from cutchoose.engine import (BM_IDEAL, BM_POSET, CHOOSE, CUT, G_IDEAL,
                               G_POSET, U, GameInstance, GameState,
@@ -72,6 +72,7 @@ def _assert_round_trip(inst, table):
 @given(st.sampled_from(sorted(GAMES)), st.integers(0, 1), st.integers(-1, 3),
        st.data())
 @settings(max_examples=80, deadline=None)
+@seed(201)
 def test_a_played_table_round_trips(name, role_index, seed, data):
     # tables the engine makes, for either role and any subset of positions
     # (the empty table included); seed -1 is the solver's table
@@ -121,6 +122,7 @@ def _arbitrary_tables(draw):
 
 @given(_arbitrary_tables())
 @settings(max_examples=150, deadline=None)
+@seed(202)
 def test_an_arbitrary_table_round_trips(drawn):
     _assert_round_trip(*drawn)
 

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from cutchoose.errors import CapacityError, ValidationError
 from cutchoose.structures import (FiniteBooleanAlgebra, FinitePoset, GroundSet,
@@ -41,6 +41,7 @@ def test_mask_text_forms():
 
 
 @given(st.integers(0, (1 << 10) - 1))
+@seed(101)
 def test_mask_round_trip(mask):
     assert parse_mask(format_mask(mask), 10) == mask
     assert mask_of(mask_elements(mask)) == mask
@@ -86,6 +87,7 @@ def test_is_positive_examples():
 
 @given(st.integers(2, 6), st.data())
 @settings(max_examples=60, deadline=None)
+@seed(102)
 def test_generator_expansion_validates(m, data):
     g = GroundSet(m)
     kind = data.draw(st.sampled_from(["size_at_most", "generated_by"]))
@@ -184,6 +186,7 @@ def _labelled_partitions(points, least, cap):
 @given(st.sets(st.integers(0, 11), min_size=1, max_size=8),
        st.sampled_from([2, 3, None]))
 @settings(max_examples=150, deadline=None)
+@seed(103)
 def test_partitions_match_brute_force(points, width):
     points = sorted(points)
     mask = mask_of(points)
@@ -254,6 +257,7 @@ def test_full_disjointification_examples():
 
 @given(st.integers(3, 5), st.data())
 @settings(max_examples=60, deadline=None)
+@seed(104)
 def test_disjointification_properties(m, data):
     g = GroundSet(m)
     fam = MonotoneFamily.size_at_most(g, 1)
@@ -303,6 +307,7 @@ def test_quotient_rejects_non_ideal():
 
 @given(st.integers(2, 5), st.data())
 @settings(max_examples=50, deadline=None)
+@seed(105)
 def test_quotient_projection_kernel(m, data):
     g = GroundSet(m)
     gen = data.draw(st.integers(0, g.full_mask - 1))
@@ -401,6 +406,7 @@ def families(draw):
 
 @given(families(), st.data())
 @settings(max_examples=150, deadline=None)
+@seed(106)
 def test_i_partitions_match_brute_force(fam, data):
     # every combination of positive subsets up to the width, kept when the
     # structural check passes and, under the filter, when the brute-force
@@ -425,6 +431,7 @@ def test_i_partitions_match_brute_force(fam, data):
 @given(st.lists(st.integers(1, 15), min_size=1, max_size=7, unique=True),
        st.data())
 @settings(max_examples=150, deadline=None)
+@seed(107)
 def test_poset_antichains_match_brute_force(labels, data):
     p = FinitePoset.from_subsets(labels)
     below = data.draw(st.integers(0, len(labels) - 1))
@@ -470,6 +477,7 @@ def cut_games(draw):
 
 @given(cut_games(), st.sampled_from([2, 3, None]), st.booleans())
 @settings(max_examples=200, deadline=None)
+@seed(108)
 def test_cut_violation_passes_exactly_the_enumerated_moves(game, width,
                                                            maximal):
     # the checker and the enumerator decide the same cuts; a bare set's

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -627,9 +628,10 @@ def _prefixes(runs) -> set:
 
 def test_each_auxiliary_stage_of_nonempty_to_choose_is_computed_once():
     # The survivor is asked once at the opening and once per distinct pick
-    # prefix short of the last round; each certificate's replay asks it once
-    # per survivor move of its auxiliary run.  Verification walks the same
-    # tree again and asks nothing new.
+    # prefix short of the last round; the certificates' replay asks it once
+    # per distinct auxiliary prefix ending in a survivor move, where a cold
+    # replay of each certificate would ask once per survivor move (72).
+    # Verification walks the same tree again and asks nothing new.
     bm = bm_ideal(4, 2)
     sigma, calls = _counting(copy_strategy(bm))
     out = tr.nonempty_to_choose_strategy(sigma, bm, bm.start)
@@ -637,18 +639,26 @@ def test_each_auxiliary_stage_of_nonempty_to_choose_is_computed_once():
     picks = _prefixes([[m for r, m in c.output_run.moves if r == CHOOSE]
                        for c in certs])
     stages = sum(1 for p in picks if len(p) < bm.rounds)
-    replays = sum(1 for c in certs for r, _ in c.aux_moves if r == NONEMPTY)
+    replays = sum(1 for p in _prefixes([c.aux_moves for c in certs])
+                  if p and p[-1][0] == NONEMPTY)
+    cold = sum(1 for c in certs for r, _ in c.aux_moves if r == NONEMPTY)
+    assert (stages, replays, cold) == (5, 5, 72)
     assert len(calls) == stages + replays
     assert verify_winning_strategy(out.instance, out.strategy,
                                    CHOOSE).verified
     assert len(calls) == stages + replays
+    calls.clear()
+    for c in certs:
+        out.certify(c.output_run)
+    assert len(calls) == cold
 
 
 def test_each_auxiliary_stage_of_disjointify_choose_is_computed_once():
     # The partition picker is asked once per distinct prefix of auxiliary
     # cuts, however many generalized cut prefixes feed it (a one-piece
-    # disjointification or an empty remainder feeds nothing); each
-    # certificate's replay asks it once per pick of its auxiliary run.
+    # disjointification or an empty remainder feeds nothing); the
+    # certificates' replay asks it once per distinct auxiliary prefix ending
+    # in a pick.
     g = GroundSet(5)
     g_inst = GameInstance(game_family=G_IDEAL, start=g.full_mask, rounds=2,
                           width=2, cut_current=False, ground=g,
@@ -662,7 +672,8 @@ def test_each_auxiliary_stage_of_disjointify_choose_is_computed_once():
     cuts = _prefixes([[m for r, m in c.aux_moves if r == CUT]
                       for c in certs])
     stages = sum(1 for p in cuts if p)
-    replays = sum(1 for c in certs for r, _ in c.aux_moves if r == CHOOSE)
+    replays = sum(1 for p in _prefixes([c.aux_moves for c in certs])
+                  if p and p[-1][0] == CHOOSE)
     assert len(calls) == stages + replays
     assert verify_winning_strategy(g_inst, out.strategy, CHOOSE).verified
     assert len(calls) == stages + replays
@@ -744,6 +755,48 @@ def test_a_deep_transcript_certifies_with_a_cold_memo():
     assert cert.holds and len(cert.aux_moves) == 2 * bm.rounds
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _deep_output(name, rounds):
+    """A fresh output of ``name`` on a game of ``rounds`` rounds, and the
+    (cutter, picker) pair that plays it against a fixed opponent."""
+    if name == "nonempty_to_choose":
+        bm = bm_ideal(4, rounds)
+        out = tr.nonempty_to_choose_strategy(copy_strategy(bm), bm, bm.start)
+        return out, (first_move_strategy(out.instance, CUT), out.strategy)
+    g_inst = g_ideal(4, rounds, width=None)
+    whole = FunctionStrategy(CUT, lambda i, s, h: (g_inst.start,), "whole")
+    out = tr.disjointify_cut_strategy(whole, g_inst)
+    return out, (out.strategy, greedy_picker_strategy(out.instance))
+
+
+@pytest.mark.parametrize("name, short", [("nonempty_to_choose", 750),
+                                         ("disjointify_cut", 250)])
+def test_a_deep_game_plays_and_certifies_in_linear_memory(name, short):
+    # A run shares its prefix with the run it extends, and a block cutter's
+    # stage its finished blocks with the stage it extends, so the stage
+    # fold that play_out drives and a cold certificate's replay hold
+    # O(depth): twice the rounds at most about doubles the traced peak (a
+    # history copied into every run would make it about four times)
+    peaks = []
+    for rounds in (short, 2 * short):
+        out, sides = _deep_output(name, rounds)
+        played = _traced_peak(lambda: play_out(out.instance, *sides))
+        t = play_out(out.instance, *sides)
+        fresh, _ = _deep_output(name, rounds)
+        peaks.append((played, _traced_peak(lambda: fresh.certify(t))))
+    (play_short, cert_short), (play_long, cert_long) = peaks
+    assert play_long <= 2.5 * play_short, peaks
+    assert cert_long <= 2.5 * cert_short, peaks
+
+
 def test_a_stage_that_raises_caches_nothing():
     # a partition picker answering with the whole set picks no piece of the
     # disjointification: the same decision raises again, while the reply
@@ -760,6 +813,34 @@ def test_a_stage_that_raises_caches_nothing():
         with pytest.raises(TransformSoundnessError):
             out.strategy.decide(g_inst, after_cut, ((CUT, w),))
         assert len(calls) == 1
+
+
+def test_a_failing_replay_step_caches_nothing():
+    # Under one memo, as in certify_playouts, runs that share a prefix
+    # where the picker disagrees, or an illegal pick, each fail there with
+    # the entry a cold replay gives, before and after a run that holds
+    inst = u_instance(4, 2)
+    picker = first_move_strategy(inst, CHOOSE)
+    start = initial_state(inst)
+    first = legal_moves(inst, start)[0]
+    after_cut = apply_move(inst, start, first)
+    pick, other = legal_moves(inst, after_cut)[:2]
+    cuts = legal_moves(inst, apply_move(inst, after_cut, other))[:2]
+    runs = [[(CUT, first), (CHOOSE, other), (CUT, cuts[0])],
+            [(CUT, first), (CHOOSE, other), (CUT, cuts[1])],
+            [(CUT, first), (CHOOSE, inst.start), (CUT, cuts[0])],
+            [(CUT, first), (CHOOSE, inst.start)],
+            [(CUT, first), (CHOOSE, pick)]]
+    memos = tr._Memos()
+    seen = []
+    for run in runs * 2:
+        shared, cold = {}, {}
+        holds = tr._check_aux_run(inst, run, picker, CHOOSE, shared, memos)
+        assert holds == tr._check_aux_run(inst, run, picker, CHOOSE, cold)
+        assert shared == cold
+        seen.append(sorted(shared))
+    assert seen[:5] == seen[5:] == [["inconsistent_aux"]] * 2 + \
+        [["illegal_aux"]] * 2 + [["aux_final_core"]]
 
 
 def test_restrict_choose_certificates_are_pinned():
@@ -843,6 +924,20 @@ def test_every_certificate_carries_its_transforms_kind_and_relation():
             (out.kind, RELATIONS[out.kind])}
         seen.add(out.kind)
     assert seen == set(RELATIONS)
+
+
+def test_the_call_memo_changes_no_certificate():
+    # certify_playouts replays each auxiliary prefix once for the call, a
+    # direct certify from move 0: the two give the same certificates
+    for out in _one_output_of_each_transform():
+        runs = enumerate_playouts(out.instance, out.strategy,
+                                  out.strategy.role)
+        cold = [out.certify(t) for t in runs]
+        shared = tr.certify_playouts(out)
+        assert [serialize.certificate_to_jsonable(c, out.aux_instance)
+                for c in shared] == [
+            serialize.certificate_to_jsonable(c, out.aux_instance)
+            for c in cold], out.kind
 
 
 def test_a_foreign_opposing_move_fails_under_the_one_relation():
