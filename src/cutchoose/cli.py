@@ -15,8 +15,9 @@ reads and how its output is built: ``digit_split`` reads ``--m``, ``--nu`` and
 ``--nu`` and ``--beta``.  A missing input, an option the transform never
 reads, or an instance file for ``digit_split`` names its field.  So does a
 count outside its range (``digit_split``'s ``--m``, ``--nu`` and
-``--rounds`` included), a ``lo:hi`` range that is empty or leaves its
-domain, ``audit --seed`` or ``--per-family`` beside an instance file,
+``--rounds``, ``transfer_*``'s ``--nu`` and ``--beta``, checked before a
+sigma is solved), a ``lo:hi`` range that is empty or leaves its domain,
+``audit --seed`` or ``--per-family`` beside an instance file,
 ``solve --strategy-out`` beside ``--no-strategy``, and a strategy file
 whose role the game does not have (``strategy.role``).
 """
@@ -170,6 +171,12 @@ def _sigma_for(args, inst: GameInstance, role: str):
     raise ValidationError(f"unknown sigma source {name!r}")
 
 
+def _transfer(build, a, inst: GameInstance, role: str):
+    """A width transfer, its counts checked before a sigma is solved."""
+    nu, beta = _at_least(a.nu, 2, "--nu"), _at_least(a.beta, 1, "--beta")
+    return build(_sigma_for(a, inst, role), inst, nu, beta)
+
+
 # Each transform: the inputs it reads (``instance`` for the file, the
 # others options, all required but ``sigma``, default solver, and
 # ``alpha``, default 0) and its output built from the arguments and the
@@ -189,11 +196,9 @@ TRANSFORMS = {
         transforms.disjointify_choose_strategy(_sigma_for(
             a, transforms._doubled_instance(inst), CHOOSE), inst))),
     "transfer_cut": (("instance", "sigma", "nu", "beta"), lambda a, inst: (
-        transforms.transfer_cut_big_to_small(
-            _sigma_for(a, inst, CUT), inst, a.nu, a.beta))),
+        _transfer(transforms.transfer_cut_big_to_small, a, inst, CUT))),
     "transfer_choose": (("instance", "sigma", "nu", "beta"), lambda a, inst: (
-        transforms.transfer_choose_small_to_big(
-            _sigma_for(a, inst, CHOOSE), inst, a.nu, a.beta))),
+        _transfer(transforms.transfer_choose_small_to_big, a, inst, CHOOSE))),
     "empty_to_cut": (("instance", "sigma"), lambda a, inst: (
         transforms.empty_to_cut_strategy(_sigma_for(
             a, dataclasses.replace(inst, rounds=inst.rounds + 1), EMPTY),

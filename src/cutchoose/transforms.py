@@ -20,17 +20,17 @@ cuts and asks the source when a block opens.  A source that picks is
 simulated by ``_replies``, the run of its own game in which it answers each
 cut of a sequence, memoized per cut prefix, so it is asked once per history
 of its own game however many target histories lead there.  Each
-``TransformOutput`` declares its kind and the one relation between the
-output run and the auxiliary run that its certificates check (containment
-or equality of cores), and ``certify`` builds every certificate from the
-verdict of its ``check`` hook.  The hook folds a finished transcript the
-same way, replays the auxiliary run against the source strategy and gives
+``TransformOutput`` declares its kind, the one relation between the output
+run and the auxiliary run that its certificates check (containment or
+equality of cores) and, for a transport, the auxiliary game and the source
+strategy its certificates replay.  ``certify`` builds every certificate
+from the verdict of its ``check`` hook, which folds a finished transcript
+the same way, replays the auxiliary run against the source and gives
 whether the relation holds, the auxiliary moves and details; it raises
 ``TransformSoundnessError`` only for genuine bookkeeping violations, never
 for mere game losses.  The replay is the checker's own, never the stage
 fold: ``out.certify(t)`` replays from move 0, and ``certify_playouts``
-replays each auxiliary prefix once for its call, through one ``_Memos``
-that gives every certificate the same bytes.
+replays each auxiliary prefix once for its call.
 
 Length bookkeeping is explicit: where an auxiliary move expands into several
 target moves, round counts double or multiply, since the ordinal absorption
@@ -89,18 +89,28 @@ class TransformCertificate:
 class TransformOutput:
     """A transformed strategy and the one relation its certificates check;
     ``check(t, memos)`` gives a transcript's (holds, auxiliary moves,
-    details), replaying and formatting through ``memos``."""
+    details), replaying and formatting through ``memos``.  A transport's
+    certificates replay ``aux_instance`` against ``source``, which plays the
+    output strategy's side there: the cutter when the output cuts, else the
+    picker."""
     kind: str
     relation: str
     instance: GameInstance
     strategy: Strategy
     check: Callable[[Transcript, "_Memos"], tuple[bool, Sequence, dict]]
     aux_instance: Optional[GameInstance] = None
+    source: Optional[Strategy] = None
 
     def certify(self, t: Transcript) -> TransformCertificate:
         """The certificate of one transcript, its auxiliary run replayed
         from move 0."""
-        return self._certify(t, _Memos())
+        return self._certify(t, self._memos())
+
+    def _memos(self) -> "_Memos":
+        aux = self.aux_instance
+        cuts = self.strategy.role == self.instance.cutter
+        return _Memos(aux, self.source,
+                      aux and (aux.cutter if cuts else aux.picker))
 
     def _certify(self, t: Transcript, memos: "_Memos"
                  ) -> TransformCertificate:
@@ -118,15 +128,8 @@ def certify_playouts(out: TransformOutput,
     every certificate is the one ``out.certify`` gives."""
     runs = enumerate_playouts(out.instance, out.strategy, out.strategy.role,
                               node_budget)
-    memos = _Memos()
+    memos = out._memos()
     return [out._certify(t, memos) for t in runs]
-
-
-def _union(masks) -> int:
-    u = 0
-    for m in masks:
-        u |= m
-    return u
 
 
 def _cut_entries(history: Sequence) -> list:
@@ -313,59 +316,49 @@ class _ReplayFailure(Exception):
 
 
 class _Memos:
-    """What the certificates of one call share, dropped with it:
+    """What the certificates of one output share, dropped with them:
     ``certify`` makes one per certificate, ``certify_playouts`` one per
     call.  ``mask(m)`` is ``format_mask(m)``, formatted once.
 
-    ``replay(inst, moves, sigma, role, details)`` replays an auxiliary run
-    move by move: each move must be legal, and ``sigma`` must reproduce
+    ``replay(moves, details)`` replays a run of the auxiliary game ``inst``
+    move by move: each move must be legal, and ``source`` must reproduce
     every move of ``role``.  The first failure goes into ``details`` and
-    gives ``None``.  Runs are kept in one ``_Fold`` over the moves per
-    (instance, source, role), so each prefix is replayed once; a step that
-    fails caches nothing, so every replay through it fails there again with
-    the same entry.  This memo is the checker's own: the strategy's stage
-    fold is never consulted, so a certificate stays a second computation."""
+    gives ``None``; ``follows`` also records the final core.  Each prefix
+    is replayed once, in one ``_Fold``; a step that fails caches nothing,
+    so every replay through it fails there again with the same entry.  This
+    memo is the checker's own: the strategy's stage fold is never
+    consulted, so a certificate stays a second computation."""
 
-    def __init__(self):
+    def __init__(self, inst, source, role):
         self.mask = functools.cache(format_mask)
-        self.replays: dict = {}
+        self.role = role
 
-    def replay(self, inst: GameInstance, moves: Sequence, sigma: Strategy,
-               role: str, details: dict) -> Optional[_Run]:
-        key = (id(inst), id(sigma), role)
-        if key not in self.replays:
-            def step(run: _Run, entry) -> _Run:
-                mover, move = entry
-                try:
-                    validate_move(inst, run.state, move)
-                except Exception as exc:
-                    raise _ReplayFailure("illegal_aux", str(exc)) from None
-                if mover == role and run.ask(sigma) != move:
-                    raise _ReplayFailure("inconsistent_aux", True)
-                return run.then(move)
+        def step(run: _Run, entry) -> _Run:
+            mover, move = entry
+            try:
+                validate_move(inst, run.state, move)
+            except Exception as exc:
+                raise _ReplayFailure("illegal_aux", str(exc)) from None
+            if mover == role and run.ask(source) != move:
+                raise _ReplayFailure("inconsistent_aux", True)
+            return run.then(move)
 
-            # the key's objects are kept, so their ids stay theirs
-            self.replays[key] = (inst, sigma,
-                                 _Fold(lambda: _Run.start(inst), step))
+        self.runs = _Fold(lambda: _Run.start(inst), step)
+
+    def replay(self, moves: Sequence, details: dict) -> Optional[_Run]:
         try:
-            return self.replays[key][2](moves)
+            return self.runs(moves)
         except _ReplayFailure as failure:
             name, value = failure.args
             details[name] = value
             return None
 
-
-def _check_aux_run(inst: GameInstance, moves: Sequence, sigma: Strategy,
-                   sigma_role: str, details: dict,
-                   memos: Optional[_Memos] = None) -> bool:
-    """Legality of an auxiliary run plus consistency with its strategy,
-    replayed through ``memos`` (from move 0 without)."""
-    memos = memos or _Memos()
-    run = memos.replay(inst, moves, sigma, sigma_role, details)
-    if run is None:
-        return False
-    details["aux_final_core"] = memos.mask(run.state.core)
-    return True
+    def follows(self, moves: Sequence, details: dict) -> bool:
+        run = self.replay(moves, details)
+        if run is None:
+            return False
+        details["aux_final_core"] = self.mask(run.state.core)
+        return True
 
 
 def _positives_desc(fam: MonotoneFamily, limit: int) -> list[int]:
@@ -533,7 +526,7 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
         run, _ = stages(_cut_entries(t.moves))
         history = run.history
         details: dict = {}
-        holds = _check_aux_run(inner, history, sigma, CHOOSE, details, memos)
+        holds = memos.follows(history, details)
         outer_core = t.states[-1].core
         if _pullback_mask(emb, outer_core) != run.state.core:
             holds = False
@@ -545,7 +538,7 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
 
     return TransformOutput("restrict_choose",
                            "outer core pulls back to the inner core", outer,
-                           strategy, check, inner)
+                           strategy, check, inner, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +572,9 @@ def _disjointify_move(g_inst: GameInstance, w_move: tuple):
     refined = full_disjointification(
         IPartition(g_inst.start, tuple(sources), g_inst.family))
     played = tuple(sorted_masks(p for p in refined if p))
-    cover = _union(sources)
+    cover = 0
+    for source in sources:
+        cover |= source
     rest = g_inst.start & ~cover
     split = tuple(sorted_masks((cover, rest))) if rest else (cover, rest)
     return sources, refined, played, split, cover
@@ -630,7 +625,7 @@ def disjointify_cut_strategy(sigma_g: Strategy,
         run, alive, _, _ = stages(t.moves)
         history = run.history
         details: dict = {"aux_rounds": len(history) // 2, "alive": alive}
-        holds = _check_aux_run(g_inst, history, sigma_g, CUT, details, memos)
+        holds = memos.follows(history, details)
         final = t.states[-1].core
         inter = g_inst.start
         for role, mv in history:
@@ -649,7 +644,7 @@ def disjointify_cut_strategy(sigma_g: Strategy,
 
     return TransformOutput("disjointify_cut",
                            "final partition core inside the auxiliary picks",
-                           u_inst, strategy, check, g_inst)
+                           u_inst, strategy, check, g_inst, sigma_g)
 
 
 def disjointify_choose_strategy(sigma_u: Strategy,
@@ -707,8 +702,7 @@ def disjointify_choose_strategy(sigma_u: Strategy,
         run, blocks, trimmed, degenerate, _ = stages(_cut_entries(t.moves))
         history = run.history
         details: dict = {"blocks": blocks}
-        holds = memos.replay(u_inst, history, sigma_u, CHOOSE,
-                             details) is not None
+        holds = memos.replay(history, details) is not None
         g_core = t.states[-1].core
         if trimmed & ~g_core:
             holds = False
@@ -722,7 +716,7 @@ def disjointify_choose_strategy(sigma_u: Strategy,
     return TransformOutput(
         "disjointify_choose",
         "generalized core contains the trimmed auxiliary picks", g_inst,
-        strategy, check, u_inst)
+        strategy, check, u_inst, sigma_u)
 
 
 # ---------------------------------------------------------------------------
@@ -859,8 +853,7 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
         history = run.history
         details: dict = {"blocks": len(done) + (block is not None),
                          "alive": alive}
-        holds = _check_aux_run(big_inst, history, sigma_big, CUT,
-                               details, memos)
+        holds = memos.follows(history, details)
         small_core = small_inst.start
         big_core = big_inst.start
         for _, picks, aux in done:
@@ -884,7 +877,7 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
     return TransformOutput(
         "transfer_cut_big_to_small",
         "narrow and auxiliary cores agree at block boundaries", small_inst,
-        strategy, check, big_inst)
+        strategy, check, big_inst, sigma_big)
 
 
 def transfer_choose_small_to_big(sigma_small: Strategy,
@@ -935,8 +928,7 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
         run, blocks, dead, _ = stages(_cut_entries(t.moves))
         history = run.history
         details: dict = {"blocks": blocks, "dead_blocks": dead}
-        holds = _check_aux_run(small_inst, history, sigma_small, CHOOSE,
-                               details, memos)
+        holds = memos.follows(history, details)
         small_core = run.state.core
         big_core = t.states[-1].core
         if details["dead_blocks"]:
@@ -954,7 +946,7 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
     return TransformOutput(
         "transfer_choose_small_to_big",
         "wide core equals narrow core at block boundaries", big_inst,
-        strategy, check, small_inst)
+        strategy, check, small_inst, sigma_small)
 
 
 # ---------------------------------------------------------------------------
@@ -1191,8 +1183,7 @@ def empty_to_cut_strategy(sigma_e: Strategy,
                          "aux_rounds": (len(history) - 1) // 2,
                          "extensions_played": sum(
                              aux is None for _, _, aux in done)}
-        holds = _check_aux_run(bm_inst, history, sigma_e, EMPTY,
-                               details, memos)
+        holds = memos.follows(history, details)
         empties = [mv for role, mv in history if role == EMPTY][1:]
         picks = [aux[1] for _, _, aux in done if aux]
         if picks != empties:
@@ -1211,7 +1202,7 @@ def empty_to_cut_strategy(sigma_e: Strategy,
 
     return TransformOutput(
         "empty_to_cut", "picks are the emptier's moves; extension picks lose",
-        g_inst, strategy, check, bm_inst)
+        g_inst, strategy, check, bm_inst, sigma_e)
 
 
 def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
@@ -1264,8 +1255,7 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
         run, _, inter = stages(t.moves[1::2])
         history = run.history
         details: dict = {}
-        holds = _check_aux_run(bm_inst, history, sigma_n, NONEMPTY,
-                               details, memos)
+        holds = memos.follows(history, details)
         g_core = t.states[-1].core
         if inter & ~g_core:
             holds = False
@@ -1277,7 +1267,7 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
     return TransformOutput(
         "nonempty_to_choose",
         "generalized core contains the trimmed auxiliary sets", g_inst,
-        strategy, check, bm_inst)
+        strategy, check, bm_inst, sigma_n)
 
 
 def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -878,9 +879,9 @@ def test_the_audit_of_a_long_u_game_is_pinned(tmp_path, capsys):
      "error: --nu: required by transfer_choose\n"),
     # values that would divide by zero or shift by a negative count
     ("a4_wide", ("--name", "transfer_cut", "--nu", "0", "--beta", "-1"),
-     "error: transfer_cut_big_to_small needs nu >= 2 and beta >= 1\n"),
+     "error: --nu: must be >= 2\n"),
     ("a4_narrow", ("--name", "transfer_choose", "--nu", "2", "--beta", "0"),
-     "error: transfer_choose_small_to_big needs nu >= 2 and beta >= 1\n"),
+     "error: --beta: must be >= 1\n"),
     ("u4", ("--name", "fixed_point", "--alpha", "-1"),
      "error: --alpha: must be >= 0\n"),
     ("g4", ("--name", "disjointify_cut", "--sigma", "seed:x"),
@@ -957,3 +958,94 @@ def test_every_transform_argv_exits_cleanly(transform_input_paths, name, key,
         if value is not None:
             argv += [option, str(value)]
     assert main(argv) in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed input documents
+# ---------------------------------------------------------------------------
+
+# What a mutation puts in place of a field.  The ints are small (or refused:
+# negative, huge), so every game that stays valid keeps a ground of at most
+# 6 points and at most 3 rounds.
+FUZZ_VALUES = [None, True, False, 0, 1, 2, 3, -1, 2 ** 70, "{}", "{0}",
+               "{0,1,2,3}", "{0,9}", "{x}", "U", "G_ideal", "G_poset",
+               "BM_ideal", "BM_poset", "exact", "weak", "unbounded", "Choose",
+               [], [0, 0], ["{0}", "{1}"], {},
+               {"kind": "size_at_most", "bound": 1}]
+
+
+def _fields(doc):
+    """Every (container, key or index) in the document, depth first."""
+    found = []
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in children:
+        found.append((doc, key))
+        if isinstance(value, (dict, list)):
+            found += _fields(value)
+    return found
+
+
+def _mutated(doc, mutations):
+    """``doc`` with each (field index, replacement) applied in turn: a
+    replacement ``()`` deletes the field, ``(value,)`` puts ``value``
+    there."""
+    doc = json.loads(json.dumps(doc))
+    for index, replacement in mutations:
+        fields = _fields(doc)
+        if not fields:
+            break
+        container, key = fields[index % len(fields)]
+        if replacement:
+            container[key] = copy.deepcopy(replacement[0])
+        else:
+            del container[key]
+    return doc
+
+
+def _ci_doc(name):
+    with open(os.path.join(os.path.dirname(CI_U4), name)) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The documents the fuzzer mutates, the commands that read each (with
+    ``{doc}`` for the mutated file and ``{u4}`` for the CI game), and the
+    directory it writes to."""
+    root = tmp_path_factory.mktemp("fuzz")
+    u4 = root / "u4.json"
+    u4.write_text(json.dumps(_ci_doc("u4.json")))
+    sigma = root / "sigma.json"
+    assert main(["solve", str(u4), "--strategy-out", str(sigma)]) == 0
+    inst = serialize.parse_instance(u4.read_text())
+    log = {"schema_version": 1,
+           "instance": serialize.instance_to_jsonable(inst),
+           "human_role": "Choose", "inputs": [0, 0]}
+    reads_instance = [("solve", "{doc}"), ("solve", "{doc}", "--no-strategy"),
+                      ("check", "{doc}"), ("audit", "{doc}")]
+    docs = [(_ci_doc(name), reads_instance)
+            for name in ("u4.json", "g4.json", "a4.json")]
+    docs += [(doc, reads_instance) for doc in TRANSFORM_INPUTS.values()]
+    docs.append((json.loads(sigma.read_text()),
+                 [("verify", "{u4}", "--strategy", "{doc}")]))
+    docs.append((log, [("play", "{u4}", "--replay", "{doc}")]))
+    return docs, root, str(u4)
+
+
+@given(which=st.integers(0, 1000),
+       mutations=st.lists(st.tuples(
+           st.integers(0, 1000),
+           st.just(()) | st.sampled_from(FUZZ_VALUES).map(lambda v: (v,))),
+           min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+@seed(24)
+def test_a_mutated_input_document_exits_cleanly(fuzz_inputs, which,
+                                                mutations):
+    # a document with a field deleted or replaced is read, refused naming
+    # the field, or runs out of budget: an exit code, never an exception
+    docs, root, u4 = fuzz_inputs
+    doc, commands = docs[which % len(docs)]
+    path = root / "doc.json"
+    path.write_text(json.dumps(_mutated(doc, mutations)))
+    for argv in commands:
+        assert main([a.format(doc=path, u4=u4) for a in argv]) in (0, 1, 2)

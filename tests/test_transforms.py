@@ -578,31 +578,33 @@ def test_aux_run_checkers_failure_branches():
     after_cut = apply_move(inst, start, first)
     pick, other = legal_moves(inst, after_cut)[:2]
     assert picker.decide(inst, after_cut, ((CUT, first),)) == pick
-    check = tr._check_aux_run
+
+    def check(moves, sigma, role, details):
+        return tr._Memos(inst, sigma, role).follows(moves, details)
+
     # a pick that is not one of the pending pieces is illegal
     details: dict = {}
-    assert not check(inst, [(CUT, first), (CHOOSE, inst.start)], picker,
-                     CHOOSE, details)
+    assert not check([(CUT, first), (CHOOSE, inst.start)], picker, CHOOSE,
+                     details)
     assert "illegal_aux" in details and "aux_final_core" not in details
     # a pick sigma would not make is inconsistent
     details = {}
-    assert not check(inst, [(CUT, first), (CHOOSE, other)], picker, CHOOSE,
+    assert not check([(CUT, first), (CHOOSE, other)], picker, CHOOSE,
                      details)
     assert details == {"inconsistent_aux": True}
     # the checker asks sigma for its own role's moves too
     details = {}
-    assert not check(inst, [(CUT, second)], cutter, CUT, details)
+    assert not check([(CUT, second)], cutter, CUT, details)
     assert details == {"inconsistent_aux": True}
     # a consistent run records the final core
     details = {}
-    assert check(inst, [(CUT, first), (CHOOSE, pick)], picker, CHOOSE,
-                 details)
+    assert check([(CUT, first), (CHOOSE, pick)], picker, CHOOSE, details)
     assert details == {"aux_final_core": format_mask(inst.start & pick)}
     # a one-piece cut does not force its pick: sigma is asked
     degenerate = [(CUT, (inst.start, 0)), (CHOOSE, inst.start)]
     refuses = FunctionStrategy(CHOOSE, lambda inst_, state, history: 0)
     details = {}
-    assert not check(inst, degenerate, refuses, CHOOSE, details)
+    assert not check(degenerate, refuses, CHOOSE, details)
     assert details == {"inconsistent_aux": True}
 
 
@@ -831,12 +833,12 @@ def test_a_failing_replay_step_caches_nothing():
             [(CUT, first), (CHOOSE, inst.start), (CUT, cuts[0])],
             [(CUT, first), (CHOOSE, inst.start)],
             [(CUT, first), (CHOOSE, pick)]]
-    memos = tr._Memos()
+    memos = tr._Memos(inst, picker, CHOOSE)
     seen = []
     for run in runs * 2:
         shared, cold = {}, {}
-        holds = tr._check_aux_run(inst, run, picker, CHOOSE, shared, memos)
-        assert holds == tr._check_aux_run(inst, run, picker, CHOOSE, cold)
+        holds = memos.follows(run, shared)
+        assert holds == tr._Memos(inst, picker, CHOOSE).follows(run, cold)
         assert shared == cold
         seen.append(sorted(shared))
     assert seen[:5] == seen[5:] == [["inconsistent_aux"]] * 2 + \
@@ -881,7 +883,9 @@ def _copy_emptier():
     return FunctionStrategy(EMPTY, lambda i, s, h: s.core, name="copy")
 
 
-def _one_output_of_each_transform():
+def _each_transform_and_its_source():
+    """One output of each transform, with the strategy it transports
+    (``None`` for the five transforms that have none)."""
     g_inst = g_ideal(4, 1, width=2)
     bm = bm_ideal(4, 2)
     alg = FiniteBooleanAlgebra(GroundSet(4))
@@ -893,26 +897,86 @@ def _one_output_of_each_transform():
     witness = GameInstance(game_family=U, start=0b1111, rounds=2, width=2,
                            cut_current=False, ground=GroundSet(4),
                            family=bm.family)
-    return [
+    sources = {
+        "restrict_choose": first_move_strategy(inner, CHOOSE),
+        "disjointify_cut": first_move_strategy(g_inst, CUT),
+        "disjointify_choose": greedy_picker_strategy(
+            tr._doubled_instance(g_inst)),
+        "transfer_cut_big_to_small": first_move_strategy(big, CUT),
+        "transfer_choose_small_to_big": first_move_strategy(small, CHOOSE),
+        "empty_to_cut": _copy_emptier(),
+        "nonempty_to_choose": copy_strategy(bm),
+    }
+    outputs = [
         tr.digit_split_cut_strategy(4, 2, 2),
         tr.fixed_point_choose(u_instance(4, 2), 1),
-        tr.restrict_choose_strategy(first_move_strategy(inner, CHOOSE),
-                                    inner, outer, (0, 1, 3)),
-        tr.disjointify_cut_strategy(first_move_strategy(g_inst, CUT), g_inst),
-        tr.disjointify_choose_strategy(greedy_picker_strategy(
-            tr._doubled_instance(g_inst)), g_inst),
-        tr.transfer_cut_big_to_small(first_move_strategy(big, CUT), big, 2,
-                                     2),
-        tr.transfer_choose_small_to_big(first_move_strategy(small, CHOOSE),
-                                        small, 2, 2),
+        tr.restrict_choose_strategy(sources["restrict_choose"], inner, outer,
+                                    (0, 1, 3)),
+        tr.disjointify_cut_strategy(sources["disjointify_cut"], g_inst),
+        tr.disjointify_choose_strategy(sources["disjointify_choose"], g_inst),
+        tr.transfer_cut_big_to_small(sources["transfer_cut_big_to_small"],
+                                     big, 2, 2),
+        tr.transfer_choose_small_to_big(
+            sources["transfer_choose_small_to_big"], small, 2, 2),
         tr.witness_to_cut_strategy([(0b0011, 0b1100), (0b0101, 0b1010)],
                                    witness),
         tr.witness_to_empty_strategy([(0b0011,)], bm),
-        tr.empty_to_cut_strategy(_copy_emptier(), bm),
-        tr.nonempty_to_choose_strategy(copy_strategy(bm), bm, bm.start),
+        tr.empty_to_cut_strategy(sources["empty_to_cut"], bm),
+        tr.nonempty_to_choose_strategy(sources["nonempty_to_choose"], bm,
+                                       bm.start),
         tr.choose_to_nonempty_strategy(lambda x0: greedy_picker_strategy(
             tr.weak_g_instance(bm, x0)), bm),
     ]
+    return [(out, sources.get(out.kind)) for out in outputs]
+
+
+def _one_output_of_each_transform():
+    return [out for out, _ in _each_transform_and_its_source()]
+
+
+# The role each transport's source plays in its auxiliary game: the output
+# strategy's side there.
+SOURCE_ROLES = {
+    "restrict_choose": CHOOSE,
+    "disjointify_cut": CUT,
+    "disjointify_choose": CHOOSE,
+    "transfer_cut_big_to_small": CUT,
+    "transfer_choose_small_to_big": CHOOSE,
+    "empty_to_cut": EMPTY,
+    "nonempty_to_choose": NONEMPTY,
+}
+
+
+def test_each_output_declares_the_source_its_certificates_replay():
+    seen = set()
+    for out, sigma in _each_transform_and_its_source():
+        seen.add(out.kind)
+        assert out.source is sigma, out.kind
+        if sigma is None:
+            assert out.aux_instance is None, out.kind
+            continue
+        assert out._memos().role == SOURCE_ROLES[out.kind] == sigma.role
+    assert seen == set(RELATIONS)
+
+
+def test_a_certificate_replays_the_declared_auxiliary_game():
+    # With the declared game's lowest start point dropped, a certificate's
+    # first auxiliary move leaves the start and is illegal there.  The
+    # width-2 disjointify_choose above plays no auxiliary move; a width-4
+    # game stands in for it.
+    wide = g_ideal(4, 1, width=4)
+    outs = [out for out, sigma in _each_transform_and_its_source()
+            if sigma is not None and out.kind != "disjointify_choose"]
+    outs.append(tr.disjointify_choose_strategy(greedy_picker_strategy(
+        tr._doubled_instance(wide)), wide))
+    for out in outs:
+        cert = next(c for c in tr.certify_playouts(out) if c.aux_moves)
+        assert cert.holds and "illegal_aux" not in cert.details, out.kind
+        aux = out.aux_instance
+        shrunk = replace(out, aux_instance=replace(
+            aux, start=aux.start & (aux.start - 1))).certify(cert.output_run)
+        assert not shrunk.holds and "illegal_aux" in shrunk.details, out.kind
+    assert {out.kind for out in outs} == set(SOURCE_ROLES)
 
 
 def test_every_certificate_carries_its_transforms_kind_and_relation():
