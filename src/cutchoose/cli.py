@@ -25,10 +25,9 @@ whose role the game does not have (``strategy.role``).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from . import analysis, serialize, transforms
+from . import analysis, serialize
 from ._version import ENGINE_VERSION
 from .engine import (CHOOSE, CUT, EMPTY, NONEMPTY, GameInstance, apply_move,
                      copy_strategy, first_move_strategy,
@@ -179,37 +178,37 @@ def _transfer(build, a, inst: GameInstance, role: str):
 
 # Each transform: the inputs it reads (``instance`` for the file, the
 # others options, all required but ``sigma``, default solver, and
-# ``alpha``, default 0) and its output built from the arguments and the
-# instance.  ``empty_to_cut`` asks the emptier one stage past the round
-# count, so its sigma comes from the game one round longer.
+# ``alpha``, default 0) and its output built from the ``transforms``
+# module, the arguments and the instance.  Only ``cmd_transform`` imports
+# that module, the largest, so no other subcommand loads it.
 TRANSFORMS = {
-    "digit_split": (("m", "nu", "rounds"), lambda a, inst: (
-        transforms.digit_split_cut_strategy(
+    "digit_split": (("m", "nu", "rounds"), lambda tr, a, inst: (
+        tr.digit_split_cut_strategy(
             _at_least(a.m, 1, "--m", MAX_GROUND), _at_least(a.nu, 2, "--nu"),
             _at_least(a.rounds, 1, "--rounds")))),
-    "fixed_point": (("instance", "alpha"), lambda a, inst: (
-        transforms.fixed_point_choose(inst, _at_least(
+    "fixed_point": (("instance", "alpha"), lambda tr, a, inst: (
+        tr.fixed_point_choose(inst, _at_least(
             0 if a.alpha is None else a.alpha, 0, "--alpha")))),
-    "disjointify_cut": (("instance", "sigma"), lambda a, inst: (
-        transforms.disjointify_cut_strategy(_sigma_for(a, inst, CUT), inst))),
-    "disjointify_choose": (("instance", "sigma"), lambda a, inst: (
-        transforms.disjointify_choose_strategy(_sigma_for(
-            a, transforms._doubled_instance(inst), CHOOSE), inst))),
-    "transfer_cut": (("instance", "sigma", "nu", "beta"), lambda a, inst: (
-        _transfer(transforms.transfer_cut_big_to_small, a, inst, CUT))),
-    "transfer_choose": (("instance", "sigma", "nu", "beta"), lambda a, inst: (
-        _transfer(transforms.transfer_choose_small_to_big, a, inst, CHOOSE))),
-    "empty_to_cut": (("instance", "sigma"), lambda a, inst: (
-        transforms.empty_to_cut_strategy(_sigma_for(
-            a, dataclasses.replace(inst, rounds=inst.rounds + 1), EMPTY),
+    "disjointify_cut": (("instance", "sigma"), lambda tr, a, inst: (
+        tr.disjointify_cut_strategy(_sigma_for(a, inst, CUT), inst))),
+    "disjointify_choose": (("instance", "sigma"), lambda tr, a, inst: (
+        tr.disjointify_choose_strategy(_sigma_for(
+            a, tr.source_instance("disjointify_choose", inst), CHOOSE),
             inst))),
-    "nonempty_to_choose": (("instance", "sigma"), lambda a, inst: (
-        transforms.nonempty_to_choose_strategy(
+    "transfer_cut": (("instance", "sigma", "nu", "beta"), lambda tr, a, inst: (
+        _transfer(tr.transfer_cut_big_to_small, a, inst, CUT))),
+    "transfer_choose": (("instance", "sigma", "nu", "beta"),
+                        lambda tr, a, inst: (
+        _transfer(tr.transfer_choose_small_to_big, a, inst, CHOOSE))),
+    "empty_to_cut": (("instance", "sigma"), lambda tr, a, inst: (
+        tr.empty_to_cut_strategy(_sigma_for(
+            a, tr.source_instance("empty_to_cut", inst), EMPTY), inst))),
+    "nonempty_to_choose": (("instance", "sigma"), lambda tr, a, inst: (
+        tr.nonempty_to_choose_strategy(
             _sigma_for(a, inst, NONEMPTY), inst, inst.start))),
-    "choose_to_nonempty": (("instance",), lambda a, inst: (
-        transforms.choose_to_nonempty_strategy(lambda x0: (
-            greedy_picker_strategy(transforms.weak_g_instance(inst, x0))),
-            inst))),
+    "choose_to_nonempty": (("instance",), lambda tr, a, inst: (
+        tr.choose_to_nonempty_strategy(lambda x0: greedy_picker_strategy(
+            tr.source_instance("choose_to_nonempty", inst, x0)), inst))),
 }
 
 
@@ -226,7 +225,8 @@ def cmd_transform(args) -> int:
             raise ValidationError(f"not read by {name}", f"--{option}")
         if not given and option in reads and option not in ("sigma", "alpha"):
             raise ValidationError(f"required by {name}", f"--{option}")
-    out = build(args, _read_instance(args.instance)
+    from . import transforms
+    out = build(transforms, args, _read_instance(args.instance)
                 if "instance" in reads else None)
     certs = transforms.certify_playouts(out, node_budget=TRANSFORM_NODE_BUDGET)
     # The tree walk above asked every question the positional walk asks, so

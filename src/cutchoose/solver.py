@@ -1,10 +1,11 @@
 """Exact determinacy solving by memoized backward induction.
 
 ``solve`` computes the winner over canonical positions and, on request,
-extracts the winner's positional strategy in a second deterministic pass
-(first winning move in canonical order) over the engine's positional walk;
-``strategy_for`` gives a table for either role, from the one fill that
-names the winner.  ``refute`` is the dual check: an independent
+reads the winner's positional strategy (first winning move in canonical
+order) off the records its value fill kept; ``strategy_for`` gives a table
+for either role, from the one fill that names the winner, and for the
+losing role probes that fill's values in a second deterministic pass over
+the engine's positional walk.  ``refute`` is the dual check: an independent
 exists/forall search for a winning strategy for a *given* role.
 ``reference_winner`` is the deliberately naive oracle -- raw recursion over
 positions with no memoization and no canonicalization -- kept around so the
@@ -16,8 +17,10 @@ than loading a stored table would.
 
 The value fill memoizes only the positions with no pending move; pick
 positions are evaluated inline and counted as ``_value_function`` says.
-Memo values are winner names only; strategies are never read out of the
-memo fill, so evaluation order cannot perturb the extracted strategy.
+Memo values are winner names only.  The records hold the first winning
+move in canonical order, which depends on the children's values alone and
+not on the order they were evaluated in, so the table read off them is the
+probing pass's, entry for entry.
 """
 
 from __future__ import annotations
@@ -65,21 +68,35 @@ class SolveResult:
 # Generic backward induction
 # ---------------------------------------------------------------------------
 
-def _value_function(inst: GameInstance, stats: SolveStats,
-                    memo: dict) -> Callable[[GameState], str]:
+def _value_function(inst: GameInstance, stats: SolveStats, memo: dict,
+                    records: Optional[dict] = None
+                    ) -> Callable[[GameState], str]:
     """The winner of a position, by AND-OR evaluation with transpositions.
 
     Only positions with no pending move go into ``memo``.  A pick position
     has one parent, the cut position that made it, so a memo entry for it
     would never be read during the fill: its value is the OR over its
     pieces, evaluated inline in that parent's move loop, and it counts one
-    visit.  Asked later for a pick position's value (extraction does so
-    when the cutter wins), the function counts one memo hit and reads its
-    pieces' values from the memo without counting them; a piece the fill
-    never reached is filled then.  So ``states_visited`` and ``memo_hits``
-    are those of a fill that memoizes every position.  The caller owns the
-    memo and clears it when its walk ends: the self-recursive closures
-    would otherwise keep it alive until the cyclic collector runs."""
+    visit.  Asked later for a pick position's value (the probing extraction
+    does so when the cutter wins), the function counts one memo hit and
+    reads its pieces' values from the memo without counting them; a piece
+    the fill never reached is filled then.  So ``states_visited`` and
+    ``memo_hits`` are those of a fill that memoizes every position.  The
+    caller owns the memo and clears it when its walk ends: the self-recursive
+    closures would otherwise keep it alive until the cyclic collector runs.
+
+    Given ``records``, the fill also keeps the decision it made at each
+    position it filled: where the mover wins, ``(move, child, probes)`` for
+    the first winning move; where the mover loses, the replies to its moves
+    in canonical order, each child or, after a cut, the picker's first
+    winning answer ``pick position, piece, child, probes``, all in one flat
+    tuple, so that the cyclic collector tracks one object per position
+    rather than one per move.  Which winning move
+    comes first in canonical order depends on the children's values alone,
+    not on the order they were evaluated in, so the probing extraction
+    takes the same one.  ``probes`` is the memo hits that extraction counts
+    there: one per pick position and per non-terminal child up to the
+    winning one."""
     opponent = inst.opponent
     state_budget = DEFAULT_STATE_BUDGET
 
@@ -95,6 +112,18 @@ def _value_function(inst: GameInstance, stats: SolveStats,
                 return mover
         return opponent(mover)
 
+    def answer(state: GameState) -> Optional[tuple]:
+        # ``pick(state, settled)``, recorded: None if the picker loses
+        mover = state.to_move
+        probes = 0
+        for piece in state.pending:
+            child = apply_move(inst, state, piece, check=False)
+            won = settled(child) == mover
+            probes += child in memo
+            if won:
+                return state, piece, child, probes
+        return None
+
     def settled(state: GameState) -> str:
         # a position with no pending move
         hit = memo.get(state)
@@ -107,16 +136,38 @@ def _value_function(inst: GameInstance, stats: SolveStats,
         count_visit()
         mover = state.to_move
         result = opponent(mover)
-        for move in legal_moves(inst, state):
-            child = apply_move(inst, state, move, check=False)
-            if child.pending is None:
-                child_value = settled(child)
+        if records is None:
+            for move in legal_moves(inst, state):
+                child = apply_move(inst, state, move, check=False)
+                if child.pending is None:
+                    child_value = settled(child)
+                else:
+                    count_visit()
+                    child_value = pick(child, settled)
+                if child_value == mover:
+                    result = mover
+                    break
+        else:
+            replies = []
+            probes = 0
+            for move in legal_moves(inst, state):
+                child = apply_move(inst, state, move, check=False)
+                if child.pending is None:
+                    won = settled(child) == mover
+                    probes += child in memo
+                    reply = (child,)
+                else:
+                    count_visit()
+                    reply = answer(child)
+                    won = reply is None
+                    probes += 1
+                if won:
+                    result = mover
+                    records[state] = move, child, probes
+                    break
+                replies += reply
             else:
-                count_visit()
-                child_value = pick(child, settled)
-            if child_value == mover:
-                result = mover
-                break
+                records[state] = tuple(replies)
         memo[state] = result
         return result
 
@@ -134,16 +185,19 @@ def _value_function(inst: GameInstance, stats: SolveStats,
 
 
 @contextmanager
-def _filled(inst: GameInstance, stats: SolveStats):
-    """A value function over a memo that lives for the ``with`` block.  A
-    game deeper than Python's recursion limit allows fails with a
-    ``CapacityError`` that names its depth."""
+def _filled(inst: GameInstance, stats: SolveStats, record: bool):
+    """A value function and, if ``record``, the fill's records, both living
+    for the ``with`` block.  A game deeper than Python's recursion limit
+    allows fails with a ``CapacityError`` that names its depth."""
     memo: dict[GameState, str] = {}
+    records: Optional[dict[GameState, tuple]] = {} if record else None
     try:
         with depth_limited(inst.rounds, "solve", stats.counts):
-            yield _value_function(inst, stats, memo)
+            yield _value_function(inst, stats, memo, records), records
     finally:
         memo.clear()
+        if records is not None:
+            records.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +256,9 @@ def _symmetric_winner(inst: GameInstance) -> str:
 
 def extract_strategy(inst: GameInstance, role: str,
                      value: Callable[[GameState], str]) -> TableStrategy:
-    """Deterministic second pass: at the role's turn take the first move in
-    canonical order that stays winning (first move overall as a best-effort
-    fallback for a losing role); follow every opposing reply."""
+    """The probing walk: at the role's turn take the first move in canonical
+    order that stays winning (first move overall as a best-effort fallback
+    for a losing role); follow every opposing reply."""
     def choose(state: GameState, moves: list):
         options = legal_moves(inst, state)
         for move in options:
@@ -216,12 +270,62 @@ def extract_strategy(inst: GameInstance, role: str,
                               f"solver-{role}")
 
 
+def _recorded_strategy(inst: GameInstance, role: str, records: dict,
+                       stats: SolveStats) -> TableStrategy:
+    """``extract_strategy(inst, role, value)`` for the winner ``role``, read
+    off the fill's records: the same entries in the same order, and the
+    memo hits the probing walk counts added to ``stats``.  It probes no
+    value and enumerates no move list.  The winner's walk reaches only
+    positions the fill evaluated, so a position with no pending move is
+    terminal exactly when it has no record.  For the same reason the walk
+    outgrows neither the state budget nor the recursion limit where the
+    fill did not: the fill counted every position the walk visits, and
+    recursed at least as deep to reach it."""
+    table: dict[GameState, object] = {}
+    seen: set[GameState] = set()
+
+    def visit(state: GameState) -> None:
+        record = records.get(state)
+        if record is None or state in seen:
+            return
+        seen.add(state)
+        if state.to_move == role:
+            move, child, probes = record
+            stats.memo_hits += probes
+            table[state] = move
+            if child.pending is None:
+                visit(child)
+            elif child not in seen:
+                seen.add(child)
+                for piece in child.pending:
+                    visit(apply_move(inst, child, piece, check=False))
+            return
+        if not record or record[0].pending is None:  # no pick positions
+            for child in record:
+                visit(child)
+            return
+        replies = iter(record)
+        for pick, piece, child, probes in zip(replies, replies, replies,
+                                              replies):
+            if pick not in seen:
+                seen.add(pick)
+                stats.memo_hits += probes
+                table[pick] = piece
+                visit(child)
+
+    try:
+        visit(initial_state(inst))
+        return TableStrategy(role, table, f"solver-{role}")
+    finally:
+        visit = None  # see tabulate_positions: frees ``seen`` now
+
+
 # ---------------------------------------------------------------------------
 # Solve / refute / oracle
 # ---------------------------------------------------------------------------
 
 def solve(inst: GameInstance, want_strategy: bool = True) -> SolveResult:
-    """Name the winner; optionally extract and return their strategy.
+    """Name the winner; optionally read their strategy off the fill.
 
     Raises CapacityError (with partial stats) if the position space
     outgrows ``DEFAULT_STATE_BUDGET`` or a single enumeration its budget.
@@ -232,19 +336,24 @@ def solve(inst: GameInstance, want_strategy: bool = True) -> SolveResult:
         with depth_limited(inst.rounds, "solve", stats.counts):
             winner = _symmetric_winner(inst)
     else:
-        with _filled(inst, stats) as value:
+        with _filled(inst, stats, want_strategy) as (value, records):
             winner = value(initial_state(inst))
             if want_strategy:
-                strategy = extract_strategy(inst, winner, value)
+                strategy = _recorded_strategy(inst, winner, records, stats)
     return SolveResult(winner, strategy, stats)
 
 
 def strategy_for(inst: GameInstance, role: str) -> tuple[str, TableStrategy]:
     """The winner and a positional table for ``role``, both from one fill:
-    ``solve``'s strategy when ``role`` wins, else the best-effort extraction
-    for the losing role (first canonical move wherever no move wins)."""
-    with _filled(inst, SolveStats()) as value:
-        return value(initial_state(inst)), extract_strategy(inst, role, value)
+    ``solve``'s strategy when ``role`` wins, else the probing extraction's
+    best effort for the losing role (first canonical move wherever no move
+    wins), which reaches positions the fill never evaluated."""
+    stats = SolveStats()
+    with _filled(inst, stats, True) as (value, records):
+        winner = value(initial_state(inst))
+        if role == winner:
+            return winner, _recorded_strategy(inst, role, records, stats)
+        return winner, extract_strategy(inst, role, value)
 
 
 @dataclass

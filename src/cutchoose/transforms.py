@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .engine import (BM_IDEAL, CHOOSE, CUT, DEFAULT_NODE_BUDGET, EMPTY, EXACT,
@@ -64,6 +64,7 @@ WITNESS_BUDGET = 200_000
 
 __all__ = [
     "TransformCertificate", "TransformOutput", "certify_playouts",
+    "source_instance",
     "digit_split_cut_strategy", "fixed_point_choose",
     "fixed_point_choose_strategy",
     "restrict_choose_strategy", "disjointify_cut_strategy",
@@ -130,6 +131,24 @@ def certify_playouts(out: TransformOutput,
                               node_budget)
     memos = out._memos()
     return [out._certify(t, memos) for t in runs]
+
+
+def source_instance(kind: str, inst: GameInstance,
+                    start: Optional[int] = None) -> GameInstance:
+    """The game whose strategy the transport ``kind`` takes as its source,
+    for the transport called on the game ``inst`` (its first instance
+    argument): the doubled partition game for ``disjointify_choose``; the
+    game one round longer for ``empty_to_cut``, whose emptier answers one
+    stage past the round count; the weak generalized game on the opening
+    set ``start`` for ``choose_to_nonempty``; ``inst`` itself for every
+    other transport."""
+    if kind == "disjointify_choose":
+        return _doubled_instance(inst)
+    if kind == "empty_to_cut":
+        return replace(inst, rounds=inst.rounds + 1)
+    if kind == "choose_to_nonempty":
+        return weak_g_instance(inst, start)
+    return inst
 
 
 def _cut_entries(history: Sequence) -> list:
@@ -658,7 +677,7 @@ def disjointify_choose_strategy(sigma_u: Strategy,
     core outright.
     """
     _require_g_ideal(g_inst, "disjointify_choose_strategy")
-    u_inst = _doubled_instance(g_inst)
+    u_inst = source_instance("disjointify_choose", g_inst)
 
     reply = _replies(u_inst, sigma_u)
 
@@ -1291,7 +1310,8 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
         the run -> the run its first cut in canonical order extends to)."""
         move = entry[1]
         if stage is None:
-            run = _Run.start(weak_g_instance(bm_inst, move))
+            run = _Run.start(source_instance("choose_to_nonempty",
+                                             bm_inst, move))
             reply = _replies(run.inst, provider(move))
         else:
             reply, run, first = stage

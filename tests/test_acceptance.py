@@ -168,7 +168,7 @@ def test_criterion_06_simulation_soundness_and_win_transport():
     for g_inst in g_instances:
         all_hold(tr.disjointify_cut_strategy(
             first_move_strategy(g_inst, CUT), g_inst))
-        u_inst = tr._doubled_instance(g_inst)
+        u_inst = tr.source_instance("disjointify_choose", g_inst)
         res = solve(u_inst)
         if res.winner == CHOOSE:
             out = tr.disjointify_choose_strategy(res.strategy, g_inst)
@@ -183,7 +183,7 @@ def test_criterion_06_simulation_soundness_and_win_transport():
     g_win = GameInstance(game_family=G_IDEAL, start=(1 << 5) - 1, rounds=1,
                          width=2, cut_current=False, ground=GroundSet(5),
                          family=MonotoneFamily.size_at_most(GroundSet(5), 1))
-    res = solve(tr._doubled_instance(g_win))
+    res = solve(tr.source_instance("disjointify_choose", g_win))
     assert res.winner == CHOOSE
     out = tr.disjointify_choose_strategy(res.strategy, g_win)
     all_hold(out)

@@ -750,10 +750,10 @@ def test_tabulating_a_solver_table_reproduces_it(inst):
 
 
 def test_tabulated_history_dependent_strategy_verifies():
-    from cutchoose.transforms import (_doubled_instance,
-                                      disjointify_choose_strategy)
+    from cutchoose.transforms import (disjointify_choose_strategy,
+                                      source_instance)
     g_inst = g_ideal_instance()
-    result = solve(_doubled_instance(g_inst))
+    result = solve(source_instance("disjointify_choose", g_inst))
     assert result.winner == CHOOSE
     out = disjointify_choose_strategy(result.strategy, g_inst)
     table = tabulate_strategy(out.instance, out.strategy, CHOOSE)

@@ -2,10 +2,12 @@ import gc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from cutchoose import analysis, solver
-from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EXACT, G_IDEAL, G_POSET,
-                              NONEMPTY, STRICT_PREFIX, U, WEAK, GameInstance,
+from cutchoose.engine import (BM_GAMES, BM_IDEAL, BM_POSET, CHOOSE, CUT, EXACT,
+                              G_IDEAL, G_POSET, MASK_GAMES, NONEMPTY,
+                              STRICT_PREFIX, U, WEAK, GameInstance,
                               initial_state, tabulate_strategy,
                               verify_winning_strategy)
 from cutchoose.errors import CapacityError
@@ -13,7 +15,8 @@ from cutchoose.serialize import serialize_strategy
 from cutchoose.solver import (RefuteResult, SolveStats, _value_function,
                               extract_strategy, refute, reference_winner,
                               solve, strategy_for)
-from cutchoose.structures import FinitePoset, GroundSet, MonotoneFamily
+from cutchoose.structures import (FiniteBooleanAlgebra, FinitePoset,
+                                  GroundSet, MonotoneFamily)
 
 
 def u_instance(m, rounds, width=2, variant=EXACT, bound=1, cut_current=True):
@@ -257,3 +260,55 @@ def test_the_fill_memoizes_no_pick_position(name):
     for role in (winner, inst.opponent(winner)):
         extract_strategy(inst, role, value)
     assert memo and all(state.pending is None for state in memo)
+
+
+@st.composite
+def small_games(draw):
+    """A game of any family, variant, cut convention and maximality, small
+    enough to solve in milliseconds."""
+    game_family = draw(st.sampled_from([U, G_IDEAL, G_POSET, BM_IDEAL,
+                                        BM_POSET]))
+    kw = dict(rounds=draw(st.integers(1, 3)),
+              variant=draw(st.sampled_from([EXACT, WEAK, STRICT_PREFIX])),
+              maximal=draw(st.booleans()), cut_current=draw(st.booleans()),
+              width=None if game_family in BM_GAMES else draw(
+                  st.sampled_from([2, 3] if game_family == U
+                                  else [2, 3, None])))
+    if game_family in MASK_GAMES:
+        ground = GroundSet(draw(st.integers(2, 5)))
+        if draw(st.booleans()):
+            family = MonotoneFamily.size_at_most(
+                ground, draw(st.integers(1, ground.size - 1)))
+        else:
+            family = MonotoneFamily.generated_by(ground, draw(st.lists(
+                st.integers(1, ground.full_mask - 1), min_size=1,
+                max_size=2)))
+        return GameInstance(game_family=game_family, start=ground.full_mask,
+                            ground=ground, family=family, **kw)
+    if draw(st.booleans()):
+        algebra = FiniteBooleanAlgebra(GroundSet(draw(st.integers(1, 3))))
+        return GameInstance(game_family=game_family, start=algebra.top,
+                            algebra=algebra, **kw)
+    labels = sorted(draw(st.sets(st.integers(1, 14), min_size=2, max_size=6)))
+    poset = FinitePoset.from_subsets(labels + [15], len(labels))
+    return GameInstance(game_family=game_family, start=len(labels),
+                        poset=poset, **kw)
+
+
+@given(small_games())
+@settings(max_examples=120, deadline=None)
+@seed(303)
+def test_the_records_give_the_probing_walks_table(inst):
+    # the winner's table read off the fill's records is the probing walk's
+    # over a fresh fill, entry for entry and in order, and the memo hits the
+    # probes would count are added all the same
+    result = solve(inst)
+    stats = SolveStats()
+    value = _value_function(inst, stats, {})
+    winner = value(initial_state(inst))
+    probed = extract_strategy(inst, winner, value)
+    assert result.winner == winner
+    for table in (result.strategy, strategy_for(inst, winner)[1]):
+        assert list(table.entries.items()) == list(probed.entries.items())
+        assert (table.role, table.name) == (probed.role, probed.name)
+    assert result.stats == stats

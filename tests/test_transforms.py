@@ -102,7 +102,7 @@ def test_restrict_rejects_incompatible_families():
 
 def test_disjointify_choose_transports_win():
     g_inst = g_ideal(5, 1, width=2)
-    u_inst = tr._doubled_instance(g_inst)
+    u_inst = tr.source_instance("disjointify_choose", g_inst)
     res = solve(u_inst)
     assert res.winner == CHOOSE
     out = tr.disjointify_choose_strategy(res.strategy, g_inst)
@@ -123,7 +123,7 @@ def test_disjointify_choose_fixed_point_nonempty_family():
 
 def test_disjointify_choose_random_tables_certify():
     g_inst = g_ideal(4, 2, width=6)
-    u_inst = tr._doubled_instance(g_inst)
+    u_inst = tr.source_instance("disjointify_choose", g_inst)
     for seed in range(3):
         sigma = seeded_table_strategy(u_inst, CHOOSE, seed)
         out = tr.disjointify_choose_strategy(sigma, g_inst)
@@ -396,7 +396,7 @@ def test_empty_to_cut_certificate_rejects_a_stale_cut():
     bm = GameInstance(game_family=BM_IDEAL, start=g.full_mask, rounds=3,
                       width=None, ground=g,
                       family=Ideal.generated_by(g, [0b0010]))
-    longer = replace(bm, rounds=bm.rounds + 1)
+    longer = tr.source_instance("empty_to_cut", bm)
     out = tr.empty_to_cut_strategy(seeded_table_strategy(longer, EMPTY, 4),
                                    bm)
     stale = FunctionStrategy(
@@ -526,7 +526,7 @@ def test_disjointify_on_weak_variant_games():
     out = tr.disjointify_cut_strategy(first_move_strategy(g_inst, CUT), g_inst)
     assert out.instance.variant == WEAK and out.instance.rounds == 4
     assert_all_hold(out)
-    u_inst = tr._doubled_instance(g_inst)
+    u_inst = tr.source_instance("disjointify_choose", g_inst)
     out2 = tr.disjointify_choose_strategy(greedy_picker_strategy(u_inst),
                                           g_inst)
     assert_all_hold(out2)
@@ -665,7 +665,7 @@ def test_each_auxiliary_stage_of_disjointify_choose_is_computed_once():
     g_inst = GameInstance(game_family=G_IDEAL, start=g.full_mask, rounds=2,
                           width=2, cut_current=False, ground=g,
                           family=Ideal.generated_by(g, [0b00011, 0b01100]))
-    u_inst = tr._doubled_instance(g_inst)
+    u_inst = tr.source_instance("disjointify_choose", g_inst)
     res = solve(u_inst)
     assert res.winner == CHOOSE
     sigma, calls = _counting(res.strategy)
@@ -705,7 +705,8 @@ def _counted_sources():
                 count(first_move_strategy(g_inst, CUT)), g_inst), (3, 3)),
         "empty_to_cut": (
             lambda count: tr.empty_to_cut_strategy(
-                count(seeded_table_strategy(replace(bm, rounds=4), EMPTY, 4)),
+                count(seeded_table_strategy(
+                    tr.source_instance("empty_to_cut", bm), EMPTY, 4)),
                 bm), (7, 7)),
         "transfer_cut": (
             lambda count: tr.transfer_cut_big_to_small(
@@ -716,15 +717,16 @@ def _counted_sources():
                 (0, 2, 3, 5)), (16, 16)),
         "disjointify_choose": (
             lambda count: tr.disjointify_choose_strategy(
-                count(solve(tr._doubled_instance(g_inst)).strategy), g_inst),
+                count(solve(tr.source_instance(
+                    "disjointify_choose", g_inst)).strategy), g_inst),
             (30, 30)),
         "transfer_choose": (
             lambda count: tr.transfer_choose_small_to_big(
                 count(solve(small).strategy), small, 2, 2), (19, 19)),
         "choose_to_nonempty": (
             lambda count: tr.choose_to_nonempty_strategy(
-                lambda x0: count(greedy_picker_strategy(
-                    tr.weak_g_instance(bm2, x0))), bm2), (40, 40)),
+                lambda x0: count(greedy_picker_strategy(tr.source_instance(
+                    "choose_to_nonempty", bm2, x0))), bm2), (40, 40)),
     }
 
 
@@ -885,8 +887,10 @@ def _copy_emptier():
 
 def _each_transform_and_its_source():
     """One output of each transform, with the strategy it transports
-    (``None`` for the five transforms that have none)."""
-    g_inst = g_ideal(4, 1, width=2)
+    (``None`` for the five transforms that have none).  Every transport
+    replays an auxiliary move in some certificate; at width 2 the greedy
+    partition picker's ``disjointify_choose`` has one playout and none."""
+    g_inst = g_ideal(4, 1, width=4)
     bm = bm_ideal(4, 2)
     alg = FiniteBooleanAlgebra(GroundSet(4))
     big = GameInstance(game_family=G_POSET, start=alg.top, rounds=1, width=4,
@@ -901,7 +905,7 @@ def _each_transform_and_its_source():
         "restrict_choose": first_move_strategy(inner, CHOOSE),
         "disjointify_cut": first_move_strategy(g_inst, CUT),
         "disjointify_choose": greedy_picker_strategy(
-            tr._doubled_instance(g_inst)),
+            tr.source_instance("disjointify_choose", g_inst)),
         "transfer_cut_big_to_small": first_move_strategy(big, CUT),
         "transfer_choose_small_to_big": first_move_strategy(small, CHOOSE),
         "empty_to_cut": _copy_emptier(),
@@ -925,7 +929,7 @@ def _each_transform_and_its_source():
         tr.nonempty_to_choose_strategy(sources["nonempty_to_choose"], bm,
                                        bm.start),
         tr.choose_to_nonempty_strategy(lambda x0: greedy_picker_strategy(
-            tr.weak_g_instance(bm, x0)), bm),
+            tr.source_instance("choose_to_nonempty", bm, x0)), bm),
     ]
     return [(out, sources.get(out.kind)) for out in outputs]
 
@@ -961,14 +965,9 @@ def test_each_output_declares_the_source_its_certificates_replay():
 
 def test_a_certificate_replays_the_declared_auxiliary_game():
     # With the declared game's lowest start point dropped, a certificate's
-    # first auxiliary move leaves the start and is illegal there.  The
-    # width-2 disjointify_choose above plays no auxiliary move; a width-4
-    # game stands in for it.
-    wide = g_ideal(4, 1, width=4)
+    # first auxiliary move leaves the start and is illegal there.
     outs = [out for out, sigma in _each_transform_and_its_source()
-            if sigma is not None and out.kind != "disjointify_choose"]
-    outs.append(tr.disjointify_choose_strategy(greedy_picker_strategy(
-        tr._doubled_instance(wide)), wide))
+            if sigma is not None]
     for out in outs:
         cert = next(c for c in tr.certify_playouts(out) if c.aux_moves)
         assert cert.holds and "illegal_aux" not in cert.details, out.kind
@@ -1009,7 +1008,7 @@ def test_a_foreign_opposing_move_fails_under_the_one_relation():
     # next opposing move, and the certificate reads the transform's relation
     bm = bm_ideal(4, 2)
     out = tr.choose_to_nonempty_strategy(lambda x0: greedy_picker_strategy(
-        tr.weak_g_instance(bm, x0)), bm)
+        tr.source_instance("choose_to_nonempty", bm, x0)), bm)
     t = play_out(bm, _copy_emptier(), out.strategy)
     moves = list(t.moves)
     moves[2] = (EMPTY, 0b0001)
