@@ -32,7 +32,7 @@ from ._version import ENGINE_VERSION
 from .engine import (CHOOSE, CUT, EMPTY, NONEMPTY, GameInstance, apply_move,
                      copy_strategy, first_move_strategy,
                      greedy_picker_strategy, initial_state, legal_moves,
-                     seeded_table_strategy, tabulate_strategy,
+                     seeded_table_strategy, stage_after, tabulate_strategy,
                      terminal_status, verify_winning_strategy)
 from .errors import CapacityError, CutChooseError, ValidationError
 from .solver import refute, solve, strategy_for
@@ -421,7 +421,7 @@ def cmd_play(args) -> int:
     inst = _read_instance(args.instance)
     human_role = {"cut": inst.cutter, "choose": inst.picker}[args.role]
     machine_role = inst.opponent(human_role)
-    # A positional table: it ignores the history it is handed.
+    # A positional table: its stage is empty whatever the history.
     winner, machine = strategy_for(inst, machine_role)
 
     replay_inputs = None
@@ -445,7 +445,7 @@ def cmd_play(args) -> int:
     while outcome.ongoing:
         role = state.to_move
         if role == machine_role:
-            move = machine.decide(inst, state, ())
+            move = machine.decide(inst, state, stage_after(machine, ()))
             print(f"[{role}] plays {_show_move(inst, move)}", file=out)
         else:
             moves = legal_moves(inst, state)
@@ -473,6 +473,9 @@ def cmd_play(args) -> int:
             move = moves[idx]
         state = apply_move(inst, state, move)
         outcome = terminal_status(inst, state)
+    if replay_inputs is not None and len(inputs) < len(replay_inputs):
+        raise ValidationError("the game ends before the log",
+                              f"replay.inputs[{len(inputs)}]")
     print(f"winner: {outcome.status} ({outcome.reason})", file=out)
     session = {
         "schema_version": serialize.SCHEMA_VERSION,

@@ -35,13 +35,18 @@ game that cuts its start set (``cut_current`` False) offers the same cut
 moves at every cut position, so its instance enumerates them once, as
 ``GameInstance.start_cuts``.
 
-Strategies are walked two ways.  The tree walk (verification, playouts)
-follows every canonical opposing line with the full history, as simulation
-strategies need; the positional walk (tabulation, the solver's extraction)
-visits each reachable position once to build a positional table.  Verifying
-a positional table, the tree walk expands each position once too: it counts
-a subtree it has already seen won without walking it again, so it still
-reports tree nodes.
+A strategy is a fold that the walks step, a finite-memory (Mealy)
+strategy (Grädel, Thomas & Wilke (eds.), *Automata, Logics, and Infinite
+Games*, LNCS 2500, 2002): ``start()``, ``step(stage, entry)`` and
+``decide(inst, state, stage)``.  A walk extends one ``Run`` and one stage
+per move, so a playout of depth d costs O(d) and the transcripts of one
+walk share their prefixes; a caller that holds only a history folds it
+with ``stage_after``.  The tree walk (verification, playouts) follows every
+canonical opposing line and hands each leaf to a callback; the positional
+walk (tabulation) visits each reachable position once to build a
+positional table.  Verifying a positional table, the tree walk expands each
+position once too: it counts a subtree it has already seen won without
+walking it again, so it still reports tree nodes.
 """
 
 from __future__ import annotations
@@ -371,12 +376,17 @@ SIMULATION = "simulation"
 
 
 class Strategy:
-    """A deterministic decision procedure for one role.
+    """A deterministic decision procedure for one role, stepped with the
+    walk that asks it.
 
-    ``decide`` receives the abstract position and the full move history, a
-    sequence of ``(role, move)`` entries; it must be a pure function of
-    them, so one strategy object can serve many concurrent playouts and
-    tree branches.
+    ``start()`` is the stage before any move, ``step(stage, entry)`` the
+    stage one ``(role, move)`` entry of the history later (the opponent's
+    entries and its own), and ``decide(inst, state, stage)`` the move at
+    the position ``state`` that the history reaches.  All three are pure
+    and stages immutable, so one strategy object serves many concurrent
+    playouts and tree branches.  This base class is positional: its stage
+    is ``None``, the empty stage, which no entry changes and the tree walk
+    and ``Run`` do not step.
     """
 
     kind = SIMULATION
@@ -385,8 +395,13 @@ class Strategy:
         self.role = role
         self.name = name or self.__class__.__name__
 
-    def decide(self, inst: GameInstance, state: GameState,
-               history: Sequence):
+    def start(self):
+        return None
+
+    def step(self, stage, entry: tuple):
+        return stage
+
+    def decide(self, inst: GameInstance, state: GameState, stage):
         raise NotImplementedError
 
 
@@ -399,20 +414,74 @@ class TableStrategy(Strategy):
         super().__init__(role, name)
         self.entries = entries
 
-    def decide(self, inst, state, history):
-        if state not in self.entries:
-            raise StrategyError(
-                f"{self.name}: no entry for position {tuple(state)}")
-        return self.entries[state]
+    def decide(self, inst, state, stage):
+        try:
+            return self.entries[state]
+        except KeyError:
+            raise StrategyError(f"{self.name}: no entry for position "
+                                f"{tuple(state)}") from None
+
+
+class History(Sequence):
+    """A history as a parent-pointer chain: the history one entry shorter
+    (``None`` for the empty history) and its last ``(role, move)`` entry.
+    It reads as the tuple of its entries, equal to it and hashed as it,
+    built on each read but for its length: extending a history costs O(1)
+    and shares its prefix."""
+    __slots__ = ("before", "entry", "size")
+
+    def __init__(self, before: Optional["History"] = None,
+                 entry: Optional[tuple] = None):
+        self.before, self.entry = before, entry
+        self.size = 0 if before is None else before.size + 1
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        entries = []
+        node = self
+        while node.size:
+            entries.append(node.entry)
+            node = node.before
+        return reversed(entries)
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other):
+        return isinstance(other, (tuple, History)) and \
+            tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 class FunctionStrategy(Strategy):
+    """A strategy given as ``fn(inst, state, history)``; its stage is the
+    history, so ``fn`` reads the ``(role, move)`` entries from the start."""
+
     def __init__(self, role: str, fn: Callable, name: str = "fn"):
         super().__init__(role, name)
         self.fn = fn
 
-    def decide(self, inst, state, history):
-        return self.fn(inst, state, history)
+    def start(self):
+        return History()
+
+    def step(self, stage, entry):
+        return History(stage, entry)
+
+    def decide(self, inst, state, stage):
+        return self.fn(inst, state, stage)
+
+
+def stage_after(sigma: Strategy, history: Iterable):
+    """``sigma``'s stage after ``history``, folded from ``start()``: for a
+    caller that holds a whole history instead of stepping with a walk."""
+    stage = sigma.start()
+    for entry in history:
+        stage = sigma.step(stage, entry)
+    return stage
 
 
 def sorted_pieces(inst: GameInstance, pieces: Iterable) -> list:
@@ -497,37 +566,107 @@ def fixed_point_choose_strategy(alpha: int) -> Strategy:
 # Playouts and verification
 # ---------------------------------------------------------------------------
 
-@dataclass
+class Run(NamedTuple):
+    """A run of a game: its instance, the position reached, the run one
+    move shorter (``None`` at the start) and the ``(role, move)`` entry that
+    extended it; for a run along which one strategy ``sigma`` is asked,
+    also ``sigma``'s stage there, stepped by every move.  Immutable, so a
+    walk or a simulation can branch from any run it has kept, and every run
+    shares its prefix with the runs it was extended from: keeping a run per
+    prefix holds O(1) each, not a history each."""
+    inst: GameInstance
+    state: GameState
+    before: Optional["Run"] = None
+    entry: Optional[tuple] = None
+    sigma: Optional[Strategy] = None
+    stage: object = None
+
+    @classmethod
+    def start(cls, inst: GameInstance, sigma: Optional[Strategy] = None
+              ) -> "Run":
+        return cls(inst, initial_state(inst), None, None, sigma,
+                   None if sigma is None else sigma.start())
+
+    def then(self, move) -> "Run":
+        """The run after the player to move plays ``move`` (unchecked)."""
+        inst, state, _, _, sigma, stage = self
+        entry = (state.to_move, move)
+        # tuple.__new__ skips the generated __new__, a Python call per run
+        return tuple.__new__(Run, (
+            inst, apply_move(inst, state, move, check=False), self, entry,
+            sigma, stage if stage is None else sigma.step(stage, entry)))
+
+    def ask(self):
+        """``sigma``'s move at this run."""
+        return self.sigma.decide(self.inst, self.state, self.stage)
+
+    @property
+    def history(self) -> tuple:
+        """The ``(role, move)`` entries from the start, built on each read
+        by a loop: a deep run exceeds the recursion limit."""
+        entries = []
+        run = self
+        while run.before is not None:
+            entries.append(run.entry)
+            run = run.before
+        entries.reverse()
+        return tuple(entries)
+
+    def __repr__(self) -> str:
+        # not the chain, for the same reason
+        return f"Run({tuple(self.state)} after {len(self.history)} moves)"
+
+
+@dataclass(eq=False)
 class Transcript:
-    instance: GameInstance
-    moves: list
-    states: list
+    """A finished line: its final run and the referee's verdict.  The
+    moves and positions are read off the run's chain on each access, so
+    the transcripts of one walk share their prefixes."""
+    run: Run
     winner: str
     reason: str
+
+    @property
+    def instance(self) -> GameInstance:
+        return self.run.inst
+
+    @property
+    def moves(self) -> list:
+        return list(self.run.history)
+
+    @property
+    def states(self) -> list:
+        states = []
+        run = self.run
+        while run is not None:
+            states.append(run.state)
+            run = run.before
+        states.reverse()
+        return states
 
 
 def play_out(inst: GameInstance, cut_side: Strategy,
              choose_side: Strategy) -> Transcript:
-    """Run both strategies to the end under the referee; fully deterministic."""
+    """Run both strategies to the end under the referee; fully deterministic.
+    Each side's stage steps once per move."""
     sides = {inst.cutter: cut_side, inst.picker: choose_side}
-    state = initial_state(inst)
-    moves: list = []
-    states = [state]
-    history: tuple = ()
-    outcome = terminal_status(inst, state)
+    stages = {role: side.start() for role, side in sides.items()}
+    run = Run.start(inst)
+    outcome = terminal_status(inst, run.state)
     while outcome.ongoing:
-        role = state.to_move
+        state = run.state
         try:
-            move = sides[role].decide(inst, state, history)
+            if run.entry is not None:
+                for role, side in sides.items():
+                    stages[role] = side.step(stages[role], run.entry)
+            move = sides[state.to_move].decide(inst, state,
+                                               stages[state.to_move])
         except StrategyError as exc:
             raise StrategyError(f"{exc} (at position {tuple(state)})") from exc
         validate_move(inst, state, move)
-        state = apply_move(inst, state, move, check=False)
-        moves.append((role, move))
-        history = history + ((role, move),)
-        states.append(state)
-        outcome = terminal_status(inst, state)
-    return Transcript(inst, moves, states, outcome.status, outcome.reason)
+        run = run.then(move)
+        outcome = terminal_status(inst, run.state)
+    return Transcript(run, outcome.status, outcome.reason)
 
 
 @dataclass
@@ -556,27 +695,32 @@ def depth_limited(rounds: int, task: str, stats: Callable[[], dict]):
 
 
 def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
-               node_budget: int, first_loss: bool) -> tuple[list, int]:
-    """The tree walk: leaf transcripts and the nodes visited, terminal ones
-    included.  With ``first_loss`` it stops at the first leaf ``role`` loses.
+               node_budget: int, leaf: Callable[[Run, Outcome], object]
+               ) -> int:
+    """The tree walk: hands each leaf (its run and the referee's outcome)
+    to ``leaf`` and gives the nodes visited, terminal ones included.  A
+    leaf answered True stops the walk, one answered False the walk may
+    forget, and any other answer keeps.  ``sigma``'s stage steps into each
+    ongoing position.
 
-    Verifying a positional table, the tree below a position depends on the
-    position alone (AND-OR evaluation with transpositions): each position
-    with no pending move whose whole subtree ``role`` wins keeps that
-    subtree's node count, and a later visit adds the count without walking.
-    Only won subtrees are kept, so nodes, counterexample and first error are
-    the plain walk's.  ``node_budget`` bounds the positions walked, a memo
-    hit costing one, so a table's walk can finish under a budget below its
-    node count.  The memo lives for one call."""
-    found: list[Transcript] = []
+    For a positional table, the tree below a position depends on the
+    position alone (AND-OR evaluation with transpositions): while no leaf
+    is kept, each position with no pending move whose every leaf was
+    answered False keeps that subtree's node count, and a later visit adds
+    the count without walking.  Nodes, the stopping leaf and the first
+    error are the plain walk's.  ``node_budget`` bounds the positions
+    walked, a memo hit costing one, so a table's walk can finish under a
+    budget below its node count.  The memo lives for one call."""
     nodes = walked = 0
-    moves: list = []
-    states: list = [initial_state(inst)]
     won: Optional[dict[GameState, int]] = (
-        {} if first_loss and sigma.kind == POSITIONAL_TABLE else None)
+        {} if sigma.kind == POSITIONAL_TABLE else None)
+    step = sigma.step
+    _new = tuple.__new__
 
-    def walk(state: GameState) -> bool:
-        nonlocal nodes, walked
+    def walk(run: Run, stage) -> bool:
+        """``stage`` is ``sigma``'s before the run's last entry."""
+        nonlocal nodes, walked, won
+        state = run.state
         keyed = won is not None and state.pending is None
         subtree = won.get(state, 0) if keyed else 0
         nodes += subtree or 1
@@ -589,36 +733,35 @@ def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
         first = nodes
         outcome = terminal_status(inst, state)
         if not outcome.ongoing:
-            if first_loss and outcome.status == role:
-                return False
-            found.append(Transcript(inst, list(moves), list(states),
-                                    outcome.status, outcome.reason))
-            return first_loss
+            answer = leaf(run, outcome)
+            if answer is not False:
+                won = None
+            return answer is True
+        if stage is not None and run.entry is not None:
+            stage = step(stage, run.entry)
         mover = state.to_move
         if mover == role:
-            move = sigma.decide(inst, state, tuple(moves))
+            move = sigma.decide(inst, state, stage)
             validate_move(inst, state, move)
             options = (move,)
         else:
             options = legal_moves(inst, state)
         for move in options:
+            # run.then(move) without a call: the walk's runs ask no strategy
             nxt = apply_move(inst, state, move, check=False)
-            moves.append((mover, move))
-            states.append(nxt)
-            if walk(nxt):
+            if walk(_new(Run, (inst, nxt, run, (mover, move), None, None)),
+                    stage):
                 return True
-            moves.pop()
-            states.pop()
-        if keyed:
+        if keyed and won is not None:
             won[state] = nodes - first + 1
         return False
 
     try:
         with depth_limited(inst.rounds, "walk", lambda: {"nodes": nodes}):
-            walk(states[0])
-        return found, nodes
+            walk(Run.start(inst), sigma.start())
+        return nodes
     finally:
-        walk = None  # see tabulate_positions: frees the memo now
+        walk = None  # see tabulate_strategy: frees the memo now
 
 
 def verify_winning_strategy(inst: GameInstance, sigma: Strategy, role: str,
@@ -626,67 +769,71 @@ def verify_winning_strategy(inst: GameInstance, sigma: Strategy, role: str,
                             ) -> VerifyResult:
     """Exhaustively traverse every opposing line; verified iff ``role`` wins
     every leaf.  The first counterexample in canonical order is returned."""
-    found, nodes = _walk_tree(inst, sigma, role, node_budget, True)
-    return VerifyResult(not found, found[0] if found else None, nodes)
+    lost: list[Transcript] = []
+
+    def leaf(run: Run, outcome: Outcome) -> bool:
+        if outcome.status == role:
+            return False
+        lost.append(Transcript(run, outcome.status, outcome.reason))
+        return True
+
+    nodes = _walk_tree(inst, sigma, role, node_budget, leaf)
+    return VerifyResult(not lost, lost[0] if lost else None, nodes)
 
 
 def enumerate_playouts(inst: GameInstance, sigma: Strategy, role: str,
                        node_budget: int = DEFAULT_NODE_BUDGET
                        ) -> list[Transcript]:
     """All playouts of ``sigma`` against every canonical adversary line."""
-    return _walk_tree(inst, sigma, role, node_budget, False)[0]
-
-
-def tabulate_positions(inst: GameInstance, role: str,
-                       choose: Callable[[GameState, list], object],
-                       state_budget: int, name: str) -> TableStrategy:
-    """The positional walk: at ``role``'s positions record and follow
-    ``choose(state, moves)``, ``moves`` being the line of the first visit."""
-    table: dict[GameState, object] = {}
-    seen: set[GameState] = set()
-    moves: list = []
-
-    def visit(state: GameState) -> None:
-        if not terminal_status(inst, state).ongoing:
-            return
-        if state in seen:
-            return
-        seen.add(state)
-        if len(seen) > state_budget:
-            raise CapacityError("position walk exceeded the state budget",
-                                {"states_visited": len(seen)})
-        mover = state.to_move
-        if mover == role:
-            table[state] = choose(state, moves)
-            options = (table[state],)
-        else:
-            options = legal_moves(inst, state)
-        for move in options:
-            moves.append((mover, move))
-            visit(apply_move(inst, state, move, check=False))
-            moves.pop()
-
-    try:
-        with depth_limited(inst.rounds, "tabulate",
-                           lambda: {"states_visited": len(seen)}):
-            visit(initial_state(inst))
-        return TableStrategy(role, table, name)
-    finally:
-        # visit refers to itself, so only the cyclic collector would free
-        # what it holds; dropping the name frees ``seen`` now.
-        visit = None
+    found: list[Transcript] = []
+    _walk_tree(inst, sigma, role, node_budget,
+               lambda run, outcome: found.append(
+                   Transcript(run, outcome.status, outcome.reason)))
+    return found
 
 
 def tabulate_strategy(inst: GameInstance, sigma: Strategy, role: str,
                       node_budget: int = DEFAULT_NODE_BUDGET
                       ) -> TableStrategy:
-    """Record a (possibly simulation-backed) strategy as a positional table
-    over every position it can reach against canonical adversary lines.
-    ``node_budget`` bounds the positions visited."""
-    def choose(state: GameState, moves: list):
-        move = sigma.decide(inst, state, tuple(moves))
-        validate_move(inst, state, move)
-        return move
+    """The positional walk: record a (possibly simulation-backed) strategy
+    as a positional table over every position it can reach against
+    canonical adversary lines.  At ``role``'s positions it records and
+    follows ``sigma``'s checked move, decided at the stage of the line of
+    the first visit.  ``node_budget`` bounds the positions visited."""
+    table: dict[GameState, object] = {}
+    seen: set[GameState] = set()
+    step = sigma.step
 
-    return tabulate_positions(inst, role, choose, node_budget,
-                              f"tabulated-{sigma.name}")
+    def visit(run: Run, stage) -> None:
+        """``stage`` is ``sigma``'s before the run's last entry."""
+        state = run.state
+        if not terminal_status(inst, state).ongoing:
+            return
+        if state in seen:
+            return
+        seen.add(state)
+        if len(seen) > node_budget:
+            raise CapacityError("position walk exceeded the state budget",
+                                {"states_visited": len(seen)})
+        if run.entry is not None:
+            stage = step(stage, run.entry)
+        if state.to_move == role:
+            move = sigma.decide(inst, state, stage)
+            validate_move(inst, state, move)
+            table[state] = move
+            options = (move,)
+        else:
+            options = legal_moves(inst, state)
+        for move in options:
+            visit(run.then(move), stage)
+
+    try:
+        with depth_limited(inst.rounds, "tabulate",
+                           lambda: {"states_visited": len(seen)}):
+            visit(Run.start(inst), sigma.start())
+        return TableStrategy(role, table, f"tabulated-{sigma.name}")
+    finally:
+        # visit refers to itself, so only the cyclic collector would free
+        # what it holds; dropping the name frees ``seen`` now.
+        visit = None
+

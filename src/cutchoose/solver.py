@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .engine import (CHOOSE, CUT, STRICT_PREFIX, U, WEAK, GameInstance,
-                     GameState, TableStrategy, apply_move, depth_limited,
-                     initial_state, legal_moves, tabulate_positions,
-                     terminal_status)
+from .engine import (CHOOSE, CUT, STRICT_PREFIX, U, WEAK, FunctionStrategy,
+                     GameInstance, GameState, TableStrategy, apply_move,
+                     depth_limited, initial_state, legal_moves,
+                     tabulate_strategy, terminal_status)
 from .errors import CapacityError
 from .structures import SIZE_AT_MOST, popcount
 
@@ -259,15 +259,16 @@ def extract_strategy(inst: GameInstance, role: str,
     """The probing walk: at the role's turn take the first move in canonical
     order that stays winning (first move overall as a best-effort fallback
     for a losing role); follow every opposing reply."""
-    def choose(state: GameState, moves: list):
+    def choose(inst_, state: GameState, history):
         options = legal_moves(inst, state)
         for move in options:
             if value(apply_move(inst, state, move, check=False)) == role:
                 return move
         return options[0]
 
-    return tabulate_positions(inst, role, choose, DEFAULT_STATE_BUDGET,
-                              f"solver-{role}")
+    return TableStrategy(role, tabulate_strategy(
+        inst, FunctionStrategy(role, choose), role,
+        DEFAULT_STATE_BUDGET).entries, f"solver-{role}")
 
 
 def _recorded_strategy(inst: GameInstance, role: str, records: dict,
@@ -317,7 +318,7 @@ def _recorded_strategy(inst: GameInstance, role: str, records: dict,
         visit(initial_state(inst))
         return TableStrategy(role, table, f"solver-{role}")
     finally:
-        visit = None  # see tabulate_positions: frees ``seen`` now
+        visit = None  # see tabulate_strategy: frees ``seen`` now
 
 
 # ---------------------------------------------------------------------------

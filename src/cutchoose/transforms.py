@@ -1,35 +1,34 @@
 """Constructive strategy transformations with machine-checkable certificates.
 
 Each transformation turns a strategy for one game into a strategy for a
-related game by replaying an auxiliary run of the source game inside every
-playout of the target game.  Output strategies are pure functions of the
-visible history (the referee hands the full history to ``decide``, including
-the cut move currently awaiting a pick).  The auxiliary run is one immutable
-``_Run`` value -- instance, position, and the run one move shorter, so runs
-share their history -- extended move by move with ``then`` and queried with
-``ask``, and each transformation builds it as a prefix fold, ``_Fold``: a
-``step`` extends the run by one entry of the history (or of the part of it
-the transformation reads, such as the picks alone), and every prefix's
-result is kept in a memo that lives as long as the ``TransformOutput``
-does.  A walk over the output strategy's tree thus steps each auxiliary
-stage once, and ``decide`` answers from the stage its history reaches.
+related game by simulating an auxiliary run of the source game inside every
+playout of the target game.  An output strategy is a fold that the walks
+step (see ``engine.Strategy``): ``_Folded`` keeps its stages in one
+``_Fold`` trie, a stage is a node there, and ``step`` is the node's
+memoized child for the next history entry the transformation reads (the
+cuts alone, say) and the same node for any other.  So a decision costs one
+step, and a second walk over the same tree asks the source nothing new.
+The auxiliary run is one immutable ``engine.Run`` -- instance, position,
+the run one move shorter, and the source's stage -- extended move by move
+with ``then`` and queried with ``ask``.
 
 The source is asked in one of two shapes.  A source that cuts is simulated
 by ``_block_cutter``, which plays each auxiliary cut as a block of target
-cuts and asks the source when a block opens.  A source that picks is
-simulated by ``_replies``, the run of its own game in which it answers each
-cut of a sequence, memoized per cut prefix, so it is asked once per history
-of its own game however many target histories lead there.  Each
-``TransformOutput`` declares its kind, the one relation between the output
-run and the auxiliary run that its certificates check (containment or
-equality of cores) and, for a transport, the auxiliary game and the source
-strategy its certificates replay.  ``certify`` builds every certificate
-from the verdict of its ``check`` hook, which folds a finished transcript
-the same way, replays the auxiliary run against the source and gives
+cuts and asks the source on the first read of a block.  A source that picks
+is simulated by ``_replies``, the run of its own game in which it answers
+each cut of a sequence, memoized per cut prefix in a trie whose nodes the
+output's stages hold, so it is asked once per history of its own game
+however many target histories lead there.  Each ``TransformOutput``
+declares its kind, the one relation between the output run and the
+auxiliary run that its certificates check (containment or equality of
+cores) and, for a transport, the auxiliary game and the source strategy
+its certificates replay.  ``certify`` builds every certificate from the
+verdict of its ``check`` hook, which folds a finished transcript through
+the output's stages, replays the auxiliary run against the source and gives
 whether the relation holds, the auxiliary moves and details; it raises
 ``TransformSoundnessError`` only for genuine bookkeeping violations, never
-for mere game losses.  The replay is the checker's own, never the stage
-fold: ``out.certify(t)`` replays from move 0, and ``certify_playouts``
+for mere game losses.  The replay is the checker's own, never the output's
+stages: ``out.certify(t)`` replays from move 0, and ``certify_playouts``
 replays each auxiliary prefix once for its call.
 
 Length bookkeeping is explicit: where an auxiliary move expands into several
@@ -46,10 +45,10 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .engine import (BM_IDEAL, CHOOSE, CUT, DEFAULT_NODE_BUDGET, EMPTY, EXACT,
                      G_IDEAL, G_POSET, NONEMPTY, U, WEAK, FunctionStrategy,
-                     GameInstance, GameState, Strategy, TableStrategy,
-                     Transcript, apply_move, core_positive,
-                     enumerate_playouts, initial_state, sorted_pieces,
-                     terminal_status, validate_move)
+                     GameInstance, Run, Strategy, TableStrategy, Transcript,
+                     core_positive, enumerate_playouts, initial_state,
+                     sorted_pieces, stage_after, terminal_status,
+                     validate_move)
 from .engine import fixed_point_choose_strategy  # re-exported: same toolbox
 from .errors import (CapacityError, SigmaSearchError, TransformSoundnessError,
                      ValidationError)
@@ -151,182 +150,150 @@ def source_instance(kind: str, inst: GameInstance,
     return inst
 
 
-def _cut_entries(history: Sequence) -> list:
-    return [e for e in history if e[0] == CUT]
-
-
-class _Run(NamedTuple):
-    """A run of an auxiliary game: its instance, the position reached, the
-    run one move shorter (``None`` at the start) and the ``(role, move)``
-    entry that extended it.  Immutable, so a simulation can branch from any
-    run it has kept, and every run shares its prefix with the runs it was
-    extended from: a fold that keeps a run per prefix holds O(depth), not a
-    history per prefix."""
-    inst: GameInstance
-    state: GameState
-    before: Optional[_Run] = None
-    entry: Optional[tuple] = None
-
-    @classmethod
-    def start(cls, inst: GameInstance) -> "_Run":
-        return cls(inst, initial_state(inst))
-
-    def then(self, move) -> "_Run":
-        """The run after the player to move plays ``move`` (unchecked)."""
-        return _Run(self.inst,
-                    apply_move(self.inst, self.state, move, check=False),
-                    self, (self.state.to_move, move))
-
-    @property
-    def history(self) -> tuple:
-        """The ``(role, move)`` entries from the start, built on each read
-        by a loop: a deep run exceeds the recursion limit."""
-        entries = []
-        run = self
-        while run.before is not None:
-            entries.append(run.entry)
-            run = run.before
-        entries.reverse()
-        return tuple(entries)
-
-    def ask(self, sigma: Strategy):
-        return sigma.decide(self.inst, self.state, _History(self))
-
-
-class _History(Sequence):
-    """A run's history as the sequence ``decide`` reads, built on its first
-    read, so a source that reads only the position (a table, the copy
-    strategy) costs nothing per move.  Equal to, and hashed as, the tuple."""
-    __slots__ = ("run", "entries")
-
-    def __init__(self, run: _Run):
-        self.run, self.entries = run, None
-
-    def _tuple(self) -> tuple:
-        if self.entries is None:
-            self.entries = self.run.history
-        return self.entries
-
-    def __len__(self):
-        return len(self._tuple())
-
-    def __getitem__(self, index):
-        return self._tuple()[index]
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def __eq__(self, other):
-        return self._tuple() == other
-
-    def __hash__(self):
-        return hash(self._tuple())
+class _Node(NamedTuple):
+    """A node of a ``_Fold`` trie: the fold's value at the node's item
+    sequence, and the child node per next item."""
+    value: object
+    children: dict
 
 
 class _Fold:
     """``fold(items) = step(fold(items[:-1]), items[-1])`` with ``fold(())
     = start()``, memoized over a trie of the item sequences seen.
 
-    A call walks down the longest cached prefix and steps forward from
-    there, so it is iterative (no depth limit) and each new prefix costs
-    one ``step``.  A step that raises caches nothing.  Every longer prefix
-    steps from a cached value, so values are immutable: tuples and
-    ``_Run``s.  A ``_Run`` shares its prefix with the run it stepped from,
-    so a trie of runs holds O(1) per node."""
+    ``first()`` is the root and ``then(node, item)`` its child, stepped on
+    its first request, so each new sequence costs one ``step`` and a walk
+    that keeps its node steps forward in O(1).  ``fold(items)`` walks down
+    from the root, iteratively (no depth limit).  A step that raises caches
+    nothing.  Every longer sequence steps from a cached value, so values are
+    immutable: tuples, runs and nodes.  A run shares its prefix with the run
+    it stepped from, so a trie of runs holds O(1) per node."""
     __slots__ = ("start", "step", "root")
 
     def __init__(self, start: Callable[[], object],
                  step: Callable[[object, object], object]):
         self.start, self.step, self.root = start, step, None
 
-    def __call__(self, items: Iterable):
+    def first(self) -> _Node:
         if self.root is None:
-            self.root = (self.start(), {})
-        value, children = self.root
+            self.root = _Node(self.start(), {})
+        return self.root
+
+    def then(self, node: _Node, item) -> _Node:
+        child = node.children.get(item)
+        if child is None:
+            child = node.children[item] = _Node(self.step(node.value, item),
+                                                {})
+        return child
+
+    def __call__(self, items: Iterable):
+        node = self.first()
         for item in items:
-            node = children.get(item)
-            if node is None:
-                node = children[item] = (self.step(value, item), {})
-            value, children = node
-        return value
+            node = self.then(node, item)
+        return node.value
 
 
-def _block_cutter(start: Callable[[], _Run],
-                  expand: Callable[[_Run], tuple],
+class _Folded(Strategy):
+    """A transformation's output strategy.  Its stage is a node of one
+    ``_Fold`` trie that the entries of the role ``reads`` step and every
+    other entry keeps, and ``answer(state, value)`` decides from the
+    node's value.  ``value(history)`` folds a whole history, for the
+    certificates."""
+
+    def __init__(self, role: str, name: str, reads: str,
+                 start: Callable[[], object],
+                 step: Callable[[object, tuple], object],
+                 answer: Callable[[object, object], object]):
+        super().__init__(role, name)
+        self.reads, self.answer = reads, answer
+        self.fold = _Fold(start, step)
+
+    def start(self) -> _Node:
+        return self.fold.first()
+
+    def step(self, node: _Node, entry: tuple) -> _Node:
+        return self.fold.then(node, entry) if entry[0] == self.reads else node
+
+    def decide(self, inst, state, node: _Node):
+        return self.answer(state, node.value)
+
+    def value(self, history: Sequence):
+        return stage_after(self, history).value
+
+
+def _block_cutter(name: str, start: Callable[[], Run],
+                  expand: Callable[[Run], tuple],
                   dead_cut: Callable[[], tuple]):
-    """The stage of a history and ``decide`` for a cutter that plays each
-    auxiliary cut as a block of target cuts.
+    """A cutter that plays each auxiliary cut as a block of target cuts,
+    and ``fold(history)``: its stage after ``history`` with the finished
+    blocks listed in order.
 
-    The fold reads the history with this cutter's own cuts as ``None``.
-    The ``None`` that opens a block calls ``expand(run)``, the one place
-    the source is asked: it gives the block's cuts and ``recover(picks)``,
+    Its stages step on the picks alone.  ``expand(run)`` is the one place
+    the source is asked: it gives a block's cuts and ``recover(picks)``,
     the auxiliary (cut, pick) the picks stand for, or ``None`` when they
     end the auxiliary run; the cutter then plays ``dead_cut()``.  A stage
-    is (run, alive, finished blocks, open block as (cuts, recover, picks)
-    or ``None``); it keeps its finished blocks as a chain ((cuts, picks,
-    aux), earlier blocks or ``None``), so it adds O(1) to the stage it
-    extends, and ``fold`` lists them in order.  ``decide`` steps one cut
-    past its history, to the stage the next pick extends, and reads the
-    next cut."""
+    is (run, alive, finished blocks, the open block's picks, the open
+    block): the finished blocks are a chain ((cuts, picks, aux), earlier
+    blocks or ``None``), so a stage adds O(1) to the stage it extends, and
+    the open block is ``expand(run)`` on its first read, so a block that
+    no cut follows asks the source nothing."""
 
-    def step(stage, item):
-        run, alive, done, block = stage
-        if not alive or (item is None and block is not None):
+    def opening(run: Run, done) -> tuple:
+        return run, True, done, (), functools.cache(lambda: expand(run))
+
+    def step(stage, entry):
+        run, alive, done, picks, block = stage
+        if not alive:
             return stage
-        if item is None:
-            cuts, recover = expand(run)
-            return run, True, done, (cuts, recover, ())
-        cuts, recover, picks = block
-        picks += (item,)
+        cuts, recover = block()
+        picks += (entry[1],)
         if len(picks) < len(cuts):
-            return run, True, done, (cuts, recover, picks)
+            return run, True, done, picks, block
         aux = recover(picks)
         done = ((cuts, picks, aux), done)
         if aux is None:
-            return run, False, done, None
-        return run.then(aux[0]).then(aux[1]), True, done, None
+            return run, False, done, (), None
+        return opening(run.then(aux[0]).then(aux[1]), done)
 
-    stages = _Fold(lambda: (start(), True, None, None), step)
+    def answer(state, stage):
+        _, alive, _, picks, block = stage
+        if not alive:
+            return dead_cut()
+        return block()[0][len(picks)]
 
-    def stage(history: Sequence):
-        return stages(None if role == CUT else move for role, move in history)
+    strategy = _Folded(CUT, name, CHOOSE, lambda: opening(start(), None),
+                       step, answer)
 
     def fold(history: Sequence):
-        run, alive, done, block = stage(history)
+        run, alive, done, picks, _ = strategy.value(history)
         blocks = []
         while done is not None:
             last, done = done
             blocks.append(last)
-        return run, alive, blocks[::-1], block
+        return run, alive, blocks[::-1], picks
 
-    def decide(inst_, state, history):
-        _, alive, _, block = stage((*history, (CUT, None)))
-        if not alive:
-            return dead_cut()
-        cuts, _, picks = block
-        return cuts[len(picks)]
-
-    return fold, decide
+    return strategy, fold
 
 
 def _replies(game: GameInstance, sigma: Strategy):
     """The reply fold of a picker, the counterpart of ``_block_cutter``:
-    ``reply(run, cut)`` is ``run`` (a run of ``game`` in which ``sigma``
-    picks) extended by ``cut`` and ``sigma``'s answer, and the answer.
-    Runs are memoized per cut prefix, so ``sigma`` is asked once per
-    history of ``game``."""
+    ``first()`` is the root node, and ``reply(node, cut)`` the node whose
+    run (a run of ``game`` in which ``sigma`` picks) extends the node's
+    run by ``cut`` and ``sigma``'s answer, and the answer.  Runs are
+    memoized per cut prefix, so ``sigma`` is asked once per history of
+    ``game``."""
 
-    def step(run: _Run, cut) -> _Run:
+    def step(run: Run, cut) -> Run:
         run = run.then(cut)
-        return run.then(run.ask(sigma))
+        return run.then(run.ask())
 
-    runs = _Fold(lambda: _Run.start(game), step)
+    runs = _Fold(lambda: Run.start(game, sigma), step)
 
-    def reply(run: _Run, cut) -> tuple:
-        run = runs([move for _, move in run.history[0::2]] + [cut])
-        return run, run.entry[1]
+    def reply(node: _Node, cut) -> tuple:
+        node = runs.then(node, cut)
+        return node, node.value.entry[1]
 
-    return reply
+    return runs.first, reply
 
 
 class _ReplayFailure(Exception):
@@ -345,26 +312,27 @@ class _Memos:
     gives ``None``; ``follows`` also records the final core.  Each prefix
     is replayed once, in one ``_Fold``; a step that fails caches nothing,
     so every replay through it fails there again with the same entry.  This
-    memo is the checker's own: the strategy's stage fold is never
-    consulted, so a certificate stays a second computation."""
+    memo is the checker's own: it steps ``source``'s stage along its own
+    runs and never reads the output strategy's stages, so a certificate
+    stays a second computation."""
 
     def __init__(self, inst, source, role):
         self.mask = functools.cache(format_mask)
         self.role = role
 
-        def step(run: _Run, entry) -> _Run:
+        def step(run: Run, entry) -> Run:
             mover, move = entry
             try:
                 validate_move(inst, run.state, move)
             except Exception as exc:
                 raise _ReplayFailure("illegal_aux", str(exc)) from None
-            if mover == role and run.ask(source) != move:
+            if mover == role and run.ask() != move:
                 raise _ReplayFailure("inconsistent_aux", True)
             return run.then(move)
 
-        self.runs = _Fold(lambda: _Run.start(inst), step)
+        self.runs = _Fold(lambda: Run.start(inst, source), step)
 
-    def replay(self, moves: Sequence, details: dict) -> Optional[_Run]:
+    def replay(self, moves: Sequence, details: dict) -> Optional[Run]:
         try:
             return self.runs(moves)
         except _ReplayFailure as failure:
@@ -427,7 +395,7 @@ def digit_split_cut_strategy(m: int, nu: int, n: int) -> TransformOutput:
     strategy = FunctionStrategy(CUT, decide, f"digit-split-{nu}")
 
     def check(t: Transcript, memos: _Memos):
-        final = t.states[-1].core
+        final = t.run.state.core
         return popcount(final) <= 1, [], {"final": memos.mask(final)}
 
     return TransformOutput("digit_split", "final core has at most one point",
@@ -511,42 +479,39 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
             raise ValidationError("family does not restrict along the embedding "
                                   f"(witness {format_mask(s)})")
 
-    reply = _replies(inner, sigma)
+    first, reply = _replies(inner, sigma)
 
     def step(stage, entry):
-        """One cut entry (the trailing unanswered one too): a cut with two
-        or more nonempty inner pieces extends the inner run by their inner
-        cut and the inner picker's answer.  The stage is (inner run, the
-        outer piece whose counterpart the inner pick is)."""
-        run, _ = stage
+        """One cut: a cut with two or more nonempty inner pieces extends the
+        inner run by their inner cut and the inner picker's answer.  The
+        stage is (the inner run's reply node, the outer piece whose
+        counterpart the inner pick is)."""
+        node, _ = stage
         pieces = sorted_pieces(outer, entry[1])
-        target = run.state.core if inner.cut_current else inner.start
+        target = node.value.state.core if inner.cut_current else inner.start
         pb = {p: _pullback_mask(emb, p) & target for p in pieces}
         nonempty = sorted({v for v in pb.values() if v}, key=mask_key)
         if not nonempty:
-            return run, pieces[0]
+            return node, pieces[0]
         if len(nonempty) >= 2:
-            run, pick = reply(run, tuple(nonempty))
+            node, pick = reply(node, tuple(nonempty))
         else:
             pick = nonempty[0]
         for p in pieces:
             if pb[p] == pick:
-                return run, p
+                return node, p
         raise TransformSoundnessError("inner pick has no outer counterpart")
 
-    stages = _Fold(lambda: (_Run.start(inner), None), step)
-
-    def decide(inst_, state, history):
-        return stages(_cut_entries(history))[1]
-
-    strategy = FunctionStrategy(CHOOSE, decide, f"restricted-{sigma.name}")
+    strategy = _Folded(CHOOSE, f"restricted-{sigma.name}", CUT,
+                       lambda: (first(), None), step,
+                       lambda state, stage: stage[1])
 
     def check(t: Transcript, memos: _Memos):
-        run, _ = stages(_cut_entries(t.moves))
+        run = strategy.value(t.moves)[0].value
         history = run.history
         details: dict = {}
         holds = memos.follows(history, details)
-        outer_core = t.states[-1].core
+        outer_core = t.run.state.core
         if _pullback_mask(emb, outer_core) != run.state.core:
             holds = False
             details["pullback_mismatch"] = (memos.mask(outer_core),
@@ -619,12 +584,12 @@ def disjointify_cut_strategy(sigma_g: Strategy,
     _require_g_ideal(g_inst, "disjointify_cut_strategy")
     u_inst = _doubled_instance(g_inst)
 
-    def expand(run: _Run):
+    def expand(run: Run):
         """The generalized cutter's move at the run becomes its
         disjointification and the cover split.  The first pick's source is
         the auxiliary pick; the second must take the cover, or the
         auxiliary run stops for good."""
-        w_move = run.ask(sigma_g)
+        w_move = run.ask()
         sources, refined, played, split, cover = \
             _disjointify_move(g_inst, w_move)
 
@@ -636,16 +601,16 @@ def disjointify_cut_strategy(sigma_g: Strategy,
 
         return (played, split), recover
 
-    stages, decide = _block_cutter(lambda: _Run.start(g_inst), expand,
-                                   lambda: (g_inst.start,))
-    strategy = FunctionStrategy(CUT, decide, f"disjointified-{sigma_g.name}")
+    strategy, fold = _block_cutter(
+        f"disjointified-{sigma_g.name}", lambda: Run.start(g_inst, sigma_g),
+        expand, lambda: (g_inst.start,))
 
     def check(t: Transcript, memos: _Memos):
-        run, alive, _, _ = stages(t.moves)
+        run, alive, _, _ = fold(t.moves)
         history = run.history
         details: dict = {"aux_rounds": len(history) // 2, "alive": alive}
         holds = memos.follows(history, details)
-        final = t.states[-1].core
+        final = t.run.state.core
         inter = g_inst.start
         for role, mv in history:
             if role == CHOOSE:
@@ -654,7 +619,7 @@ def disjointify_cut_strategy(sigma_g: Strategy,
             holds = False
             details["core_escape"] = memos.mask(final & ~inter)
         if not alive and core_positive(u_inst, final) and \
-                not terminal_status(u_inst, t.states[-1]).ongoing:
+                not terminal_status(u_inst, t.run.state).ongoing:
             holds = False
             details["dead_but_positive"] = memos.mask(final)
         details["u_core"] = memos.mask(final)
@@ -679,50 +644,45 @@ def disjointify_choose_strategy(sigma_u: Strategy,
     _require_g_ideal(g_inst, "disjointify_choose_strategy")
     u_inst = source_instance("disjointify_choose", g_inst)
 
-    reply = _replies(u_inst, sigma_u)
+    first, reply = _replies(u_inst, sigma_u)
 
     def step(stage, entry):
-        """One cut entry (the trailing unanswered one too): the auxiliary
-        partition game plays its disjointification and cover split.  The
-        stage keeps the blocks so far, the start trimmed by each block's
-        pick within its cover, the blocks whose cover was not picked, and
-        the source piece of the latest pick.
+        """One cut: the auxiliary partition game plays its
+        disjointification and cover split.  The stage keeps the auxiliary
+        run's reply node, the blocks so far, the start trimmed by each
+        block's pick within its cover, the blocks whose cover was not
+        picked, and the source piece of the latest pick.
 
         Only real moves (two or more nonempty pieces) are fed; a one-piece
         move forces its pick without touching the auxiliary run, so table
         strategies are only consulted at positions the enumerated game can
         reach."""
-        run, blocks, trimmed, degenerate, _ = stage
+        node, blocks, trimmed, degenerate, _ = stage
         sources, refined, played, split, cover = \
             _disjointify_move(g_inst, entry[1])
         y, p2 = played[0], cover
         if len(played) >= 2:
-            run, y = reply(run, played)
+            node, y = reply(node, played)
         if 0 not in split:
-            run, p2 = reply(run, split)
+            node, p2 = reply(node, split)
         src = _source_of(sources, refined, y)
         if src is None:
             raise TransformSoundnessError(
                 "auxiliary pick is not a disjointification piece")
-        return (run, blocks + 1, trimmed & y & cover,
+        return (node, blocks + 1, trimmed & y & cover,
                 degenerate + (p2 != cover), src)
 
-    stages = _Fold(lambda: (_Run.start(u_inst), 0, g_inst.start, 0, None),
-                   step)
-
-    def decide(inst_, state, history):
-        *_, src = stages(_cut_entries(history))
-        return src
-
-    strategy = FunctionStrategy(CHOOSE, decide,
-                                f"disjointified-{sigma_u.name}")
+    strategy = _Folded(CHOOSE, f"disjointified-{sigma_u.name}", CUT,
+                       lambda: (first(), 0, g_inst.start, 0, None), step,
+                       lambda state, stage: stage[-1])
 
     def check(t: Transcript, memos: _Memos):
-        run, blocks, trimmed, degenerate, _ = stages(_cut_entries(t.moves))
+        node, blocks, trimmed, degenerate, _ = strategy.value(t.moves)
+        run = node.value
         history = run.history
         details: dict = {"blocks": blocks}
         holds = memos.replay(history, details) is not None
-        g_core = t.states[-1].core
+        g_core = t.run.state.core
         if trimmed & ~g_core:
             holds = False
             details["relation_violated"] = memos.mask(trimmed & ~g_core)
@@ -849,11 +809,11 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
     small_inst = _algebra_g_instance(big_inst, nu, big_inst.rounds * beta)
     algebra = big_inst.algebra
 
-    def expand(run: _Run):
+    def expand(run: Run):
         """The wide move the cutter makes at the run, as its beta factored
         levels.  The block's picks recover the auxiliary pick, or a zero
         infimum stops the run for good."""
-        w_big = run.ask(sigma_big)
+        w_big = run.ask()
         factor = factor_antichain(algebra, big_inst.start, w_big, nu, beta)
 
         def recover(picks):
@@ -863,15 +823,14 @@ def transfer_cut_big_to_small(sigma_big: Strategy, big_inst: GameInstance,
 
         return tuple(factor.levels), recover
 
-    stages, decide = _block_cutter(lambda: _Run.start(big_inst), expand,
-                                   lambda: (small_inst.start,))
-    strategy = FunctionStrategy(CUT, decide, f"narrowed-{sigma_big.name}")
+    strategy, fold = _block_cutter(
+        f"narrowed-{sigma_big.name}", lambda: Run.start(big_inst, sigma_big),
+        expand, lambda: (small_inst.start,))
 
     def check(t: Transcript, memos: _Memos):
-        run, alive, done, block = stages(t.moves)
+        run, alive, done, picks = fold(t.moves)
         history = run.history
-        details: dict = {"blocks": len(done) + (block is not None),
-                         "alive": alive}
+        details: dict = {"blocks": len(done) + bool(picks), "alive": alive}
         holds = memos.follows(history, details)
         small_core = small_inst.start
         big_core = big_inst.start
@@ -917,39 +876,37 @@ def transfer_choose_small_to_big(sigma_small: Strategy,
     big_inst = _algebra_g_instance(small_inst, nu ** beta,
                                    small_inst.rounds // beta)
     algebra = small_inst.algebra
-    reply = _replies(small_inst, sigma_small)
+    first, reply = _replies(small_inst, sigma_small)
 
     def step(stage, entry):
-        """One wide cut (the trailing unanswered one too): the narrow picker
-        answers its beta factored levels, and the reply is the element its
-        picks recover (the first piece when they recover nothing).  The
-        stage counts the blocks and those that recovered nothing."""
-        run, blocks, dead, _ = stage
+        """One wide cut: the narrow picker answers its beta factored
+        levels, and the reply is the element its picks recover (the first
+        piece when they recover nothing).  The stage keeps the narrow run's
+        reply node and counts the blocks and those that recovered
+        nothing."""
+        node, blocks, dead, _ = stage
         factor = factor_antichain(algebra, big_inst.start, entry[1], nu, beta)
         picks = []
         for level in factor.levels:
-            run, pick = reply(run, level)
+            node, pick = reply(node, level)
             picks.append(pick)
         code = _code_of(factor, picks)
         rec = factor.recover(code) if code else 0
-        return (run, blocks + 1, dead + (not rec),
+        return (node, blocks + 1, dead + (not rec),
                 rec if rec else sorted_masks(entry[1])[0])
 
-    stages = _Fold(lambda: (_Run.start(small_inst), 0, 0, None), step)
-
-    def decide(inst_, state, history):
-        *_, reply = stages(_cut_entries(history))
-        return reply
-
-    strategy = FunctionStrategy(CHOOSE, decide, f"widened-{sigma_small.name}")
+    strategy = _Folded(CHOOSE, f"widened-{sigma_small.name}", CUT,
+                       lambda: (first(), 0, 0, None), step,
+                       lambda state, stage: stage[-1])
 
     def check(t: Transcript, memos: _Memos):
-        run, blocks, dead, _ = stages(_cut_entries(t.moves))
+        node, blocks, dead, _ = strategy.value(t.moves)
+        run = node.value
         history = run.history
         details: dict = {"blocks": blocks, "dead_blocks": dead}
         holds = memos.follows(history, details)
         small_core = run.state.core
-        big_core = t.states[-1].core
+        big_core = t.run.state.core
         if details["dead_blocks"]:
             if small_core & ~big_core:
                 holds = False
@@ -983,7 +940,7 @@ def witness_to_cut_strategy(seq: Sequence[tuple],
         raise ValidationError("witness strategies use the cut-the-start convention")
     if len(seq) < inst.rounds:
         raise ValidationError("sequence shorter than the game")
-    opening = _Run.start(inst).state
+    opening = initial_state(inst)
     for move in seq[:inst.rounds]:
         validate_move(inst, opening, tuple(move))
 
@@ -1018,20 +975,20 @@ def cut_strategy_to_witness(sigma: Strategy,
     if inst.poset is not None:
         raise ValidationError("witness construction needs meets "
                               "(set or algebra structure)")
-    frontier = [_Run.start(inst)]
+    frontier = [Run.start(inst, sigma)]
     positional = isinstance(sigma, TableStrategy)
     seq: list[tuple] = []
     nodes = 0
     for _ in range(inst.rounds):
         pieces: set = set()
-        nxt: list[_Run] = []
+        nxt: list[Run] = []
         nxt_seen: set = set()
         for run in frontier:
             nodes += 1
             if nodes > WITNESS_BUDGET:
                 raise CapacityError("witness construction exceeded its budget",
                                     {"nodes": nodes})
-            move = run.ask(sigma)
+            move = run.ask()
             validate_move(inst, run.state, move)
             cut = run.then(move)
             for y in move:
@@ -1087,11 +1044,12 @@ def witness_to_empty_strategy(seq: Sequence[tuple],
         return None
 
     def decide(inst_, state, history):
-        if not history:
+        # the current set is the survivor's last move, and the rounds
+        # played count the emptier's moves so far
+        if state.round == 0:
             return bm_inst.start
-        idx = sum(1 for role, _ in history if role == EMPTY) - 1
-        y = history[-1][1]
-        x = walk_pick(idx, y)
+        y = state.core
+        x = walk_pick(state.round - 1, y)
         return y & x if x is not None else y
 
     strategy = FunctionStrategy(EMPTY, decide, "witness-walk")
@@ -1100,10 +1058,11 @@ def witness_to_empty_strategy(seq: Sequence[tuple],
         picks: list[Optional[int]] = []
         detach = None
         idx = 0
-        for i, (role, move) in enumerate(t.moves):
+        moves = t.moves
+        for i, (role, move) in enumerate(moves):
             if role != EMPTY or i == 0:
                 continue
-            x = walk_pick(idx, t.moves[i - 1][1])
+            x = walk_pick(idx, moves[i - 1][1])
             picks.append(x)
             if x is None and detach is None:
                 detach = idx
@@ -1112,7 +1071,7 @@ def witness_to_empty_strategy(seq: Sequence[tuple],
         details: dict = {"detach_stage": detach,
                          "walk": [None if p is None else memos.mask(p)
                                   for p in picks]}
-        final = t.states[-1].core
+        final = t.run.state.core
         inter = bm_inst.start
         for p in picks:
             if p is None:
@@ -1149,11 +1108,11 @@ def empty_to_cut_strategy(sigma_e: Strategy,
     """
     _require_bm_ideal(bm_inst, "empty_to_cut_strategy")
     fam = bm_inst.family
-    opening = _Run.start(bm_inst)
-    x0 = opening.ask(sigma_e)
+    opening = Run.start(bm_inst, sigma_e)
+    x0 = opening.ask()
     g_inst = weak_g_instance(bm_inst, x0)
 
-    def expand(run: _Run):
+    def expand(run: Run):
         """One cut: the greedy maximal positive family of emptier responses
         below the current auxiliary set, plus its canonical extension over
         the opening set.  A response pick advances the run through its
@@ -1166,7 +1125,7 @@ def empty_to_cut_strategy(sigma_e: Strategy,
                  if all((a & w) in fam for w in responses)), None)
             if witness is None:
                 break
-            r = run.then(witness).ask(sigma_e)
+            r = run.then(witness).ask()
             if r in sources:
                 raise TransformSoundnessError(
                     "emptier repeated a response across distinct dense calls")
@@ -1191,12 +1150,11 @@ def empty_to_cut_strategy(sigma_e: Strategy,
         raise TransformSoundnessError(
             "cutter consulted after an extension pick ended the game")
 
-    stages, decide = _block_cutter(lambda: opening.then(x0), expand,
-                                   dead_cut)
-    strategy = FunctionStrategy(CUT, decide, f"emptier-cut-{sigma_e.name}")
+    strategy, fold = _block_cutter(f"emptier-cut-{sigma_e.name}",
+                                   lambda: opening.then(x0), expand, dead_cut)
 
     def check(t: Transcript, memos: _Memos):
-        run, alive, done, _ = stages(t.moves)
+        run, alive, done, _ = fold(t.moves)
         history = run.history
         details: dict = {"alive": alive,
                          "aux_rounds": (len(history) - 1) // 2,
@@ -1241,25 +1199,23 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
     g_inst = weak_g_instance(bm_inst, start)
 
     def opening():
-        run = _Run.start(bm_inst).then(start)
-        return run.then(run.ask(sigma_n)), 0, start
+        run = Run.start(bm_inst, sigma_n).then(start)
+        return run.then(run.ask()), 0, start
 
     def step(stage, entry):
-        """One pick (the cuts are this strategy's own), trimmed to the
-        survivor's current set, the aux run's core: the emptier plays it
-        and the survivor answers, except after the final pick.  The stage
-        keeps the picks so far and the start trimmed by each of them."""
+        """One pick, trimmed to the survivor's current set, the aux run's
+        core: the emptier plays it and the survivor answers, except after
+        the final pick.  The stage keeps the picks so far and the start
+        trimmed by each of them."""
         run, picks, inter = stage
         trimmed = entry[1] & run.state.core
         if picks + 1 < g_inst.rounds:
             run = run.then(trimmed)
-            run = run.then(run.ask(sigma_n))
+            run = run.then(run.ask())
         return run, picks + 1, inter & trimmed
 
-    stages = _Fold(opening, step)
-
-    def decide(inst_, state, history):
-        y = stages(history[1::2])[0].state.core
+    def answer(state, stage):
+        y = stage[0].state.core
         fits = [w for w in state.pending if is_positive(fam, w & y)]
         if not fits:
             raise TransformSoundnessError(
@@ -1267,15 +1223,15 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
                 "positively")
         return min(fits, key=mask_key)
 
-    strategy = FunctionStrategy(CHOOSE, decide,
-                                f"survivor-pick-{sigma_n.name}")
+    strategy = _Folded(CHOOSE, f"survivor-pick-{sigma_n.name}", CHOOSE,
+                       opening, step, answer)
 
     def check(t: Transcript, memos: _Memos):
-        run, _, inter = stages(t.moves[1::2])
+        run, _, inter = strategy.value(t.moves)
         history = run.history
         details: dict = {}
         holds = memos.follows(history, details)
-        g_core = t.states[-1].core
+        g_core = t.run.state.core
         if inter & ~g_core:
             holds = False
             details["relation_violated"] = memos.mask(inter & ~g_core)
@@ -1306,31 +1262,31 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
         """One opposing move.  The first is the opening set and starts the
         picker's run in the weak generalized game on it; each later one
         must be a picker answer at the stage's run, and moves to the run it
-        maps to.  The stage is (reply, run, each answer to one more cut at
-        the run -> the run its first cut in canonical order extends to)."""
+        maps to.  The stage is (reply, the run's reply node, each answer to
+        one more cut at the run -> the node its first cut in canonical
+        order extends to)."""
         move = entry[1]
         if stage is None:
-            run = _Run.start(source_instance("choose_to_nonempty",
-                                             bm_inst, move))
-            reply = _replies(run.inst, provider(move))
+            g_inst = source_instance("choose_to_nonempty", bm_inst, move)
+            first, reply = _replies(g_inst, provider(move))
+            node = first()
         else:
-            reply, run, first = stage
-            run = first.get(move)
-            if run is None:
+            reply, node, answers = stage
+            node = answers.get(move)
+            if node is None:
                 raise TransformSoundnessError(
                     f"opposing move {format_mask(move)} is not a picker "
                     "response")
-        first = {}
-        for w in run.inst.start_cuts:
-            nxt, pick = reply(run, w)
-            first.setdefault(pick, nxt)
-        return reply, run, first
+        answers = {}
+        for w in node.value.inst.start_cuts:
+            nxt, pick = reply(node, w)
+            answers.setdefault(pick, nxt)
+        return reply, node, answers
 
-    stages = _Fold(lambda: None, step)
-
-    def decide(inst_, state, history):
-        responses = stages(history[0::2])[2]
-        for y in _positives_desc(fam, history[-1][1]):
+    def answer(state, stage):
+        # the opposing move just played is the current set
+        responses = stage[2]
+        for y in _positives_desc(fam, state.core):
             if all(z in responses for z in submasks(y)
                    if z and is_positive(fam, z)):
                 return y
@@ -1338,14 +1294,15 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
             "no positive set below the opposing move has all its positive "
             "subsets among the picker's responses")
 
-    strategy = FunctionStrategy(NONEMPTY, decide, "picker-survivor")
+    strategy = _Folded(NONEMPTY, "picker-survivor", EMPTY, lambda: None, step,
+                       answer)
 
     def check(t: Transcript, memos: _Memos):
         try:
-            _, run, _ = stages(t.moves[0::2])
+            _, node, _ = strategy.value(t.moves)
         except TransformSoundnessError as exc:
             return False, [], {"error": str(exc)}
-        history = run.history
+        history = node.value.history
         holds = True
         details: dict = {"stages": len(history) // 2}
         empties = [mv for role, mv in t.moves if role == EMPTY]

@@ -512,6 +512,21 @@ def test_replay_with_too_few_inputs_is_rejected(tmp_path, u4):
     assert "replay.inputs[1]" in proc.stderr
 
 
+def test_replay_with_inputs_past_the_end_is_rejected(tmp_path):
+    # the g4 game asks Choose twice: the third input is the first surplus
+    g4 = tmp_path / "g4.json"
+    g4.write_text(json.dumps(TRANSFORM_INPUTS["g4"]))
+    inst = serialize.parse_instance(g4.read_text())
+    log = tmp_path / "session.json"
+    log.write_text(json.dumps({
+        "instance": serialize.instance_to_jsonable(inst),
+        "human_role": "Choose", "inputs": [0, 0, 0, 0, 5]}))
+    proc = run_cli("play", str(g4), "--role", "choose", "--replay", str(log))
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: replay.inputs[2]: the game ends before the log\n")
+
+
 @pytest.mark.parametrize("option, value", [("--rounds", "1"),
                                            ("--ground", "2:x"),
                                            ("--ground", "3:2"),
@@ -958,6 +973,49 @@ def test_every_transform_argv_exits_cleanly(transform_input_paths, name, key,
         if value is not None:
             argv += [option, str(value)]
     assert main(argv) in (0, 1, 2)
+
+
+def _exit_code(argv) -> int:
+    """``main(argv)``'s exit code, a usage error's included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_BOUNDS = st.none() | st.tuples(st.integers(-1, 8), st.integers(-1, 8)).map(
+    lambda b: f"{b[0]}:{b[1]}") | st.sampled_from(["3", "x:2", ""])
+
+
+@given(scan=st.tuples(st.none() | st.integers(-1, 4), _BOUNDS, _BOUNDS,
+                      st.none() | st.sampled_from(
+                          ["exact", "weak", "strict_prefix", "bogus"])),
+       game=st.tuples(st.integers(1, 8), st.integers(-1, 3),
+                      st.none() | st.integers(-1, 4), st.integers(0, 2),
+                      st.sampled_from([{}, {"family": "U"},
+                                       {"family": "BM_ideal"},
+                                       {"maximal": True},
+                                       {"cut_current": True}])))
+@settings(max_examples=60, deadline=None)
+@seed(26)
+def test_every_scan_and_ablate_argv_exits_cleanly(tmp_path_factory, scan,
+                                                  game):
+    # scan's ranges over grounds of at most 8 points, and ablate on a game
+    # of at most 8 points, an ablation's game or one field off it: an exit
+    # code, never an exception
+    argv = ["scan"]
+    for option, value in zip(("--nu", "--rounds", "--ground", "--variant"),
+                             scan):
+        if value is not None:
+            argv += [option, str(value)]
+    assert _exit_code(argv) in (0, 1, 2)
+    m, rounds, width, bound, off = game
+    doc = u_doc(m=m, rounds=rounds, width=width, bound=bound)
+    doc["game"].update({"family": "G_ideal", "maximal": False,
+                        "cut_current": False, **off})
+    path = tmp_path_factory.mktemp("ablate") / "game.json"
+    path.write_text(json.dumps(doc))
+    assert _exit_code(["ablate", str(path)]) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

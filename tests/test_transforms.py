@@ -1,5 +1,7 @@
+import cProfile
 import hashlib
 import json
+import pstats
 import tracemalloc
 from dataclasses import replace
 
@@ -8,10 +10,11 @@ import pytest
 from cutchoose import analysis, serialize, transforms as tr
 from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EMPTY, G_IDEAL, G_POSET,
                               NONEMPTY, U, WEAK, FunctionStrategy,
-                              GameInstance, apply_move, copy_strategy,
-                              enumerate_playouts, first_move_strategy,
-                              greedy_picker_strategy, initial_state,
-                              legal_moves, play_out, seeded_table_strategy,
+                              GameInstance, Run, Transcript, apply_move,
+                              copy_strategy, enumerate_playouts,
+                              first_move_strategy, greedy_picker_strategy,
+                              initial_state, legal_moves, play_out,
+                              seeded_table_strategy, stage_after,
                               verify_winning_strategy)
 from cutchoose.errors import (CapacityError, SigmaSearchError,
                               TransformSoundnessError, ValidationError)
@@ -385,7 +388,8 @@ def test_empty_to_cut_trivial_one_round():
 
     out = tr.empty_to_cut_strategy(
         FunctionStrategy(EMPTY, copy_e, name="copy"), bm1)
-    move = out.strategy.decide(out.instance, initial_state(out.instance), ())
+    move = out.strategy.decide(out.instance, initial_state(out.instance),
+                               stage_after(out.strategy, ()))
     assert move == (g.full_mask,)
 
 
@@ -400,7 +404,8 @@ def test_empty_to_cut_certificate_rejects_a_stale_cut():
     out = tr.empty_to_cut_strategy(seeded_table_strategy(longer, EMPTY, 4),
                                    bm)
     stale = FunctionStrategy(
-        CUT, lambda i, s, h: out.strategy.decide(i, s, h[:-1]), name="stale")
+        CUT, lambda i, s, h: out.strategy.decide(
+            i, s, stage_after(out.strategy, h[:-1])), name="stale")
     t = play_out(out.instance, stale, first_move_strategy(out.instance, CHOOSE))
     assert t.moves[2][1] == t.moves[0][1]
     cert = out.certify(t)
@@ -452,7 +457,8 @@ def test_choose_to_nonempty_forced_single_piece():
     st = initial_state(bm1)
     from cutchoose.engine import apply_move
     st1 = apply_move(bm1, st, g.full_mask)
-    y = out.strategy.decide(bm1, st1, ((EMPTY, g.full_mask),))
+    y = out.strategy.decide(bm1, st1, stage_after(
+        out.strategy, ((EMPTY, g.full_mask),)))
     assert is_positive(bm1.family, y)
 
 
@@ -470,7 +476,8 @@ def test_choose_to_nonempty_sigma_search_failure_is_loud():
     from cutchoose.engine import apply_move
     st1 = apply_move(bm, st, bm.start)
     with pytest.raises(SigmaSearchError):
-        out.strategy.decide(bm, st1, ((EMPTY, bm.start),))
+        out.strategy.decide(bm, st1, stage_after(out.strategy,
+                                                 ((EMPTY, bm.start),)))
 
 
 def test_choose_to_nonempty_rejects_foreign_moves():
@@ -500,7 +507,8 @@ def test_choose_to_nonempty_rejects_foreign_moves():
     history = ((EMPTY, bm.start), (NONEMPTY, bm.start), (EMPTY, foreign))
     with pytest.raises(TransformSoundnessError):
         from cutchoose.engine import GameState
-        out.strategy.decide(bm, GameState(1, NONEMPTY, foreign, None), history)
+        out.strategy.decide(bm, GameState(1, NONEMPTY, foreign, None),
+                            stage_after(out.strategy, history))
 
 
 def test_transfer_choose_beta_three():
@@ -759,6 +767,30 @@ def test_a_deep_transcript_certifies_with_a_cold_memo():
     assert cert.holds and len(cert.aux_moves) == 2 * bm.rounds
 
 
+def _fold_work(rounds) -> int:
+    """The stage work of one playout of the 4-point nonempty_to_choose
+    game: cProfile's counts of the stage steps (the transforms' ``step``
+    functions) and of the trie lookups (``dict.get``)."""
+    bm = bm_ideal(4, rounds)
+    out = tr.nonempty_to_choose_strategy(copy_strategy(bm), bm, bm.start)
+    profile = cProfile.Profile()
+    profile.runcall(play_out, out.instance,
+                    first_move_strategy(out.instance, CUT), out.strategy)
+    return sum(calls for (path, _, name), (_, calls, *_)
+               in pstats.Stats(profile).stats.items()
+               if name == "<method 'get' of 'dict' objects>"
+               or (name == "step" and path.endswith("transforms.py")))
+
+
+def test_a_playout_steps_its_stages_in_linear_work():
+    # each decision steps its stage once from the last, never from the
+    # empty prefix: doubling the rounds about doubles the steps and lookups
+    # (a lookup from the root per decision quadruples them)
+    work = [_fold_work(rounds) for rounds in (750, 1500, 3000)]
+    assert all(longer <= 2.2 * shorter
+               for shorter, longer in zip(work, work[1:])), work
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -815,7 +847,8 @@ def test_a_stage_that_raises_caches_nothing():
     after_cut = apply_move(g_inst, start, w)
     for _ in range(2):
         with pytest.raises(TransformSoundnessError):
-            out.strategy.decide(g_inst, after_cut, ((CUT, w),))
+            out.strategy.decide(g_inst, after_cut,
+                                stage_after(out.strategy, ((CUT, w),)))
         assert len(calls) == 1
 
 
@@ -1010,9 +1043,10 @@ def test_a_foreign_opposing_move_fails_under_the_one_relation():
     out = tr.choose_to_nonempty_strategy(lambda x0: greedy_picker_strategy(
         tr.source_instance("choose_to_nonempty", bm, x0)), bm)
     t = play_out(bm, _copy_emptier(), out.strategy)
-    moves = list(t.moves)
-    moves[2] = (EMPTY, 0b0001)
-    cert = out.certify(replace(t, moves=moves))
+    foreign = Run.start(bm)
+    for i, (_, move) in enumerate(t.moves):
+        foreign = foreign.then(0b0001 if i == 2 else move)
+    cert = out.certify(Transcript(foreign, t.winner, t.reason))
     assert (cert.kind, cert.relation, cert.holds, cert.aux_moves) == (
         "choose_to_nonempty", RELATIONS["choose_to_nonempty"], False, [])
     assert "is not a picker response" in cert.details["error"]
