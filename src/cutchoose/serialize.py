@@ -3,8 +3,8 @@
 Emitters build plain dicts with a fixed insertion order and serialize via
 ``dumps``; outputs are byte-stable across runs, which the golden tests pin.
 A strategy document, the largest, is the exception: ``serialize_strategy``
-writes its fixed shape as text, byte for byte what ``dumps`` makes of
-``strategy_to_jsonable``, and both take their content from one helper.
+writes its fixed shape as text, byte for byte what ``dumps`` makes of the
+document built as dicts (the tests build it apart, as the writer's oracle).
 Subset masks appear in text form as element lists like ``{0,2,3}``; hex
 literals are accepted on input.
 """
@@ -291,98 +291,94 @@ class _Memo(dict):
         return value
 
 
-# The fields of a strategy entry's ``state``, in document order.
-_STATE_FIELDS = ("round", "to_move", "core", "pending")
-
-
 def _key_sort_key(state: GameState):
     # A parsed table may hold ``pending`` null and a list for the same core.
     rnd, to_move, core, pending = state
     return (rnd, to_move, core, pending if pending is not None else ())
 
 
-def _strategy_rows(inst: GameInstance, strategy: TableStrategy):
-    """The document of ``strategy``, decided in one place: its header fields
-    and its entries in document order, each entry the jsonable values of
-    ``_STATE_FIELDS`` and then of its move.  Each mask is formatted once per
-    call."""
-    texts = _Memo(format_mask)
-
-    def plain(x):
-        return x
-
-    piece = texts.__getitem__ if moves_are_masks(inst) else plain
-    core = texts.__getitem__ if _cores_are_masks(inst) else plain
-
-    def move(mv):
-        if not isinstance(mv, tuple):
-            return piece(mv)
-        return [move(p) if isinstance(p, tuple) else piece(p) for p in mv]
-
-    table = strategy.entries
-    head = {"schema_version": SCHEMA_VERSION, "role": strategy.role,
-            "kind": strategy.kind}
-
-    def rows():
-        for state in sorted(table, key=_key_sort_key):
-            rnd, to_move, at, pending = state
-            yield (rnd, to_move, core(at),
-                   None if pending is None else move(pending),
-                   move(table[state]))
-
-    return head, rows()
+def _json_at(v, depth: int) -> str:
+    """``v`` as ``dumps`` writes it at ``depth`` (2 spaces each)."""
+    if v.__class__ is int:
+        return int.__repr__(v)
+    if v.__class__ is str:
+        return encode_basestring_ascii(v)
+    return json.dumps(v, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def strategy_to_jsonable(inst: GameInstance, strategy: TableStrategy) -> dict:
-    head, rows = _strategy_rows(inst, strategy)
-    return {**head, "entries": [
-        {"state": dict(zip(_STATE_FIELDS, row)), "move": row[-1]}
-        for row in rows]}
-
-
-# One strategy entry as ``dumps`` lays it out: state fields at depth 4, the
-# move at depth 3.
-_ENTRY_TEXT = ('    {\n      "state": {\n'
-               + ",\n".join(f'        "{f}": %s' for f in _STATE_FIELDS)
-               + '\n      },\n      "move": %s\n    }')
+# A strategy entry as ``dumps`` lays it out (state fields at depth 4, the
+# move at depth 3) is ``_STATE_HEAD`` filled in with its round, to_move and
+# core, then its ``pending``, ``_MOVE_HEAD``, its move and ``_ENTRY_END``,
+# which closes the entry and separates it from the next.
+_STATE_HEAD = ('    {\n      "state": {\n        "round": %s,\n'
+               '        "to_move": %s,\n        "core": %s,\n'
+               '        "pending": ')
+_MOVE_HEAD = '\n      },\n      "move": '
+_ENTRY_END = '\n    },\n'
 
 
 def serialize_strategy(inst: GameInstance, strategy: TableStrategy) -> str:
-    """``dumps(strategy_to_jsonable(inst, strategy))``, byte for byte, written
-    for the document's fixed shape instead of through the generic encoder."""
-    head, rows = _strategy_rows(inst, strategy)
-    quoted = _Memo(encode_basestring_ascii)
+    """The strategy document of ``strategy``, byte for byte what ``dumps``
+    makes of it, written for the document's fixed shape instead of through
+    the generic encoder.  Entries are in state order, a null ``pending``
+    sorting as an empty list.  Each mask is formatted, and each move
+    written, once per call: a move's text depends only on its value."""
+    table = strategy.entries
+    try:
+        states = sorted(table)
+    except TypeError:
+        # a null and a list ``pending`` under one (round, to_move, core):
+        # the key sorts the null as an empty list, and agrees with plain
+        # tuple order wherever that is defined
+        states = sorted(table, key=_key_sort_key)
+    masks = _Memo(lambda mask: encode_basestring_ascii(format_mask(mask)))
+    if moves_are_masks(inst):
+        def piece(p, depth: int) -> str:
+            return masks[p]
+    else:
+        piece = _json_at
+    core = (masks.__getitem__ if _cores_are_masks(inst)
+            else lambda c: _json_at(c, 4))
 
-    def text(v, depth: int) -> str:
-        # a jsonable value as ``dumps`` writes it at ``depth`` (2 spaces each)
-        if v.__class__ is str:
-            return quoted[v]
-        if v.__class__ is int:
-            return int.__repr__(v)
-        if v.__class__ is list:
-            if not v:
-                return "[]"
-            inner = "\n" + "  " * (depth + 1)
-            return ("[" + inner + ("," + inner).join(
-                [quoted[x] if x.__class__ is str else text(x, depth + 1)
-                 for x in v])
-                + "\n" + "  " * depth + "]")
-        return json.dumps(v)
+    # a list's opening, separator and closing at each depth
+    frames = _Memo(lambda depth: ("[\n" + "  " * (depth + 1),
+                                  ",\n" + "  " * (depth + 1),
+                                  "\n" + "  " * depth + "]"))
 
-    entries = [_ENTRY_TEXT % (text(rnd, 4), text(to_move, 4), text(core, 4),
-                              text(pending, 4), text(move, 3))
-               for rnd, to_move, core, pending, move in rows]
-    return ("{\n" + "".join(f'  "{k}": {text(v, 1)},\n'
-                            for k, v in head.items())
-            + '  "entries": '
-            + ("[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]")
-            + "\n}\n")
+    def move(mv, depth: int) -> str:
+        if not isinstance(mv, tuple):
+            return piece(mv, depth)
+        if not mv:
+            return "[]"
+        start, sep, end = frames[depth]
+        return start + sep.join([move(p, depth + 1) if isinstance(p, tuple)
+                                 else piece(p, depth + 1) for p in mv]) + end
+
+    pending_text = _Memo(lambda p: "null" if p is None else move(p, 4))
+    move_text = _Memo(lambda mv: move(mv, 3))
+    head = ('{\n  "schema_version": %d,\n  "role": %s,\n  "kind": %s,\n'
+            '  "entries": ' % (SCHEMA_VERSION, _json_at(strategy.role, 1),
+                               _json_at(strategy.kind, 1)))
+    if not states:
+        return head + "[]\n}\n"
+    parts = [head + "[\n"]
+    group = None
+    for state in states:
+        if state[:3] != group:
+            group = state[:3]
+            state_head = _STATE_HEAD % (_json_at(group[0], 4),
+                                        _json_at(group[1], 4), core(group[2]))
+        parts += (state_head, pending_text[state[3]], _MOVE_HEAD,
+                  move_text[table[state]], _ENTRY_END)
+    parts[-1] = "\n    }\n  ]\n}\n"  # the last entry closes the document
+    return "".join(parts)
 
 
 def strategy_from_jsonable(inst: GameInstance, obj: dict) -> TableStrategy:
     """Parse a strategy document.  Every field of every entry is checked; an
     error names its field, the path being built only when a check fails.
-    Each distinct mask text is parsed once per call."""
+    Each distinct mask text is parsed once per call.  A position listed
+    twice is refused."""
     if _req(obj, "schema_version", None, "strategy") != SCHEMA_VERSION:
         raise ValidationError("unsupported", "strategy.schema_version")
     role = _req(obj, "role", str, "strategy")
@@ -418,8 +414,8 @@ def strategy_from_jsonable(inst: GameInstance, obj: dict) -> TableStrategy:
         except ValidationError as exc:
             raise _under(rel, exc) from None
 
-    entries = {}
-    for i, e in enumerate(_req(obj, "entries", list, "strategy")):
+    def entry(i: int, e) -> tuple:
+        # the entry's position and move, each field checked on its own
         try:
             sobj = _req(e, "state", dict, "")
             pending = sobj.get("pending")
@@ -431,9 +427,50 @@ def strategy_from_jsonable(inst: GameInstance, obj: dict) -> TableStrategy:
                 _req(sobj, "to_move", str, ".state"), core,
                 None if pending is None else at(".state.pending", move, _req(
                     sobj, "pending", list, ".state")))
-            entries[state] = at(".move", move, _req(e, "move", None, ""))
+            return state, at(".move", move, _req(e, "move", None, ""))
         except ValidationError as exc:
             raise _under(f"strategy.entries[{i}]", exc) from None
+
+    # Entries of the common shape are read in one loop: each field by
+    # subscription, each type by its class and each mask text through the
+    # memo, whose lookup refuses a value that is not a string (with
+    # ``parse_mask``'s error, or ``TypeError`` for a list).  Any other entry,
+    # one with an error included, is read by ``entry``, which names the
+    # field at fault.  ``tuple.__new__`` builds a ``GameState`` without the
+    # named tuple's constructor, a Python call; ``(*map(...),)`` builds each
+    # tuple at its size, where ``tuple(map(...))`` allocates ten slots and
+    # shrinks.
+    fast = moves_are_masks(inst)  # and then the cores are masks too
+    get = masks.__getitem__
+    new = tuple.__new__
+    items = _req(obj, "entries", list, "strategy")
+    entries = {}
+    for i, e in enumerate(items):
+        if fast:
+            try:
+                sobj = e["state"]
+                rnd, to_move = sobj["round"], sobj["to_move"]
+                pending, mv = sobj.get("pending"), e["move"]
+                if (rnd.__class__ is int and to_move.__class__ is str
+                        and (pending is None or pending.__class__ is list)):
+                    entries[new(GameState, (
+                        rnd, to_move, get(sobj["core"]),
+                        None if pending is None
+                        else (*map(get, pending),)))] = (
+                        (*map(get, mv),) if mv.__class__ is list
+                        else get(mv))
+                    continue
+            except (KeyError, TypeError, ValidationError):
+                pass
+        state, move_ = entry(i, e)
+        entries[state] = move_
+    if len(entries) < len(items):
+        first = {}
+        for j, e in enumerate(items):
+            i = first.setdefault(entry(j, e)[0], j)
+            if i != j:
+                raise ValidationError(f"position repeats strategy.entries[{i}]",
+                                      f"strategy.entries[{j}]")
     return TableStrategy(role, entries)
 
 

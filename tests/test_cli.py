@@ -709,11 +709,11 @@ def test_verify_json_nodes_on_a_ladder_game(tmp_path, capsys):
 def test_a_plain_solve_encodes_no_document(tmp_path, u4, capsys,
                                            monkeypatch):
     built = []
-    for name in ("dumps", "strategy_to_jsonable"):
-        def record(*args, name=name, real=getattr(serialize, name)):
-            built.append(name)
-            return real(*args)
-        monkeypatch.setattr(serialize, name, record)
+
+    def record(*args, real=serialize.dumps):
+        built.append("dumps")
+        return real(*args)
+    monkeypatch.setattr(serialize, "dumps", record)
     table = tmp_path / "table.json"
     assert main(["solve", u4, "--strategy-out", str(table)]) == 0
     assert main(["solve", u4]) == 0
@@ -729,22 +729,42 @@ def test_a_plain_solve_encodes_no_document(tmp_path, u4, capsys,
 
 # Each bad entry comes last, after entries that use the same mask texts;
 # the expected lines must not depend on what those entries left in the
-# parser's mask memo.
+# parser's mask memo.  Each edit takes the list of entries.
 @pytest.mark.parametrize("edit, line", [
-    (lambda e: e["state"].update(core="{0,99}"),
+    (lambda es: es[-1]["state"].update(core="{0,99}"),
      "strategy.entries[79].state.core: mask '{0,99}' has points outside "
      "ground of size 5"),
-    (lambda e: e["state"].update(round=True),
+    (lambda es: es[-1]["state"].update(round=True),
      "strategy.entries[79].state.round: field 'round' must be int"),
-    (lambda e: e.pop("move"), "strategy.entries[79].move: missing field"),
+    (lambda es: es[-1].pop("move"),
+     "strategy.entries[79].move: missing field"),
     # a string ``pending`` is refused, not read as one mask
-    (lambda e: e["state"].update(pending=e["state"]["pending"][0]),
+    (lambda es: es[-1]["state"].update(pending=es[-1]["state"]["pending"][0]),
      "strategy.entries[79].state.pending: field 'pending' must be list"),
-    (lambda e: e["state"].update(
-        pending=[e["state"]["pending"][0], ["{1}", "{1,99}"]]),
+    (lambda es: es[-1]["state"].update(
+        pending=[es[-1]["state"]["pending"][0], ["{1}", "{1,99}"]]),
      "strategy.entries[79].state.pending[1][1]: mask '{1,99}' has points "
      "outside ground of size 5"),
-], ids=["core", "round", "move", "pending_string", "pending_nested"])
+    (lambda es: es[-1]["state"].update(to_move=1),
+     "strategy.entries[79].state.to_move: field 'to_move' must be str"),
+    (lambda es: es[-1]["state"].update(core=7),
+     "strategy.entries[79].state.core: mask must be a string, got 7"),
+    (lambda es: es.append([es.pop()]),
+     "strategy.entries[79]: must be an object"),
+    (lambda es: es[-1].update(state=[es[-1]["state"]]),
+     "strategy.entries[79].state: field 'state' must be dict"),
+    (lambda es: es[-1]["state"].pop("round"),
+     "strategy.entries[79].state.round: missing field"),
+    (lambda es: es[-1]["state"].update(pending=3),
+     "strategy.entries[79].state.pending: field 'pending' must be list"),
+    (lambda es: es[-1].update(move=None),
+     "strategy.entries[79].move: mask must be a string, got None"),
+    (lambda es: es[-1]["state"].update(
+        pending=[es[-1]["state"]["pending"][0], 5]),
+     "strategy.entries[79].state.pending[1]: mask must be a string, got 5"),
+], ids=["core", "round", "move", "pending_string", "pending_nested",
+        "to_move_int", "core_int", "entry_list", "state_list",
+        "round_missing", "pending_number", "move_null", "piece_int"])
 def test_a_bad_entry_behind_a_warm_cache_names_its_field(tmp_path, capsys,
                                                         edit, line):
     game = tmp_path / "u5.json"
@@ -754,11 +774,33 @@ def test_a_bad_entry_behind_a_warm_cache_names_its_field(tmp_path, capsys,
     doc = json.loads(table.read_text())
     assert len(doc["entries"]) == 80
     assert doc["entries"][-1]["state"]["pending"] == ["{1,3,4}", "{2}"]
-    edit(doc["entries"][-1])
+    edit(doc["entries"])
     table.write_text(json.dumps(doc))
     proc = run_cli("verify", str(game), "--strategy", str(table))
     assert proc.returncode == 1
     assert proc.stderr == f"error: {line}\n"
+
+
+def test_a_repeated_position_is_refused(tmp_path):
+    # the same position as entry 3, its core written in hex and its move
+    # another; reading either move would be a silent choice
+    game = tmp_path / "u5.json"
+    game.write_text(json.dumps(u_doc(m=5, rounds=2)))
+    table = tmp_path / "table.json"
+    assert main(["solve", str(game), "--strategy-out", str(table)]) == 0
+    doc = json.loads(table.read_text())
+    first = doc["entries"][3]
+    assert first == {"state": {"round": 0, "to_move": "Choose",
+                               "core": "{0,1,2,3,4}",
+                               "pending": ["{0,1,2}", "{3,4}"]},
+                     "move": "{0,1,2}"}
+    doc["entries"].append({"state": {**first["state"], "core": "0x1f"},
+                           "move": "{3,4}"})
+    table.write_text(json.dumps(doc))
+    proc = run_cli("verify", str(game), "--strategy", str(table))
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: strategy.entries[80]: position repeats "
+                           "strategy.entries[3]\n")
 
 
 @pytest.mark.parametrize("edit, field", [

@@ -1,17 +1,19 @@
-"""Strategy documents: the fixed-shape writer against the generic encoder,
-and the parser against the table it came from."""
+"""Strategy documents: the fixed-shape writer against an oracle that builds
+the document from the schema alone for the generic encoder, and the parser
+against the table it came from."""
 
 import functools
 import json
 
 from hypothesis import given, seed, settings, strategies as st
 
+from cutchoose import serialize
 from cutchoose.engine import (BM_IDEAL, BM_POSET, CHOOSE, CUT, G_IDEAL,
                               G_POSET, U, GameInstance, GameState,
                               TableStrategy, seeded_table_strategy,
                               tabulate_strategy)
 from cutchoose.serialize import (dumps, serialize_strategy,
-                                 strategy_from_jsonable, strategy_to_jsonable)
+                                 strategy_from_jsonable)
 from cutchoose.solver import solve
 from cutchoose.structures import (FiniteBooleanAlgebra, FinitePoset,
                                   GroundSet, Ideal, MonotoneFamily)
@@ -48,6 +50,37 @@ def _size(inst):
     if inst.ground is not None:
         return inst.ground.size
     return inst.algebra.atoms.size if inst.algebra else inst.poset.size
+
+
+def _mask_text(mask):
+    return "{" + ",".join(str(i) for i in range(mask.bit_length())
+                          if mask >> i & 1) + "}"
+
+
+def strategy_to_jsonable(inst, strategy):
+    """The oracle of the writer: the strategy document as plain values,
+    built from the schema alone.  Entries are in state order, a null
+    ``pending`` sorting as an empty list."""
+    moves_are_masks = inst.poset is None
+    cores_are_masks = moves_are_masks or inst.game_family == G_POSET
+
+    def move(mv):
+        if isinstance(mv, tuple):
+            return [move(p) for p in mv]
+        return _mask_text(mv) if moves_are_masks else mv
+
+    def order(state):
+        return (*state[:3], () if state.pending is None else state.pending)
+
+    return {"schema_version": 1, "role": strategy.role, "kind": strategy.kind,
+            "entries": [
+                {"state": {"round": s.round, "to_move": s.to_move,
+                           "core": (_mask_text(s.core) if cores_are_masks
+                                    else s.core),
+                           "pending": (None if s.pending is None
+                                       else move(s.pending))},
+                 "move": move(strategy.entries[s])}
+                for s in sorted(strategy.entries, key=order)]}
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,3 +179,38 @@ def test_the_empty_table_is_an_empty_list():
     inst = GAMES["BM_poset"][0]
     text = _assert_round_trip(inst, TableStrategy(CUT, {}))
     assert text.endswith('"entries": []\n}\n')
+
+
+def _counting(monkeypatch, name):
+    """The arguments of each call of ``serialize.<name>`` from now on."""
+    calls = []
+    real = getattr(serialize, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(serialize, name, counted)
+    return calls
+
+
+def test_each_mask_is_written_and_read_once(monkeypatch):
+    # the ladder's m = 8 generated_by game, its generators unplaced: the
+    # 3,552 entries hold 14,206 masks, 255 of them distinct
+    ground = GroundSet(8)
+    inst = GameInstance(
+        game_family=U, start=ground.full_mask, rounds=3, width=2,
+        ground=ground,
+        family=MonotoneFamily.generated_by(ground, [0b1111, 0b1111000]))
+    table = solve(inst).strategy
+    assert len(table.entries) == 3552
+    masks = set()
+    for state, move in table.entries.items():
+        masks.update((state.core,) + (state.pending or ()) + (
+            move if isinstance(move, tuple) else (move,)))
+    formatted = _counting(monkeypatch, "format_mask")
+    text = serialize_strategy(inst, table)
+    assert sorted(formatted) == sorted(masks)
+    parsed = _counting(monkeypatch, "parse_mask")
+    assert strategy_from_jsonable(inst, json.loads(text)).entries == \
+        table.entries
+    assert sorted(parsed) == sorted(map(_mask_text, masks))
