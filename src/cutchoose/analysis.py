@@ -427,7 +427,7 @@ def maximality_ablation(inst: GameInstance) -> AblationReport:
     a, b = pair
     family = inst.family
 
-    def decide(inst_, state, history):
+    def decide(inst_, state):
         if state.round == 0:
             return tuple(sorted_masks((a, b)))
         if (a & state.core) in family:

@@ -19,7 +19,8 @@ count outside its range (``digit_split``'s ``--m``, ``--nu`` and
 sigma is solved), a ``lo:hi`` range that is empty or leaves its domain,
 ``audit --seed`` or ``--per-family`` beside an instance file,
 ``solve --strategy-out`` beside ``--no-strategy``, and a strategy file
-whose role the game does not have (``strategy.role``).
+whose role the game does not have (``strategy.role``) or whose ``kind``
+is not a positional table (``strategy.kind``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ._version import ENGINE_VERSION
 from .engine import (CHOOSE, CUT, EMPTY, NONEMPTY, GameInstance, apply_move,
                      copy_strategy, first_move_strategy,
                      greedy_picker_strategy, initial_state, legal_moves,
-                     seeded_table_strategy, stage_after, tabulate_strategy,
+                     seeded_table_strategy, tabulate_strategy,
                      terminal_status, verify_winning_strategy)
 from .errors import CapacityError, CutChooseError, ValidationError
 from .solver import refute, solve, strategy_for
@@ -421,7 +422,7 @@ def cmd_play(args) -> int:
     inst = _read_instance(args.instance)
     human_role = {"cut": inst.cutter, "choose": inst.picker}[args.role]
     machine_role = inst.opponent(human_role)
-    # A positional table: its stage is empty whatever the history.
+    # A positional table: its stage is None whatever the history.
     winner, machine = strategy_for(inst, machine_role)
 
     replay_inputs = None
@@ -445,7 +446,7 @@ def cmd_play(args) -> int:
     while outcome.ongoing:
         role = state.to_move
         if role == machine_role:
-            move = machine.decide(inst, state, stage_after(machine, ()))
+            move = machine.decide(inst, state, None)
             print(f"[{role}] plays {_show_move(inst, move)}", file=out)
         else:
             moves = legal_moves(inst, state)

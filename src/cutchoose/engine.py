@@ -41,12 +41,13 @@ Games*, LNCS 2500, 2002): ``start()``, ``step(stage, entry)`` and
 ``decide(inst, state, stage)``.  A walk extends one ``Run`` and one stage
 per move, so a playout of depth d costs O(d) and the transcripts of one
 walk share their prefixes; a caller that holds only a history folds it
-with ``stage_after``.  The tree walk (verification, playouts) follows every
+with ``stage_after``.  A table or a ``FunctionStrategy`` is positional,
+its stage ``None``.  The tree walk (verification, playouts) follows every
 canonical opposing line and hands each leaf to a callback; the positional
-walk (tabulation) visits each reachable position once to build a
-positional table.  Verifying a positional table, the tree walk expands each
-position once too: it counts a subtree it has already seen won without
-walking it again, so it still reports tree nodes.
+walk (tabulation) visits each reachable position once to build a table.
+Verifying a positional strategy, the tree walk expands each position once
+too: it counts a subtree it has already seen won without walking it
+again, so it still reports tree nodes.
 """
 
 from __future__ import annotations
@@ -371,10 +372,6 @@ def apply_move(inst: GameInstance, state: GameState, move,
 # Strategies
 # ---------------------------------------------------------------------------
 
-POSITIONAL_TABLE = "positional_table"
-SIMULATION = "simulation"
-
-
 class Strategy:
     """A deterministic decision procedure for one role, stepped with the
     walk that asks it.
@@ -384,12 +381,10 @@ class Strategy:
     entries and its own), and ``decide(inst, state, stage)`` the move at
     the position ``state`` that the history reaches.  All three are pure
     and stages immutable, so one strategy object serves many concurrent
-    playouts and tree branches.  This base class is positional: its stage
-    is ``None``, the empty stage, which no entry changes and the tree walk
-    and ``Run`` do not step.
+    playouts and tree branches.  A strategy is positional exactly when its
+    stage is ``None``, the empty stage, which no entry changes and the tree
+    walk and ``Run`` do not step; this base class is.
     """
-
-    kind = SIMULATION
 
     def __init__(self, role: str, name: str = ""):
         self.role = role
@@ -408,7 +403,7 @@ class Strategy:
 class TableStrategy(Strategy):
     """Positional strategy backed by an explicit state-to-move table."""
 
-    kind = POSITIONAL_TABLE
+    kind = "positional_table"  # its strategy document's ``kind``
 
     def __init__(self, role: str, entries: dict, name: str = "table"):
         super().__init__(role, name)
@@ -422,57 +417,15 @@ class TableStrategy(Strategy):
                                 f"{tuple(state)}") from None
 
 
-class History(Sequence):
-    """A history as a parent-pointer chain: the history one entry shorter
-    (``None`` for the empty history) and its last ``(role, move)`` entry.
-    It reads as the tuple of its entries, equal to it and hashed as it,
-    built on each read but for its length: extending a history costs O(1)
-    and shares its prefix."""
-    __slots__ = ("before", "entry", "size")
-
-    def __init__(self, before: Optional["History"] = None,
-                 entry: Optional[tuple] = None):
-        self.before, self.entry = before, entry
-        self.size = 0 if before is None else before.size + 1
-
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        entries = []
-        node = self
-        while node.size:
-            entries.append(node.entry)
-            node = node.before
-        return reversed(entries)
-
-    def __getitem__(self, index):
-        return tuple(self)[index]
-
-    def __eq__(self, other):
-        return isinstance(other, (tuple, History)) and \
-            tuple(self) == tuple(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-
 class FunctionStrategy(Strategy):
-    """A strategy given as ``fn(inst, state, history)``; its stage is the
-    history, so ``fn`` reads the ``(role, move)`` entries from the start."""
+    """A positional strategy given as ``fn(inst, state)``."""
 
     def __init__(self, role: str, fn: Callable, name: str = "fn"):
         super().__init__(role, name)
         self.fn = fn
 
-    def start(self):
-        return History()
-
-    def step(self, stage, entry):
-        return History(stage, entry)
-
     def decide(self, inst, state, stage):
-        return self.fn(inst, state, stage)
+        return self.fn(inst, state)
 
 
 def stage_after(sigma: Strategy, history: Iterable):
@@ -497,7 +450,7 @@ def greedy_picker_strategy(inst: GameInstance) -> Strategy:
     first piece only triggers on non-maximal move sets.  In Banach-Mazur
     games this degenerates to replaying the current set.
     """
-    def fn(inst_, state, history):
+    def fn(inst_, state):
         if state.pending is None:
             return state.core
         pieces = sorted_pieces(inst_, state.pending)
@@ -512,7 +465,7 @@ def greedy_picker_strategy(inst: GameInstance) -> Strategy:
 
 def copy_strategy(inst: GameInstance) -> Strategy:
     """Banach-Mazur survival by repetition: always replay the current set."""
-    def fn(inst_, state, history):
+    def fn(inst_, state):
         return state.core
 
     return FunctionStrategy(inst.picker, fn, "copy")
@@ -520,7 +473,7 @@ def copy_strategy(inst: GameInstance) -> Strategy:
 
 def first_move_strategy(inst: GameInstance, role: str) -> Strategy:
     """Always play the canonically first legal move (a total baseline)."""
-    def fn(inst_, state, history):
+    def fn(inst_, state):
         moves = legal_moves(inst_, state)
         if not moves:
             raise StrategyError("no legal moves at position "
@@ -534,7 +487,7 @@ def seeded_table_strategy(inst: GameInstance, role: str, seed: int) -> Strategy:
     """Deterministic pseudo-random move selection keyed by position and seed.
     The key folds integers only (the role by its index), so ``PYTHONHASHSEED``
     cannot change it; Fibonacci hashing then spreads it over the moves."""
-    def fn(inst_, state, history):
+    def fn(inst_, state):
         moves = legal_moves(inst_, state)
         if not moves:
             raise StrategyError(f"no legal moves at position {tuple(state)}")
@@ -553,7 +506,7 @@ def fixed_point_choose_strategy(alpha: int) -> Strategy:
     Errs if the point has already been excluded, which is reachable only when
     cut moves need not cover the running core.
     """
-    def fn(inst_, state, history):
+    def fn(inst_, state):
         for p in state.pending:
             if (p >> alpha) & 1:
                 return p
@@ -703,17 +656,17 @@ def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
     forget, and any other answer keeps.  ``sigma``'s stage steps into each
     ongoing position.
 
-    For a positional table, the tree below a position depends on the
+    For a positional strategy, the tree below a position depends on the
     position alone (AND-OR evaluation with transpositions): while no leaf
     is kept, each position with no pending move whose every leaf was
     answered False keeps that subtree's node count, and a later visit adds
     the count without walking.  Nodes, the stopping leaf and the first
     error are the plain walk's.  ``node_budget`` bounds the positions
-    walked, a memo hit costing one, so a table's walk can finish under a
-    budget below its node count.  The memo lives for one call."""
+    walked, a memo hit costing one, so a positional walk can finish under
+    a budget below its node count.  The memo lives for one call."""
     nodes = walked = 0
-    won: Optional[dict[GameState, int]] = (
-        {} if sigma.kind == POSITIONAL_TABLE else None)
+    start = sigma.start()
+    won: Optional[dict[GameState, int]] = {} if start is None else None
     step = sigma.step
     _new = tuple.__new__
 
@@ -758,7 +711,7 @@ def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
 
     try:
         with depth_limited(inst.rounds, "walk", lambda: {"nodes": nodes}):
-            walk(Run.start(inst), sigma.start())
+            walk(Run.start(inst), start)
         return nodes
     finally:
         walk = None  # see tabulate_strategy: frees the memo now

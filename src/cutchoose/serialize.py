@@ -382,6 +382,10 @@ def strategy_from_jsonable(inst: GameInstance, obj: dict) -> TableStrategy:
     if _req(obj, "schema_version", None, "strategy") != SCHEMA_VERSION:
         raise ValidationError("unsupported", "strategy.schema_version")
     role = _req(obj, "role", str, "strategy")
+    kind = _req(obj, "kind", str, "strategy")
+    if kind != TableStrategy.kind:
+        raise ValidationError(f"{kind!r} is not {TableStrategy.kind!r}",
+                              "strategy.kind")
     size = _mask_size(inst)
     masks = _Memo(lambda text: parse_mask(text, size))
 

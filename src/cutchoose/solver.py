@@ -259,7 +259,7 @@ def extract_strategy(inst: GameInstance, role: str,
     """The probing walk: at the role's turn take the first move in canonical
     order that stays winning (first move overall as a best-effort fallback
     for a losing role); follow every opposing reply."""
-    def choose(inst_, state: GameState, history):
+    def choose(inst_, state: GameState):
         options = legal_moves(inst, state)
         for move in options:
             if value(apply_move(inst, state, move, check=False)) == role:

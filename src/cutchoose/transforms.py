@@ -45,7 +45,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .engine import (BM_IDEAL, CHOOSE, CUT, DEFAULT_NODE_BUDGET, EMPTY, EXACT,
                      G_IDEAL, G_POSET, NONEMPTY, U, WEAK, FunctionStrategy,
-                     GameInstance, Run, Strategy, TableStrategy, Transcript,
+                     GameInstance, Run, Strategy, Transcript,
                      core_positive, enumerate_playouts, initial_state,
                      sorted_pieces, stage_after, terminal_status,
                      validate_move)
@@ -378,7 +378,7 @@ def digit_split_cut_strategy(m: int, nu: int, n: int) -> TransformOutput:
             f"digit splitting needs m <= nu**n ({m} > {nu}**{n})")
     inst = digit_split_instance(m, nu, n)
 
-    def decide(inst_, state, history):
+    def decide(inst_, state):
         core = state.core
         elems = mask_elements(core)
         if len(elems) == 1:
@@ -944,7 +944,7 @@ def witness_to_cut_strategy(seq: Sequence[tuple],
     for move in seq[:inst.rounds]:
         validate_move(inst, opening, tuple(move))
 
-    def decide(inst_, state, history):
+    def decide(inst_, state):
         return tuple(seq[state.round])
 
     strategy = FunctionStrategy(CUT, decide, "witness-sequence")
@@ -966,7 +966,8 @@ def cut_strategy_to_witness(sigma: Strategy,
     Level r collects the meets of every consistent pick history with the
     pieces of the strategy's response there; a surviving branch through the
     output corresponds exactly to a pick line defeating the strategy
-    (checked exhaustively in tests at small scale).
+    (checked exhaustively in tests at small scale).  A positional strategy
+    (stage ``None``) is asked once per distinct position of a level.
     """
     if inst.cut_current:
         raise ValidationError("witness construction uses the cut-the-start convention")
@@ -976,7 +977,7 @@ def cut_strategy_to_witness(sigma: Strategy,
         raise ValidationError("witness construction needs meets "
                               "(set or algebra structure)")
     frontier = [Run.start(inst, sigma)]
-    positional = isinstance(sigma, TableStrategy)
+    positional = sigma.start() is None
     seq: list[tuple] = []
     nodes = 0
     for _ in range(inst.rounds):
@@ -1043,7 +1044,7 @@ def witness_to_empty_strategy(seq: Sequence[tuple],
                 return x
         return None
 
-    def decide(inst_, state, history):
+    def decide(inst_, state):
         # the current set is the survivor's last move, and the rounds
         # played count the emptier's moves so far
         if state.round == 0:
@@ -1102,9 +1103,9 @@ def empty_to_cut_strategy(sigma_e: Strategy,
     running core in the family, losing on the spot.
 
     The emptier must answer one stage beyond the nominal round count
-    (simulation strategies do, and a positional table must come from the
-    game one round longer; finite bookkeeping in place of the absorption of
-    one extra round).
+    (a function of the position does, and a table must come from the game
+    one round longer; finite bookkeeping in place of the absorption of one
+    extra round).
     """
     _require_bm_ideal(bm_inst, "empty_to_cut_strategy")
     fam = bm_inst.family

@@ -233,7 +233,7 @@ def test_criterion_06_simulation_soundness_and_win_transport():
                                        node_budget=500_000).verified
         transports += 1
 
-        def copy_e(inst_, state, history):
+        def copy_e(inst_, state):
             return state.core
 
         all_hold(tr.empty_to_cut_strategy(

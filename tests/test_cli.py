@@ -907,6 +907,29 @@ def test_a_strategy_file_for_no_role_of_the_game_is_refused(
                                                 f"{line}\n")
 
 
+@pytest.mark.parametrize("kind, line", [
+    (None, "missing field"),
+    (5, "field 'kind' must be str"),
+    ("simulation", "'simulation' is not 'positional_table'"),
+])
+def test_a_strategy_file_of_another_kind_is_refused(tmp_path, capsys, kind,
+                                                     line):
+    # the solver's table for the CI's u4 game, its kind removed or changed
+    table = tmp_path / "table.json"
+    assert main(["solve", CI_U4, "--strategy-out", str(table)]) == 0
+    doc = json.loads(table.read_text())
+    if kind is None:
+        del doc["kind"]
+    else:
+        doc["kind"] = kind
+    table.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", CI_U4, "--strategy", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: strategy.kind: "
+                                                f"{line}\n")
+
+
 def test_the_audit_of_a_long_u_game_is_pinned(tmp_path, capsys):
     # Its weak generalized games cut the start set at every cut position;
     # enumerated once per instance, the 12-round audit takes about a second.

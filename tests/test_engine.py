@@ -6,7 +6,8 @@ import pytest
 from cutchoose.engine import (BM_IDEAL, BM_POSET, CHOOSE, CUT, EMPTY, EXACT,
                               G_IDEAL, G_POSET, NONEMPTY, STRICT_PREFIX, U,
                               WEAK, FunctionStrategy, GameInstance, GameState,
-                              TableStrategy, apply_move, copy_strategy,
+                              Strategy, TableStrategy, apply_move,
+                              copy_strategy,
                               core_positive, first_move_strategy,
                               fixed_point_choose_strategy,
                               greedy_picker_strategy, initial_state,
@@ -510,7 +511,7 @@ def test_weak_two_points_one_round_always_cut():
     moves = legal_moves(inst, initial_state(inst))
     assert moves == [(0b01, 0b10)]
     for sigma in (greedy_picker_strategy(inst), fixed_point_choose_strategy(0)):
-        t = play_out(inst, FunctionStrategy(CUT, lambda i, s, h: (0b01, 0b10)),
+        t = play_out(inst, FunctionStrategy(CUT, lambda i, s: (0b01, 0b10)),
                      sigma)
         assert t.winner == CUT
 
@@ -537,7 +538,7 @@ def test_greedy_wins_every_maximal_generalized_game():
 def test_strategy_error_carries_position():
     inst = u_instance(3, 1)
 
-    def broken(inst_, state, history):
+    def broken(inst_, state):
         raise StrategyError("no move")
 
     with pytest.raises(StrategyError) as err:
@@ -653,7 +654,7 @@ def test_bm_poset_descent_to_least_element():
     inst = GameInstance(game_family=BM_POSET, start=2, rounds=2, width=None,
                         poset=chain)
 
-    def drop(inst_, state, history):
+    def drop(inst_, state):
         return 0
 
     t = play_out(inst, FunctionStrategy(EMPTY, drop), copy_strategy(inst))
@@ -810,14 +811,29 @@ def _walk_instances():
     }
 
 
+class Unmemoized(Strategy):
+    """``sigma`` (positional) behind a stage that is not ``None``, so the
+    tree walk memoizes nothing and asks it at every node."""
+
+    def __init__(self, sigma):
+        super().__init__(sigma.role, sigma.name)
+        self.sigma = sigma
+
+    def start(self):
+        return ()
+
+    def decide(self, inst, state, stage):
+        return self.sigma.decide(inst, state, None)
+
+
 class CountingTable(TableStrategy):
     def __init__(self, table):
         super().__init__(table.role, table.entries)
         self.calls = 0
 
-    def decide(self, inst, state, history):
+    def decide(self, inst, state, stage):
         self.calls += 1
-        return super().decide(inst, state, history)
+        return super().decide(inst, state, stage)
 
 
 def test_verifying_a_table_asks_each_position_once():
@@ -848,10 +864,10 @@ def _tables(inst):
                 continue
             changed = {**winning.entries, state: move}
 
-            def fn(inst_, s, history, changed=changed):
+            def fn(inst_, s, changed=changed):
                 if s in changed:
                     return changed[s]
-                return first.decide(inst_, s, history)
+                return first.decide(inst_, s, None)
 
             yield tabulate_strategy(inst, FunctionStrategy(role, fn), role)
 
@@ -873,13 +889,44 @@ def test_verify_pins_hold_for_a_positional_table():
     assert verdict == _verdict(inst, first, CUT) and verdict[1] == 9
 
 
+def _asked(sigma):
+    """A ``FunctionStrategy`` of ``sigma``'s function, and the positions
+    it is asked at."""
+    asked = []
+
+    def fn(inst_, state):
+        asked.append(state)
+        return sigma.fn(inst_, state)
+
+    return FunctionStrategy(sigma.role, fn, sigma.name), asked
+
+
+def test_verifying_a_function_strategy_asks_each_position_once():
+    # A function of the position is positional, so the walk memoizes it as
+    # it does a table: the pinned first-move verdict above, and the greedy
+    # picker's win, whose plain walk asks it 219 times
+    inst = u_instance(5, 2)
+    first = first_move_strategy(inst, CUT)
+    sigma, asked = _asked(first)
+    verdict = _verdict(inst, sigma, CUT)
+    assert sigma.start() is None and verdict[1] == 9
+    assert verdict == _verdict(inst, Unmemoized(first), CUT)
+    assert len(asked) == len(set(asked)) == 3
+    inst = _walk_instances()["G_ideal"]
+    greedy = greedy_picker_strategy(inst)
+    sigma, asked = _asked(greedy)
+    assert _verdict(inst, sigma, CHOOSE)[:2] == (True, 439)
+    reached = tabulate_strategy(inst, greedy, CHOOSE)
+    assert len(asked) == len(set(asked)) == len(reached.entries) == 87
+
+
 @pytest.mark.parametrize("name", sorted(_walk_instances()))
 def test_memoized_walk_matches_the_tree_walk(name):
     inst = _walk_instances()[name]
     for table in _tables(inst):
         role = table.role
-        plain = FunctionStrategy(role, table.decide)
-        assert plain.kind != table.kind
+        plain = Unmemoized(table)
+        assert plain.start() is not None
         verdict = _verdict(inst, table, role)
         assert verdict == _verdict(inst, plain, role)
         nodes = verdict[1]
@@ -891,7 +938,7 @@ def test_memoized_walk_matches_the_tree_walk(name):
         # skipped a subtree, and with it a question to the table.
         memoized, asked = CountingTable(table), CountingTable(table)
         _verdict(inst, memoized, role)
-        _verdict(inst, FunctionStrategy(role, asked.decide), role)
+        _verdict(inst, Unmemoized(asked), role)
         tight = _verdict(inst, table, role, nodes - 1)
         if memoized.calls < asked.calls:
             assert tight == verdict
@@ -903,8 +950,7 @@ def test_memoized_walk_matches_the_tree_walk(name):
                        dict(entries[:-1] + [(entries[-1][0], -1)])):
             bad = TableStrategy(role, broken)
             got = _verdict(inst, bad, role)
-            assert got == _verdict(inst, FunctionStrategy(role, bad.decide),
-                                   role)
+            assert got == _verdict(inst, Unmemoized(bad), role)
 
 
 def test_a_table_walk_trips_on_positions_walked_not_tree_nodes():

@@ -10,8 +10,8 @@ import pytest
 from cutchoose import analysis, serialize, transforms as tr
 from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EMPTY, G_IDEAL, G_POSET,
                               NONEMPTY, U, WEAK, FunctionStrategy,
-                              GameInstance, Run, Transcript, apply_move,
-                              copy_strategy, enumerate_playouts,
+                              GameInstance, Run, Strategy, Transcript,
+                              apply_move, copy_strategy, enumerate_playouts,
                               first_move_strategy, greedy_picker_strategy,
                               initial_state, legal_moves, play_out,
                               seeded_table_strategy, stage_after,
@@ -23,6 +23,25 @@ from cutchoose.structures import (FiniteBooleanAlgebra, GroundSet, Ideal,
                                   MonotoneFamily, enumerate_i_partitions,
                                   format_mask, is_positive, mask_of,
                                   sorted_masks, submasks)
+
+
+class Historied(Strategy):
+    """A strategy given as ``fn(inst, state, history)``, its stage the tuple
+    of the history's entries: a stand-in for a strategy that reads the
+    history, so no walk takes it for positional."""
+
+    def __init__(self, role, fn, name="historied"):
+        super().__init__(role, name)
+        self.fn = fn
+
+    def start(self):
+        return ()
+
+    def step(self, stage, entry):
+        return stage + (entry,)
+
+    def decide(self, inst, state, stage):
+        return self.fn(inst, state, stage)
 
 
 def u_instance(m, rounds, width=2, bound=1):
@@ -147,7 +166,7 @@ def test_disjointify_cut_certificates_and_containment():
 def test_disjointify_cut_identity_like():
     g_inst = g_ideal(4, 2, width=None)
 
-    def always_whole(inst_, state, history):
+    def always_whole(inst_, state):
         return (g_inst.start,)
 
     out = tr.disjointify_cut_strategy(
@@ -210,7 +229,7 @@ def test_transfer_cut_and_choose():
                                    CHOOSE).verified
     assert_all_hold(out_choose)
 
-    def atoms_move(inst_, state, history):
+    def atoms_move(inst_, state):
         return (1, 2, 4, 8)
 
     out_cut = tr.transfer_cut_big_to_small(
@@ -364,7 +383,7 @@ def test_witness_to_empty_ablation_detaches():
 def test_empty_to_cut_copy_strategy():
     bm = bm_ideal(4, 2)
 
-    def copy_e(inst_, state, history):
+    def copy_e(inst_, state):
         return state.core
 
     out = tr.empty_to_cut_strategy(
@@ -383,7 +402,7 @@ def test_empty_to_cut_trivial_one_round():
                        width=None, ground=g,
                        family=MonotoneFamily.size_at_most(g, 0))
 
-    def copy_e(inst_, state, history):
+    def copy_e(inst_, state):
         return state.core
 
     out = tr.empty_to_cut_strategy(
@@ -403,7 +422,7 @@ def test_empty_to_cut_certificate_rejects_a_stale_cut():
     longer = tr.source_instance("empty_to_cut", bm)
     out = tr.empty_to_cut_strategy(seeded_table_strategy(longer, EMPTY, 4),
                                    bm)
-    stale = FunctionStrategy(
+    stale = Historied(
         CUT, lambda i, s, h: out.strategy.decide(
             i, s, stage_after(out.strategy, h[:-1])), name="stale")
     t = play_out(out.instance, stale, first_move_strategy(out.instance, CHOOSE))
@@ -469,7 +488,7 @@ def test_choose_to_nonempty_sigma_search_failure_is_loud():
 
     def provider(x0):
         return FunctionStrategy(
-            CHOOSE, lambda i, s, h: x0, name="constant-whole")
+            CHOOSE, lambda i, s: x0, name="constant-whole")
 
     out = tr.choose_to_nonempty_strategy(provider, bm)
     st = initial_state(bm)
@@ -572,6 +591,25 @@ def test_cut_strategy_to_witness_on_algebra_game():
     assert not verify_winning_strategy(inst, out.strategy, CUT).verified
 
 
+def test_a_witness_asks_a_function_strategy_once_per_position():
+    # first-move is positional, so each level asks it once per distinct
+    # position; a stand-in that reads the history is asked once per pick
+    # line, 43 times, for the same sequence
+    inst = g_ideal(4, 3, width=None)
+    first = first_move_strategy(inst, CUT)
+    asked = []
+
+    def fn(inst_, state):
+        asked.append(state)
+        return first.fn(inst_, state)
+
+    seq = tr.cut_strategy_to_witness(FunctionStrategy(CUT, fn), inst)
+    assert len(asked) == len(set(asked)) == 18
+    historied, calls = _counting(first)
+    assert tr.cut_strategy_to_witness(historied, inst) == seq
+    assert len(calls) == 43
+
+
 # ---------------------------------------------------------------------------
 # Auxiliary-run checkers
 # ---------------------------------------------------------------------------
@@ -610,7 +648,7 @@ def test_aux_run_checkers_failure_branches():
     assert details == {"aux_final_core": format_mask(inst.start & pick)}
     # a one-piece cut does not force its pick: sigma is asked
     degenerate = [(CUT, (inst.start, 0)), (CHOOSE, inst.start)]
-    refuses = FunctionStrategy(CHOOSE, lambda inst_, state, history: 0)
+    refuses = FunctionStrategy(CHOOSE, lambda inst_, state: 0)
     details = {}
     assert not check(degenerate, refuses, CHOOSE, details)
     assert details == {"inconsistent_aux": True}
@@ -627,13 +665,30 @@ def _counting(sigma, calls=None):
 
     def fn(inst_, state, history):
         calls.append(history)
-        return sigma.decide(inst_, state, history)
+        return sigma.decide(inst_, state, stage_after(sigma, history))
 
-    return FunctionStrategy(sigma.role, fn, sigma.name), calls
+    return Historied(sigma.role, fn, sigma.name), calls
 
 
 def _prefixes(runs) -> set:
     return {tuple(run[:k]) for run in runs for k in range(len(run) + 1)}
+
+
+def test_an_auxiliary_run_of_a_function_strategy_steps_no_stage():
+    # first-move is positional: every run of the auxiliary game, in the
+    # output's stages and in the certificates' replay, has stage None
+    g_inst = g_ideal(4, 2, width=6)
+    out = tr.disjointify_cut_strategy(first_move_strategy(g_inst, CUT),
+                                      g_inst)
+    memos = out._memos()
+    runs = 0
+    for t in enumerate_playouts(out.instance, out.strategy, CUT):
+        aux = out.strategy.value(t.moves)[0]
+        for run in (aux, memos.replay(aux.history, {})):
+            while run is not None:
+                assert run.sigma is not None and run.stage is None
+                run, runs = run.before, runs + 1
+    assert runs
 
 
 def test_each_auxiliary_stage_of_nonempty_to_choose_is_computed_once():
@@ -808,7 +863,7 @@ def _deep_output(name, rounds):
         out = tr.nonempty_to_choose_strategy(copy_strategy(bm), bm, bm.start)
         return out, (first_move_strategy(out.instance, CUT), out.strategy)
     g_inst = g_ideal(4, rounds, width=None)
-    whole = FunctionStrategy(CUT, lambda i, s, h: (g_inst.start,), "whole")
+    whole = FunctionStrategy(CUT, lambda i, s: (g_inst.start,), "whole")
     out = tr.disjointify_cut_strategy(whole, g_inst)
     return out, (out.strategy, greedy_picker_strategy(out.instance))
 
@@ -839,7 +894,7 @@ def test_a_stage_that_raises_caches_nothing():
     # fold keeps the picker's answer and asks it once
     g_inst = g_ideal(4, 2, width=6)
     whole, calls = _counting(
-        FunctionStrategy(CHOOSE, lambda i, s, h: s.core, name="whole"))
+        FunctionStrategy(CHOOSE, lambda i, s: s.core, name="whole"))
     out = tr.disjointify_choose_strategy(whole, g_inst)
     start = initial_state(g_inst)
     w = next(w for w in legal_moves(g_inst, start)
@@ -915,7 +970,7 @@ RELATIONS = {
 
 
 def _copy_emptier():
-    return FunctionStrategy(EMPTY, lambda i, s, h: s.core, name="copy")
+    return FunctionStrategy(EMPTY, lambda i, s: s.core, name="copy")
 
 
 def _each_transform_and_its_source():
