@@ -3,15 +3,18 @@
 The checkers search branch spaces directly, never through the solver, so the
 audit rows genuinely compute both sides of each characterization by
 independent means: game values come from backward induction, distributivity
-verdicts from exhaustive sequence search, thresholds from the closed-form
-counting law or the naive oracle.
+verdicts from one exhaustive search over move-sequence prefixes that carries
+each prefix's live cores and skips a (round, live set) pair searched before,
+thresholds from the closed-form counting law or the naive oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from functools import reduce
+from operator import or_
+from typing import Iterable, Optional
 
 from . import engine
 from .engine import (BM_IDEAL, BM_POSET, CHOOSE, CUT, EMPTY, EXACT, G_IDEAL,
@@ -41,65 +44,43 @@ SCAN_BOUND = 1
 
 
 # ---------------------------------------------------------------------------
-# Branch search over move sequences
+# Distributivity: a search over move sequences that carries the live cores
 # ---------------------------------------------------------------------------
 
-class _BranchContext:
-    """Branches through move sequences: picks meet a running core, which
-    dies when it falls into ``small``.
-
-    ``down`` maps a pick to its mask (down-sets for posets; picks are masks
-    already otherwise), ``small`` is the family (an algebra is its trivial
-    ideal), or ``{0}`` for posets, where a core needs only a common lower
-    bound.
-    """
-
-    def __init__(self, x: int, down, small):
-        self.initial = x if down is None else down[x]
-        self.down = down
-        self.small = small
-
-    def branch(self, seq: Sequence[tuple], variant: str) -> Optional[list]:
-        down, small, n = self.down, self.small, len(seq)
-
-        def dfs(level: int, acc, picks: list):
-            if level == n:
-                if variant == UNIFORM or (acc != 0 if variant == IDEAL_WEAK
-                                          else acc not in small):
-                    return list(picks)
-                return None
-            for pick in seq[level]:
-                nxt = acc & (pick if down is None else down[pick])
-                # plain: cores only shrink, so prefix pruning is sound;
-                # otherwise only the proper prefixes are constrained
-                if (variant == PLAIN or level < n - 1) and nxt in small:
-                    continue
-                picks.append(pick)
-                got = dfs(level + 1, nxt, picks)
-                if got is not None:
-                    return got
-                picks.pop()
-            return None
-
-        return dfs(0, self.initial, [])
-
-
-def _context(structure, x) -> _BranchContext:
+def _core_space(structure, x) -> tuple:
+    """The starting core, the map from a pick to its mask (``None`` where
+    picks are masks already; down-sets for posets) and the cores that die:
+    the family (an algebra is its trivial ideal), or ``{0}`` for posets,
+    where a core needs only a common lower bound.  Refuses an ``x`` no game
+    could start from."""
     if isinstance(structure, MonotoneFamily):
-        return _BranchContext(x, None, structure)
+        structure.ground.check_mask(x, "x")
+        if not is_positive(structure, x):
+            raise ValidationError("x must be I-positive")
+        return x, None, structure
     if isinstance(structure, FinitePoset):
-        return _BranchContext(x, structure.down, {0})
+        if not 0 <= x < structure.size:
+            raise ValidationError(
+                f"x must be a poset element, 0..{structure.size - 1}")
+        return structure.down[x], structure.down, {0}
     raise ValidationError("unsupported structure for distributivity check")
 
 
-def find_branch(structure, x, seq: Sequence[tuple],
-                variant: str = PLAIN) -> Optional[list]:
-    """A branch through a fixed move sequence, or None.
+def _check_rounds(rounds: int) -> None:
+    if rounds < 1:
+        raise ValidationError("rounds must be >= 1")
 
-    ``plain`` needs the whole pick set bounded/positive, ``uniform`` only the
-    proper prefixes, ``ideal_weak`` positive prefixes plus a nonempty total.
-    """
-    return _context(structure, x).branch(seq, variant)
+
+class _Dies(dict):
+    """``core -> core in small``, asking ``small`` once per core."""
+
+    def __init__(self, small):
+        super().__init__()
+        self.small = small
+
+    def __missing__(self, core: int) -> bool:
+        dead = self[core] = core in self.small
+        return dead
 
 
 @dataclass
@@ -115,46 +96,95 @@ class DistributivityResult:
 def check_distributivity(structure, x, rounds: int, width: Optional[int],
                          variant: str = PLAIN,
                          maximal: bool = True) -> DistributivityResult:
-    """Exhaustive search over length-``rounds`` move sequences; holds iff
-    every sequence admits a branch.  Moves and sequences are each capped at
-    ``SEQUENCE_BUDGET``; more rounds than the recursion limit allows is a
-    ``CapacityError`` that names them.
+    """Holds iff every length-``rounds`` sequence of cut moves on ``x``
+    admits a branch: one pick per move whose running meet with ``x`` passes
+    the variant's test.  ``plain`` needs every prefix and the whole pick set
+    bounded/positive, ``uniform`` only the proper prefixes, ``ideal_weak``
+    positive proper prefixes plus a nonempty total.
 
+    One depth-first pass over the sequence prefixes, in move order, carries
+    the live set: the meets of the prefix's branches that pass the prefix
+    test.  Whether a prefix's extensions all admit branches depends on its
+    length and live set alone, so a pair searched before without failing
+    counts its ``len(moves) ** rounds_left`` sequences unwalked.  The last
+    move only asks whether some live core meets some pick in a core that
+    passes.  The failing sequence is the first in move order, and
+    ``sequences_checked`` counts the sequences up to it, or all of them.
+
+    Moves and sequences are each capped at ``SEQUENCE_BUDGET``; more rounds
+    than the recursion limit allows is a ``CapacityError`` that names them.
     The ablation mode (``maximal=False``) admits non-maximal families, where
     branchless sequences exist at finite scale.
     """
-    ctx = _context(structure, x)
+    initial, down, small = _core_space(structure, x)
+    dies = _Dies(small)
+    _check_rounds(rounds)
+    if variant not in (PLAIN, UNIFORM, IDEAL_WEAK):
+        raise ValidationError(f"unknown variant {variant!r}")
     moves = enumerate_cut_moves(structure, x, width, maximal, SEQUENCE_BUDGET)
+    picks = [m if down is None else tuple(down[p] for p in m) for m in moves]
+    reach = [reduce(or_, masks) for masks in picks]
+    last = rounds - 1
     checked = 0
+    searched: set = set()
     seq: list = []
 
-    def rec(level: int):
+    def cover(count: int) -> None:
         nonlocal checked
-        if level == rounds:
-            checked += 1
-            if checked > SEQUENCE_BUDGET:
-                raise CapacityError("sequence search exceeded the budget",
-                                    {"sequences_checked": checked})
-            if ctx.branch(seq, variant) is None:
-                return list(seq)
+        checked += count
+        if checked > SEQUENCE_BUDGET:
+            # where the per-sequence count first passes the budget
+            raise CapacityError("sequence search exceeded the budget",
+                                {"sequences_checked": SEQUENCE_BUDGET + 1})
+
+    def first_failing(live: frozenset) -> Optional[int]:
+        """The index of the first move that, played last, leaves no branch:
+        no live core meets a pick of it in a core that passes; or None."""
+        if variant == UNIFORM:
+            return None if live else 0
+        if variant == IDEAL_WEAK or down is not None:
+            # a nonzero meet: some live point lies in some pick
+            alive = 0
+            for c in live:
+                alive |= c
+            return next((i for i, r in enumerate(reach) if not r & alive),
+                        None)
+        return next((i for i, masks in enumerate(picks)
+                     if all(dies[c & p] for p in masks for c in live)), None)
+
+    def rec(level: int, live: frozenset):
+        key = (level, live)
+        if key in searched:
+            cover(len(moves) ** (rounds - level))
             return None
-        for move in moves:
-            seq.append(move)
-            bad = rec(level + 1)
-            if bad is not None:
-                return bad
-            seq.pop()
+        if level == last:
+            i = first_failing(live)
+            if i is not None:
+                cover(i + 1)
+                return [*seq, moves[i]]
+            cover(len(moves))
+        else:
+            for move, masks in zip(moves, picks):
+                seq.append(move)
+                bad = rec(level + 1, frozenset([
+                    core for p in masks for c in live
+                    if not dies[core := c & p]]))
+                if bad is not None:
+                    return bad
+                seq.pop()
+        searched.add(key)
         return None
 
-    # rec and the branch search each recurse once per round
+    # one frame per round
     with depth_limited(rounds, "check distributivity",
                        lambda: {"sequences_checked": checked}):
-        failing = rec(0)
+        failing = rec(0, frozenset([initial]))
     return DistributivityResult(failing is None, failing, checked)
 
 
 def precipitous_analog(ideal: MonotoneFamily, rounds: int) -> bool:
     """Weak unbounded-width distributivity over every positive starting set."""
+    _check_rounds(rounds)
     report = validate_family(ideal)
     if isinstance(ideal, Ideal) and not report.ok:
         raise ValidationError(f"not a proper ideal: {report.violation}")
@@ -497,21 +527,21 @@ def _random_poset(rng: random.Random):
 def _instance_fits(inst: GameInstance) -> bool:
     """Capacity probe: root move count, the audit's unbounded-width move
     space, and the sequence space the distributivity checkers will walk,
-    each within ``CORPUS_PROBE_BUDGET``."""
+    each within ``CORPUS_PROBE_BUDGET``.  The cheapest test goes first: the
+    root moves are enumerated anyway, the unbounded i-partitions cost most.
+    """
     budget = CORPUS_PROBE_BUDGET
     try:
         moves = engine.legal_moves(inst, engine.initial_state(inst))
+        if not moves or len(moves) ** inst.rounds > budget:
+            return False
         checker_moves = enumerate_cut_moves(inst.structure, inst.start,
                                             inst.width, True, budget)
+        if len(checker_moves) ** inst.rounds > budget:
+            return False
         if inst.game_family in engine.MASK_GAMES:
             enumerate_cut_moves(inst.family, inst.start, None, True, budget)
     except CapacityError:
-        return False
-    if not moves:
-        return False
-    if len(moves) ** inst.rounds > budget:
-        return False
-    if len(checker_moves) ** inst.rounds > budget:
         return False
     return True
 

@@ -1,6 +1,10 @@
+from unittest.mock import patch
+
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from cutchoose import analysis as an
+from cutchoose import structures
 from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EXACT, G_IDEAL, U, WEAK,
                               GameInstance)
 from cutchoose.errors import CapacityError, ValidationError
@@ -8,7 +12,10 @@ from cutchoose.serialize import (audit_report_text, audit_report_to_jsonable,
                                  instance_to_jsonable)
 from cutchoose.solver import solve
 from cutchoose.structures import (FiniteBooleanAlgebra, FinitePoset,
-                                  GroundSet, Ideal, MonotoneFamily)
+                                  GroundSet, Ideal, MonotoneFamily,
+                                  positives_below)
+
+from branch_oracle import check_by_sequences, find_branch
 
 
 def test_check_distributivity_holds_on_algebras():
@@ -31,8 +38,8 @@ def test_check_distributivity_reads_its_budget_when_called(monkeypatch):
 def test_single_sequence_trivial_branch():
     g = GroundSet(3)
     fam = MonotoneFamily.size_at_most(g, 1)
-    assert an.find_branch(fam, g.full_mask, [(g.full_mask,)],
-                          an.PLAIN) == [g.full_mask]
+    assert find_branch(fam, g.full_mask, [(g.full_mask,)],
+                       an.PLAIN) == [g.full_mask]
 
 
 def test_ablation_distributivity_failure_certificate():
@@ -41,8 +48,8 @@ def test_ablation_distributivity_failure_certificate():
     res = an.check_distributivity(fam, g.full_mask, 2, 2, an.IDEAL_WEAK,
                                   maximal=False)
     assert not res.holds
-    assert an.find_branch(fam, g.full_mask, res.failing_sequence,
-                          an.IDEAL_WEAK) is None
+    assert find_branch(fam, g.full_mask, res.failing_sequence,
+                       an.IDEAL_WEAK) is None
 
 
 # (holds, failing_sequence, sequences_checked) at two rounds: maximal moves
@@ -75,6 +82,93 @@ def test_check_distributivity_pinned(kind):
                for width, maximal in ((None, True), (2, False))]
         assert [(r.holds, r.failing_sequence, r.sequences_checked)
                 for r in got] == pins, variant
+
+
+@st.composite
+def _checked_structures(draw):
+    """A small family, ideal, poset or algebra and a start it may check."""
+    kind = draw(st.sampled_from(["family", "ideal", "poset", "algebra"]))
+    if kind == "algebra":
+        alg = FiniteBooleanAlgebra(GroundSet(draw(st.integers(2, 4))))
+        return alg, draw(st.integers(1, alg.top))
+    if kind == "poset":
+        labels = sorted(draw(st.sets(st.integers(1, 6), min_size=2,
+                                     max_size=6)))
+        poset = FinitePoset.from_subsets([*labels, 0b111], len(labels))
+        return poset, draw(st.integers(0, poset.size - 1))
+    ground = GroundSet(draw(st.integers(2, 4)))
+    proper = st.integers(0, ground.full_mask - 1)
+    if kind == "ideal":
+        # one generator keeps the family union-closed
+        family = Ideal.generated_by(ground, [draw(proper)])
+    elif draw(st.booleans()):
+        family = MonotoneFamily.size_at_most(
+            ground, draw(st.integers(0, min(2, ground.size - 1))))
+    else:
+        family = MonotoneFamily.generated_by(
+            ground, draw(st.lists(proper, min_size=1, max_size=2)))
+    return family, draw(st.sampled_from(
+        positives_below(family, ground.full_mask)))
+
+
+@given(_checked_structures(),
+       st.sampled_from([an.PLAIN, an.UNIFORM, an.IDEAL_WEAK]),
+       st.sampled_from([2, 3, None]), st.booleans(), st.integers(1, 3),
+       st.sampled_from([5, 50, 500, 5000]))
+@settings(max_examples=200, deadline=None)
+@seed(401)
+def test_check_distributivity_matches_the_per_sequence_oracle(
+        checked, variant, width, maximal, rounds, budget):
+    # the live-set search against one branch search per sequence: the same
+    # verdict, first failing sequence and count, or the same capacity error
+    structure, x = checked
+    args = (structure, x, rounds, width, variant, maximal)
+    with patch.object(an, "SEQUENCE_BUDGET", budget):
+        try:
+            want = check_by_sequences(*args)
+        except CapacityError as err:
+            with pytest.raises(CapacityError) as got:
+                an.check_distributivity(*args)
+            assert (str(got.value), got.value.stats) == (str(err), err.stats)
+            return
+        res = an.check_distributivity(*args)
+    assert (res.holds, res.failing_sequence, res.sequences_checked) == want
+
+
+_G4 = GroundSet(4)
+_POSET = FinitePoset.from_subsets([0b001, 0b010, 0b100, 0b011, 0b111], 4)
+_ALGEBRA = FiniteBooleanAlgebra(GroundSet(3))
+
+# case -> (call, the refusal's text)
+BAD_ARGUMENTS = {
+    "rounds_negative": (lambda: an.check_distributivity(
+        _ALGEBRA, _ALGEBRA.top, -1, 2), "rounds must be >= 1"),
+    "rounds_zero": (lambda: an.check_distributivity(
+        _ALGEBRA, _ALGEBRA.top, 0, 2), "rounds must be >= 1"),
+    "family_x_outside_ground": (lambda: an.check_distributivity(
+        MonotoneFamily.size_at_most(_G4, 1), 0b10000, 2, 2),
+        "x has bits outside the ground set"),
+    "family_x_small": (lambda: an.check_distributivity(
+        MonotoneFamily.size_at_most(_G4, 1), 0b0001, 2, 2),
+        "x must be I-positive"),
+    "poset_x_past_the_end": (lambda: an.check_distributivity(
+        _POSET, 99, 2, 2), "x must be a poset element, 0..4"),
+    "poset_x_negative": (lambda: an.check_distributivity(
+        _POSET, -1, 2, 2), "x must be a poset element, 0..4"),
+    "variant_unknown": (lambda: an.check_distributivity(
+        _ALGEBRA, _ALGEBRA.top, 2, 2, "strong"), "unknown variant 'strong'"),
+    "precipitous_rounds_negative": (lambda: an.precipitous_analog(
+        Ideal.generated_by(GroundSet(3), [0b100]), -1),
+        "rounds must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_check_distributivity_refuses_a_bad_argument(case):
+    call, message = BAD_ARGUMENTS[case]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_every_finite_poset_is_distributive():
@@ -198,6 +292,30 @@ def test_corpus_determinism_and_coverage():
     c = an.generate_corpus(43, per_family=4)
     assert [instance_to_jsonable(x.instance) for x in a] != \
         [instance_to_jsonable(x.instance) for x in c]
+
+
+def test_a_candidate_over_its_root_count_enumerates_no_i_partition(
+        monkeypatch):
+    # an 8-point, 3-round U game has 127 root moves: 127**3 sequences are
+    # past the probe's budget before the checker's moves are asked for
+    calls = []
+    enumerate_i_partitions = structures.enumerate_i_partitions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_i_partitions(*args, **kwargs)
+
+    monkeypatch.setattr(structures, "enumerate_i_partitions", counted)
+    g8, g4 = GroundSet(8), GroundSet(4)
+    wide = GameInstance(game_family=U, start=g8.full_mask, rounds=3, width=2,
+                        ground=g8, family=MonotoneFamily.size_at_most(g8, 1))
+    assert not an._instance_fits(wide)
+    assert calls == []
+    small = GameInstance(game_family=U, start=g4.full_mask, rounds=1,
+                         width=2, ground=g4,
+                         family=MonotoneFamily.size_at_most(g4, 1))
+    assert an._instance_fits(small)
+    assert len(calls) == 2  # the checker's moves, then the unbounded ones
 
 
 def test_checker_solver_agreement_on_ablated_games():

@@ -24,6 +24,8 @@ from cutchoose.structures import (FiniteBooleanAlgebra, GroundSet, Ideal,
                                   format_mask, is_positive, mask_of,
                                   sorted_masks, submasks)
 
+from branch_oracle import find_branch
+
 
 class Historied(Strategy):
     """A strategy given as ``fn(inst, state, history)``, its stage the tuple
@@ -273,15 +275,14 @@ def test_witness_to_cut_ablation_sequence_wins():
                         width=6, maximal=False, cut_current=False,
                         ground=g, family=fam)
     seq = [(0b0011, 0b1100), (0b0101, 0b1010)]
-    branch = analysis.find_branch(fam, g.full_mask, seq, analysis.PLAIN)
+    branch = find_branch(fam, g.full_mask, seq, analysis.PLAIN)
     out = tr.witness_to_cut_strategy(seq, inst)
     verified = verify_winning_strategy(inst, out.strategy, CUT).verified
     assert branch is None and verified
     assert_all_hold(out)
     # the same families in either order keep a branch when one is repeated
     rep = [(0b0011, 0b1100), (0b0011, 0b1100)]
-    assert analysis.find_branch(fam, g.full_mask, rep,
-                                analysis.PLAIN) is not None
+    assert find_branch(fam, g.full_mask, rep, analysis.PLAIN) is not None
     out_rep = tr.witness_to_cut_strategy(rep, inst)
     assert not verify_winning_strategy(inst, out_rep.strategy, CUT).verified
 
@@ -293,7 +294,7 @@ def test_witness_with_branch_loses():
                         width=6, maximal=True, cut_current=False,
                         ground=g, family=fam)
     seq = [(g.full_mask,), (g.full_mask,)]
-    branch = analysis.find_branch(fam, g.full_mask, seq, analysis.PLAIN)
+    branch = find_branch(fam, g.full_mask, seq, analysis.PLAIN)
     assert branch == [g.full_mask, g.full_mask]
     out = tr.witness_to_cut_strategy(seq, inst)
     assert not verify_winning_strategy(inst, out.strategy, CUT).verified
@@ -323,8 +324,8 @@ def test_cut_strategy_to_witness_round_trip():
         if sigma is None:
             continue
         seq = tr.cut_strategy_to_witness(sigma, inst)
-        branch = analysis.find_branch(inst.family, inst.start, seq,
-                                      analysis.PLAIN)
+        branch = find_branch(inst.family, inst.start, seq,
+                             analysis.PLAIN)
         assert branch is None  # winning strategy <=> branchless sequence
     # and a losing cutter yields a sequence with a branch
     inst = GameInstance(
@@ -333,8 +334,8 @@ def test_cut_strategy_to_witness_round_trip():
         family=MonotoneFamily.size_at_most(GroundSet(5), 1))
     sigma = first_move_strategy(inst, CUT)
     seq = tr.cut_strategy_to_witness(sigma, inst)
-    assert analysis.find_branch(inst.family, inst.start, seq,
-                                analysis.PLAIN) is not None
+    assert find_branch(inst.family, inst.start, seq,
+                       analysis.PLAIN) is not None
 
 
 def test_witness_branch_equivalence_exhaustive_small():
@@ -353,8 +354,7 @@ def test_witness_branch_equivalence_exhaustive_small():
             out = tr.witness_to_cut_strategy(seq, inst)
             verified = verify_winning_strategy(inst, out.strategy,
                                                CUT).verified
-            branch = analysis.find_branch(fam, g.full_mask, seq,
-                                          analysis.PLAIN)
+            branch = find_branch(fam, g.full_mask, seq, analysis.PLAIN)
             assert verified == (branch is None), seq
 
 
@@ -585,7 +585,7 @@ def test_cut_strategy_to_witness_on_algebra_game():
     assert len(seq) == 2
     # the losing cutter's sequence has a branch; find it both ways
     from cutchoose import analysis
-    branch = analysis.find_branch(alg, alg.top, seq, analysis.PLAIN)
+    branch = find_branch(alg, alg.top, seq, analysis.PLAIN)
     assert branch is not None
     out = tr.witness_to_cut_strategy(seq, inst)
     assert not verify_winning_strategy(inst, out.strategy, CUT).verified
