@@ -19,11 +19,14 @@ relies on this and the test suite cross-checks it against raw history search.
 A ``GameState`` is that named tuple, so it hashes and compares as the plain
 tuple and serves as its own key in every memo, seen-set and strategy table.
 
-The referee, ``terminal_status``, answers the cheapest cases first: a
-position with a pending cut, and an exact game before its last round, are
-ongoing without a test of the family.  A verdict whose reason is fixed is
-a module constant; the one reason that names a round is built only on the
-branch that returns it.
+The terminal rule is written once, as ``GameInstance.referee``: a function
+of a position's round and core, for positions with no pending move, chosen
+once per instance by game family, variant and structure.  A position with
+a pending cut is never terminal, and an exact game is ongoing before its
+last round without a test of the family.  ``terminal_status`` answers
+through the referee and adds the reason: a verdict whose reason is fixed
+is a module constant; the one reason that names a round is built only on
+the branch that returns it.  The value fill calls the referee directly.
 
 Legality comes in two tiers.  ``legal_moves`` is the canonical enumeration
 used for solving and exhaustive verification; it omits dominated cut moves
@@ -177,6 +180,41 @@ class GameInstance:
         A tuple, so no caller can change the shared list."""
         return tuple(_cut_moves(self, self.start))
 
+    @cached_property
+    def referee(self) -> Callable[[int, int], Optional[str]]:
+        """The terminal rule: ``referee(round, core)`` is the winner at a
+        position with no pending move, or None while it is ongoing.  Chosen
+        once by game family, variant and structure; ``terminal_status``
+        answers through it, and the value fill calls it directly."""
+        rounds = self.rounds
+        if self.game_family in BM_GAMES:
+            # a poset core is an element: a lower bound of the chain
+            element = self.poset is not None
+
+            def banach_mazur(round_: int, core: int) -> Optional[str]:
+                if round_ < rounds:
+                    return None
+                return NONEMPTY if element or core else EMPTY
+            return banach_mazur
+        # a core is small when the family holds it, a poset core when empty
+        small = (self.family.__contains__ if self.poset is None
+                 else {0}.__contains__)
+        if self.variant == EXACT:
+            def exact(round_: int, core: int) -> Optional[str]:
+                if round_ < rounds:
+                    return None
+                return CUT if small(core) else CHOOSE
+            return exact
+        # weak and strict prefix: every intersection after a pick must stay
+        # positive, the last one too under weak
+        weak = self.variant == WEAK
+
+        def prefix(round_: int, core: int) -> Optional[str]:
+            if round_ < rounds:
+                return CUT if round_ >= 1 and small(core) else None
+            return CUT if weak and small(core) else CHOOSE
+        return prefix
+
 
 Move = Union[int, tuple]
 
@@ -201,12 +239,6 @@ def core_positive(inst: GameInstance, core: int) -> bool:
     if inst.poset is None:
         return is_positive(inst.family, core)
     return core != 0
-
-
-def core_nonempty(inst: GameInstance, core: int) -> bool:
-    """The Banach-Mazur survival condition.  A poset core is an element and
-    is itself a lower bound of the descending chain, whatever its index."""
-    return inst.poset is not None or core != 0
 
 
 def _poset_core_max(inst: GameInstance, core: int) -> int:
@@ -256,35 +288,30 @@ _PREFIXES_POSITIVE = Outcome(CHOOSE, "every proper prefix stayed positive")
 
 
 def terminal_status(inst: GameInstance, state: GameState) -> Outcome:
-    """The referee.  Cheapest answers first: a pending cut is never
-    terminal, and an exact game is undecided before its last round, so
-    neither asks the family.  A reason is built only where it is returned."""
-    if inst.game_family in BM_GAMES:
-        if state.round < inst.rounds:
-            return _ONGOING
-        if core_nonempty(inst, state.core):
-            return _FINAL_NONEMPTY
-        return _FINAL_EMPTY
-    if state.pending is not None:
+    """The referee's verdict with its reason.  A pending cut is never
+    terminal; any other position is judged by ``inst.referee``, and this
+    adds only the reason, built only where it is returned."""
+    round_, _, core, pending = state
+    if pending is not None:
         return _ONGOING
-    variant = inst.variant
-    poset = inst.game_family == G_POSET
-    if variant == EXACT:
-        if state.round < inst.rounds:
-            return _ONGOING
-        if core_positive(inst, state.core):
+    winner = inst.referee(round_, core)
+    if winner is None:
+        return _ONGOING
+    fam = inst.game_family
+    if fam in BM_GAMES:
+        return _FINAL_NONEMPTY if winner == NONEMPTY else _FINAL_EMPTY
+    poset = fam == G_POSET
+    if inst.variant == EXACT:
+        if winner == CHOOSE:
             return _COMMON_LOWER_BOUND if poset else _FINAL_POSITIVE
         return _NO_LOWER_BOUND if poset else _FINAL_IN_FAMILY
-    # weak and strict prefix: every intersection after a pick must stay
-    # positive, the last one too under weak
-    if (1 <= state.round and (variant == WEAK or state.round < inst.rounds)
-            and not core_positive(inst, state.core)):
-        return Outcome(CUT, ("lower-bound set vanished" if poset else
-                             "running intersection fell into the family")
-                       + " at round " + str(state.round))
-    if state.round < inst.rounds:
-        return _ONGOING
-    return _SURVIVED if variant == WEAK else _PREFIXES_POSITIVE
+    if winner == CHOOSE:
+        return _SURVIVED if inst.variant == WEAK else _PREFIXES_POSITIVE
+    # under weak and strict prefix the cutter wins only by a core that fell
+    # into the family
+    return Outcome(CUT, ("lower-bound set vanished" if poset else
+                         "running intersection fell into the family")
+                   + " at round " + str(round_))
 
 
 # ---------------------------------------------------------------------------

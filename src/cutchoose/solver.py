@@ -15,12 +15,16 @@ main path can always be cross-checked.
 afresh, and nothing is stored on disk, because solving again costs no more
 than loading a stored table would.
 
-The value fill memoizes only the positions with no pending move; pick
-positions are evaluated inline and counted as ``_value_function`` says.
-Memo values are winner names only.  The records hold the first winning
-move in canonical order, which depends on the children's values alone and
-not on the order they were evaluated in, so the table read off them is the
-probing pass's, entry for entry.
+The value fill memoizes only the positions with no pending move and
+recurses once per such position, so once per round.  It expands each
+cut's pick position inside the cut position's move loop: the pieces'
+child cores are judged by the instance's referee (``GameInstance.referee``,
+where the terminal rule lives) and looked up in the memo before any
+recursive call, and pick positions are counted as ``_value_function``
+says.  Memo values are winner names only.  The records hold the first
+winning move in canonical order, which depends on the children's values
+alone and not on the order they were evaluated in, so the table read off
+them is the probing pass's, entry for entry.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .engine import (CHOOSE, CUT, STRICT_PREFIX, U, WEAK, FunctionStrategy,
-                     GameInstance, GameState, TableStrategy, apply_move,
-                     depth_limited, initial_state, legal_moves,
+from .engine import (BM_GAMES, CHOOSE, CUT, NONEMPTY, STRICT_PREFIX, U, WEAK,
+                     FunctionStrategy, GameInstance, GameState, TableStrategy,
+                     apply_move, depth_limited, initial_state, legal_moves,
                      tabulate_strategy, terminal_status)
 from .errors import CapacityError
 from .structures import SIZE_AT_MOST, popcount
@@ -73,17 +77,22 @@ def _value_function(inst: GameInstance, stats: SolveStats, memo: dict,
                     ) -> Callable[[GameState], str]:
     """The winner of a position, by AND-OR evaluation with transpositions.
 
-    Only positions with no pending move go into ``memo``.  A pick position
-    has one parent, the cut position that made it, so a memo entry for it
-    would never be read during the fill: its value is the OR over its
-    pieces, evaluated inline in that parent's move loop, and it counts one
-    visit.  Asked later for a pick position's value (the probing extraction
-    does so when the cutter wins), the function counts one memo hit and
-    reads its pieces' values from the memo without counting them; a piece
-    the fill never reached is filled then.  So ``states_visited`` and
-    ``memo_hits`` are those of a fill that memoizes every position.  The
-    caller owns the memo and clears it when its walk ends: the self-recursive
-    closures would otherwise keep it alive until the cyclic collector runs.
+    Only positions with no pending move go into ``memo``, and the fill
+    recurses once per such position.  A pick position has one parent, the
+    cut position that made it, so the cut's loop expands it inline: it
+    counts one visit, and its value is the OR over its pieces, each a child
+    core ``core & piece`` (``core & down[piece]`` on a poset) one round on.
+    Each child is judged by the instance's referee, then looked up in the
+    memo, and only then filled, so no child costs a move application, a
+    terminal test or a call of its own.  A Banach-Mazur position's children
+    are positions with no pending move, judged the same way.  Asked later
+    for a pick position's value (the probing extraction does so when the
+    cutter wins), the function counts one memo hit and reads its pieces'
+    values from the memo without counting them; a piece the fill never
+    reached is filled then.  So ``states_visited`` and ``memo_hits`` are
+    those of a fill that memoizes every position.  The caller owns the memo
+    and clears it when its walk ends: the self-recursive closures would
+    otherwise keep it alive until the cyclic collector runs.
 
     Given ``records``, the fill also keeps the decision it made at each
     position it filled: where the mover wins, ``(move, child, probes)`` for
@@ -91,95 +100,117 @@ def _value_function(inst: GameInstance, stats: SolveStats, memo: dict,
     in canonical order, each child or, after a cut, the picker's first
     winning answer ``pick position, piece, child, probes``, all in one flat
     tuple, so that the cyclic collector tracks one object per position
-    rather than one per move.  Which winning move
-    comes first in canonical order depends on the children's values alone,
-    not on the order they were evaluated in, so the probing extraction
-    takes the same one.  ``probes`` is the memo hits that extraction counts
-    there: one per pick position and per non-terminal child up to the
-    winning one."""
+    rather than one per move.  Only a recording fill builds the pick
+    positions, one per cut.  Which winning move comes first in canonical
+    order depends on the children's values alone, not on the order they
+    were evaluated in, so the probing extraction takes the same one.
+    ``probes`` is the memo hits that extraction counts there: one per pick
+    position and per non-terminal child up to the winning one."""
+    referee = inst.referee
     opponent = inst.opponent
+    down = None if inst.poset is None else inst.poset.down
     state_budget = DEFAULT_STATE_BUDGET
+    _new = tuple.__new__  # skips GameState's generated __new__, a call
 
     def count_visit() -> None:
         stats.states_visited += 1
         if stats.states_visited > state_budget:
             raise CapacityError("state budget exceeded", stats.counts())
 
-    def pick(state: GameState, after: Callable[[GameState], str]) -> str:
-        mover = state.to_move
-        for piece in state.pending:
-            if after(apply_move(inst, state, piece, check=False)) == mover:
-                return mover
-        return opponent(mover)
-
-    def answer(state: GameState) -> Optional[tuple]:
-        # ``pick(state, settled)``, recorded: None if the picker loses
-        mover = state.to_move
-        probes = 0
-        for piece in state.pending:
-            child = apply_move(inst, state, piece, check=False)
-            won = settled(child) == mover
-            probes += child in memo
-            if won:
-                return state, piece, child, probes
-        return None
-
-    def settled(state: GameState) -> str:
-        # a position with no pending move
-        hit = memo.get(state)
-        if hit is not None:
-            stats.memo_hits += 1
-            return hit
-        outcome = terminal_status(inst, state)
-        if not outcome.ongoing:
-            return outcome.status
+    def fill_cuts(state: GameState) -> str:
+        # a cut position neither memoized nor terminal
         count_visit()
-        mover = state.to_move
-        result = opponent(mover)
-        if records is None:
-            for move in legal_moves(inst, state):
-                child = apply_move(inst, state, move, check=False)
-                if child.pending is None:
-                    child_value = settled(child)
-                else:
-                    count_visit()
-                    child_value = pick(child, settled)
-                if child_value == mover:
-                    result = mover
+        round_, _, core, _ = state
+        nxt = round_ + 1
+        result = CHOOSE
+        replies = []
+        probes = 0
+        for cut in legal_moves(inst, state):
+            count_visit()  # the pick position
+            hits = 0
+            for piece in cut:
+                child_core = core & (piece if down is None else down[piece])
+                value = referee(nxt, child_core)
+                if value is None:
+                    hits += 1
+                    child = _new(GameState, (nxt, CUT, child_core, None))
+                    value = memo.get(child)
+                    if value is None:
+                        value = fill(child)
+                    else:
+                        stats.memo_hits += 1
+                if value == CHOOSE:
                     break
+            else:  # the picker has no answer to this cut
+                result = CUT
+                if records is not None:
+                    records[state] = cut, _new(GameState, (
+                        round_, CHOOSE, core, tuple(cut))), probes + 1
+                break
+            if records is not None:
+                pick = _new(GameState, (round_, CHOOSE, core, tuple(cut)))
+                replies += pick, piece, _new(GameState, (
+                    nxt, CUT, child_core, None)), hits
+                probes += 1
         else:
-            replies = []
-            probes = 0
-            for move in legal_moves(inst, state):
-                child = apply_move(inst, state, move, check=False)
-                if child.pending is None:
-                    won = settled(child) == mover
-                    probes += child in memo
-                    reply = (child,)
-                else:
-                    count_visit()
-                    reply = answer(child)
-                    won = reply is None
-                    probes += 1
-                if won:
-                    result = mover
-                    records[state] = move, child, probes
-                    break
-                replies += reply
-            else:
+            if records is not None:
                 records[state] = tuple(replies)
         memo[state] = result
         return result
 
-    def read(state: GameState) -> str:
-        hit = memo.get(state)
-        return hit if hit is not None else settled(state)
+    def fill_moves(state: GameState) -> str:
+        # a Banach-Mazur position neither memoized nor terminal
+        count_visit()
+        round_, mover, _, _ = state
+        other = opponent(mover)
+        nxt = round_ + (mover == NONEMPTY)  # Nonempty's move ends a round
+        result = other
+        replies = []
+        probes = 0
+        for move in legal_moves(inst, state):
+            child = _new(GameState, (nxt, other, move, None))
+            value = referee(nxt, move)
+            if value is None:
+                probes += 1
+                value = memo.get(child)
+                if value is None:
+                    value = fill(child)
+                else:
+                    stats.memo_hits += 1
+            if value == mover:
+                result = mover
+                if records is not None:
+                    records[state] = move, child, probes
+                break
+            replies.append(child)
+        else:
+            if records is not None:
+                records[state] = tuple(replies)
+        memo[state] = result
+        return result
+
+    fill = fill_moves if inst.game_family in BM_GAMES else fill_cuts
+
+    def settled(state: GameState) -> str:
+        # a position with no pending move
+        value = memo.get(state)
+        if value is not None:
+            stats.memo_hits += 1
+            return value
+        value = referee(state.round, state.core)
+        return fill(state) if value is None else value
 
     def value(state: GameState) -> str:
         if state.pending is None:
             return settled(state)
         stats.memo_hits += 1
-        return pick(state, read)
+        mover = state.to_move
+        for piece in state.pending:
+            child = apply_move(inst, state, piece, check=False)
+            hit = memo.get(child)
+            if (hit if hit is not None else settled(child)) == mover:
+                return mover
+        return opponent(mover)
 
     return value
 
@@ -279,9 +310,12 @@ def _recorded_strategy(inst: GameInstance, role: str, records: dict,
     value and enumerates no move list.  The winner's walk reaches only
     positions the fill evaluated, so a position with no pending move is
     terminal exactly when it has no record.  For the same reason the walk
-    outgrows neither the state budget nor the recursion limit where the
-    fill did not: the fill counted every position the walk visits, and
-    recursed at least as deep to reach it."""
+    never outgrows the state budget where the fill did not: the fill counted
+    every position the walk visits.  The recursion limit is another matter.
+    Both recurse once per round, but the walk also enters each terminal
+    leaf, which the fill judges inline, so a game one round short of the
+    fill's limit can exceed the walk's; ``solve`` runs the walk inside the
+    fill's depth guard, so that fails with the same ``CapacityError``."""
     table: dict[GameState, object] = {}
     seen: set[GameState] = set()
 

@@ -1,5 +1,6 @@
 import gc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -8,7 +9,8 @@ from cutchoose import analysis, solver
 from cutchoose.engine import (BM_GAMES, BM_IDEAL, BM_POSET, CHOOSE, CUT, EXACT,
                               G_IDEAL, G_POSET, MASK_GAMES, NONEMPTY,
                               STRICT_PREFIX, U, WEAK, GameInstance,
-                              initial_state, tabulate_strategy,
+                              apply_move, initial_state, legal_moves,
+                              tabulate_strategy, terminal_status,
                               verify_winning_strategy)
 from cutchoose.errors import CapacityError
 from cutchoose.serialize import serialize_strategy
@@ -17,6 +19,8 @@ from cutchoose.solver import (RefuteResult, SolveStats, _value_function,
                               solve, strategy_for)
 from cutchoose.structures import (FiniteBooleanAlgebra, FinitePoset,
                                   GroundSet, MonotoneFamily)
+
+import fill_oracle
 
 
 def u_instance(m, rounds, width=2, variant=EXACT, bound=1, cut_current=True):
@@ -71,20 +75,31 @@ def test_refute_and_the_oracle_read_their_budgets_when_called(monkeypatch):
 
 @pytest.mark.parametrize("search, task", [
     (lambda inst: solve(inst, want_strategy=False), "solve"),
+    (solve, "solve"),
     (lambda inst: refute(inst, CUT), "refute"),
     (reference_winner, "solve"),
     (lambda inst: reference_winner(replace(inst, width=3)), "solve"),
-], ids=["solve_winner_only", "refute", "reference_split_loop",
-        "reference_generic"])
+], ids=["solve_winner_only", "solve_with_table", "refute",
+        "reference_split_loop", "reference_generic"])
 def test_a_search_too_deep_names_the_game_depth(search, task):
     # a one-point core under ``size_at_most 0`` is cut into itself every
     # round, one recursion level per round; the winner-only solve takes the
-    # size shortcut
+    # size shortcut, the solve with a table the value fill
     inst = u_instance(2, 3000, bound=0)
     with pytest.raises(CapacityError) as err:
         search(inst)
     assert str(err.value) == (f"game too deep to {task}: game.rounds = 3000 "
                               "exceeds the recursion limit")
+
+
+def test_the_fill_recurses_once_per_round():
+    # 600 rounds, one fill frame each, fit the default recursion limit;
+    # a fill with a frame per pick position as well would need 1,200
+    inst = u_instance(1, 600, bound=0)
+    result = solve(inst)
+    assert result.winner == CHOOSE
+    assert (result.stats.states_visited, len(result.strategy.entries)) == \
+        (1_200, 600)
 
 
 def test_refute_examples():
@@ -222,28 +237,39 @@ def _pinned_games():
         "BM_ideal": GameInstance(
             game_family=BM_IDEAL, start=g4.full_mask, rounds=3, width=None,
             ground=g4, family=MonotoneFamily.generated_by(g4, [0b0010])),
+        # the shape of the audit's Banach-Mazur bridge rows: weak, unbounded
+        # width, cutting the start set
+        "bridge": GameInstance(
+            game_family=G_IDEAL, start=g6.full_mask, rounds=2, width=None,
+            variant=WEAK, cut_current=False, ground=g6,
+            family=MonotoneFamily.generated_by(g6, [0b010011, 0b001110])),
     }
 
 
-# Winner, states visited and memo hits of a solve with a strategy, and the
-# memo hits when a budget of one state fewer trips; ``solve --json`` prints
-# the first two counts.
+# Winner, states visited and memo hits of a solve with a strategy, the memo
+# hits when a budget of one state fewer trips, and the states visited and
+# memo hits of a winner-only solve; ``solve --json`` prints the second and
+# third, ``solve --no-strategy --json`` the last pair.
 SOLVE_STATS = {
-    "ladder m=6 size_at_most": (CUT, 124, 12, 3),
-    "ladder m=6 generated_by": (CHOOSE, 473, 594, 259),
-    "G_ideal": (CHOOSE, 102, 80, 32),
-    "G_poset": (CHOOSE, 56, 49, 20),
-    "BM_ideal": (NONEMPTY, 35, 32, 12),
+    "ladder m=6 size_at_most": (CUT, 124, 12, 3, (0, 0)),  # size shortcut
+    "ladder m=6 generated_by": (CHOOSE, 473, 594, 259, (473, 261)),
+    "G_ideal": (CHOOSE, 102, 80, 32, (102, 33)),
+    "G_poset": (CHOOSE, 56, 49, 20, (56, 20)),
+    "BM_ideal": (NONEMPTY, 35, 32, 12, (35, 13)),
+    "bridge": (CHOOSE, 22_793, 1_958, 967, (22_793, 968)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_STATS))
 def test_solve_stats_and_budget_trip_are_pinned(name, monkeypatch):
     inst = _pinned_games()[name]
-    winner, visited, hits, hits_at_trip = SOLVE_STATS[name]
+    winner, visited, hits, hits_at_trip, winner_only = SOLVE_STATS[name]
     result = solve(inst)
     assert (result.winner, result.stats.states_visited,
             result.stats.memo_hits) == (winner, visited, hits)
+    result = solve(inst, want_strategy=False)
+    assert (result.winner, result.stats.states_visited,
+            result.stats.memo_hits) == (winner, *winner_only)
     monkeypatch.setattr(solver, "DEFAULT_STATE_BUDGET", visited - 1)
     with pytest.raises(CapacityError) as err:
         solve(inst)
@@ -312,3 +338,58 @@ def test_the_records_give_the_probing_walks_table(inst):
         assert list(table.entries.items()) == list(probed.entries.items())
         assert (table.role, table.name) == (probed.role, probed.name)
     assert result.stats == stats
+
+
+def _fill_and_read(value_function, inst, record):
+    """The winner, counts and, if ``record``, the table of one fill and
+    its records walk, or the ``CapacityError``'s text and stats."""
+    stats = SolveStats()
+    records = {} if record else None
+    value = value_function(inst, stats, {}, records)
+    try:
+        winner = value(initial_state(inst))
+        table = None
+        if record:
+            table = list(solver._recorded_strategy(
+                inst, winner, records, stats).entries.items())
+    except CapacityError as err:
+        return str(err), err.stats
+    return winner, stats.counts(), table
+
+
+def _reachable(inst):
+    """Every position reachable along canonical moves, terminal ones too."""
+    seen = {initial_state(inst)}
+    frontier = list(seen)
+    while frontier:
+        state = frontier.pop()
+        if fill_oracle.terminal_status(inst, state).ongoing:
+            for move in legal_moves(inst, state):
+                child = apply_move(inst, state, move, check=False)
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+    return seen
+
+
+@given(small_games(), st.data())
+@settings(max_examples=150, deadline=None)
+@seed(31)
+def test_the_fill_keeps_the_per_position_references_results(inst, data):
+    # the inline fill against the fill that expands every position through
+    # apply_move and the referee written variant by variant: winner, counts
+    # and table entries in order, with and without records, and the same
+    # budget failure under a budget drawn below the states the fill visits
+    for record in (False, True):
+        expected = _fill_and_read(fill_oracle.value_function, inst, record)
+        assert _fill_and_read(_value_function, inst, record) == expected
+        budget = data.draw(st.integers(0, expected[1]["states_visited"] - 1))
+        with mock.patch.object(solver, "DEFAULT_STATE_BUDGET", budget):
+            expected = _fill_and_read(fill_oracle.value_function, inst, record)
+            assert expected[0] == "state budget exceeded"
+            assert _fill_and_read(_value_function, inst, record) == expected
+    for state in _reachable(inst):
+        outcome = terminal_status(inst, state)
+        reference = fill_oracle.terminal_status(inst, state)
+        assert (outcome.status, outcome.reason) == \
+            (reference.status, reference.reason), state
