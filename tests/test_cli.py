@@ -942,6 +942,16 @@ def test_the_audit_of_a_long_u_game_is_pinned(tmp_path, capsys):
         "ccfb83d089ace7305e358412cffdf240fa2a7f7d2900c223573fa5500412488e")
 
 
+def test_the_audit_of_the_seeded_corpus_is_pinned(capsys):
+    # every row of all five families, posets and algebras among them
+    assert main(["audit", "--seed", "2024", "--per-family", "25",
+                 "--json"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) == 333_289
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "36ebd94d9d9a5bd292505c14edac25598e327af7f0556393b0da54080cb480d9")
+
+
 @pytest.mark.parametrize("key, rest, line", [
     (None, ("--name", "fixed_point"),
      "error: instance: required by fixed_point\n"),
