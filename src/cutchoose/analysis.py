@@ -5,7 +5,10 @@ audit rows genuinely compute both sides of each characterization by
 independent means: game values come from backward induction, distributivity
 verdicts from one exhaustive search over move-sequence prefixes that carries
 each prefix's live cores and skips a (round, live set) pair searched before,
-thresholds from the closed-form counting law or the naive oracle.
+thresholds from the closed-form counting law or the naive oracle.  The
+audit writes each row that families, posets and algebras share once: the
+solver-against-checker distributivity rows in ``_distributivity_row``, the
+Banach-Mazur bridge in ``_bridge_rows`` over ``engine.bridge_game``.
 """
 
 from __future__ import annotations
@@ -278,9 +281,59 @@ def equivalence_audit(inst: GameInstance) -> AuditReport:
     return report
 
 
+def _distributivity_row(inst: GameInstance, rows: list, row_id: str,
+                        description: str, game_family: str, game_variant: str,
+                        check_variant: str) -> None:
+    """The solver's winner of the generalized game that cuts the start set
+    against the independent checker at the instance's width: the cutter
+    wins iff distributivity in ``check_variant`` fails."""
+    game = replace(inst, game_family=game_family, variant=game_variant,
+                   cut_current=False, maximal=True)
+    left = _solve_winner(game) == CUT
+    dist = check_distributivity(inst.structure, inst.start, inst.rounds,
+                                inst.width, check_variant)
+    rows.append(AuditRow(row_id, description, left, not dist.holds,
+                         "solver", "checker"))
+
+
+def _bridge_rows(inst: GameInstance, rows: list) -> str:
+    """The Banach-Mazur bridge: the set (or descent) game, from the full set
+    where it is positive or a poset's top, else from the instance's start,
+    against ``engine.bridge_game`` at each positive subset of the ground
+    (which covers algebras) or each poset element.  Appends both rows and
+    returns the Banach-Mazur winner."""
+    poset = inst.poset
+    if poset is not None:
+        top, starts = poset.top, range(poset.size)
+    else:
+        full = inst.ground.full_mask
+        top = full if is_positive(inst.family, full) else None
+        starts = positives_below(inst.family, full)
+    sets = inst.game_family in engine.MASK_GAMES
+    bm = replace(inst, game_family=BM_IDEAL if sets else BM_POSET,
+                 variant=EXACT, width=None, cut_current=True, maximal=True,
+                 start=inst.start if top is None else top)
+    bm_winner = _solve_winner(bm)
+    winners = [_solve_winner(engine.bridge_game(bm, x)) for x in starts]
+    game, bridge, closure_row = (
+        ("set", "weak unbounded generalized", "bm_nonempty_vs_picker") if sets
+        else ("descent", "unbounded antichain", "strategic_closure"))
+    rows.append(AuditRow("bm_empty_vs_cutter",
+                         f"emptier wins the {game} game iff the cutter wins "
+                         f"the {bridge} game somewhere",
+                         bm_winner == EMPTY, any(w == CUT for w in winners),
+                         "solver", "solver"))
+    rows.append(AuditRow(closure_row,
+                         f"survivor wins the {game} game iff the picker wins "
+                         f"the {bridge} game everywhere",
+                         bm_winner == NONEMPTY,
+                         all(w == CHOOSE for w in winners),
+                         "solver", "solver"))
+    return bm_winner
+
+
 def _audit_mask_instance(inst: GameInstance, rows: list) -> None:
     family = inst.family
-    ground = inst.ground
     singleton_family = family.kind == "size_at_most" and family.bound == 1
 
     # Counting-law rows for the singleton family.
@@ -304,39 +357,11 @@ def _audit_mask_instance(inst: GameInstance, rows: list) -> None:
                              "counting law needs the singleton family",
                              NOT_APPLICABLE, NOT_APPLICABLE, "-", "-"))
 
-    # Generalized-game distributivity (weak form) at the instance's width.
-    g_weak = replace(inst, game_family=G_IDEAL, variant=WEAK,
-                     maximal=True, cut_current=False)
-    left = _solve_winner(g_weak) == CUT
-    dist = check_distributivity(family, inst.start, inst.rounds, inst.width,
-                                IDEAL_WEAK)
-    rows.append(AuditRow("ideal_distributivity_weak",
-                         "cutter wins the weak generalized game iff the "
-                         "family fails weak distributivity at this width",
-                         left, not dist.holds, "solver", "checker"))
-
-    # Banach-Mazur bridge rows; one solve per positive start feeds both.
-    bm = replace(inst, game_family=BM_IDEAL, variant=EXACT, width=None,
-                 start=ground.full_mask if
-                 is_positive(family, ground.full_mask) else inst.start,
-                 cut_current=True, maximal=True)
-    bm_winner = _solve_winner(bm)
-    winners = [
-        _solve_winner(replace(inst, game_family=G_IDEAL, variant=WEAK,
-                              width=None, start=x, cut_current=False,
-                              maximal=True))
-        for x in positives_below(family, ground.full_mask)]
-    rows.append(AuditRow("bm_empty_vs_cutter",
-                         "emptier wins the set game iff the cutter wins the "
-                         "weak unbounded generalized game somewhere",
-                         bm_winner == EMPTY, any(w == CUT for w in winners),
-                         "solver", "solver"))
-    rows.append(AuditRow("bm_nonempty_vs_picker",
-                         "survivor wins the set game iff the picker wins the "
-                         "weak unbounded generalized game everywhere",
-                         bm_winner == NONEMPTY,
-                         all(w == CHOOSE for w in winners),
-                         "solver", "solver"))
+    _distributivity_row(inst, rows, "ideal_distributivity_weak",
+                        "cutter wins the weak generalized game iff the "
+                        "family fails weak distributivity at this width",
+                        G_IDEAL, WEAK, IDEAL_WEAK)
+    bm_winner = _bridge_rows(inst, rows)
 
     # Precipitousness analog and the quotient consistency (proper ideals).
     if isinstance(family, Ideal) and validate_family(family).ok:
@@ -345,7 +370,7 @@ def _audit_mask_instance(inst: GameInstance, rows: list) -> None:
                              "does not win the set game",
                              precipitous_analog(family, inst.rounds),
                              bm_winner != EMPTY, "checker", "solver"))
-        quotient = quotient_algebra(ground, family)
+        quotient = quotient_algebra(inst.ground, family)
         g_exact = replace(inst, game_family=G_IDEAL, variant=EXACT,
                           cut_current=False, maximal=True)
         q_start = quotient.project(inst.start)
@@ -370,53 +395,14 @@ def _audit_mask_instance(inst: GameInstance, rows: list) -> None:
 
 
 def _audit_poset_instance(inst: GameInstance, rows: list) -> None:
-    structure = inst.structure
-    poset = inst.poset
-    elements = (range(poset.size) if poset is not None
-                else positives_below(inst.family, inst.ground.full_mask))
-
-    g_exact = replace(inst, game_family=G_POSET, variant=EXACT,
-                      cut_current=False, maximal=True)
-    left = _solve_winner(g_exact) == CUT
-    dist = check_distributivity(structure, inst.start, inst.rounds,
-                                inst.width, PLAIN)
-    rows.append(AuditRow("poset_distributivity",
-                         "cutter wins the antichain game iff distributivity "
-                         "fails at this width",
-                         left, not dist.holds, "solver", "checker"))
-
-    g_strict = replace(inst, game_family=G_POSET, variant=STRICT_PREFIX,
-                       cut_current=False, maximal=True)
-    udist = check_distributivity(structure, inst.start, inst.rounds,
-                                 inst.width, UNIFORM)
-    rows.append(AuditRow("poset_uniform_distributivity",
-                         "cutter wins the prefix-variant game iff uniform "
-                         "distributivity fails",
-                         _solve_winner(g_strict) == CUT, not udist.holds,
-                         "solver", "checker"))
-
-    bm = replace(inst, game_family=BM_POSET, variant=EXACT, width=None,
-                 cut_current=True, maximal=True,
-                 start=(inst.ground.full_mask if poset is None
-                        else poset.top if poset.top is not None
-                        else inst.start))
-    bm_winner = _solve_winner(bm)
-    winners = [
-        _solve_winner(replace(inst, game_family=G_POSET, variant=EXACT,
-                              width=None, start=x, cut_current=False,
-                              maximal=True))
-        for x in elements]
-    rows.append(AuditRow("bm_empty_vs_cutter",
-                         "emptier wins the descent game iff the cutter wins "
-                         "the unbounded antichain game somewhere",
-                         bm_winner == EMPTY, any(w == CUT for w in winners),
-                         "solver", "solver"))
-    rows.append(AuditRow("strategic_closure",
-                         "survivor wins the descent game iff the picker wins "
-                         "the unbounded antichain game everywhere",
-                         bm_winner == NONEMPTY,
-                         all(w == CHOOSE for w in winners),
-                         "solver", "solver"))
+    _distributivity_row(inst, rows, "poset_distributivity",
+                        "cutter wins the antichain game iff distributivity "
+                        "fails at this width", G_POSET, EXACT, PLAIN)
+    _distributivity_row(inst, rows, "poset_uniform_distributivity",
+                        "cutter wins the prefix-variant game iff uniform "
+                        "distributivity fails", G_POSET, STRICT_PREFIX,
+                        UNIFORM)
+    _bridge_rows(inst, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -563,54 +549,37 @@ def generate_corpus(seed: int, per_family: int = 25) -> list[CorpusInstance]:
 
 
 def _draw_instance(rng: random.Random, game_family: str):
+    """The structure, then the game's parameters, each drawn once per kind
+    in a fixed order; None where the draw is no game."""
     try:
+        if game_family in engine.MASK_GAMES:
+            ground = GroundSet(rng.randint(
+                3, {U: 8, G_IDEAL: 6, BM_IDEAL: 5}[game_family]))
+            family = _random_family(rng, ground, want_ideal=rng.random() < (
+                0.6 if game_family == BM_IDEAL else 0.4))
+            if not is_positive(family, ground.full_mask):
+                return None
+            where = {"start": ground.full_mask, "ground": ground,
+                     "family": family}
+            # unbounded width only on grounds of at most five points
+            unbounded = None if ground.size <= 5 else 3
+        else:
+            structure = _random_poset(rng)
+            where = {"start": structure.top,
+                     "algebra" if isinstance(structure, FiniteBooleanAlgebra)
+                     else "poset": structure}
+            unbounded = None
         if game_family == U:
-            m = rng.randint(3, 8)
-            ground = GroundSet(m)
-            family = _random_family(rng, ground, want_ideal=rng.random() < 0.4)
-            start = ground.full_mask
-            if not is_positive(family, start):
-                return None
-            return GameInstance(
-                game_family=U, start=start, rounds=rng.randint(1, 3),
-                width=rng.choice([2, 2, 3]),
-                variant=rng.choice([EXACT, EXACT, WEAK, STRICT_PREFIX]),
-                ground=ground, family=family)
-        if game_family == G_IDEAL:
-            m = rng.randint(3, 6)
-            ground = GroundSet(m)
-            family = _random_family(rng, ground, want_ideal=rng.random() < 0.4)
-            start = ground.full_mask
-            if not is_positive(family, start):
-                return None
-            rounds = rng.randint(1, 2)
-            return GameInstance(
-                game_family=G_IDEAL, start=start, rounds=rounds,
-                width=rng.choice([2, 3, None if m <= 5 else 3]),
-                variant=rng.choice([EXACT, EXACT, WEAK]),
-                ground=ground, family=family,
-                cut_current=rng.random() < 0.5)
-        if game_family == BM_IDEAL:
-            m = rng.randint(3, 5)
-            ground = GroundSet(m)
-            family = _random_family(rng, ground, want_ideal=rng.random() < 0.6)
-            start = ground.full_mask
-            if not is_positive(family, start):
-                return None
-            return GameInstance(game_family=BM_IDEAL, start=start,
-                                rounds=rng.randint(1, 3), width=None,
-                                ground=ground, family=family)
-        structure = _random_poset(rng)
-        start = structure.top
-        kw = {"algebra" if isinstance(structure, FiniteBooleanAlgebra)
-              else "poset": structure}
-        if game_family == G_POSET:
-            return GameInstance(
-                game_family=G_POSET, start=start, rounds=rng.randint(1, 2),
-                width=rng.choice([2, 3, None]),
-                variant=rng.choice([EXACT, EXACT, WEAK]),
-                cut_current=rng.random() < 0.5, **kw)
-        return GameInstance(game_family=BM_POSET, start=start,
-                            rounds=rng.randint(1, 3), width=None, **kw)
+            game = dict(rounds=rng.randint(1, 3), width=rng.choice([2, 2, 3]),
+                        variant=rng.choice([EXACT, EXACT, WEAK,
+                                            STRICT_PREFIX]))
+        elif game_family in (G_IDEAL, G_POSET):
+            game = dict(rounds=rng.randint(1, 2),
+                        width=rng.choice([2, 3, unbounded]),
+                        variant=rng.choice([EXACT, EXACT, WEAK]),
+                        cut_current=rng.random() < 0.5)
+        else:
+            game = dict(rounds=rng.randint(1, 3), width=None)
+        return GameInstance(game_family=game_family, **where, **game)
     except ValidationError:
         return None

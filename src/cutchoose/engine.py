@@ -36,7 +36,9 @@ strategies produced by transformations may play degenerate partitions such as
 side in ``structures``: ``enumerate_cut_moves`` and ``cut_violation``.  A
 game that cuts its start set (``cut_current`` False) offers the same cut
 moves at every cut position, so its instance enumerates them once, as
-``GameInstance.start_cuts``.
+``GameInstance.start_cuts``.  Such a game is the other side of the paper's
+Banach-Mazur bridge, named once as ``bridge_game``: the audit solves it and
+the bridge transports play it.
 
 A strategy is a fold that the walks step, a finite-memory (Mealy)
 strategy (Grädel, Thomas & Wilke (eds.), *Automata, Logics, and Infinite
@@ -56,7 +58,7 @@ again, so it still reports tree nodes.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -121,41 +123,48 @@ class GameInstance:
             # an algebra plays as its trivial ideal on its atoms
             object.__setattr__(self, "ground", self.algebra.atoms)
             object.__setattr__(self, "family", self.algebra)
+        # each refusal names its field, ``structure`` for a misfit structure
         if self.game_family not in GAME_FAMILIES:
-            raise ValidationError(f"unknown game family {self.game_family!r}")
+            raise ValidationError(f"unknown game family {self.game_family!r}",
+                                  "game_family")
         if self.variant not in VARIANTS:
-            raise ValidationError(f"unknown variant {self.variant!r}")
+            raise ValidationError(f"unknown variant {self.variant!r}",
+                                  "variant")
         if self.rounds < 1:
-            raise ValidationError("rounds must be >= 1")
+            raise ValidationError("rounds must be >= 1", "rounds")
         if self.game_family in MASK_GAMES:
             if self.ground is None or self.family is None:
                 raise ValidationError(
-                    f"{self.game_family} needs a ground set and a family")
+                    f"{self.game_family} needs a ground set and a family",
+                    "structure")
             self.ground.check_mask(self.start, "start")
             if not is_positive(self.family, self.start):
-                raise ValidationError("start must be I-positive")
+                raise ValidationError("start must be I-positive", "start")
         else:
             if (self.poset is None) == (self.algebra is None):
                 raise ValidationError(
-                    f"{self.game_family} needs exactly one of poset/algebra")
+                    f"{self.game_family} needs exactly one of poset/algebra",
+                    "structure")
             if self.poset is not None:
                 if not (0 <= self.start < self.poset.size):
-                    raise ValidationError("start element out of range")
+                    raise ValidationError("start element out of range",
+                                          "start")
             else:
                 self.ground.check_mask(self.start, "start")
                 if self.start == 0:
-                    raise ValidationError("start must be a nonzero element")
+                    raise ValidationError("start must be a nonzero element",
+                                          "start")
         if self.game_family in BM_GAMES:
             if self.width is not None:
-                raise ValidationError("Banach-Mazur games take no width bound")
-        elif self.game_family == U:
-            if self.width is None:
-                raise ValidationError("unbounded width is only for G/BM families")
-            if self.width < 2:
-                raise ValidationError("width must be >= 2")
-        else:
-            if self.width is not None and self.width < 2:
-                raise ValidationError("width must be >= 2 or unbounded")
+                raise ValidationError("Banach-Mazur games take no width bound",
+                                      "width")
+        elif self.width is None:
+            if self.game_family == U:
+                raise ValidationError(
+                    "unbounded width is only for G/BM families", "width")
+        elif self.width < 2:
+            raise ValidationError("width must be >= 2" + (
+                "" if self.game_family == U else " or unbounded"), "width")
 
     @property
     def cutter(self) -> str:
@@ -214,6 +223,21 @@ class GameInstance:
                 return CUT if round_ >= 1 and small(core) else None
             return CUT if weak and small(core) else CHOOSE
         return prefix
+
+
+def bridge_game(bm: GameInstance, start: int) -> GameInstance:
+    """The generalized game that the Banach-Mazur game ``bm`` is bridged to
+    at ``start``: its structure and rounds, unbounded width and the maximal
+    cuts of the start set, weak over a family and exact over a poset or an
+    algebra.  ``bm``'s variant, ``maximal`` and ``cut_current`` play no
+    part."""
+    if bm.game_family not in BM_GAMES:
+        raise ValidationError(f"{bm.game_family} is not a Banach-Mazur game",
+                              "game_family")
+    sets = bm.game_family == BM_IDEAL
+    return replace(bm, game_family=G_IDEAL if sets else G_POSET, start=start,
+                   width=None, variant=WEAK if sets else EXACT, maximal=True,
+                   cut_current=False)
 
 
 Move = Union[int, tuple]

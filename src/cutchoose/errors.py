@@ -11,8 +11,9 @@ class CutChooseError(Exception):
 class ValidationError(CutChooseError):
     """Raised when a structure, instance, or input file violates an invariant.
 
-    ``path`` locates the offending field (dotted path into the input document,
-    empty for programmatic construction); ``message`` is the text without it.
+    ``path`` locates the offending field: a dotted path into the input
+    document, the field's name for a ``GameInstance`` built in code, or empty;
+    ``message`` is the text without it.
     """
 
     def __init__(self, message: str, path: str = ""):

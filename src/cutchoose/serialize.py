@@ -202,7 +202,11 @@ def instance_from_jsonable(obj: dict, path: str = "instance") -> GameInstance:
                             cut_current=cut_current, ground=ground,
                             family=family, poset=poset, algebra=algebra)
     except ValidationError as exc:
-        raise ValidationError(str(exc), gpath)
+        # the instance names its field; the game's "family" is game_family
+        where = {"": gpath, "structure": spath,
+                 "game_family": gpath + ".family"}
+        raise ValidationError(exc.message, where.get(
+            exc.path, f"{gpath}.{exc.path}")) from None
 
 
 def parse_json(text: str, source: str = "") -> Any:

@@ -44,8 +44,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .engine import (BM_IDEAL, CHOOSE, CUT, DEFAULT_NODE_BUDGET, EMPTY, EXACT,
-                     G_IDEAL, G_POSET, NONEMPTY, U, WEAK, FunctionStrategy,
-                     GameInstance, Run, Strategy, Transcript,
+                     G_IDEAL, G_POSET, NONEMPTY, U, FunctionStrategy,
+                     GameInstance, Run, Strategy, Transcript, bridge_game,
                      core_positive, enumerate_playouts, initial_state,
                      sorted_pieces, stage_after, terminal_status,
                      validate_move)
@@ -138,15 +138,15 @@ def source_instance(kind: str, inst: GameInstance,
     for the transport called on the game ``inst`` (its first instance
     argument): the doubled partition game for ``disjointify_choose``; the
     game one round longer for ``empty_to_cut``, whose emptier answers one
-    stage past the round count; the weak generalized game on the opening
-    set ``start`` for ``choose_to_nonempty``; ``inst`` itself for every
-    other transport."""
+    stage past the round count; ``engine.bridge_game`` on the opening set
+    ``start`` for ``choose_to_nonempty``; ``inst`` itself for every other
+    transport."""
     if kind == "disjointify_choose":
         return _doubled_instance(inst)
     if kind == "empty_to_cut":
         return replace(inst, rounds=inst.rounds + 1)
     if kind == "choose_to_nonempty":
-        return weak_g_instance(inst, start)
+        return bridge_game(inst, start)
     return inst
 
 
@@ -1014,15 +1014,6 @@ def _require_bm_ideal(inst: GameInstance, op: str) -> None:
         raise ValidationError(f"{op} needs a set Banach-Mazur game")
 
 
-def weak_g_instance(bm_inst: GameInstance, start: int) -> GameInstance:
-    """The weak, unbounded-width generalized game on ``start`` over the
-    family of a set Banach-Mazur game, with the same number of rounds."""
-    return GameInstance(game_family=G_IDEAL, start=start,
-                        rounds=bm_inst.rounds, width=None, variant=WEAK,
-                        cut_current=False, ground=bm_inst.ground,
-                        family=bm_inst.family)
-
-
 def witness_to_empty_strategy(seq: Sequence[tuple],
                               bm_inst: GameInstance) -> TransformOutput:
     """Walk the emptier along a sequence of positive families: at each stage
@@ -1111,7 +1102,7 @@ def empty_to_cut_strategy(sigma_e: Strategy,
     fam = bm_inst.family
     opening = Run.start(bm_inst, sigma_e)
     x0 = opening.ask()
-    g_inst = weak_g_instance(bm_inst, x0)
+    g_inst = bridge_game(bm_inst, x0)
 
     def expand(run: Run):
         """One cut: the greedy maximal positive family of emptier responses
@@ -1155,7 +1146,8 @@ def empty_to_cut_strategy(sigma_e: Strategy,
                                    lambda: opening.then(x0), expand, dead_cut)
 
     def check(t: Transcript, memos: _Memos):
-        run, alive, done, _ = fold(t.moves)
+        moves = t.moves
+        run, alive, done, _ = fold(moves)
         history = run.history
         details: dict = {"alive": alive,
                          "aux_rounds": (len(history) - 1) // 2,
@@ -1170,7 +1162,7 @@ def empty_to_cut_strategy(sigma_e: Strategy,
         if not alive and t.winner != CUT:
             holds = False
             details["extension_pick_not_fatal"] = True
-        cuts = [mv for role, mv in t.moves if role == CUT]
+        cuts = [mv for role, mv in moves if role == CUT]
         stale = next((j for j, (block, mv) in enumerate(zip(done, cuts))
                       if block[0] != (mv,)), None)
         if stale is not None:
@@ -1197,7 +1189,7 @@ def nonempty_to_choose_strategy(sigma_n: Strategy, bm_inst: GameInstance,
     fam = bm_inst.family
     if not is_positive(fam, start):
         raise ValidationError("start must be I-positive")
-    g_inst = weak_g_instance(bm_inst, start)
+    g_inst = bridge_game(bm_inst, start)
 
     def opening():
         run = Run.start(bm_inst, sigma_n).then(start)
@@ -1299,14 +1291,15 @@ def choose_to_nonempty_strategy(provider: Callable[[int], Strategy],
                        answer)
 
     def check(t: Transcript, memos: _Memos):
+        moves = t.moves
         try:
-            _, node, _ = strategy.value(t.moves)
+            _, node, _ = strategy.value(moves)
         except TransformSoundnessError as exc:
             return False, [], {"error": str(exc)}
         history = node.value.history
         holds = True
         details: dict = {"stages": len(history) // 2}
-        empties = [mv for role, mv in t.moves if role == EMPTY]
+        empties = [mv for role, mv in moves if role == EMPTY]
         cuts = [cut for _, cut in history[0::2]]
         picks = [pick for _, pick in history[1::2]]
         for j, pick in enumerate(picks):

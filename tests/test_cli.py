@@ -325,6 +325,35 @@ def test_instance_field_of_the_wrong_type_is_rejected(tmp_path, field,
     assert f"instance.game.{field}" in proc.stderr
 
 
+def _algebra_doc(game_family):
+    doc = u_doc(m=3, start="{0,1,2}")
+    doc["structure"] = {"kind": "algebra", "atoms": 3}
+    doc["game"]["family"] = game_family
+    return doc
+
+
+@pytest.mark.parametrize("doc, path", [
+    (u_doc(rounds=0), "instance.game.rounds"),
+    (u_doc(width=1), "instance.game.width"),
+    (u_doc(start="{}"), "instance.game.start"),
+    (u_doc(variant="strong"), "instance.game.variant"),
+    ({**u_doc(), "game": {**u_doc()["game"], "family": "X"}},
+     "instance.game.family"),
+    # a game family the structure cannot carry
+    (_algebra_doc("U"), "instance.structure"),
+    ({**u_doc(), "game": {**u_doc()["game"], "family": "G_poset"}},
+     "instance.structure")],
+    ids=["rounds", "width", "start", "variant", "family", "U_on_algebra",
+         "G_poset_on_family"])
+def test_an_instance_refusal_names_its_field(tmp_path, doc, path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    proc = run_cli("solve", str(bad))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: ")
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "{deep}"), ("audit", "{deep}"),
     # the playout walk of the transformed strategy, not the solver

@@ -55,6 +55,38 @@ def test_instance_invariants():
                      ground=g, family=fam)  # BM games take no width
 
 
+@pytest.mark.parametrize("variant, maximal", [
+    (EXACT, True), (WEAK, False), (STRICT_PREFIX, True)])
+def test_a_set_games_bridge_is_the_weak_unbounded_cut_the_start_game(
+        variant, maximal):
+    g = GroundSet(4)
+    fam = Ideal.generated_by(g, [0b0011])
+    bm = GameInstance(game_family=BM_IDEAL, start=g.full_mask, rounds=3,
+                      width=None, variant=variant, maximal=maximal,
+                      ground=g, family=fam)
+    assert engine.bridge_game(bm, 0b1100) == GameInstance(
+        game_family=G_IDEAL, start=0b1100, rounds=3, width=None,
+        variant=WEAK, maximal=True, cut_current=False, ground=g, family=fam)
+
+
+@pytest.mark.parametrize("structure", [
+    {"poset": FinitePoset.from_subsets([0b001, 0b010, 0b011, 0b111], 3)},
+    {"algebra": FiniteBooleanAlgebra(GroundSet(3))}],
+    ids=["poset", "algebra"])
+def test_a_descent_games_bridge_is_the_exact_antichain_game(structure):
+    (top,) = (s.top for s in structure.values())
+    bm = GameInstance(game_family=BM_POSET, start=top, rounds=2, width=None,
+                      **structure)
+    assert engine.bridge_game(bm, 1) == GameInstance(
+        game_family=G_POSET, start=1, rounds=2, width=None, variant=EXACT,
+        maximal=True, cut_current=False, **structure)
+
+
+def test_only_a_banach_mazur_game_has_a_bridge():
+    with pytest.raises(ValidationError, match="U is not a Banach-Mazur game"):
+        engine.bridge_game(u_instance(3, 1), 0b111)
+
+
 # ---------------------------------------------------------------------------
 # Legal moves
 # ---------------------------------------------------------------------------
