@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import redirect_stdout
 
 from . import analysis, serialize
 from ._version import ENGINE_VERSION
@@ -411,11 +412,10 @@ def cmd_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _show_move(inst: GameInstance, move) -> str:
-    if isinstance(move, tuple):
-        return " | ".join(_show_move(inst, p) for p in move)
-    if serialize.moves_are_masks(inst):
-        return format_mask(move)
-    return str(move)
+    shown = serialize.move_to_jsonable(inst, move)
+    if isinstance(shown, list):
+        return " | ".join(map(str, shown))
+    return str(shown)
 
 
 def cmd_play(args) -> int:
@@ -463,7 +463,9 @@ def cmd_play(args) -> int:
                 idx = replay_inputs[len(inputs)]
             else:
                 try:
-                    idx = int(input("move index> "))
+                    # input() writes its prompt to sys.stdout: make it out
+                    with redirect_stdout(out):
+                        idx = int(input("move index> "))
                 except (EOFError, ValueError):
                     print("no input; resigning", file=out)
                     return EXIT_VALIDATION

@@ -47,12 +47,13 @@ Games*, LNCS 2500, 2002): ``start()``, ``step(stage, entry)`` and
 per move, so a playout of depth d costs O(d) and the transcripts of one
 walk share their prefixes; a caller that holds only a history folds it
 with ``stage_after``.  A table or a ``FunctionStrategy`` is positional,
-its stage ``None``.  The tree walk (verification, playouts) follows every
-canonical opposing line and hands each leaf to a callback; the positional
-walk (tabulation) visits each reachable position once to build a table.
-Verifying a positional strategy, the tree walk expands each position once
-too: it counts a subtree it has already seen won without walking it
-again, so it still reports tree nodes.
+its stage ``None``.  The tree walk follows every canonical opposing line
+in one of two modes: playouts keep every leaf, verification stops at the
+first leaf the strategy loses.  The positional walk (tabulation) visits
+each reachable position once to build a table.  Verifying a positional
+strategy, the tree walk expands each position once too: it counts a
+subtree it has already seen won without walking it again, so it still
+reports tree nodes.
 """
 
 from __future__ import annotations
@@ -699,31 +700,33 @@ def depth_limited(rounds: int, task: str, stats: Callable[[], dict]):
 
 
 def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
-               node_budget: int, leaf: Callable[[Run, Outcome], object]
-               ) -> int:
-    """The tree walk: hands each leaf (its run and the referee's outcome)
-    to ``leaf`` and gives the nodes visited, terminal ones included.  A
-    leaf answered True stops the walk, one answered False the walk may
-    forget, and any other answer keeps.  ``sigma``'s stage steps into each
-    ongoing position.
+               node_budget: int, every_leaf: bool
+               ) -> tuple[int, list[Transcript]]:
+    """The tree walk: the nodes visited, terminal ones included, and the
+    leaves it keeps as transcripts.  With ``every_leaf`` it keeps every
+    leaf (the playouts); without, it stops at the first leaf ``role`` does
+    not win and keeps that one (the counterexample).  ``sigma``'s stage
+    steps into each ongoing position.
 
-    For a positional strategy, the tree below a position depends on the
-    position alone (AND-OR evaluation with transpositions): while no leaf
-    is kept, each position with no pending move whose every leaf was
-    answered False keeps that subtree's node count, and a later visit adds
-    the count without walking.  Nodes, the stopping leaf and the first
-    error are the plain walk's.  ``node_budget`` bounds the positions
-    walked, a memo hit costing one, so a positional walk can finish under
-    a budget below its node count.  The memo lives for one call."""
+    Stopping at the first loss with a positional ``sigma``, the walk
+    memoizes: the tree below a position depends on the position alone
+    (AND-OR evaluation with transpositions), so each position with no
+    pending move whose subtree ``role`` wins keeps that subtree's node
+    count, and a later visit adds it without walking.  Nodes, the
+    counterexample and the first error are the plain walk's.
+    ``node_budget`` bounds the positions walked, a memo hit costing one, so
+    a positional walk can finish under a budget below its node count.  The
+    memo lives for one call."""
     nodes = walked = 0
+    kept: list[Transcript] = []
     start = sigma.start()
-    won: Optional[dict[GameState, int]] = {} if start is None else None
+    won: Optional[dict] = None if every_leaf or start is not None else {}
     step = sigma.step
     _new = tuple.__new__
 
     def walk(run: Run, stage) -> bool:
         """``stage`` is ``sigma``'s before the run's last entry."""
-        nonlocal nodes, walked, won
+        nonlocal nodes, walked
         state = run.state
         keyed = won is not None and state.pending is None
         subtree = won.get(state, 0) if keyed else 0
@@ -737,10 +740,10 @@ def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
         first = nodes
         outcome = terminal_status(inst, state)
         if not outcome.ongoing:
-            answer = leaf(run, outcome)
-            if answer is not False:
-                won = None
-            return answer is True
+            if every_leaf or outcome.status != role:
+                kept.append(Transcript(run, outcome.status, outcome.reason))
+                return not every_leaf
+            return False
         if stage is not None and run.entry is not None:
             stage = step(stage, run.entry)
         mover = state.to_move
@@ -756,14 +759,14 @@ def _walk_tree(inst: GameInstance, sigma: Strategy, role: str,
             if walk(_new(Run, (inst, nxt, run, (mover, move), None, None)),
                     stage):
                 return True
-        if keyed and won is not None:
+        if keyed:
             won[state] = nodes - first + 1
         return False
 
     try:
         with depth_limited(inst.rounds, "walk", lambda: {"nodes": nodes}):
             walk(Run.start(inst), start)
-        return nodes
+        return nodes, kept
     finally:
         walk = None  # see tabulate_strategy: frees the memo now
 
@@ -773,15 +776,7 @@ def verify_winning_strategy(inst: GameInstance, sigma: Strategy, role: str,
                             ) -> VerifyResult:
     """Exhaustively traverse every opposing line; verified iff ``role`` wins
     every leaf.  The first counterexample in canonical order is returned."""
-    lost: list[Transcript] = []
-
-    def leaf(run: Run, outcome: Outcome) -> bool:
-        if outcome.status == role:
-            return False
-        lost.append(Transcript(run, outcome.status, outcome.reason))
-        return True
-
-    nodes = _walk_tree(inst, sigma, role, node_budget, leaf)
+    nodes, lost = _walk_tree(inst, sigma, role, node_budget, False)
     return VerifyResult(not lost, lost[0] if lost else None, nodes)
 
 
@@ -789,11 +784,7 @@ def enumerate_playouts(inst: GameInstance, sigma: Strategy, role: str,
                        node_budget: int = DEFAULT_NODE_BUDGET
                        ) -> list[Transcript]:
     """All playouts of ``sigma`` against every canonical adversary line."""
-    found: list[Transcript] = []
-    _walk_tree(inst, sigma, role, node_budget,
-               lambda run, outcome: found.append(
-                   Transcript(run, outcome.status, outcome.reason)))
-    return found
+    return _walk_tree(inst, sigma, role, node_budget, True)[1]
 
 
 def tabulate_strategy(inst: GameInstance, sigma: Strategy, role: str,

@@ -43,6 +43,15 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+def pull_back(points: Sequence[int], mask: int) -> int:
+    """The mask whose bit ``i`` is ``mask``'s bit ``points[i]``."""
+    out = 0
+    for i, p in enumerate(points):
+        if (mask >> p) & 1:
+            out |= 1 << i
+    return out
+
+
 def mask_elements(mask: int) -> tuple[int, ...]:
     out = []
     i = 0
@@ -487,11 +496,7 @@ class QuotientAlgebra:
     removed: int
 
     def project(self, mask: int) -> int:
-        out = 0
-        for i, p in enumerate(self.atom_points):
-            if (mask >> p) & 1:
-                out |= 1 << i
-        return out
+        return pull_back(self.atom_points, mask)
 
 
 def quotient_algebra(ground: GroundSet, ideal: MonotoneFamily) -> QuotientAlgebra:

@@ -46,16 +46,16 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .engine import (BM_IDEAL, CHOOSE, CUT, DEFAULT_NODE_BUDGET, EMPTY, EXACT,
                      G_IDEAL, G_POSET, NONEMPTY, U, FunctionStrategy,
                      GameInstance, Run, Strategy, Transcript, bridge_game,
-                     core_positive, enumerate_playouts, initial_state,
-                     sorted_pieces, stage_after, terminal_status,
-                     validate_move)
+                     core_positive, cut_target, enumerate_playouts,
+                     initial_state, sorted_pieces, stage_after,
+                     terminal_status, validate_move)
 from .engine import fixed_point_choose_strategy  # re-exported: same toolbox
 from .errors import (CapacityError, SigmaSearchError, TransformSoundnessError,
                      ValidationError)
 from .structures import (FiniteBooleanAlgebra, GroundSet, IPartition,
                          MonotoneFamily, format_mask, full_disjointification,
                          is_positive, mask_elements, mask_key, popcount,
-                         sorted_masks, submasks)
+                         pull_back, sorted_masks, submasks)
 
 
 # Cap on the strategy queries of one ``cut_strategy_to_witness`` call.
@@ -442,14 +442,6 @@ def _embed_mask(embedding: Sequence[int], mask: int) -> int:
     return out
 
 
-def _pullback_mask(embedding: Sequence[int], mask: int) -> int:
-    out = 0
-    for i, p in enumerate(embedding):
-        if (mask >> p) & 1:
-            out |= 1 << i
-    return out
-
-
 def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
                              outer: GameInstance,
                              embedding: Sequence[int]) -> TransformOutput:
@@ -472,7 +464,7 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
         raise ValidationError("embedding must be injective on the inner ground")
     if any(not (0 <= p < outer.ground.size) for p in emb):
         raise ValidationError("embedding leaves the outer ground")
-    if _pullback_mask(emb, outer.start) != inner.start:
+    if pull_back(emb, outer.start) != inner.start:
         raise ValidationError("outer start must pull back to the inner start")
     for s in range(1 << inner.ground.size):
         if (s in inner.family) != (_embed_mask(emb, s) in outer.family):
@@ -488,8 +480,8 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
         counterpart the inner pick is)."""
         node, _ = stage
         pieces = sorted_pieces(outer, entry[1])
-        target = node.value.state.core if inner.cut_current else inner.start
-        pb = {p: _pullback_mask(emb, p) & target for p in pieces}
+        target = cut_target(inner, node.value.state)
+        pb = {p: pull_back(emb, p) & target for p in pieces}
         nonempty = sorted({v for v in pb.values() if v}, key=mask_key)
         if not nonempty:
             return node, pieces[0]
@@ -512,7 +504,7 @@ def restrict_choose_strategy(sigma: Strategy, inner: GameInstance,
         details: dict = {}
         holds = memos.follows(history, details)
         outer_core = t.run.state.core
-        if _pullback_mask(emb, outer_core) != run.state.core:
+        if pull_back(emb, outer_core) != run.state.core:
             holds = False
             details["pullback_mismatch"] = (memos.mask(outer_core),
                                             memos.mask(run.state.core))

@@ -37,6 +37,8 @@ def _family_doc(m, family, game, rounds, width, ideal=True, cut_current=False):
 # the game CI solves through the installed entry point
 CI_U4 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), ".github", "ci", "u4.json")
+CI_G4 = os.path.join(os.path.dirname(CI_U4), "g4.json")
+CI_A4 = os.path.join(os.path.dirname(CI_U4), "a4.json")
 
 
 @pytest.fixture
@@ -166,6 +168,37 @@ def test_transform_json_encodes_auxiliary_runs(tmp_path, capsys):
         ["Choose", "{0,1}"]]
 
 
+@pytest.mark.parametrize("name, playouts, code, nodes, digest", [
+    # the solver's Cut side of g4 loses, and so does its transform
+    ("disjointify_cut", 3, 1, 9,
+     "e32342894edf16477f06dc39e2b555dc8fb87479f86c8c7d37b9dd2dec747381"),
+    ("disjointify_choose", 1, 0, 5,
+     "0276774cbb865adc9c1447c268f71a1dfa72eaadce372fd4cb58511aa8984b6e"),
+])
+def test_transform_files_verify_as_the_readme_shows(tmp_path, capsys, name,
+                                                    playouts, code, nodes,
+                                                    digest):
+    # the README's transform --strategy-out --game-out, then verify
+    tau, game = tmp_path / "tau.json", tmp_path / "out_game.json"
+    argv = ["transform", "--name", name, CI_G4, "--sigma", "solver"]
+    assert main(argv + ["--strategy-out", str(tau),
+                        "--game-out", str(game)]) == 0
+    assert capsys.readouterr().out == (
+        f"transform {name}: {playouts} playouts, all certificates hold: True\n")
+    assert main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["playouts"] == playouts
+    assert json.loads(tau.read_text()) == doc["strategy"]
+    assert json.loads(game.read_text()) == doc["game"]
+    assert main(["verify", str(game), "--strategy", str(tau),
+                 "--json"]) == code
+    out = capsys.readouterr().out
+    result = json.loads(out)
+    assert (result["verified"], result["nodes"]) == (code == 0, nodes)
+    assert ("counterexample" in result) == (code == 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_ablate_subcommand(tmp_path, capsys):
     doc = u_doc(m=4, rounds=2, width=6)
     doc["game"]["family"] = "G_ideal"
@@ -285,13 +318,14 @@ def test_ideal_flag_round_trips_to_ideal_type():
 # Malformed inputs end in exit code 1 with the field named, not a traceback
 # ---------------------------------------------------------------------------
 
-def run_cli(*argv):
+def run_cli(*argv, stdin=None):
+    """The command in a subprocess, ``stdin`` piped to it (empty if None)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         serialize.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "cutchoose.cli", *argv],
                           env=env, capture_output=True, text=True,
-                          timeout=120)
+                          input=stdin, timeout=120)
 
 
 def _verify_with_first_state_edited(tmp_path, u4, edit):
@@ -589,6 +623,33 @@ def test_audit_refuses_the_corpus_options_with_an_instance_file(u4, capsys,
     option = "--seed" if "--seed" in options else "--per-family"
     assert (captured.out, captured.err) == (
         "", f"error: {option}: not read with an instance file\n")
+
+
+def test_play_json_writes_its_prompts_to_stderr(tmp_path):
+    # stdout is the session document alone, as the log holds it
+    log = tmp_path / "session.json"
+    proc = run_cli("play", CI_A4, "--role", "cut", "--json", "--log",
+                   str(log), stdin="0\n0\n")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == json.loads(log.read_text())
+    assert proc.stdout == log.read_text()
+    assert proc.stderr.count("move index> ") == 2
+
+
+def test_play_without_json_writes_prompts_and_moves_to_stdout(tmp_path):
+    proc = run_cli("play", CI_U4, "--role", "choose", stdin="0\n0\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "you play Choose; the table plays Cut (solved winner: Cut)\n"
+        "[Cut] plays {0,1} | {2,3}\n"
+        "round 0, core {0,1,2,3}; your moves:\n"
+        "  0: {0,1}\n"
+        "  1: {2,3}\n"
+        "move index> [Cut] plays {0} | {1}\n"
+        "round 1, core {0,1}; your moves:\n"
+        "  0: {0}\n"
+        "  1: {1}\n"
+        "move index> winner: Cut (final intersection in the family)\n")
 
 
 def test_play_prints_a_poset_core_as_the_documents_do(tmp_path, capsys):
