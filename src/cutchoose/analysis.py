@@ -27,7 +27,7 @@ from .engine import (BM_IDEAL, BM_POSET, CHOOSE, CUT, EMPTY, EXACT, G_IDEAL,
 from .errors import CapacityError, ValidationError
 from .solver import reference_winner, solve
 from .structures import (DEFAULT_MOVE_BUDGET, FiniteBooleanAlgebra,
-                         FinitePoset, GroundSet, Ideal, MonotoneFamily,
+                         FinitePoset, GroundSet, Ideal, Memo, MonotoneFamily,
                          enumerate_cut_moves, is_positive, popcount,
                          positives_below, quotient_algebra, sorted_masks,
                          validate_family)
@@ -74,18 +74,6 @@ def _check_rounds(rounds: int) -> None:
         raise ValidationError("rounds must be >= 1")
 
 
-class _Dies(dict):
-    """``core -> core in small``, asking ``small`` once per core."""
-
-    def __init__(self, small):
-        super().__init__()
-        self.small = small
-
-    def __missing__(self, core: int) -> bool:
-        dead = self[core] = core in self.small
-        return dead
-
-
 @dataclass
 class DistributivityResult:
     holds: bool
@@ -120,7 +108,7 @@ def check_distributivity(structure, x, rounds: int, width: Optional[int],
     branchless sequences exist at finite scale.
     """
     initial, down, small = _core_space(structure, x)
-    dies = _Dies(small)
+    dies = Memo(small.__contains__)  # core -> core in small
     _check_rounds(rounds)
     if variant not in (PLAIN, UNIFORM, IDEAL_WEAK):
         raise ValidationError(f"unknown variant {variant!r}")

@@ -19,7 +19,7 @@ from . import engine
 from .engine import GameInstance, GameState, TableStrategy, Transcript
 from .errors import ValidationError
 from .structures import (FiniteBooleanAlgebra, FinitePoset, GroundSet,
-                         Ideal, MonotoneFamily, format_mask, parse_mask,
+                         Ideal, Memo, MonotoneFamily, format_mask, parse_mask,
                          sorted_masks, validate_family)
 
 SCHEMA_VERSION = 1
@@ -283,18 +283,6 @@ def transcript_to_jsonable(t: Transcript) -> dict:
     }
 
 
-class _Memo(dict):
-    """``memo[x]`` is ``fn(x)``, computed on the first lookup of ``x``."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def _key_sort_key(state: GameState):
     # A parsed table may hold ``pending`` null and a list for the same core.
     rnd, to_move, core, pending = state
@@ -335,7 +323,7 @@ def serialize_strategy(inst: GameInstance, strategy: TableStrategy) -> str:
         # the key sorts the null as an empty list, and agrees with plain
         # tuple order wherever that is defined
         states = sorted(table, key=_key_sort_key)
-    masks = _Memo(lambda mask: encode_basestring_ascii(format_mask(mask)))
+    masks = Memo(lambda mask: encode_basestring_ascii(format_mask(mask)))
     if moves_are_masks(inst):
         def piece(p, depth: int) -> str:
             return masks[p]
@@ -345,9 +333,9 @@ def serialize_strategy(inst: GameInstance, strategy: TableStrategy) -> str:
             else lambda c: _json_at(c, 4))
 
     # a list's opening, separator and closing at each depth
-    frames = _Memo(lambda depth: ("[\n" + "  " * (depth + 1),
-                                  ",\n" + "  " * (depth + 1),
-                                  "\n" + "  " * depth + "]"))
+    frames = Memo(lambda depth: ("[\n" + "  " * (depth + 1),
+                                 ",\n" + "  " * (depth + 1),
+                                 "\n" + "  " * depth + "]"))
 
     def move(mv, depth: int) -> str:
         if not isinstance(mv, tuple):
@@ -358,8 +346,8 @@ def serialize_strategy(inst: GameInstance, strategy: TableStrategy) -> str:
         return start + sep.join([move(p, depth + 1) if isinstance(p, tuple)
                                  else piece(p, depth + 1) for p in mv]) + end
 
-    pending_text = _Memo(lambda p: "null" if p is None else move(p, 4))
-    move_text = _Memo(lambda mv: move(mv, 3))
+    pending_text = Memo(lambda p: "null" if p is None else move(p, 4))
+    move_text = Memo(lambda mv: move(mv, 3))
     head = ('{\n  "schema_version": %d,\n  "role": %s,\n  "kind": %s,\n'
             '  "entries": ' % (SCHEMA_VERSION, _json_at(strategy.role, 1),
                                _json_at(strategy.kind, 1)))
@@ -391,7 +379,7 @@ def strategy_from_jsonable(inst: GameInstance, obj: dict) -> TableStrategy:
         raise ValidationError(f"{kind!r} is not {TableStrategy.kind!r}",
                               "strategy.kind")
     size = _mask_size(inst)
-    masks = _Memo(lambda text: parse_mask(text, size))
+    masks = Memo(lambda text: parse_mask(text, size))
 
     def mask(text) -> int:
         # a text that is not a string is not cached: ``parse_mask`` rejects it

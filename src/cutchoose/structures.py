@@ -121,6 +121,18 @@ def parse_mask(text: str, size: int, path: str = "") -> int:
     return mask
 
 
+class Memo(dict):
+    """``memo[x]`` is ``fn(x)``, computed on the first lookup of ``x``."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """A finite set of points identified with 0..size-1."""
@@ -197,7 +209,7 @@ class MonotoneFamily:
                 if mask & ~g == 0:
                     return True
             return False
-        return mask in self.members or mask == 0 and 0 in self.members
+        return mask in self.members
 
     def explicit_members(self) -> frozenset[int]:
         """Materialize the member set (exponential; use at small grounds)."""
@@ -223,13 +235,8 @@ class Ideal(MonotoneFamily):
         """Union of all members; equals the largest member of a valid ideal."""
         if self.kind == SIZE_AT_MOST:
             return 0 if self.bound == 0 else self.ground.full_mask
-        if self.kind == GENERATED_BY:
-            u = 0
-            for g in self.generators:
-                u |= g
-            return u
         u = 0
-        for m in self.members:
+        for m in self.generators or self.members:
             u |= m
         return u
 
@@ -284,16 +291,8 @@ def validate_family(family: MonotoneFamily) -> ValidationReport:
                 s = (1 << family.bound) - 1
                 t = 1 << family.bound
                 return ValidationReport(False, "union closure", (s, t))
-        elif family.kind == GENERATED_BY:
-            gens = family.generators
-            for i, g in enumerate(gens):
-                for h in gens[i:]:
-                    if (g | h) not in family:
-                        return ValidationReport(False, "union closure", (g, h))
-            if full in family:
-                return ValidationReport(False, "proper", (full,))
-        else:
-            mem = sorted_masks(family.members)
+        else:  # one loop over the generators (sorted) or the sorted members
+            mem = family.generators or sorted_masks(family.members)
             for i, s in enumerate(mem):
                 for t in mem[i:]:
                     if (s | t) not in family:
@@ -449,7 +448,8 @@ class FinitePoset:
         return (self.down[a] & self.down[b]) != 0
 
     def is_maximal_antichain_below(self, x: int, chain: Sequence[int]) -> bool:
-        """Pairwise incompatible elements <= x, extendable by nothing <= x."""
+        """Pairwise incompatible elements <= x, extendable by nothing <= x:
+        in an algebra, disjoint nonzero elements whose join is x."""
         return cut_violation(self, x, tuple(chain), None, True) is None
 
 
@@ -477,9 +477,7 @@ class FiniteBooleanAlgebra(Ideal):
     def top(self) -> int:
         return self.ground.full_mask
 
-    def is_maximal_antichain_below(self, x: int, chain: Sequence[int]) -> bool:
-        """Pairwise disjoint nonzero elements whose join is x."""
-        return cut_violation(self, x, tuple(chain), None, True) is None
+    is_maximal_antichain_below = FinitePoset.is_maximal_antichain_below
 
 
 @dataclass(frozen=True)
@@ -493,7 +491,6 @@ class QuotientAlgebra:
 
     algebra: FiniteBooleanAlgebra
     atom_points: tuple[int, ...]
-    removed: int
 
     def project(self, mask: int) -> int:
         return pull_back(self.atom_points, mask)
@@ -511,7 +508,7 @@ def quotient_algebra(ground: GroundSet, ideal: MonotoneFamily) -> QuotientAlgebr
     points = tuple(p for p in range(ground.size) if not (removed >> p) & 1)
     if not points:
         raise ValidationError("ideal is improper; quotient undefined")
-    return QuotientAlgebra(FiniteBooleanAlgebra(GroundSet(len(points))), points, removed)
+    return QuotientAlgebra(FiniteBooleanAlgebra(GroundSet(len(points))), points)
 
 
 # ---------------------------------------------------------------------------
@@ -709,18 +706,20 @@ def cut_violation(structure, target: int, move, width: Optional[int],
                   maximal: bool = True) -> Optional[tuple[str, str]]:
     """The first rule ``move`` breaks as a cut of ``target``, as ``(message,
     rule)``, or None if it breaks none.  The one place a cut's legality is
-    decided: ``structure`` picks the rules as in ``enumerate_cut_moves``.
+    decided: the move's shape first (a nonempty tuple of int pieces), then
+    the rules ``structure`` picks as in ``enumerate_cut_moves``.
 
     It passes more than ``enumerate_cut_moves`` emits only for a bare set:
     there every partition of ``target`` into at most ``width`` nonempty
     pieces passes, empty pieces beside them and ``(target,)`` among them."""
     if not isinstance(move, tuple) or not move:
         return "cut move must be a nonempty tuple of pieces", "cut-shape"
+    for p in move:
+        if not isinstance(p, int):
+            return "pieces must be subset masks", "cut-shape"
     if structure is None:
         union = 0
         for p in move:
-            if not isinstance(p, int):
-                return "pieces must be subset masks", "cut-shape"
             if p & ~target:
                 return "piece leaves the set being cut", "piece-inside-target"
             if p & union:
@@ -752,7 +751,7 @@ def cut_violation(structure, target: int, move, width: Optional[int],
     union = 0  # the join of the elements, or of a poset's down-sets
     for p in move:
         if algebra:
-            if not isinstance(p, int) or p == 0:
+            if p == 0:
                 return ("antichain elements must be nonzero",
                         "antichain-nonzero")
             if p & ~target:

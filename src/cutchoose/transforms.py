@@ -152,9 +152,11 @@ def source_instance(kind: str, inst: GameInstance,
 
 class _Node(NamedTuple):
     """A node of a ``_Fold`` trie: the fold's value at the node's item
-    sequence, and the child node per next item."""
+    sequence, and the child node per next item.  A trie has one node per
+    sequence, so a node compares and hashes by identity, as a stage."""
     value: object
     children: dict
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 class _Fold:
@@ -958,8 +960,9 @@ def cut_strategy_to_witness(sigma: Strategy,
     Level r collects the meets of every consistent pick history with the
     pieces of the strategy's response there; a surviving branch through the
     output corresponds exactly to a pick line defeating the strategy
-    (checked exhaustively in tests at small scale).  A positional strategy
-    (stage ``None``) is asked once per distinct position of a level.
+    (checked exhaustively in tests at small scale).  It is asked once per
+    distinct ``(position, stage)`` of a level, which decide every later
+    move; a positional strategy, its stage ``None``, once per position.
     """
     if inst.cut_current:
         raise ValidationError("witness construction uses the cut-the-start convention")
@@ -969,7 +972,6 @@ def cut_strategy_to_witness(sigma: Strategy,
         raise ValidationError("witness construction needs meets "
                               "(set or algebra structure)")
     frontier = [Run.start(inst, sigma)]
-    positional = sigma.start() is None
     seq: list[tuple] = []
     nodes = 0
     for _ in range(inst.rounds):
@@ -988,10 +990,10 @@ def cut_strategy_to_witness(sigma: Strategy,
                 picked = cut.then(y)
                 if picked.state.core:
                     pieces.add(picked.state.core)
-                if positional and picked.state in nxt_seen:
-                    continue
-                nxt_seen.add(picked.state)
-                nxt.append(picked)
+                key = picked.state, picked.stage
+                if key not in nxt_seen:
+                    nxt_seen.add(key)
+                    nxt.append(picked)
         seq.append(tuple(sorted_masks(pieces)))
         frontier = nxt
     return seq

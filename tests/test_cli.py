@@ -10,7 +10,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from cutchoose import serialize
 from cutchoose.cli import main
-from cutchoose.engine import GameInstance, U
+from cutchoose.engine import (CUT, GameInstance, U, first_move_strategy,
+                              tabulate_strategy)
 from cutchoose.errors import ValidationError
 from cutchoose.structures import GroundSet, Ideal, MonotoneFamily
 
@@ -39,6 +40,13 @@ CI_U4 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), ".github", "ci", "u4.json")
 CI_G4 = os.path.join(os.path.dirname(CI_U4), "g4.json")
 CI_A4 = os.path.join(os.path.dirname(CI_U4), "a4.json")
+
+# a G_poset game on a 4-element poset: a core is a down-set mask
+P4 = {"schema_version": 1,
+      "structure": {"kind": "poset", "elements": 4,
+                    "down": ["{0}", "{1}", "{0,1,2}", "{0,1,2,3}"], "top": 3},
+      "game": {"family": "G_poset", "start": 3, "rounds": 1, "width": 2,
+               "variant": "exact", "maximal": True, "cut_current": False}}
 
 
 @pytest.fixture
@@ -343,6 +351,30 @@ def test_strategy_entry_without_core_is_rejected(tmp_path, u4):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "strategy.entries[0].state.core" in proc.stderr
+
+
+def _cutter_table(game: str) -> dict:
+    """The first-move cutter table of the game file ``game``, as read."""
+    with open(game) as fh:
+        inst = serialize.parse_instance(fh.read())
+    return json.loads(serialize.serialize_strategy(
+        inst, tabulate_strategy(inst, first_move_strategy(inst, CUT), CUT)))
+
+
+@pytest.mark.parametrize("game", ["g4", "p4"])
+def test_a_nested_piece_fails_verify_with_its_rule(tmp_path, game):
+    # a family and a poset game whose table's first cut is wrapped in a
+    # list, so its one piece is a list: refused by shape, as on a bare set
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(_ci_doc("g4.json") if game == "g4" else P4))
+    doc = _cutter_table(str(path))
+    doc["entries"][0]["move"] = [doc["entries"][0]["move"]]
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps(doc))
+    proc = run_cli("verify", str(path), "--strategy", str(sigma))
+    assert proc.returncode == 1
+    assert "[rule: cut-shape]" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("field, value", [("maximal", "no"),
@@ -655,14 +687,7 @@ def test_play_without_json_writes_prompts_and_moves_to_stdout(tmp_path):
 def test_play_prints_a_poset_core_as_the_documents_do(tmp_path, capsys):
     # a G_poset core on a poset is a down-set mask
     game = tmp_path / "poset.json"
-    game.write_text(json.dumps({
-        "schema_version": 1,
-        "structure": {"kind": "poset", "elements": 4,
-                      "down": ["{0}", "{1}", "{0,1,2}", "{0,1,2,3}"],
-                      "top": 3},
-        "game": {"family": "G_poset", "start": 3, "rounds": 1, "width": 2,
-                 "variant": "exact", "maximal": True,
-                 "cut_current": False}}))
+    game.write_text(json.dumps(P4))
     inst = serialize.parse_instance(game.read_text())
     log = tmp_path / "log.json"
     log.write_text(json.dumps({
@@ -1233,11 +1258,16 @@ def _ci_doc(name):
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
     """The documents the fuzzer mutates, the commands that read each (with
-    ``{doc}`` for the mutated file and ``{u4}`` for the CI game), and the
-    directory it writes to."""
+    ``{doc}`` for the mutated file and ``{u4}``, ``{g4}`` and ``{p4}`` for
+    the games: the CI's U and G_ideal games and ``P4``), the directory it
+    writes to and the games' paths."""
     root = tmp_path_factory.mktemp("fuzz")
+    games = {}
+    for name, doc in (("u4", _ci_doc("u4.json")), ("g4", _ci_doc("g4.json")),
+                      ("p4", P4)):
+        games[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(json.dumps(doc))
     u4 = root / "u4.json"
-    u4.write_text(json.dumps(_ci_doc("u4.json")))
     sigma = root / "sigma.json"
     assert main(["solve", str(u4), "--strategy-out", str(sigma)]) == 0
     inst = serialize.parse_instance(u4.read_text())
@@ -1252,7 +1282,12 @@ def fuzz_inputs(tmp_path_factory):
     docs.append((json.loads(sigma.read_text()),
                  [("verify", "{u4}", "--strategy", "{doc}")]))
     docs.append((log, [("play", "{u4}", "--replay", "{doc}")]))
-    return docs, root, str(u4)
+    # cutter tables of a family game and a poset game, whose cut rules
+    # differ from the bare set's
+    docs += [(_cutter_table(games[name]),
+              [("verify", "{%s}" % name, "--strategy", "{doc}")])
+             for name in ("g4", "p4")]
+    return docs, root, games
 
 
 @given(which=st.integers(0, 1000),
@@ -1266,9 +1301,9 @@ def test_a_mutated_input_document_exits_cleanly(fuzz_inputs, which,
                                                 mutations):
     # a document with a field deleted or replaced is read, refused naming
     # the field, or runs out of budget: an exit code, never an exception
-    docs, root, u4 = fuzz_inputs
+    docs, root, games = fuzz_inputs
     doc, commands = docs[which % len(docs)]
     path = root / "doc.json"
     path.write_text(json.dumps(_mutated(doc, mutations)))
     for argv in commands:
-        assert main([a.format(doc=path, u4=u4) for a in argv]) in (0, 1, 2)
+        assert main([a.format(doc=path, **games) for a in argv]) in (0, 1, 2)

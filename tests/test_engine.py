@@ -433,6 +433,7 @@ def _cut_rule_cases():
         (u, initial_state(u), (0b001, 0b010)),
         (u, initial_state(u), (0b001, 0b010, 0b100)),
         (gi, initial_state(gi), (0b0011, 0b0101, 0b1001, 0b0110)),
+        (gi, initial_state(gi), (0b0011, (0b1100,))),
         (gi, initial_state(gi), (0b0011, 0b0011)),
         (gi, low, (0b0011, 0b1100)),
         (gi, initial_state(gi), (0b0001, 0b1110)),
@@ -440,11 +441,13 @@ def _cut_rule_cases():
         (gi, initial_state(gi), (0b0011, 0b1100)),
         (gi, low, (0b0011,)),
         (ga, initial_state(ga), (0b001, 0b010, 0b100)),
+        (ga, initial_state(ga), ((0b001,), 0b110)),
         (ga, initial_state(ga), (0, 0b111)),
         (ga, initial_state(ga), (0b1000,)),
         (ga, initial_state(ga), (0b011, 0b110)),
         (ga, initial_state(ga), (0b001, 0b010)),
         (gp, initial_state(gp), (5,)),
+        (gp, initial_state(gp), ((0,), 1)),
         (gp, GameState(1, CUT, p.down[3], None), (2,)),
         (gp, initial_state(gp), (0, 0)),
         (gp, initial_state(gp), (0, 3)),
@@ -468,6 +471,7 @@ CUT_RULE_PINS = [
      "pieces-cover"),
     ("more than 2 nonempty pieces [rule: width]", "width"),
     ("more than 3 pieces [rule: width]", "width"),
+    ("pieces must be subset masks [rule: cut-shape]", "cut-shape"),
     ("duplicate pieces [rule: i-partition]", "i-partition"),
     ("piece {2,3} not contained in {0,1,2} [rule: i-partition]",
      "i-partition"),
@@ -479,6 +483,7 @@ CUT_RULE_PINS = [
     ("family is not maximal; witness {0,2} [rule: maximality]",
      "maximality"),
     ("more than 2 elements [rule: width]", "width"),
+    ("pieces must be subset masks [rule: cut-shape]", "cut-shape"),
     ("antichain elements must be nonzero [rule: antichain-nonzero]",
      "antichain-nonzero"),
     ("element not below the target [rule: antichain-below]",
@@ -489,6 +494,7 @@ CUT_RULE_PINS = [
      "maximality"),
     ("element not below the target [rule: antichain-below]",
      "antichain-below"),
+    ("pieces must be subset masks [rule: cut-shape]", "cut-shape"),
     ("element not below the target [rule: antichain-below]",
      "antichain-below"),
     ("elements must be pairwise incompatible [rule: antichain]",

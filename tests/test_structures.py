@@ -76,6 +76,36 @@ def test_validate_family_examples():
     assert report.violation in ("downward closure", "empty set missing")
 
 
+def test_ideal_reports_read_the_generators_or_the_members():
+    # union closure and properness over the generators or the members, each
+    # in canonical order: the first pair whose union is missing, or the top
+    g = GroundSet(3)
+    apart, whole = [0, 0b001, 0b100], list(submasks(0b111))
+    for kind, masks in ((Ideal.generated_by, [0b100, 0b001]),
+                        (Ideal.explicit, apart)):
+        report = validate_family(kind(g, masks))
+        assert (report.ok, report.violation, report.witness) == (
+            False, "union closure", (0b001, 0b100))
+    for ideal in (Ideal.generated_by(g, [0b111]), Ideal.explicit(g, whole)):
+        report = validate_family(ideal)
+        assert (report.ok, report.violation, report.witness) == (
+            False, "proper", (0b111,))
+    assert validate_family(Ideal.generated_by(g, [0b011])).ok
+    assert validate_family(Ideal.explicit(g, submasks(0b011))).ok
+
+
+def test_max_member_is_the_union_of_the_listed_masks():
+    g = GroundSet(4)
+    for masks, top in (([0b0110], 0b0110), ([0b0001, 0b1000], 0b1001)):
+        assert Ideal.generated_by(g, masks).max_member() == top
+        members = {s for m in masks for s in submasks(m)}
+        assert Ideal.explicit(g, members).max_member() == top
+    assert Ideal.generated_by(g, []).max_member() == 0
+    assert Ideal.explicit(g, [0]).max_member() == 0
+    assert Ideal.size_at_most(g, 0).max_member() == 0
+    assert Ideal.size_at_most(g, 1).max_member() == 0b1111
+
+
 def test_is_positive_examples():
     g = GroundSet(2)
     fam = MonotoneFamily.size_at_most(g, 1)

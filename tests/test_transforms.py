@@ -610,6 +610,47 @@ def test_a_witness_asks_a_function_strategy_once_per_position():
     assert len(calls) == 43
 
 
+class Counted(Strategy):
+    """``sigma`` (positional) behind a stage that counts the entries, which
+    repeats at a position wherever two pick lines of one length reach it;
+    ``asked`` lists the ``(position, stage)`` of every question."""
+
+    def __init__(self, sigma):
+        super().__init__(sigma.role, sigma.name)
+        self.sigma, self.asked = sigma, []
+
+    def start(self):
+        return 0
+
+    def step(self, stage, entry):
+        return stage + 1
+
+    def decide(self, inst, state, stage):
+        self.asked.append((state, stage))
+        return self.sigma.decide(inst, state, None)
+
+
+def test_a_witness_asks_a_stateful_strategy_once_per_position_and_stage():
+    # the pick lines that reach a position at one level share the stage, so
+    # the stateful stand-in is asked as the positional strategy is
+    inst = g_ideal(4, 3, width=None)
+    first = first_move_strategy(inst, CUT)
+    counted = Counted(first)
+    seq = tr.cut_strategy_to_witness(counted, inst)
+    assert seq == tr.cut_strategy_to_witness(first, inst)
+    assert len(counted.asked) == len(set(counted.asked)) == 18
+
+
+def test_a_witness_reads_a_transform_output():
+    # a transform's stage is a node of its fold: one per history read
+    inst = g_ideal(4, 2, width=2)
+    out = tr.disjointify_cut_strategy(first_move_strategy(inst, CUT), inst)
+    historied, calls = _counting(out.strategy)
+    seq = tr.cut_strategy_to_witness(out.strategy, out.instance)
+    assert seq == tr.cut_strategy_to_witness(historied, out.instance)
+    assert len(seq) == out.instance.rounds and calls
+
+
 # ---------------------------------------------------------------------------
 # Auxiliary-run checkers
 # ---------------------------------------------------------------------------
