@@ -19,14 +19,15 @@ relies on this and the test suite cross-checks it against raw history search.
 A ``GameState`` is that named tuple, so it hashes and compares as the plain
 tuple and serves as its own key in every memo, seen-set and strategy table.
 
-The terminal rule is written once, as ``GameInstance.referee``: a function
-of a position's round and core, for positions with no pending move, chosen
-once per instance by game family, variant and structure.  A position with
-a pending cut is never terminal, and an exact game is ongoing before its
-last round without a test of the family.  ``terminal_status`` answers
-through the referee and adds the reason: a verdict whose reason is fixed
-is a module constant; the one reason that names a round is built only on
-the branch that returns it.  The value fill calls the referee directly.
+The terminal rule is written once, as ``GameInstance.terminal_rule``:
+the referee, a function of a position's round and core for positions with
+no pending move, and each winner's verdict, chosen together once per
+instance by game family, variant and structure.  A position with a pending
+cut is never terminal, and an exact game is ongoing before its last round
+without a test of the family.  ``terminal_status`` reads the verdict the
+referee names and completes the one reason that names a round; the value
+fill and the solver's size shortcut call the referee alone,
+``GameInstance.referee``.
 
 Legality comes in two tiers.  ``legal_moves`` is the canonical enumeration
 used for solving and exhaustive verification; it omits dominated cut moves
@@ -191,11 +192,12 @@ class GameInstance:
         return tuple(_cut_moves(self, self.start))
 
     @cached_property
-    def referee(self) -> Callable[[int, int], Optional[str]]:
-        """The terminal rule: ``referee(round, core)`` is the winner at a
-        position with no pending move, or None while it is ongoing.  Chosen
-        once by game family, variant and structure; ``terminal_status``
-        answers through it, and the value fill calls it directly."""
+    def terminal_rule(self) -> tuple[Callable, dict]:
+        """``(referee, verdicts)``, chosen once by game family, variant and
+        structure.  ``referee(round, core)`` is the winner at a position
+        with no pending move, or None while it is ongoing; ``verdicts`` maps
+        each winner to its ``Outcome``, or to the reason that
+        ``terminal_status`` completes with the round."""
         rounds = self.rounds
         if self.game_family in BM_GAMES:
             # a poset core is an element: a lower bound of the chain
@@ -205,16 +207,23 @@ class GameInstance:
                 if round_ < rounds:
                     return None
                 return NONEMPTY if element or core else EMPTY
-            return banach_mazur
+            return banach_mazur, {
+                NONEMPTY: Outcome(NONEMPTY, "final core nonempty"),
+                EMPTY: Outcome(EMPTY, "final core empty")}
         # a core is small when the family holds it, a poset core when empty
         small = (self.family.__contains__ if self.poset is None
                  else {0}.__contains__)
+        poset = self.game_family == G_POSET
         if self.variant == EXACT:
             def exact(round_: int, core: int) -> Optional[str]:
                 if round_ < rounds:
                     return None
                 return CUT if small(core) else CHOOSE
-            return exact
+            return exact, {
+                CHOOSE: Outcome(CHOOSE, "choices have a common lower bound"
+                                if poset else "final intersection positive"),
+                CUT: Outcome(CUT, "choices have no common lower bound"
+                             if poset else "final intersection in the family")}
         # weak and strict prefix: every intersection after a pick must stay
         # positive, the last one too under weak
         weak = self.variant == WEAK
@@ -223,7 +232,16 @@ class GameInstance:
             if round_ < rounds:
                 return CUT if round_ >= 1 and small(core) else None
             return CUT if weak and small(core) else CHOOSE
-        return prefix
+        return prefix, {
+            CHOOSE: Outcome(CHOOSE, "survived every round" if weak
+                            else "every proper prefix stayed positive"),
+            CUT: ("lower-bound set vanished" if poset else
+                  "running intersection fell into the family") + " at round "}
+
+    @cached_property
+    def referee(self) -> Callable[[int, int], Optional[str]]:
+        """``terminal_rule``'s referee, which the value fill binds."""
+        return self.terminal_rule[0]
 
 
 def bridge_game(bm: GameInstance, start: int) -> GameInstance:
@@ -301,42 +319,22 @@ class Outcome:
 
 
 _ONGOING = Outcome(ONGOING)
-# Every verdict with a fixed reason is built once.
-_FINAL_NONEMPTY = Outcome(NONEMPTY, "final core nonempty")
-_FINAL_EMPTY = Outcome(EMPTY, "final core empty")
-_COMMON_LOWER_BOUND = Outcome(CHOOSE, "choices have a common lower bound")
-_FINAL_POSITIVE = Outcome(CHOOSE, "final intersection positive")
-_NO_LOWER_BOUND = Outcome(CUT, "choices have no common lower bound")
-_FINAL_IN_FAMILY = Outcome(CUT, "final intersection in the family")
-_SURVIVED = Outcome(CHOOSE, "survived every round")
-_PREFIXES_POSITIVE = Outcome(CHOOSE, "every proper prefix stayed positive")
 
 
 def terminal_status(inst: GameInstance, state: GameState) -> Outcome:
-    """The referee's verdict with its reason.  A pending cut is never
-    terminal; any other position is judged by ``inst.referee``, and this
-    adds only the reason, built only where it is returned."""
+    """The referee's verdict with its reason, read off
+    ``inst.terminal_rule``.  A pending cut is never terminal."""
     round_, _, core, pending = state
     if pending is not None:
         return _ONGOING
-    winner = inst.referee(round_, core)
+    referee, verdicts = inst.terminal_rule
+    winner = referee(round_, core)
     if winner is None:
         return _ONGOING
-    fam = inst.game_family
-    if fam in BM_GAMES:
-        return _FINAL_NONEMPTY if winner == NONEMPTY else _FINAL_EMPTY
-    poset = fam == G_POSET
-    if inst.variant == EXACT:
-        if winner == CHOOSE:
-            return _COMMON_LOWER_BOUND if poset else _FINAL_POSITIVE
-        return _NO_LOWER_BOUND if poset else _FINAL_IN_FAMILY
-    if winner == CHOOSE:
-        return _SURVIVED if inst.variant == WEAK else _PREFIXES_POSITIVE
-    # under weak and strict prefix the cutter wins only by a core that fell
-    # into the family
-    return Outcome(CUT, ("lower-bound set vanished" if poset else
-                         "running intersection fell into the family")
-                   + " at round " + str(round_))
+    verdict = verdicts[winner]
+    if isinstance(verdict, str):  # a reason that names the round
+        return Outcome(winner, verdict + str(round_))
+    return verdict
 
 
 # ---------------------------------------------------------------------------

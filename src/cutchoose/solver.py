@@ -19,12 +19,14 @@ The value fill memoizes only the positions with no pending move and
 recurses once per such position, so once per round.  It expands each
 cut's pick position inside the cut position's move loop: the pieces'
 child cores are judged by the instance's referee (``GameInstance.referee``,
-where the terminal rule lives) and looked up in the memo before any
+read off its terminal rule) and looked up in the memo before any
 recursive call, and pick positions are counted as ``_value_function``
 says.  Memo values are winner names only.  The records hold the first
 winning move in canonical order, which depends on the children's values
 alone and not on the order they were evaluated in, so the table read off
-them is the probing pass's, entry for entry.
+them is the probing pass's, entry for entry.  A winner-only solve of a U
+game over ``size_at_most`` that cuts its core takes the size shortcut,
+``_symmetric_winner``, which judges through the same referee.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, repeat
 from typing import Callable, Optional
 
 from .engine import (BM_GAMES, CHOOSE, CUT, NONEMPTY, STRICT_PREFIX, U, WEAK,
@@ -235,50 +238,47 @@ def _filled(inst: GameInstance, stats: SolveStats, record: bool):
 # Symmetric fast path for U-games with size-bounded families
 # ---------------------------------------------------------------------------
 
-def _symmetric_applicable(inst: GameInstance) -> bool:
-    return (inst.game_family == U and inst.cut_current
-            and inst.family.kind == SIZE_AT_MOST)
-
-
-def _int_partitions(total: int, max_parts: int):
-    """Partitions of ``total`` into 2..max_parts parts, parts descending."""
-    def rec(remaining: int, cap: int, parts: list[int]):
-        if remaining == 0:
-            if len(parts) >= 2:
-                yield tuple(parts)
-            return
-        if len(parts) >= max_parts:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            parts.append(p)
-            yield from rec(remaining - p, p, parts)
-            parts.pop()
-
-    yield from rec(total, total, [])
+def _int_partitions(total: int, parts: int, largest: int):
+    """The partitions of ``total`` into at most ``parts`` parts of at most
+    ``largest`` each, parts descending."""
+    if total == 0:
+        yield ()
+    elif parts:
+        for p in range(min(largest, total), 0, -1):
+            for rest in _int_partitions(total - p, parts - 1, p):
+                yield (p, *rest)
 
 
 def _symmetric_winner(inst: GameInstance) -> str:
-    """Winner via the size abstraction: fully symmetric families make the
-    position depend only on the core's cardinality.  The exact, weak, and
-    prefix variants coincide up to round bookkeeping because cores only
-    shrink under a monotone family."""
-    k = inst.family.bound
-    width = inst.width
+    """Winner via the size abstraction: a fully symmetric family makes a
+    position depend only on its round and the core's cardinality, so a core
+    of s points is judged by ``inst.referee`` at a core of s points.  A
+    core the family holds stays small whatever the cuts (the family is
+    downward closed), so it settles at the referee's first verdict on it; a
+    positive point is cut into itself, one recursion per round."""
+    referee = inst.referee
 
     @lru_cache(maxsize=None)
-    def cut_wins(size: int, remaining: int) -> bool:
-        # Entered with a positive core (size > k), cutter to move.
-        if remaining == 0:
-            return False
-        if size == 1:
-            return cut_wins(size, remaining - 1) if k < 1 else True
-        for parts in _int_partitions(size, min(width, size)):
-            if all(p <= k or cut_wins(p, remaining - 1) for p in parts):
-                return True
-        return False
+    def winner(round_: int, size: int) -> str:
+        # the cutter to move at round ``round_`` on ``size`` points
+        core = (1 << size) - 1
+        if core in inst.family:  # the first verdict from this round on
+            verdicts = map(referee, count(round_), repeat(core))
+            return next(filter(None, verdicts))
+        verdict = referee(round_, core)
+        if verdict is not None:
+            return verdict
+        # parts below ``size`` make two or more, but a point has only
+        # itself, as in ``structures._partitions``
+        for parts in _int_partitions(size, inst.width, max(size - 1, 1)):
+            for part in parts:
+                if winner(round_ + 1, part) == CHOOSE:
+                    break
+            else:
+                return CUT
+        return CHOOSE
 
-    rounds = inst.rounds - 1 if inst.variant == STRICT_PREFIX else inst.rounds
-    return CUT if cut_wins(popcount(inst.start), rounds) else CHOOSE
+    return winner(0, popcount(inst.start))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,8 @@ def solve(inst: GameInstance, want_strategy: bool = True) -> SolveResult:
     """
     stats = SolveStats()
     strategy = None
-    if _symmetric_applicable(inst) and not want_strategy:
+    if (not want_strategy and inst.game_family == U and inst.cut_current
+            and inst.family.kind == SIZE_AT_MOST):
         with depth_limited(inst.rounds, "solve", stats.counts):
             winner = _symmetric_winner(inst)
     else:

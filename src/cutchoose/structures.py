@@ -63,13 +63,9 @@ def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_key(mask: int) -> tuple[int, ...]:
-    """Canonical sort key for a mask: its sorted element tuple."""
-    return mask_elements(mask)
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
+# The canonical sort key for a mask is its sorted element tuple.
+mask_key = mask_elements
+popcount = int.bit_count
 
 
 def submasks(mask: int) -> Iterator[int]:

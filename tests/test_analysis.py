@@ -5,8 +5,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from cutchoose import analysis as an
 from cutchoose import structures
-from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EXACT, G_IDEAL, U, WEAK,
-                              GameInstance)
+from cutchoose.engine import (BM_IDEAL, CHOOSE, CUT, EXACT, G_IDEAL,
+                              STRICT_PREFIX, U, WEAK, GameInstance)
 from cutchoose.errors import CapacityError, ValidationError
 from cutchoose.serialize import (audit_report_text, audit_report_to_jsonable,
                                  instance_to_jsonable)
@@ -187,12 +187,17 @@ def test_precipitous_analog_examples():
 
 
 def test_threshold_scan_tables():
-    rows = an.threshold_scan(2, [1, 2, 3], range(2, 13))
-    assert [(r.rounds, r.minimal_choose_win) for r in rows] == \
-        [(1, 3), (2, 5), (3, 9)]
-    rows3 = an.threshold_scan(3, [1, 2], range(2, 13))
-    assert [(r.rounds, r.minimal_choose_win) for r in rows3] == \
-        [(1, 4), (2, 10)]
+    # up to the ground cap: width-w cuts need w**n + 1 points to outlast n
+    # rounds, w**(n - 1) + 1 under strict prefix (2 for one round)
+    binary, ternary = [3, 5, 9, 17], [4, 10, None, None]
+    expected = {(2, EXACT): binary, (2, WEAK): binary,
+                (2, STRICT_PREFIX): [2, 3, 5, 9],
+                (3, EXACT): ternary, (3, WEAK): ternary,
+                (3, STRICT_PREFIX): [2, 4, 10, None]}
+    for (width, variant), minimal in expected.items():
+        rows = an.threshold_scan(width, range(1, 5), range(2, 25), variant)
+        assert [(r.rounds, r.minimal_choose_win) for r in rows] == \
+            list(zip(range(1, 5), minimal)), (width, variant)
 
 
 def test_threshold_scan_weak_matches_exact_finitely():

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -1307,3 +1308,48 @@ def test_a_mutated_input_document_exits_cleanly(fuzz_inputs, which,
     path.write_text(json.dumps(_mutated(doc, mutations)))
     for argv in commands:
         assert main([a.format(doc=path, **games) for a in argv]) in (0, 1, 2)
+
+
+# The shape mutations: which fields each fits and what it puts there.
+RESHAPES = {
+    "wrap": (lambda v: isinstance(v, list), lambda v: [v]),
+    "unwrap": (lambda v: isinstance(v, list) and len(v) == 1, lambda v: v[0]),
+    "string": (lambda v: type(v) is int, str),
+}
+
+
+def _reshaped(doc, reshape, index):
+    """``doc`` with its ``index``-th field that ``reshape`` fits (counted
+    depth first, modulo their number) reshaped: a list wrapped in a list, a
+    one-item list unwrapped, or an int written as a string.  None when no
+    field fits."""
+    fits, change = RESHAPES[reshape]
+    doc = json.loads(json.dumps(doc))
+    fields = [(c, k) for c, k in _fields(doc) if fits(c[k])]
+    if not fields:
+        return None
+    container, key = fields[index % len(fields)]
+    container[key] = change(container[key])
+    return doc
+
+
+def test_a_reshaped_input_document_exits_cleanly(fuzz_inputs, capsys):
+    # a field of the wrong shape where the reader expects another: a move
+    # nested one list deeper, a list where its one item goes, an int in a
+    # string.  Each document takes each reshape at 4 seeded fields, and
+    # every command that reads it exits 0, 1 or 2 with no traceback.
+    docs, root, games = fuzz_inputs
+    path = root / "reshaped.json"
+    for which, (doc, commands) in enumerate(docs):
+        draw = random.Random(f"reshape-{which}")
+        for reshape in RESHAPES:
+            for _ in range(4):
+                index = draw.randrange(1000)
+                mutated = _reshaped(doc, reshape, index)
+                if mutated is None:
+                    continue
+                path.write_text(json.dumps(mutated))
+                for argv in commands:
+                    argv = [a.format(doc=path, **games) for a in argv]
+                    assert main(argv) in (0, 1, 2), (argv, reshape, index)
+                    assert "Traceback" not in capsys.readouterr().err

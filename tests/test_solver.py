@@ -46,17 +46,30 @@ def test_solver_strategy_verifies():
 
 
 def test_symmetric_path_agrees_with_generic():
-    for m in range(2, 9):
-        for n in (1, 2, 3):
-            for width in (2, 3):
-                for variant in (EXACT, WEAK, "strict_prefix"):
-                    inst = u_instance(m, n, width=width, variant=variant)
-                    fast = solve(inst, want_strategy=False).winner
-                    slow_stats_inst = u_instance(m, n, width=width,
-                                                 variant=variant)
-                    # force the generic path by requesting a strategy
-                    slow = solve(slow_stats_inst, want_strategy=True).winner
-                    assert fast == slow, (m, n, width, variant)
+    # bound 0 plays a one-point core on, cut into itself, until a verdict
+    for bound in (0, 1, 2):
+        for m in range(max(2, bound + 1), 9):
+            for n in (1, 2, 3):
+                for width in (2, 3):
+                    for variant in (EXACT, WEAK, STRICT_PREFIX):
+                        inst = u_instance(m, n, width=width, variant=variant,
+                                          bound=bound)
+                        fast = solve(inst, want_strategy=False).winner
+                        # a strategy request takes the generic value fill
+                        slow = solve(inst, want_strategy=True).winner
+                        assert fast == slow, (bound, m, n, width, variant)
+
+
+def test_the_size_shortcut_settles_long_games_without_a_fill():
+    # a part the family holds settles with no recursion per round, so a
+    # 5,000-round game the cutter wins early recurses only as deep as its
+    # cuts
+    for bound in (1, 2):
+        for variant in (EXACT, WEAK, STRICT_PREFIX):
+            result = solve(u_instance(24, 5000, variant=variant, bound=bound),
+                           want_strategy=False)
+            assert (result.winner, result.stats.counts()) == \
+                (CUT, {"states_visited": 0, "memo_hits": 0}), (bound, variant)
 
 
 def test_refute_and_the_oracle_read_their_budgets_when_called(monkeypatch):
